@@ -36,6 +36,8 @@ def main() -> int:
     parser.add_argument("--trials", type=int, default=200, help="trials per campaign")
     parser.add_argument("--seed", type=int, default=20161004)
     args = parser.parse_args()
+    if args.trials < 0:
+        parser.error(f"--trials must be non-negative, got {args.trials}")
 
     ring = PrimeField(10007)
     trials, seed = args.trials, args.seed

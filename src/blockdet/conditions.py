@@ -193,6 +193,8 @@ def family_condition(family_id: str, n: int) -> Condition:
     Ids: ``f``, ``kappa``, ``complete``, ``empty``, ``side:j``, ``down:i``,
     ``tcol:c``, ``trow:r`` and the size-2 names ``g1``..``g5``, ``h1``..``h4``.
     """
+    if n < 1:
+        raise ValueError(f"size must be at least 1, got n={n}")
     fid = family_id.strip().lower()
     if fid == "f":
         return cond_f(n)

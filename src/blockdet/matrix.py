@@ -18,6 +18,13 @@ class MatrixFormatError(ValueError):
     """Raised on malformed matrix text input."""
 
 
+def signed_permutations(n: int):
+    """Every permutation of range(n) as a tuple, paired with its sign."""
+    for perm in permutations(range(n)):
+        inversions = sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
+        yield perm, -1 if inversions % 2 else 1
+
+
 class Matrix:
     __slots__ = ("ring", "rows", "cols", "entries")
 
@@ -282,8 +289,7 @@ def det_expansion_oracle(mat: Matrix) -> RingValue:
     rows = mat.payload_rows()
     total = ring.int_payload(0)
     one = ring.int_payload(1)
-    for perm in permutations(range(k)):
-        inversions = sum(1 for i in range(k) for j in range(i + 1, k) if perm[i] > perm[j])
+    for perm, sign in signed_permutations(k):
         prod = one
         for i in range(k):
             e = rows[i][perm[i]]
@@ -293,7 +299,7 @@ def det_expansion_oracle(mat: Matrix) -> RingValue:
             prod = pmul(prod, e)
         if prod is None:
             continue
-        total = psub(total, prod) if inversions % 2 else padd(total, prod)
+        total = padd(total, prod) if sign > 0 else psub(total, prod)
     return RingValue(ring, total)
 
 

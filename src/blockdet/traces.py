@@ -10,9 +10,9 @@ column-swap, transpose and row-swap ordering identities.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 
 from .conditions import Condition, cond_kappa, cond_t_col
+from .matrix import signed_permutations
 
 Letter = tuple[int, int]
 Word = tuple[Letter, ...]
@@ -231,14 +231,6 @@ class TracePoly:
         return " ".join(parts)
 
 
-def _signed_perms(n: int):
-    for images in permutations(range(1, n + 1)):
-        inversions = sum(
-            1 for a in range(n) for b in range(a + 1, n) if images[a] > images[b]
-        )
-        yield images, (-1 if inversions % 2 else 1)
-
-
 def _det_from_words(rel: CommRel, words_and_signs) -> TracePoly:
     terms: dict[Word, int] = {}
     for word, sign in words_and_signs:
@@ -259,7 +251,7 @@ def symbolic_row_det(n: int, rel: CommRel) -> TracePoly:
         raise ValueError(f"relation size {rel.n} does not match n={n}")
     return _det_from_words(
         rel,
-        ((tuple((r, images[r - 1]) for r in range(1, n + 1)), sign) for images, sign in _signed_perms(n)),
+        ((tuple((r + 1, perm[r] + 1) for r in range(n)), sign) for perm, sign in signed_permutations(n)),
     )
 
 
@@ -284,8 +276,8 @@ def check_colswap_identity(n: int, k: int) -> bool:
     swapped = _det_from_words(
         rel,
         (
-            (tuple((r, tau(images[r - 1])) for r in range(1, n + 1)), sign)
-            for images, sign in _signed_perms(n)
+            (tuple((r + 1, tau(perm[r] + 1)) for r in range(n)), sign)
+            for perm, sign in signed_permutations(n)
         ),
     )
     return swapped == -base
@@ -305,8 +297,8 @@ def check_transpose_identity(n: int, c: int) -> bool:
     lhs = _det_from_words(
         rel,
         (
-            (tuple((images[col - 1], col) for col in range(n, 0, -1)), sign)
-            for images, sign in _signed_perms(n)
+            (tuple((perm[col - 1] + 1, col) for col in range(n, 0, -1)), sign)
+            for perm, sign in signed_permutations(n)
         ),
     )
     return lhs == rhs
@@ -350,8 +342,8 @@ def check_rowswap_identity(
     lhs = _det_from_words(
         rel,
         (
-            (tuple((sigma(r), images[r - 1]) for r in range(1, n + 1)), sign)
-            for images, sign in _signed_perms(n)
+            (tuple((sigma(r + 1), perm[r] + 1) for r in range(n)), sign)
+            for perm, sign in signed_permutations(n)
         ),
     )
     return lhs == -rhs

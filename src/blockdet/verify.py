@@ -345,6 +345,8 @@ def run_campaign(
     condition_id: str = "custom",
 ) -> VerificationReport:
     """Run the identity check over seeded samples satisfying the condition."""
+    if trials < 0:
+        raise ValueError(f"trials must be non-negative, got {trials}")
     name, _ = pick_generator(g, m)
     failures = 0
     first: FailureCase | None = None
@@ -429,9 +431,9 @@ def builtin_matrix(name: str, n: int | None = None) -> BlockMatrix:
     if key == "m3swapped":
         return _m3_swapped()
     if key == "same_row":
-        return optimality_counterexample("same_row", n if n is not None else 2).matrix
+        return _witness_matrix("same_row", n if n is not None else 2)
     if key == "diff_row":
-        return optimality_counterexample("diff_row", n if n is not None else 3).matrix
+        return _witness_matrix("diff_row", n if n is not None else 3)
     raise ValueError(f"unknown built-in matrix {name!r}")
 
 
@@ -591,14 +593,7 @@ class OptimalityWitness(NamedTuple):
     det_of_ncdet: RingValue
 
 
-def optimality_counterexample(case: str, n: int) -> OptimalityWitness:
-    """Witness that dropping one edge from the row-one-free family breaks
-    sufficiency.
-
-    Over Z[a] with 2x2 blocks: the flattened determinant is constant in a
-    while the determinant of the block determinant is not.  ``same_row``
-    withholds the edge ((2,1),(2,2)); ``diff_row`` withholds ((2,1),(3,2)).
-    """
+def _witness_matrix(case: str, n: int) -> BlockMatrix:
     ring = PolynomialRing("a")
     gen = ring.gen
     k = Matrix.from_rows(ring, [[1, 0], [0, 0]])
@@ -627,8 +622,18 @@ def optimality_counterexample(case: str, n: int) -> OptimalityWitness:
             rows[i][i] = ident
     else:
         raise ValueError(f"case must be same_row or diff_row, got {case!r}")
+    return BlockMatrix(ring, 2, n, rows)
 
-    bm = BlockMatrix(ring, 2, n, rows)
+
+def optimality_counterexample(case: str, n: int) -> OptimalityWitness:
+    """Witness that dropping one edge from the row-one-free family breaks
+    sufficiency.
+
+    Over Z[a] with 2x2 blocks: the flattened determinant is constant in a
+    while the determinant of the block determinant is not.  ``same_row``
+    withholds the edge ((2,1),(2,2)); ``diff_row`` withholds ((2,1),(3,2)).
+    """
+    bm = _witness_matrix(case, n)
     return OptimalityWitness(
         matrix=bm,
         det_flat=det_commutative(bm.flatten()),

@@ -155,3 +155,50 @@ def test_optimality(capsys):
 def test_usage_error_exit_code(capsys):
     assert run(capsys, "not-a-command")[0] == 2
     assert run(capsys, "check")[0] == 2  # neither file nor builtin
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("campaign", "--family", "f", "--n", "0", "--m", "2"),
+        ("campaign", "--family", "f", "--n", "2", "--m", "4", "--trials", "-3"),
+        ("family", "--name", "f", "--n", "0"),
+    ],
+)
+def test_bad_size_or_trials_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_generator_failure_is_usage_error(capsys, monkeypatch):
+    import blockdet.verify
+
+    def failing(*args, **kwargs):
+        raise RuntimeError("generator 'x' failed to produce a non-vacuous sample")
+
+    monkeypatch.setattr(blockdet.verify, "gen_satisfying", failing)
+    code, out, err = run(capsys, "campaign", "--family", "f", "--n", "2", "--m", "4")
+    assert code == 2
+    assert out == ""
+    assert err == "error: generator 'x' failed to produce a non-vacuous sample\n"
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (("symbolic", "--check", "colswap", "--n", "4", "--k", "2"),
+         "check=colswap n=4 terms=24 PASS\n"),
+        (("symbolic", "--check", "transpose", "--n", "1", "--c", "1"),
+         "check=transpose n=1 terms=1 PASS\n"),
+        (("symbolic", "--check", "rowswap", "--n", "3", "--i", "2", "--j", "3",
+          "--missing", "2,1,3,2"),
+         "check=rowswap n=3 terms=6 FAIL\n"),
+    ],
+)
+def test_symbolic_output_line(capsys, argv, line):
+    _, out, _ = run(capsys, *argv)
+    assert out == line

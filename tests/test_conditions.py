@@ -305,7 +305,7 @@ class TestFamilyIds:
         assert family_condition("f", 4) == cond_f(4)
 
     def test_errors(self):
-        for fid, n in [("g5", 3), ("side:9", 3), ("side:x", 3), ("nope", 2)]:
+        for fid, n in [("g5", 3), ("side:9", 3), ("side:x", 3), ("nope", 2), ("f", 0), ("kappa", -1)]:
             with pytest.raises(ValueError):
                 family_condition(fid, n)
 

@@ -16,6 +16,7 @@ from blockdet.matrix import (
     format_matrix,
     parse_block_matrix,
     parse_matrix,
+    signed_permutations,
 )
 from blockdet.ring import PolynomialRing, PrimeField, ZZ
 
@@ -82,6 +83,15 @@ def test_det_rejects_non_square():
         det_commutative(Matrix.from_rows(ZZ, [[1, 2]]))
     with pytest.raises(ValueError):
         det_expansion_oracle(Matrix.from_rows(ZZ, [[1, 2]]))
+
+
+def test_signed_permutations():
+    assert list(signed_permutations(0)) == [((), 1)]
+    assert list(signed_permutations(3)) == [
+        ((0, 1, 2), 1), ((0, 2, 1), -1), ((1, 0, 2), -1),
+        ((1, 2, 0), 1), ((2, 0, 1), 1), ((2, 1, 0), -1),
+    ]
+    assert len({perm for perm, _ in signed_permutations(5)}) == 120
 
 
 def test_expansion_oracle_cap():

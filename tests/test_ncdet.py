@@ -1,20 +1,28 @@
 import random
-from itertools import permutations as iter_perms
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from blockdet.conditions import cond_f
-from blockdet.matrix import BlockMatrix, Matrix, block_view, cofactor_matrix, det_commutative
+from blockdet.matrix import (
+    BlockMatrix,
+    Matrix,
+    block_view,
+    cofactor_matrix,
+    det_commutative,
+    signed_permutations,
+)
 from blockdet.ncdet import (
     Permutation,
     bourbaki_trace,
     cofactor_column_check,
     nc_cofactor,
+    nc_first_row_cofactors,
     nc_minor_det,
     nc_row_det,
     permutations_of,
 )
-from blockdet.ring import PolynomialRing, PrimeField, ZZ, poly_eval_at_zero
+from blockdet.ring import PolynomialRing, PrimeField, ZZ, parse_ring, poly_eval_at_zero
 from blockdet.verify import builtin_matrix, gen_satisfying
 
 F10007 = PrimeField(10007)
@@ -23,6 +31,11 @@ F10007 = PrimeField(10007)
 def rand_block(ring, m, rng):
     if isinstance(ring, PrimeField):
         return Matrix.from_rows(ring, [[rng.randrange(ring.p) for _ in range(m)] for _ in range(m)])
+    if isinstance(ring, PolynomialRing):
+        return Matrix(
+            ring, m, m,
+            [ring.value([rng.randrange(-3, 4) for _ in range(rng.randrange(3))]) for _ in range(m * m)],
+        )
     return Matrix.from_rows(ring, [[rng.randrange(-4, 5) for _ in range(m)] for _ in range(m)])
 
 
@@ -37,12 +50,8 @@ class TestPermutation:
         assert Permutation((2, 3, 1)).sign == 1  # 3-cycle
 
     def test_sign_matches_inversion_parity(self):
-        for images in iter_perms(range(1, 5)):
-            p = Permutation(images)
-            inv = sum(
-                1 for a in range(4) for b in range(a + 1, 4) if images[a] > images[b]
-            )
-            assert p.sign == (-1) ** inv
+        for perm, sign in signed_permutations(4):
+            assert Permutation(tuple(i + 1 for i in perm)).sign == sign
 
     def test_compose_and_inverse(self):
         rng = random.Random(0)
@@ -68,6 +77,80 @@ class TestPermutation:
 
     def test_enumeration(self):
         assert len(list(permutations_of(4))) == 24
+
+
+def perm_sum_row_det(bm):
+    """Oracle: the row-ordered determinant as the signed permutation sum."""
+    total = None
+    for perm, sign in signed_permutations(bm.n):
+        prod = bm.blocks[0][perm[0]]
+        for r in range(1, bm.n):
+            prod = prod * bm.blocks[r][perm[r]]
+        if sign < 0:
+            prod = -prod
+        total = prod if total is None else total + prod
+    return total
+
+
+def perm_sum_first_row_cofactors(bm):
+    """Oracle: (-1)^(1+j) times the permutation-sum (1, j) minor, for each j."""
+    n = bm.n
+    cofs = []
+    for j in range(n):
+        rows = [[bm.blocks[r][c] for c in range(n) if c != j] for r in range(1, n)]
+        minor = perm_sum_row_det(BlockMatrix(bm.ring, bm.m, n - 1, rows))
+        cofs.append(minor if j % 2 == 0 else -minor)
+    return cofs
+
+
+DP_RINGS = [parse_ring(label) for label in ("int", "mod:2", "mod:10007", "poly:a")]
+
+
+@st.composite
+def block_matrices(draw):
+    ring = draw(st.sampled_from(DP_RINGS))
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 3))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    return rand_block_matrix(ring, m, n, rng)
+
+
+@settings(max_examples=150, deadline=None)
+@given(block_matrices())
+def test_subset_dp_matches_permutation_sum(bm):
+    assert nc_row_det(bm) == perm_sum_row_det(bm)
+    if bm.n >= 2:
+        assert nc_first_row_cofactors(bm) == perm_sum_first_row_cofactors(bm)
+
+
+def test_block_product_counts(monkeypatch):
+    # The subset DP takes n 2^(n-1) - n block products for the determinant
+    # and n fewer for the cofactors alone; the permutation sum takes (n-1) n!.
+    calls = 0
+    mul = Matrix.__mul__
+
+    def counting_mul(self, other):
+        nonlocal calls
+        calls += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(Matrix, "__mul__", counting_mul)
+    rng = random.Random(11)
+    for n in range(2, 9):
+        bm = rand_block_matrix(F10007, 1, n, rng)
+        calls = 0
+        nc_row_det(bm)
+        assert calls == n * 2 ** (n - 1) - n, n
+        calls = 0
+        nc_first_row_cofactors(bm)
+        assert calls == n * 2 ** (n - 1) - 2 * n, n
+
+
+def test_dp_size_guards():
+    with pytest.raises(ValueError):
+        nc_row_det(BlockMatrix(ZZ, 2, 0, []))
+    with pytest.raises(ValueError):
+        nc_first_row_cofactors(BlockMatrix(ZZ, 2, 1, [[Matrix.identity(ZZ, 2)]]))
 
 
 def test_nc_row_det_two_blocks_order():

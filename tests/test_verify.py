@@ -164,6 +164,11 @@ class TestCampaigns:
         report = run_campaign(complete_condition(2), 2, ZZ, 25, seed=1, condition_id="complete")
         assert report.failures == 0
 
+    def test_negative_trials_rejected(self):
+        with pytest.raises(ValueError):
+            run_campaign(cond_f(2), 4, F10007, -3, seed=1)
+        assert run_campaign(cond_f(2), 4, F10007, 0, seed=1).trials == 0
+
 
 class TestCounterexamples:
     @pytest.mark.parametrize("h", ["h1", "h2", "h3", "h4"])
@@ -285,6 +290,10 @@ class TestOptimalityWitnesses:
         assert flat.row_list(1) == [pa.zero, pa.zero, pa.one, pa.zero]
         assert flat.row_list(2) == [pa.gen, pa.zero, pa.zero, pa.one]
         assert flat.row_list(3) == [pa.zero, pa.zero, pa.zero, pa.zero]
+
+    @pytest.mark.parametrize("case,n", [("same_row", 2), ("same_row", 4), ("diff_row", 3), ("diff_row", 5)])
+    def test_builtin_is_the_witness_matrix(self, case, n):
+        assert builtin_matrix(case, n=n) == optimality_counterexample(case, n).matrix
 
     def test_size_guards(self):
         with pytest.raises(ValueError):
