@@ -5,9 +5,9 @@ blocks is the signed permutation sum with each product's factors ordered by
 row index.  It is evaluated by a dynamic program over column subsets that
 takes n 2^(n-1) - n block products instead of the sum's (n-1) n!; that size
 is optimal for the noncommutative determinant (Nisan, STOC 1991).  The
-program's last level holds every first-row minor, so the cofactors, the
+program's last level holds every first-row minor, so the determinant, the
 first-column cofactor identity and a checkable trace of the
-polynomial-extension induction share one run of it.
+polynomial-extension induction each take one run of it.
 """
 
 from __future__ import annotations
@@ -113,7 +113,7 @@ def nc_first_row_cofactors(bm: BlockMatrix) -> list[Matrix]:
     n = bm.n
     if n < 2:
         raise ValueError("cofactors need n >= 2")
-    if n - 1 > ROW_DET_CAP:
+    if n > ROW_DET_CAP:
         raise ValueError(f"row-determinant capped at n={ROW_DET_CAP}")
     blocks = bm.blocks
     level = {1 << c: blk for c, blk in enumerate(blocks[n - 1])}
@@ -153,8 +153,6 @@ def nc_row_det(bm: BlockMatrix) -> Matrix:
     n = bm.n
     if n < 1:
         raise ValueError("row-determinant needs n >= 1")
-    if n > ROW_DET_CAP:
-        raise ValueError(f"row-determinant capped at n={ROW_DET_CAP}")
     if n == 1:
         return bm.blocks[0][0]
     return _row_times(bm.blocks[0], nc_first_row_cofactors(bm))
@@ -177,8 +175,6 @@ def nc_minor_det(bm: BlockMatrix, i: int, j: int) -> Matrix:
 
 def nc_cofactor(bm: BlockMatrix, i: int, j: int) -> Matrix:
     """Signed minor: (-1)^(i+j) times the (i, j) minor determinant."""
-    if i == 1 and 1 <= j <= bm.n:
-        return nc_first_row_cofactors(bm)[j - 1]
     minor = nc_minor_det(bm, i, j)
     return minor if (i + j) % 2 == 0 else -minor
 

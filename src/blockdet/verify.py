@@ -347,6 +347,8 @@ def run_campaign(
     """Run the identity check over seeded samples satisfying the condition."""
     if trials < 0:
         raise ValueError(f"trials must be non-negative, got {trials}")
+    if m < 2:
+        raise ValueError("block size must be at least 2")
     name, _ = pick_generator(g, m)
     failures = 0
     first: FailureCase | None = None

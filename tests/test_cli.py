@@ -162,6 +162,7 @@ def test_usage_error_exit_code(capsys):
     [
         ("campaign", "--family", "f", "--n", "0", "--m", "2"),
         ("campaign", "--family", "f", "--n", "2", "--m", "4", "--trials", "-3"),
+        ("campaign", "--family", "f", "--n", "2", "--m", "1", "--trials", "0"),
         ("family", "--name", "f", "--n", "0"),
     ],
 )

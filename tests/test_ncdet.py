@@ -184,6 +184,13 @@ def test_nc_row_det_cap():
         nc_row_det(bm)
 
 
+def test_cofactor_users_share_the_cap():
+    bm = BlockMatrix(ZZ, 1, 9, [[Matrix.identity(ZZ, 1)] * 9 for _ in range(9)])
+    for fn in (nc_first_row_cofactors, cofactor_column_check, bourbaki_trace):
+        with pytest.raises(ValueError):
+            fn(bm)
+
+
 def test_nc_row_det_scalar_blocks_match_commutative_det():
     rng = random.Random(2)
     for n in (1, 2, 3, 4):

@@ -169,6 +169,10 @@ class TestCampaigns:
             run_campaign(cond_f(2), 4, F10007, -3, seed=1)
         assert run_campaign(cond_f(2), 4, F10007, 0, seed=1).trials == 0
 
+    def test_small_block_size_rejected(self):
+        with pytest.raises(ValueError):
+            run_campaign(cond_f(2), 1, F10007, 0, seed=1)
+
 
 class TestCounterexamples:
     @pytest.mark.parametrize("h", ["h1", "h2", "h3", "h4"])
