@@ -1,0 +1,85 @@
+"""Golden pins: seeded samples and reports that must not drift.
+
+These values were recorded from the generators and trial loops as they
+stand, so a refactor that reorders a random draw or a trial's seeding
+fails here even when every identity still holds.
+"""
+
+import hashlib
+
+from blockdet.conditions import cond_f, cond_f_down, cond_f_side, cond_named
+from blockdet.matrix import format_block_matrix
+from blockdet.ring import ZZ, PrimeField
+from blockdet.verify import gen_satisfying, pick_generator, silvester_check
+
+F10007 = PrimeField(10007)
+
+
+def _sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_g5_overlap_sample():
+    bm = gen_satisfying(cond_named("g5"), 4, F10007, seed=3)
+    assert format_block_matrix(bm) == (
+        "4 2 mod:10007\n"
+        "3927 0 0 0 9191 0 0 0\n"
+        "0 3927 0 0 0 3817 0 0\n"
+        "0 0 5125 0 0 0 3817 0\n"
+        "0 0 0 7249 0 0 0 2223\n"
+        "6709 2765 0 0 2487 0 0 0\n"
+        "3408 2673 0 0 0 857 4287 0\n"
+        "0 0 2527 0 0 558 3967 0\n"
+        "0 0 0 2527 0 0 0 2487\n"
+    )
+
+
+def test_side_slots_sample():
+    g = cond_f_side(2, 2)
+    assert pick_generator(g, 4)[0] == "side-slots:2"
+    assert format_block_matrix(gen_satisfying(g, 4, F10007, seed=5)) == (
+        "4 2 mod:10007\n"
+        "1014 3720 0 0 5889 3322 0 0\n"
+        "2067 8820 0 0 3951 1481 0 0\n"
+        "0 0 8451 0 0 0 26 0\n"
+        "0 0 0 8451 0 0 0 26\n"
+        "8366 0 0 0 8460 5177 4272 4392\n"
+        "0 8366 0 0 5051 3825 5810 7978\n"
+        "0 0 4842 7999 7113 4863 9472 9093\n"
+        "0 0 6292 5313 1261 3943 9691 7727\n"
+    )
+
+
+def test_f_and_down_slots_samples():
+    cases = [
+        (cond_f(3), "f-slots", "ca99161e266c9db8a75816ac53ac700cfa33628d1ccbbc31224c2a01698a56f2"),
+        (cond_f_down(2, 3), "down-slots:2",
+         "d2d750a4059db444bb34bf1919ec4da2e675548ab8e0151461daf95a3c048b39"),
+    ]
+    for g, name, digest in cases:
+        assert pick_generator(g, 6)[0] == name
+        assert _sha(format_block_matrix(gen_satisfying(g, 6, F10007, seed=7))) == digest
+
+
+def test_silvester_control_report():
+    rep = silvester_check("c", 3, F10007, 50, seed=13, enforce_hypothesis=False)
+    assert rep.summary_line() == "condition=silvester:c:control trials=50 failures=50 seed=13"
+    assert rep.generator == "silvester-control"
+    f = rep.first_failure
+    assert (f.trial, str(f.lhs), str(f.rhs)) == (0, "6677", "428")
+    assert format_block_matrix(f.matrix) == (
+        "3 2 mod:10007\n"
+        "2402 6692 8173 8142 6275 6542\n"
+        "4111 2052 5473 4588 3827 4896\n"
+        "6792 7848 225 5422 4454 8690\n"
+        "6135 8139 9428 8699 9986 3253\n"
+        "2539 3322 6388 7561 2171 4030\n"
+        "1697 5988 8662 5512 2446 8732\n"
+    )
+
+
+def test_silvester_hypothesis_report():
+    rep = silvester_check("a", 3, ZZ, 20, seed=11)
+    assert rep.summary_line() == "condition=silvester:a trials=20 failures=0 seed=11"
+    assert rep.generator == "silvester"
+    assert rep.first_failure is None
