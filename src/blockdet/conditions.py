@@ -44,6 +44,10 @@ class Condition:
     def has_edge(self, u: Vertex, v: Vertex) -> bool:
         return _edge(u, v) in self.edges
 
+    def commutes(self, u: Vertex, v: Vertex) -> bool:
+        """Like has_edge, but False for u == v: a letter never passes itself."""
+        return u != v and _edge(u, v) in self.edges
+
     def __len__(self) -> int:
         return len(self.edges)
 

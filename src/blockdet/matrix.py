@@ -416,10 +416,6 @@ class BlockMatrix:
         return f"BlockMatrix(n={self.n}, m={self.m}, ring={self.ring.label})"
 
 
-def block_flatten(bm: BlockMatrix) -> Matrix:
-    return bm.flatten()
-
-
 def block_view(mat: Matrix, m: int) -> BlockMatrix:
     """View a square matrix as an n x n array of m x m blocks."""
     if not mat.is_square:

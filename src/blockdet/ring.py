@@ -14,8 +14,13 @@ class RingMismatchError(ValueError):
     """Raised when two values from different rings are combined."""
 
 
+# psi_12 = 399165290221 * 798330580441, the least strong pseudoprime to
+# every base 2..37 (Sorenson and Webster 2015).
+_MILLER_RABIN_BOUND = 318665857834031151167461
+
+
 def _is_prime(n: int) -> bool:
-    # Deterministic Miller-Rabin; the base set below is exact for n < 3.3e24.
+    # Deterministic Miller-Rabin with bases 2..37, exact for n < psi_12.
     if n < 2:
         return False
     for small in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
@@ -157,6 +162,8 @@ class PrimeField(Ring):
     p: int
 
     def __post_init__(self):
+        if self.p >= _MILLER_RABIN_BOUND:
+            raise ValueError(f"modulus {self.p} is too large to certify as prime")
         if not _is_prime(self.p):
             raise ValueError(f"modulus {self.p} is not prime")
 

@@ -1,17 +1,16 @@
 """Free partially-commutative algebra over the integers.
 
-Words are sequences of grid positions (row, col); a commutation relation
-declares which pairs of positions may swap when adjacent.  Polynomials keep
-their monomials in a canonical normal form, which makes equality of the
-symbolic determinant expansions decidable.  This is the engine behind the
+Words are sequences of grid positions (row, col); a commutation relation,
+the same ``Condition`` graph that matrices satisfy, declares which pairs of
+positions may swap when adjacent.  Polynomials keep their monomials in a
+canonical normal form, which makes equality of the symbolic determinant
+expansions decidable.  This is the engine behind the
 column-swap, transpose and row-swap ordering identities.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .conditions import Condition, cond_kappa, cond_t_col
+from .conditions import Condition, cond_kappa, cond_t_col, empty_condition
 from .matrix import signed_permutations
 
 Letter = tuple[int, int]
@@ -21,53 +20,16 @@ SYMBOLIC_DET_CAP = 6
 TRANSPOSE_CAP = 5
 ROWSWAP_CAP = 5
 
-
-def _pair(a: Letter, b: Letter) -> tuple[Letter, Letter]:
-    return (a, b) if a < b else (b, a)
+CommRel = Condition
 
 
-@dataclass(frozen=True)
-class CommRel:
-    """Symmetric, irreflexive relation on grid positions of one size."""
-
-    n: int
-    edges: frozenset[tuple[Letter, Letter]]
-
-    def __post_init__(self):
-        canon = set()
-        for a, b in self.edges:
-            if a == b:
-                raise ValueError(f"reflexive pair at {a}")
-            for r, c in (a, b):
-                if not (1 <= r <= self.n and 1 <= c <= self.n):
-                    raise ValueError(f"letter {(r, c)} out of range for size {self.n}")
-            canon.add(_pair(a, b))
-        object.__setattr__(self, "edges", frozenset(canon))
-
-    @classmethod
-    def empty(cls, n: int) -> CommRel:
-        return cls(n, frozenset())
-
-    @classmethod
-    def full(cls, n: int) -> CommRel:
-        letters = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
-        return cls(n, frozenset(_pair(a, b) for x, a in enumerate(letters) for b in letters[x + 1 :]))
-
-    @classmethod
-    def from_condition(cls, cond: Condition) -> CommRel:
-        return cls(cond.n, frozenset(cond.edges))
-
-    def commutes(self, a: Letter, b: Letter) -> bool:
-        return a != b and _pair(a, b) in self.edges
-
-
-def _check_word(word: Word, rel: CommRel) -> None:
+def _check_word(word: Word, rel: Condition) -> None:
     for r, c in word:
         if not (1 <= r <= rel.n and 1 <= c <= rel.n):
             raise ValueError(f"letter {(r, c)} out of range for size {rel.n}")
 
 
-def word_normal_form(word: Word, rel: CommRel) -> Word:
+def word_normal_form(word: Word, rel: Condition) -> Word:
     """Lexicographically least representative of the word's trace class.
 
     Greedy: repeatedly emit the least letter that commutes with everything
@@ -92,12 +54,12 @@ def word_normal_form(word: Word, rel: CommRel) -> Word:
     return tuple(out)
 
 
-def trace_equal(u: Word, v: Word, rel: CommRel) -> bool:
+def trace_equal(u: Word, v: Word, rel: Condition) -> bool:
     """Equality of trace classes, via normal forms."""
     return word_normal_form(u, rel) == word_normal_form(v, rel)
 
 
-def trace_equal_by_projection(u: Word, v: Word, rel: CommRel) -> bool:
+def trace_equal_by_projection(u: Word, v: Word, rel: Condition) -> bool:
     """Independent equality test: equal letter multisets and equal
     projections onto every non-commuting pair of letters."""
     _check_word(u, rel)
@@ -127,7 +89,7 @@ class TracePoly:
 
     __slots__ = ("rel", "terms")
 
-    def __init__(self, rel: CommRel, terms: dict[Word, int] | None = None, *, _normalized: bool = False):
+    def __init__(self, rel: Condition, terms: dict[Word, int] | None = None, *, _normalized: bool = False):
         if terms is None:
             terms = {}
         if not _normalized:
@@ -149,15 +111,15 @@ class TracePoly:
         return self.rel.n
 
     @classmethod
-    def zero(cls, rel: CommRel) -> TracePoly:
+    def zero(cls, rel: Condition) -> TracePoly:
         return cls(rel, {}, _normalized=True)
 
     @classmethod
-    def one(cls, rel: CommRel) -> TracePoly:
+    def one(cls, rel: Condition) -> TracePoly:
         return cls(rel, {(): 1}, _normalized=True)
 
     @classmethod
-    def from_word(cls, rel: CommRel, word: Word, coeff: int = 1) -> TracePoly:
+    def from_word(cls, rel: Condition, word: Word, coeff: int = 1) -> TracePoly:
         return cls(rel, {tuple(word): coeff})
 
     def _check_rel(self, other: TracePoly) -> None:
@@ -231,28 +193,28 @@ class TracePoly:
         return " ".join(parts)
 
 
-def _det_from_words(rel: CommRel, words_and_signs) -> TracePoly:
-    terms: dict[Word, int] = {}
-    for word, sign in words_and_signs:
-        key = word_normal_form(word, rel)
-        nc = terms.get(key, 0) + sign
-        if nc:
-            terms[key] = nc
-        else:
-            terms.pop(key, None)
-    return TracePoly(rel, terms, _normalized=True)
+def _reindexed_det(n: int, rel: Condition, word_map) -> TracePoly:
+    """Sum of sign(pi) * word_map(w_pi) over the row-ordered words w_pi.
+
+    word_map must be injective (a relabeling of letters, maybe followed by
+    a reversal), so no two permutations' words collide before normalizing.
+    """
+    return TracePoly(
+        rel,
+        {
+            word_map(tuple((r + 1, perm[r] + 1) for r in range(n))): sign
+            for perm, sign in signed_permutations(n)
+        },
+    )
 
 
-def symbolic_row_det(n: int, rel: CommRel) -> TracePoly:
+def symbolic_row_det(n: int, rel: Condition) -> TracePoly:
     """Row-ordered determinant of the generic n x n matrix of positions."""
     if n > SYMBOLIC_DET_CAP:
         raise ValueError(f"symbolic determinant capped at n={SYMBOLIC_DET_CAP}")
     if rel.n != n:
         raise ValueError(f"relation size {rel.n} does not match n={n}")
-    return _det_from_words(
-        rel,
-        ((tuple((r + 1, perm[r] + 1) for r in range(n)), sign) for perm, sign in signed_permutations(n)),
-    )
+    return _reindexed_det(n, rel, lambda word: word)
 
 
 def check_colswap_identity(n: int, k: int) -> bool:
@@ -263,24 +225,10 @@ def check_colswap_identity(n: int, k: int) -> bool:
     """
     if not (1 <= k < n <= SYMBOLIC_DET_CAP):
         raise ValueError(f"need 1 <= k < n <= {SYMBOLIC_DET_CAP}, got k={k}, n={n}")
-    rel = CommRel.empty(n)
-    base = symbolic_row_det(n, rel)
-
-    def tau(c: int) -> int:
-        if c == k:
-            return k + 1
-        if c == k + 1:
-            return k
-        return c
-
-    swapped = _det_from_words(
-        rel,
-        (
-            (tuple((r + 1, tau(perm[r] + 1)) for r in range(n)), sign)
-            for perm, sign in signed_permutations(n)
-        ),
-    )
-    return swapped == -base
+    rel = empty_condition(n)
+    tau = {k: k + 1, k + 1: k}
+    swapped = _reindexed_det(n, rel, lambda word: tuple((r, tau.get(c, c)) for r, c in word))
+    return swapped == -symbolic_row_det(n, rel)
 
 
 def check_transpose_identity(n: int, c: int) -> bool:
@@ -292,16 +240,9 @@ def check_transpose_identity(n: int, c: int) -> bool:
     """
     if not (1 <= c <= n <= TRANSPOSE_CAP):
         raise ValueError(f"need 1 <= c <= n <= {TRANSPOSE_CAP}, got c={c}, n={n}")
-    rel = CommRel.from_condition(cond_t_col(c, n))
-    rhs = symbolic_row_det(n, rel)
-    lhs = _det_from_words(
-        rel,
-        (
-            (tuple((perm[col - 1] + 1, col) for col in range(n, 0, -1)), sign)
-            for perm, sign in signed_permutations(n)
-        ),
-    )
-    return lhs == rhs
+    rel = cond_t_col(c, n)
+    lhs = _reindexed_det(n, rel, lambda word: tuple((col, r) for r, col in reversed(word)))
+    return lhs == symbolic_row_det(n, rel)
 
 
 def check_rowswap_identity(
@@ -318,32 +259,14 @@ def check_rowswap_identity(
     """
     if not (2 <= i < j <= n <= ROWSWAP_CAP):
         raise ValueError(f"need 2 <= i < j <= n <= {ROWSWAP_CAP}, got i={i}, j={j}, n={n}")
-    base = cond_kappa(n)
-    edges = set(base.edges)
+    rel = cond_kappa(n)
     if missing_edge is not None:
-        a, b = missing_edge
-        for r, _ in (a, b):
-            if r < 2:
-                raise ValueError("withheld pair must lie outside row 1")
-        key = _pair(tuple(a), tuple(b))
-        if key not in edges:
+        a, b = (tuple(lt) for lt in missing_edge)
+        if a[0] < 2 or b[0] < 2:
+            raise ValueError("withheld pair must lie outside row 1")
+        if not rel.commutes(a, b):
             raise ValueError(f"{missing_edge} is not a pair of distinct positions outside row 1")
-        edges.remove(key)
-    rel = CommRel(n, frozenset(edges))
-    rhs = symbolic_row_det(n, rel)
-
-    def sigma(r: int) -> int:
-        if r == i:
-            return j
-        if r == j:
-            return i
-        return r
-
-    lhs = _det_from_words(
-        rel,
-        (
-            (tuple((sigma(r + 1), perm[r] + 1) for r in range(n)), sign)
-            for perm, sign in signed_permutations(n)
-        ),
-    )
-    return lhs == -rhs
+        rel = Condition(n, rel.edges - {(min(a, b), max(a, b))})
+    sigma = {i: j, j: i}
+    lhs = _reindexed_det(n, rel, lambda word: tuple((sigma.get(r, r), c) for r, c in word))
+    return lhs == -symbolic_row_det(n, rel)

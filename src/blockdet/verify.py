@@ -75,19 +75,19 @@ def _scalar(ring: Ring, m: int, rng: random.Random) -> Matrix:
     return Matrix.identity(ring, m).scale(ring.from_int(_rand_int(ring, rng)))
 
 
-def _slot(ring: Ring, m: int, rng: random.Random, slot: int) -> Matrix:
-    """Scalar plus a random 2x2 perturbation in the given diagonal slot.
+def _slot(ring: Ring, m: int, rng: random.Random, corner: int) -> Matrix:
+    """Scalar plus a random 2x2 perturbation on the diagonal at 0-based
+    indices corner and corner + 1.
 
     Perturbations in disjoint slots multiply to zero both ways, so such
     blocks commute across slots; blocks sharing a slot generically do not.
     """
-    base = slot * 2 - 2
     rows = [[0] * m for _ in range(m)]
     c = _rand_int(ring, rng)
     for i in range(m):
         rows[i][i] = c
-    for r in (base, base + 1):
-        for col in (base, base + 1):
+    for r in (corner, corner + 1):
+        for col in (corner, corner + 1):
             rows[r][col] += _rand_int(ring, rng)
     return Matrix.from_rows(ring, rows)
 
@@ -127,7 +127,7 @@ def _build(ring: Ring, m: int, n: int, block_at) -> BlockMatrix:
 
 def _gen_f(n: int, m: int, ring: Ring, rng: random.Random):
     def block_at(i: int, j: int) -> Matrix:
-        return _dense(ring, m, rng) if i == 1 else _slot(ring, m, rng, j)
+        return _dense(ring, m, rng) if i == 1 else _slot(ring, m, rng, 2 * j - 2)
 
     bm = _build(ring, m, n, block_at)
     witnesses = [((1, j), (2, j)) for j in range(1, n + 1)]
@@ -138,8 +138,8 @@ def _gen_f(n: int, m: int, ring: Ring, rng: random.Random):
 def _gen_side(j0: int, n: int, m: int, ring: Ring, rng: random.Random):
     def block_at(i: int, j: int) -> Matrix:
         if j != j0:
-            return _slot(ring, m, rng, i)
-        return _dense(ring, m, rng) if i == n else _slot(ring, m, rng, i)
+            return _slot(ring, m, rng, 2 * i - 2)
+        return _dense(ring, m, rng) if i == n else _slot(ring, m, rng, 2 * i - 2)
 
     bm = _build(ring, m, n, block_at)
     witnesses = [((i, j0), (i, c)) for i in range(1, n + 1) for c in range(1, n + 1) if c != j0]
@@ -148,7 +148,7 @@ def _gen_side(j0: int, n: int, m: int, ring: Ring, rng: random.Random):
 
 def _gen_down(i0: int, n: int, m: int, ring: Ring, rng: random.Random):
     def block_at(i: int, j: int) -> Matrix:
-        return _slot(ring, m, rng, j)
+        return _slot(ring, m, rng, 2 * j - 2)
 
     bm = _build(ring, m, n, block_at)
     witnesses = [((r, j), (r + 1, j)) for j in range(1, n + 1) for r in range(1, n)]
@@ -181,19 +181,8 @@ def _gen_g5(m: int, ring: Ring, rng: random.Random):
     bvals = [_rand_int(ring, rng), b23, b23] + [_rand_int(ring, rng) for _ in range(m - 3)]
     a = _diag(ring, avals)
     b = _diag(ring, bvals)
-
-    def bump(offset: int) -> Matrix:
-        rows = [[0] * m for _ in range(m)]
-        c0 = _rand_int(ring, rng)
-        for i in range(m):
-            rows[i][i] = c0
-        for r in (offset, offset + 1):
-            for col in (offset, offset + 1):
-                rows[r][col] += _rand_int(ring, rng)
-        return Matrix.from_rows(ring, rows)
-
-    c = bump(0)
-    d = bump(1)
+    c = _slot(ring, m, rng, 0)
+    d = _slot(ring, m, rng, 1)
     bm = BlockMatrix(ring, m, 2, [[a, b], [c, d]])
     return bm, [((2, 1), (2, 2))]
 
@@ -235,7 +224,7 @@ def _gen_generic(g: Condition, m: int, ring: Ring, rng: random.Random):
     special = non_edges[0]
 
     def block_at(i: int, j: int) -> Matrix:
-        return _slot(ring, m, rng, 1) if (i, j) in special else _scalar(ring, m, rng)
+        return _slot(ring, m, rng, 0) if (i, j) in special else _scalar(ring, m, rng)
 
     return _build(ring, m, g.n, block_at), [special]
 
@@ -336,6 +325,20 @@ class VerificationReport:
         )
 
 
+def _run_trials(trials: int, seed: int, trial, **fields) -> VerificationReport:
+    """Run trial(sub_seed) -> (matrix, lhs, rhs) for every trial index and
+    report the failures (lhs != rhs) and the first of them."""
+    failures = 0
+    first: FailureCase | None = None
+    for i in range(trials):
+        bm, lhs, rhs = trial(trial_seed(seed, i))
+        if lhs != rhs:
+            failures += 1
+            if first is None:
+                first = FailureCase(trial=i, matrix=bm, lhs=lhs, rhs=rhs)
+    return VerificationReport(trials=trials, failures=failures, seed=seed, first_failure=first, **fields)
+
+
 def run_campaign(
     g: Condition,
     m: int,
@@ -350,25 +353,15 @@ def run_campaign(
     if m < 2:
         raise ValueError("block size must be at least 2")
     name, _ = pick_generator(g, m)
-    failures = 0
-    first: FailureCase | None = None
-    for i in range(trials):
-        bm = gen_satisfying(g, m, ring, trial_seed(seed, i))
+
+    def trial(sub_seed: int):
+        bm = gen_satisfying(g, m, ring, sub_seed)
         result = check_identity(bm)
-        if not result.equal:
-            failures += 1
-            if first is None:
-                first = FailureCase(trial=i, matrix=bm, lhs=result.lhs, rhs=result.rhs)
-    return VerificationReport(
-        condition_id=condition_id,
-        condition=g,
-        m=m,
-        ring_label=ring.label,
-        trials=trials,
-        failures=failures,
-        seed=seed,
-        generator=name,
-        first_failure=first,
+        return bm, result.lhs, result.rhs
+
+    return _run_trials(
+        trials, seed, trial,
+        condition_id=condition_id, condition=g, m=m, ring_label=ring.label, generator=name,
     )
 
 
@@ -408,6 +401,8 @@ def _m3_swapped() -> BlockMatrix:
 
 
 _H_TO_MATRIX = {"h1": "m1", "h4": "m2", "h2": "m3", "h3": "m3swapped"}
+_FIXED_BUILTINS = {"m1": _m1, "m2": _m2, "m3": _m3, "m3swapped": _m3_swapped}
+_WITNESS_DEFAULT_N = {"same_row": 2, "diff_row": 3}
 
 
 def counterexample_h(which: str) -> BlockMatrix:
@@ -422,21 +417,14 @@ def builtin_matrix(name: str, n: int | None = None) -> BlockMatrix:
     """Built-in matrices by name: m1, m2, m3, m3swapped, h1..h4,
     same_row (optionality witness, default n=2), diff_row (default n=3)."""
     key = name.lower().replace("-", "_")
-    if key in _H_TO_MATRIX:
-        key = _H_TO_MATRIX[key]
-    if key == "m1":
-        return _m1()
-    if key == "m2":
-        return _m2()
-    if key == "m3":
-        return _m3()
-    if key == "m3swapped":
-        return _m3_swapped()
-    if key == "same_row":
-        return _witness_matrix("same_row", n if n is not None else 2)
-    if key == "diff_row":
-        return _witness_matrix("diff_row", n if n is not None else 3)
-    raise ValueError(f"unknown built-in matrix {name!r}")
+    key = _H_TO_MATRIX.get(key, key)
+    if key in _WITNESS_DEFAULT_N:
+        return _witness_matrix(key, _WITNESS_DEFAULT_N[key] if n is None else n)
+    if key not in _FIXED_BUILTINS:
+        raise ValueError(f"unknown built-in matrix {name!r}")
+    if n is not None:
+        raise ValueError(f"built-in matrix {name!r} takes no size, got n={n}")
+    return _FIXED_BUILTINS[key]()
 
 
 BUILTIN_NAMES = ("m1", "m2", "m3", "m3swapped", "h1", "h2", "h3", "h4", "same_row", "diff_row")
@@ -543,10 +531,9 @@ def silvester_check(
     if v not in _SILVESTER_EDGE:
         raise ValueError(f"variant must be one of a, b, c, got {variant!r}")
     cond = Condition(2, frozenset({_edge_from_label(_SILVESTER_EDGE[v])}))
-    failures = 0
-    first: FailureCase | None = None
-    for i in range(trials):
-        rng = random.Random(_mix64(trial_seed(seed, i)))
+
+    def trial(sub_seed: int):
+        rng = random.Random(_mix64(sub_seed))
         a = _dense(ring, m, rng)
         b = _dense(ring, m, rng)
         c = _dense(ring, m, rng)
@@ -567,23 +554,13 @@ def silvester_check(
             combo = d * a - b * c
         else:
             combo = d * a - c * b
-        lhs = det_commutative(bm.flatten())
-        rhs = det_commutative(combo)
-        if lhs != rhs:
-            failures += 1
-            if first is None:
-                first = FailureCase(trial=i, matrix=bm, lhs=lhs, rhs=rhs)
+        return bm, det_commutative(bm.flatten()), det_commutative(combo)
+
     tag = "" if enforce_hypothesis else ":control"
-    return VerificationReport(
-        condition_id=f"silvester:{v}{tag}",
-        condition=cond,
-        m=m,
-        ring_label=ring.label,
-        trials=trials,
-        failures=failures,
-        seed=seed,
+    return _run_trials(
+        trials, seed, trial,
+        condition_id=f"silvester:{v}{tag}", condition=cond, m=m, ring_label=ring.label,
         generator="silvester" + ("" if enforce_hypothesis else "-control"),
-        first_failure=first,
     )
 
 

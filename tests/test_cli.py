@@ -48,6 +48,16 @@ def test_det_command(tmp_path, capsys):
     assert out == "det=-2\n"
 
 
+def test_det_rejects_uncertified_modulus(tmp_path, capsys):
+    path = tmp_path / "m.txt"
+    path.write_text("2 2 mod:318665857834031151167461\n1 2\n3 4\n")
+    code, out, err = run(capsys, "det", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_ncdet_builtin(capsys):
     code, out, _ = run(capsys, "ncdet", "--builtin", "m1")
     assert code == 0
@@ -164,6 +174,9 @@ def test_usage_error_exit_code(capsys):
         ("campaign", "--family", "f", "--n", "2", "--m", "4", "--trials", "-3"),
         ("campaign", "--family", "f", "--n", "2", "--m", "1", "--trials", "0"),
         ("family", "--name", "f", "--n", "0"),
+        ("ncdet", "--builtin", "m1", "--n", "5"),
+        ("check", "--builtin", "h2", "--n", "3"),
+        ("counterexample", "--name", "m3", "--n", "2"),
     ],
 )
 def test_bad_size_or_trials_is_usage_error(capsys, argv):

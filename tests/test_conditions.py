@@ -315,6 +315,15 @@ def test_condition_text_roundtrip():
         assert parse_condition(format_condition(g)) == g
 
 
+def test_commutes_is_the_irreflexive_edge_relation():
+    for g in (cond_f(3), cond_t_col(2, 3), cond_named("g5"), empty_condition(2)):
+        for u in vertices(g.n):
+            assert not g.commutes(u, u)
+            for v in vertices(g.n):
+                if u != v:
+                    assert g.commutes(u, v) == g.commutes(v, u) == g.has_edge(u, v)
+
+
 def test_condition_rejects_bad_vertices():
     with pytest.raises(ValueError):
         Condition(2, frozenset({((0, 1), (1, 1))}))

@@ -6,7 +6,6 @@ from blockdet.matrix import (
     BlockMatrix,
     Matrix,
     MatrixFormatError,
-    block_flatten,
     block_view,
     cofactor_matrix,
     commutes,
@@ -150,7 +149,7 @@ def test_commutes():
 def test_block_flatten_single():
     a = Matrix.from_rows(ZZ, [[1, 2], [3, 4]])
     bm = BlockMatrix(ZZ, 2, 1, [[a]])
-    assert block_flatten(bm) == a
+    assert bm.flatten() == a
 
 
 def test_block_view_identity():
@@ -168,9 +167,9 @@ def test_block_roundtrip():
     rng = random.Random(11)
     flat = rand_matrix(ZZ, 6, 6, rng)
     for m in (1, 2, 3, 6):
-        assert block_flatten(block_view(flat, m)) == flat
+        assert block_view(flat, m).flatten() == flat
     bm = block_view(flat, 2)
-    assert block_view(block_flatten(bm), 2) == bm
+    assert block_view(bm.flatten(), 2) == bm
 
 
 def test_block_view_errors():

@@ -47,6 +47,18 @@ def test_prime_field_modulus_must_be_prime():
     PrimeField(10007)
 
 
+def test_prime_field_rejects_moduli_past_the_miller_rabin_bound():
+    # psi_12 = 399165290221 * 798330580441 passes Miller-Rabin for every
+    # base 2..37, so no modulus from there on can be certified.
+    psi12 = 318665857834031151167461
+    assert psi12 == 399165290221 * 798330580441
+    with pytest.raises(ValueError):
+        PrimeField(psi12)
+    with pytest.raises(ValueError):
+        parse_ring(f"mod:{psi12}")
+    assert PrimeField(2**61 - 1).p == 2**61 - 1
+
+
 def test_descriptor_mismatch_raises():
     with pytest.raises(RingMismatchError):
         ZZ.from_int(1) + F7.from_int(1)

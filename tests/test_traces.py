@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from blockdet.conditions import cond_kappa
+from blockdet.conditions import Condition, complete_condition, cond_kappa, empty_condition
 from blockdet.matrix import BlockMatrix, Matrix
 from blockdet.ncdet import nc_row_det
 from blockdet.ring import PrimeField
@@ -53,14 +53,14 @@ def scramble(word, rel, rng, swaps=12):
 
 class TestNormalForm:
     def test_empty_relation_keeps_word(self):
-        rel = CommRel.empty(3)
+        rel = empty_condition(3)
         rng = random.Random(0)
         for _ in range(50):
             w = rand_word(3, rng)
             assert word_normal_form(w, rel) == w
 
     def test_full_relation_sorts(self):
-        rel = CommRel.full(3)
+        rel = complete_condition(3)
         rng = random.Random(1)
         for _ in range(50):
             w = rand_word(3, rng)
@@ -72,7 +72,7 @@ class TestNormalForm:
 
     def test_letter_out_of_range(self):
         with pytest.raises(ValueError):
-            word_normal_form(((3, 1),), CommRel.empty(2))
+            word_normal_form(((3, 1),), empty_condition(2))
 
     def test_idempotent_and_multiset_preserving(self):
         rng = random.Random(2)
@@ -98,7 +98,7 @@ def test_normal_form_reachable_scrambles_agree(data):
 
 class TestTraceEqual:
     def test_reflexive(self):
-        rel = CommRel.empty(2)
+        rel = empty_condition(2)
         w = ((1, 1), (2, 2))
         assert trace_equal(w, w, rel)
 
@@ -106,7 +106,7 @@ class TestTraceEqual:
         u = ((2, 1), (3, 2))
         v = ((3, 2), (2, 1))
         with_edge = CommRel(3, frozenset({((2, 1), (3, 2))}))
-        without = CommRel.empty(3)
+        without = empty_condition(3)
         assert trace_equal(u, v, with_edge)
         assert not trace_equal(u, v, without)
 
@@ -131,7 +131,7 @@ class TestTraceEqual:
 
 class TestTracePoly:
     def test_multiply_by_one(self):
-        rel = CommRel.empty(2)
+        rel = empty_condition(2)
         x = TracePoly.from_word(rel, ((1, 1), (2, 2))) - TracePoly.from_word(rel, ((1, 2),))
         assert x * TracePoly.one(rel) == x
 
@@ -145,7 +145,7 @@ class TestTracePoly:
         assert prod.term_count == 2
 
     def test_difference_of_squares_noncommuting(self):
-        rel = CommRel.empty(2)
+        rel = empty_condition(2)
         g = TracePoly.from_word(rel, ((1, 1),))
         h = TracePoly.from_word(rel, ((1, 2),))
         assert ((g - h) * (g + h)).term_count == 4
@@ -165,10 +165,16 @@ class TestTracePoly:
 
     def test_relation_mismatch(self):
         with pytest.raises(ValueError):
-            TracePoly.one(CommRel.empty(2)) * TracePoly.one(CommRel.full(2))
+            TracePoly.one(empty_condition(2)) * TracePoly.one(complete_condition(2))
+
+    def test_relation_is_a_condition(self):
+        assert CommRel is Condition
+        words = {((2, 2), (2, 1)): 1, ((1, 1),): -2}
+        built = cond_kappa(3)
+        assert TracePoly(built, words) == TracePoly(Condition(3, frozenset(built.edges)), words)
 
     def test_int_scaling_and_repr(self):
-        rel = CommRel.empty(2)
+        rel = empty_condition(2)
         x = TracePoly.from_word(rel, ((1, 1),), 2)
         assert 3 * x == TracePoly.from_word(rel, ((1, 1),), 6)
         assert x * 0 == TracePoly.zero(rel)
@@ -179,23 +185,23 @@ class TestTracePoly:
 
 class TestSymbolicRowDet:
     def test_single_generator(self):
-        rel = CommRel.empty(1)
+        rel = empty_condition(1)
         assert symbolic_row_det(1, rel) == TracePoly.from_word(rel, ((1, 1),))
 
     def test_two_by_two_free(self):
-        rel = CommRel.empty(2)
+        rel = empty_condition(2)
         want = TracePoly.from_word(rel, ((1, 1), (2, 2))) - TracePoly.from_word(rel, ((1, 2), (2, 1)))
         assert symbolic_row_det(2, rel) == want
 
     def test_family_edge_never_reorders_size2(self):
-        free = symbolic_row_det(2, CommRel.empty(2))
+        free = symbolic_row_det(2, empty_condition(2))
         rel = CommRel(2, frozenset({((2, 1), (2, 2))}))
         under_family = symbolic_row_det(2, rel)
         assert set(free.terms) == set(under_family.terms)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_full_relation_has_factorial_terms(self, n):
-        poly = symbolic_row_det(n, CommRel.full(n))
+        poly = symbolic_row_det(n, complete_condition(n))
         import math
 
         assert poly.term_count == math.factorial(n)
@@ -203,7 +209,7 @@ class TestSymbolicRowDet:
 
     def test_cap(self):
         with pytest.raises(ValueError):
-            symbolic_row_det(7, CommRel.empty(7))
+            symbolic_row_det(7, empty_condition(7))
 
 
 class TestColswap:
@@ -225,7 +231,7 @@ class TestTranspose:
 
     def test_fails_under_empty_relation(self):
         # same two expansions, no commutation: the orders cannot match
-        rel = CommRel.empty(2)
+        rel = empty_condition(2)
         rhs = symbolic_row_det(2, rel)
         lhs_terms = {
             ((2, 2), (1, 1)): 1,
@@ -283,7 +289,7 @@ class TestRowswap:
                 if r == 1:
                     row.append(_dense(F10007, 4, rng))
                 elif missing is not None and (r, c) in missing:
-                    row.append(_slot(F10007, 4, rng, 1))
+                    row.append(_slot(F10007, 4, rng, 0))
                 else:
                     row.append(_scalar(F10007, 4, rng))
             blocks.append(row)
@@ -321,7 +327,7 @@ class TestEvaluationHomomorphism:
         out = {}
         for lt in letters_of(n):
             if special and lt in special:
-                out[lt] = _slot(F10007, m, rng, 1)
+                out[lt] = _slot(F10007, m, rng, 0)
             else:
                 out[lt] = _scalar(F10007, m, rng)
         return out
@@ -339,7 +345,7 @@ class TestEvaluationHomomorphism:
     @pytest.mark.parametrize("n", [2, 3])
     def test_symbolic_det_evaluates_to_numeric_det(self, n):
         rng = random.Random(42 + n)
-        rel = CommRel.from_condition(cond_kappa(n))
+        rel = cond_kappa(n)
         edges = set(rel.edges)
         edges.discard(((2, 1), (2, 2)))
         rel = CommRel(n, frozenset(edges))
