@@ -1,11 +1,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from blockdet.matrix import (
     BlockMatrix,
     Matrix,
     MatrixFormatError,
+    _det_bird,
+    _det_gauss_mod_p,
     block_view,
     cofactor_matrix,
     commutes,
@@ -17,7 +20,7 @@ from blockdet.matrix import (
     parse_matrix,
     signed_permutations,
 )
-from blockdet.ring import PolynomialRing, PrimeField, ZZ
+from blockdet.ring import PolynomialRing, PrimeField, RingMismatchError, RingValue, ZZ
 
 F7 = PrimeField(7)
 F10007 = PrimeField(10007)
@@ -216,3 +219,132 @@ def test_parse_errors_carry_line_info():
         parse_block_matrix("2 2\n")
     with pytest.raises(MatrixFormatError):
         parse_matrix("")
+
+
+def test_from_rows_rejects_a_value_from_another_ring():
+    with pytest.raises(RingMismatchError):
+        Matrix.from_rows(ZZ, [[PrimeField(7).one]])
+
+
+def test_from_rows_rejects_a_float():
+    with pytest.raises(TypeError):
+        Matrix.from_rows(ZZ, [[1.5]])
+
+
+def test_parsed_polynomial_entries_are_canonical():
+    assert format_matrix(parse_matrix("1 2 poly:z\n1,2,0 0,0\n")) == "1 2 poly:z\n1,2 0\n"
+
+
+@pytest.mark.parametrize(
+    "ring, rows, text",
+    [
+        (ZZ, [[1, -2], [0, 7]], "2 2 int\n1 -2\n0 7\n"),
+        (F7, [[9, -1, 0]], "1 3 mod:7\n2 6 0\n"),
+        (PZ, [[PZ.value((1, 2, 0)), 3], [0, PZ.gen]], "2 2 poly:z\n1,2 3\n0 0,1\n"),
+    ],
+    ids=["int", "mod:7", "poly:z"],
+)
+def test_from_rows_and_parse_build_equal_matrices(ring, rows, text):
+    built, parsed = Matrix.from_rows(ring, rows), parse_matrix(text)
+    assert built == parsed
+    assert hash(built) == hash(parsed)
+
+
+# --- differential tests: fast paths against slow, independent oracles --------
+
+DIFF_RINGS = [ZZ, PrimeField(2), F10007, PZ]
+
+
+def ring_elements(ring):
+    """Entries as ``Matrix.from_rows`` takes them, zero-heavy so the
+    kernels' zero-skipping branches run."""
+    if isinstance(ring, PolynomialRing):
+        return st.lists(st.integers(-3, 3), max_size=3).map(lambda c: ring.value(tuple(c)))
+    small = st.sampled_from([0, 0, 1, -1]) | st.integers(-50, 50)
+    if isinstance(ring, PrimeField):
+        return small | st.integers(0, ring.p - 1)
+    return small | st.integers(-(10**12), 10**12)
+
+
+def matrices(ring, rows, cols):
+    return st.lists(
+        st.lists(ring_elements(ring), min_size=cols, max_size=cols), min_size=rows, max_size=rows
+    ).map(lambda grid: Matrix.from_rows(ring, grid))
+
+
+def as_value(ring, e):
+    return e if isinstance(e, RingValue) else ring.from_int(e)
+
+
+def value_rows(mat):
+    return [[mat.entry(i, j) for j in range(mat.cols)] for i in range(mat.rows)]
+
+
+def oracle_product(x, y):
+    """x * y from ``entry`` and RingValue arithmetic only."""
+    return [
+        [sum((x.entry(i, t) * y.entry(t, j) for t in range(x.cols)), x.ring.zero) for j in range(y.cols)]
+        for i in range(x.rows)
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_unboxed_kernel_matches_ring_value_arithmetic(data):
+    ring = data.draw(st.sampled_from(DIFF_RINGS), label="ring")
+    r, k, c = (data.draw(st.integers(1, 4), label=name) for name in "rkc")
+    x = data.draw(matrices(ring, r, k), label="x")
+    y = data.draw(matrices(ring, k, c), label="y")
+    z = data.draw(matrices(ring, r, k), label="z")
+    s = as_value(ring, data.draw(ring_elements(ring), label="s"))
+    xv, zv = value_rows(x), value_rows(z)
+    assert value_rows(x * y) == oracle_product(x, y)
+    assert value_rows(x + z) == [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(xv, zv)]
+    assert value_rows(x - z) == [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(xv, zv)]
+    assert value_rows(-x) == [[-a for a in row] for row in xv]
+    assert value_rows(x.scale(s)) == [[s * a for a in row] for row in xv]
+
+    q = data.draw(matrices(ring, r, r), label="q")
+    w = data.draw(
+        st.one_of(
+            matrices(ring, r, r),
+            st.just(q),
+            st.just(Matrix.identity(ring, r).scale(s)),
+            st.just(Matrix.from_rows(ring, oracle_product(q, q))),
+        ),
+        label="w",
+    )
+    assert commutes(q, w) == (oracle_product(q, w) == oracle_product(w, q))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_bird_gauss_and_expansion_agree(data):
+    ring = data.draw(st.sampled_from(DIFF_RINGS), label="ring")
+    k = data.draw(st.integers(1, 5), label="k")
+    mat = data.draw(matrices(ring, k, k), label="mat")
+    oracle = det_expansion_oracle(mat)
+    if isinstance(ring, PrimeField):
+        # Bird's method is division-free, so it is valid over a field too.
+        rows = [[e.payload for e in row] for row in value_rows(mat)]
+        assert RingValue(ring, _det_bird(ring, rows)) == oracle
+        assert RingValue(ring, _det_gauss_mod_p(ring.p, rows)) == oracle
+    assert det_commutative(mat) == oracle
+
+
+def test_det_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    z = sympy.Symbol("z")
+
+    def to_sympy(v):
+        if v.ring == PZ:
+            return sum((c * z**i for i, c in enumerate(v.payload)), sympy.Integer(0))
+        return sympy.Integer(v.payload)
+
+    rng = random.Random(15)
+    for ring, per_size in ((ZZ, 10), (PZ, 2)):
+        for k in range(1, 7):
+            for _ in range(per_size):
+                mat = rand_matrix(ring, k, k, rng)
+                want = sympy.Matrix(k, k, lambda i, j: to_sympy(mat.entry(i, j))).det()
+                assert sympy.expand(want - to_sympy(det_commutative(mat))) == 0, (ring.label, k)
