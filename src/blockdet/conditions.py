@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .matrix import BlockMatrix, commutes
-from .ncdet import Permutation
+from .ncdet import ROW_DET_CAP, Permutation
 
 Vertex = tuple[int, int]
 Edge = tuple[Vertex, Vertex]
@@ -192,13 +192,15 @@ def cond_named(name: str) -> Condition:
 
 
 def family_condition(family_id: str, n: int) -> Condition:
-    """Instantiate a named family at size n.
+    """Instantiate a named family at size n, for 1 <= n <= ROW_DET_CAP.
 
     Ids: ``f``, ``kappa``, ``complete``, ``empty``, ``side:j``, ``down:i``,
     ``tcol:c``, ``trow:r`` and the size-2 names ``g1``..``g5``, ``h1``..``h4``.
     """
     if n < 1:
         raise ValueError(f"size must be at least 1, got n={n}")
+    if n > ROW_DET_CAP:
+        raise ValueError(f"size n={n} exceeds the row-determinant cap {ROW_DET_CAP}")
     fid = family_id.strip().lower()
     if fid == "f":
         return cond_f(n)

@@ -1,5 +1,10 @@
 """Dense matrices over a single exact ring, plus the block-matrix view.
 
+A matrix stores its entries as the ring's canonical payloads, flat and in
+row-major order, and every kernel computes on them directly.  ``RingValue``
+is the API form: ``from_rows`` accepts it, and ``entry``, ``row_list`` and
+the determinants return it.
+
 Determinants are exact: a division-free O(k^4) method (Bird's sequence of
 triangular mutations) over rings without division, and ordinary Gaussian
 elimination over prime fields where division is available.
@@ -26,15 +31,21 @@ def signed_permutations(n: int):
 
 
 class Matrix:
+    """A rows x cols matrix over ``ring``.
+
+    ``entries`` is a flat row-major tuple of canonical payloads of ``ring``
+    (ints for ``int`` and ``mod:p``, coefficient tuples for ``poly:v``).
+    Build from ints or ``RingValue``s with ``from_rows``.
+    """
+
     __slots__ = ("ring", "rows", "cols", "entries")
 
     def __init__(self, ring: Ring, rows: int, cols: int, entries):
         entries = tuple(entries)
         if len(entries) != rows * cols:
             raise ValueError(f"expected {rows * cols} entries, got {len(entries)}")
-        for e in entries:
-            if e.ring != ring:
-                raise RingMismatchError("matrix entries must share the ring")
+        if entries and isinstance(entries[0], RingValue):
+            raise TypeError("Matrix entries are canonical payloads; use Matrix.from_rows for ring values")
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
@@ -54,35 +65,36 @@ class Matrix:
             if len(r) != ncols:
                 raise ValueError("ragged rows")
             for e in r:
-                entries.append(e if isinstance(e, RingValue) else ring.from_int(e))
+                if not isinstance(e, RingValue):
+                    entries.append(ring.canonical(ring.int_payload(e)))
+                elif e.ring != ring:
+                    raise RingMismatchError("matrix entries must share the ring")
+                else:
+                    entries.append(e.payload)
         return cls(ring, nrows, ncols, entries)
 
     @classmethod
     def identity(cls, ring: Ring, k: int) -> Matrix:
-        return cls.from_rows(ring, [[1 if i == j else 0 for j in range(k)] for i in range(k)])
+        one, zero = ring.int_payload(1), ring.int_payload(0)
+        return cls(ring, k, k, [one if i == j else zero for i in range(k) for j in range(k)])
 
     @classmethod
     def zeros(cls, ring: Ring, rows: int, cols: int) -> Matrix:
-        zero = ring.zero
-        return cls(ring, rows, cols, [zero] * (rows * cols))
+        return cls(ring, rows, cols, [ring.int_payload(0)] * (rows * cols))
 
     @property
     def is_square(self) -> bool:
         return self.rows == self.cols
 
     def entry(self, i: int, j: int) -> RingValue:
-        return self.entries[i * self.cols + j]
+        return RingValue(self.ring, self.entries[i * self.cols + j])
 
     def row_list(self, i: int) -> list[RingValue]:
-        return list(self.entries[i * self.cols : (i + 1) * self.cols])
+        return [RingValue(self.ring, p) for p in self.entries[i * self.cols : (i + 1) * self.cols]]
 
-    def payload_rows(self) -> list[list]:
+    def _payload_rows(self) -> list[tuple]:
         c = self.cols
-        return [[e.payload for e in self.entries[i * c : (i + 1) * c]] for i in range(self.rows)]
-
-    @classmethod
-    def _from_payload_rows(cls, ring: Ring, rows: int, cols: int, prows) -> Matrix:
-        return cls(ring, rows, cols, [RingValue(ring, p) for pr in prows for p in pr])
+        return [self.entries[i * c : (i + 1) * c] for i in range(self.rows)]
 
     def _check_ring(self, other: Matrix) -> None:
         if self.ring != other.ring:
@@ -93,58 +105,35 @@ class Matrix:
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in addition")
         padd = self.ring.padd
-        ring = self.ring
-        return Matrix(
-            ring,
-            self.rows,
-            self.cols,
-            [RingValue(ring, padd(a.payload, b.payload)) for a, b in zip(self.entries, other.entries)],
-        )
+        return Matrix(self.ring, self.rows, self.cols, [padd(a, b) for a, b in zip(self.entries, other.entries)])
 
     def __sub__(self, other: Matrix) -> Matrix:
         self._check_ring(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in subtraction")
         psub = self.ring.psub
-        ring = self.ring
-        return Matrix(
-            ring,
-            self.rows,
-            self.cols,
-            [RingValue(ring, psub(a.payload, b.payload)) for a, b in zip(self.entries, other.entries)],
-        )
+        return Matrix(self.ring, self.rows, self.cols, [psub(a, b) for a, b in zip(self.entries, other.entries)])
 
     def __neg__(self) -> Matrix:
         pneg = self.ring.pneg
-        ring = self.ring
-        return Matrix(ring, self.rows, self.cols, [RingValue(ring, pneg(a.payload)) for a in self.entries])
+        return Matrix(self.ring, self.rows, self.cols, [pneg(a) for a in self.entries])
 
     def __mul__(self, other: Matrix) -> Matrix:
         self._check_ring(other)
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} times {other.rows}x{other.cols}")
-        return Matrix._from_payload_rows(
-            self.ring,
-            self.rows,
-            other.cols,
-            _matmul_payload(self.ring, self.payload_rows(), other.payload_rows()),
-        )
+        return Matrix(self.ring, self.rows, other.cols, _matmul_payload(self, other))
 
     def scale(self, s: RingValue) -> Matrix:
         if s.ring != self.ring:
             raise RingMismatchError("scalar from a different ring")
         pmul = self.ring.pmul
-        ring = self.ring
         sp = s.payload
-        return Matrix(ring, self.rows, self.cols, [RingValue(ring, pmul(sp, a.payload)) for a in self.entries])
+        return Matrix(self.ring, self.rows, self.cols, [pmul(sp, a) for a in self.entries])
 
     def transpose(self) -> Matrix:
-        return Matrix(
-            self.ring,
-            self.cols,
-            self.rows,
-            [self.entry(i, j) for j in range(self.cols) for i in range(self.rows)],
-        )
+        c = self.cols
+        return Matrix(self.ring, c, self.rows, [e for j in range(c) for e in self.entries[j::c]])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
@@ -160,28 +149,24 @@ class Matrix:
         return hash((self.ring, self.rows, self.cols, self.entries))
 
     def __repr__(self):
-        body = "; ".join(
-            " ".join(self.ring.format_payload(e.payload) for e in self.entries[i * self.cols : (i + 1) * self.cols])
-            for i in range(self.rows)
-        )
+        body = "; ".join(" ".join(map(self.ring.format_payload, row)) for row in self._payload_rows())
         return f"Matrix({self.rows}x{self.cols} over {self.ring.label}: [{body}])"
 
 
-def _matmul_payload(ring: Ring, a, b):
-    padd = ring.padd
-    pmul = ring.pmul
-    zero = ring.int_payload(0)
-    bt = list(zip(*b)) if b else []
+def _matmul_payload(a: Matrix, b: Matrix) -> list:
+    """Row-major payloads of a * b."""
+    padd = a.ring.padd
+    pmul = a.ring.pmul
+    zero = a.ring.int_payload(0)
+    bcols = [b.entries[j :: b.cols] for j in range(b.cols)]
     out = []
-    for arow in a:
-        orow = []
-        for bcol in bt:
+    for arow in a._payload_rows():
+        for bcol in bcols:
             acc = zero
             for x, y in zip(arow, bcol):
                 if x and y:
                     acc = padd(acc, pmul(x, y))
-            orow.append(acc)
-        out.append(orow)
+            out.append(acc)
     return out
 
 
@@ -190,9 +175,7 @@ def commutes(x: Matrix, y: Matrix) -> bool:
     x._check_ring(y)
     if not (x.is_square and y.is_square and x.rows == y.rows):
         raise ValueError("commutation test requires equal square shapes")
-    a = x.payload_rows()
-    b = y.payload_rows()
-    return _matmul_payload(x.ring, a, b) == _matmul_payload(x.ring, b, a)
+    return _matmul_payload(x, y) == _matmul_payload(y, x)
 
 
 def _det_bird(ring: Ring, rows) -> object:
@@ -206,8 +189,7 @@ def _det_bird(ring: Ring, rows) -> object:
     pmul = ring.pmul
     pneg = ring.pneg
     zero = ring.int_payload(0)
-    a = rows
-    f = [row[:] for row in rows]
+    a = f = rows
     for _ in range(k - 1):
         suffix = [zero] * k
         acc = zero
@@ -235,7 +217,7 @@ def _det_bird(ring: Ring, rows) -> object:
 
 
 def _det_gauss_mod_p(p: int, rows) -> int:
-    m = [row[:] for row in rows]
+    m = [list(row) for row in rows]
     k = len(m)
     det = 1
     for col in range(k):
@@ -272,7 +254,7 @@ def det_commutative(mat: Matrix) -> RingValue:
     """Exact determinant over the matrix's (commutative) base ring."""
     if not mat.is_square:
         raise ValueError("determinant of a non-square matrix")
-    return RingValue(mat.ring, _det_payload(mat.ring, mat.payload_rows()))
+    return RingValue(mat.ring, _det_payload(mat.ring, mat._payload_rows()))
 
 
 def det_expansion_oracle(mat: Matrix) -> RingValue:
@@ -286,7 +268,7 @@ def det_expansion_oracle(mat: Matrix) -> RingValue:
     padd = ring.padd
     psub = ring.psub
     pmul = ring.pmul
-    rows = mat.payload_rows()
+    rows = mat._payload_rows()
     total = ring.int_payload(0)
     one = ring.int_payload(1)
     for perm, sign in signed_permutations(k):
@@ -313,16 +295,14 @@ def cofactor_matrix(mat: Matrix) -> Matrix:
         return mat
     if k == 1:
         return Matrix.identity(ring, 1)
-    rows = mat.payload_rows()
+    rows = mat._payload_rows()
     out = []
     for i in range(k):
-        orow = []
         for j in range(k):
             sub = [[rows[r][c] for c in range(k) if c != j] for r in range(k) if r != i]
             minor = _det_payload(ring, sub)
-            orow.append(minor if (i + j) % 2 == 0 else ring.pneg(minor))
-        out.append(orow)
-    return Matrix._from_payload_rows(ring, k, k, out)
+            out.append(minor if (i + j) % 2 == 0 else ring.pneg(minor))
+    return Matrix(ring, k, k, out)
 
 
 class BlockMatrix:
@@ -440,9 +420,7 @@ def block_view(mat: Matrix, m: int) -> BlockMatrix:
 
 def format_matrix(mat: Matrix) -> str:
     lines = [f"{mat.rows} {mat.cols} {mat.ring.label}"]
-    fmt = mat.ring.format_payload
-    for i in range(mat.rows):
-        lines.append(" ".join(fmt(e.payload) for e in mat.entries[i * mat.cols : (i + 1) * mat.cols]))
+    lines.extend(" ".join(map(mat.ring.format_payload, row)) for row in mat._payload_rows())
     return "\n".join(lines) + "\n"
 
 
@@ -457,7 +435,7 @@ def _parse_grid(lines, start: int, nrows: int, ncols: int, ring: Ring):
             raise MatrixFormatError(f"line {lineno + 1}: expected {ncols} entries, got {len(tokens)}")
         for c, tok in enumerate(tokens):
             try:
-                entries.append(RingValue(ring, ring.canonical(ring.parse_payload(tok))))
+                entries.append(ring.canonical(ring.parse_payload(tok)))
             except (ValueError, TypeError):
                 raise MatrixFormatError(f"line {lineno + 1}, column {c + 1}: bad entry {tok!r}") from None
     return entries
@@ -482,12 +460,8 @@ def parse_matrix(text: str) -> Matrix:
 
 
 def format_block_matrix(bm: BlockMatrix) -> str:
-    flat = bm.flatten()
     lines = [f"{bm.m} {bm.n} {bm.ring.label}"]
-    fmt = bm.ring.format_payload
-    k = flat.rows
-    for i in range(k):
-        lines.append(" ".join(fmt(e.payload) for e in flat.entries[i * k : (i + 1) * k]))
+    lines.extend(" ".join(map(bm.ring.format_payload, row)) for row in bm.flatten()._payload_rows())
     return "\n".join(lines) + "\n"
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import combinations, permutations
 
 from .matrix import BlockMatrix, Matrix, det_commutative
-from .ring import IntegerRing, PolynomialRing, RingValue, poly_is_monic
+from .ring import IntegerRing, PolynomialRing, poly_is_monic
 
 ROW_DET_CAP = 8
 
@@ -254,14 +254,11 @@ def bourbaki_trace(bm: BlockMatrix) -> BourbakiTrace:
     rz = PolynomialRing("z")
 
     def lift(block: Matrix, add_z_diag: bool) -> Matrix:
-        entries = []
-        for r in range(m):
-            for c in range(m):
-                coeffs = [block.entry(r, c).payload]
-                if add_z_diag and r == c:
-                    coeffs.append(1)
-                entries.append(RingValue(rz, rz.canonical(coeffs)))
-        return Matrix(rz, m, m, entries)
+        # Row-major index idx is on the diagonal when idx % (m + 1) == 0.
+        return Matrix(rz, m, m, [
+            rz.canonical([x, 1] if add_z_diag and idx % (m + 1) == 0 else [x])
+            for idx, x in enumerate(block.entries)
+        ])
 
     shifted = BlockMatrix(
         rz, m, n,

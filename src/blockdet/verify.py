@@ -30,7 +30,7 @@ from .conditions import (
     matrix_satisfies,
 )
 from .matrix import BlockMatrix, Matrix, commutes, det_commutative
-from .ncdet import Permutation, nc_row_det
+from .ncdet import ROW_DET_CAP, Permutation, nc_row_det
 from .ring import (
     IntegerRing,
     PolynomialRing,
@@ -352,6 +352,8 @@ def run_campaign(
         raise ValueError(f"trials must be non-negative, got {trials}")
     if m < 2:
         raise ValueError("block size must be at least 2")
+    if g.n > ROW_DET_CAP:
+        raise ValueError(f"condition size n={g.n} exceeds the row-determinant cap {ROW_DET_CAP}")
     name, _ = pick_generator(g, m)
 
     def trial(sub_seed: int):

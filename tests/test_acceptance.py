@@ -203,13 +203,11 @@ def test_criterion_8_oracle_equivalences():
         for dim in range(1, 7):
             for _ in range(100):
                 if label == "poly":
-                    mat = Matrix(
+                    mat = Matrix.from_rows(
                         ring,
-                        dim,
-                        dim,
                         [
-                            ring.value(tuple(rng.randrange(-2, 3) for _ in range(2)))
-                            for _ in range(dim * dim)
+                            [ring.value(tuple(rng.randrange(-2, 3) for _ in range(2))) for _ in range(dim)]
+                            for _ in range(dim)
                         ],
                     )
                 elif label == "mod":
@@ -235,7 +233,7 @@ def test_criterion_8_oracle_equivalences():
                         ring, [[rng.randrange(-5, 6) for _ in range(n)] for _ in range(n)]
                     )
                 bm = BlockMatrix(ring, 1, n, [[
-                    Matrix(ring, 1, 1, [flat.entry(i, j)]) for j in range(n)] for i in range(n)])
+                    Matrix.from_rows(ring, [[flat.entry(i, j)]]) for j in range(n)] for i in range(n)])
                 assert nc_row_det(bm).entry(0, 0) == det_commutative(flat)
 
     # normal-form equality agrees with projection equality

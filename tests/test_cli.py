@@ -177,6 +177,8 @@ def test_usage_error_exit_code(capsys):
         ("ncdet", "--builtin", "m1", "--n", "5"),
         ("check", "--builtin", "h2", "--n", "3"),
         ("counterexample", "--name", "m3", "--n", "2"),
+        ("family", "--name", "f", "--n", "9"),
+        ("campaign", "--family", "f", "--n", "300", "--m", "2", "--trials", "0"),
     ],
 )
 def test_bad_size_or_trials_is_usage_error(capsys, argv):

@@ -295,7 +295,7 @@ class TestFamilyIds:
     @pytest.mark.parametrize(
         "fid,n",
         [("f", 3), ("kappa", 3), ("complete", 2), ("empty", 2), ("side:2", 3),
-         ("down:1", 3), ("tcol:1", 3), ("trow:2", 3), ("g5", 2), ("h4", 2)],
+         ("down:1", 3), ("tcol:1", 3), ("trow:2", 3), ("g5", 2), ("h4", 2), ("f", 8)],
     )
     def test_known_ids(self, fid, n):
         family_condition(fid, n)
@@ -305,7 +305,8 @@ class TestFamilyIds:
         assert family_condition("f", 4) == cond_f(4)
 
     def test_errors(self):
-        for fid, n in [("g5", 3), ("side:9", 3), ("side:x", 3), ("nope", 2), ("f", 0), ("kappa", -1)]:
+        for fid, n in [("g5", 3), ("side:9", 3), ("side:x", 3), ("nope", 2), ("f", 0), ("kappa", -1),
+                       ("f", 9), ("side:1", 9)]:
             with pytest.raises(ValueError):
                 family_condition(fid, n)
 

@@ -38,7 +38,7 @@ def rand_matrix(ring, rows, cols, rng):
             return ring.from_int(rng.randrange(ring.p))
         return ring.from_int(rng.randrange(-5, 6))
 
-    return Matrix(ring, rows, cols, [entry() for _ in range(rows * cols)])
+    return Matrix.from_rows(ring, [[entry() for _ in range(cols)] for _ in range(rows)])
 
 
 def test_matmul_example():
@@ -226,6 +226,11 @@ def test_from_rows_rejects_a_value_from_another_ring():
         Matrix.from_rows(ZZ, [[PrimeField(7).one]])
 
 
+def test_constructor_rejects_ring_values():
+    with pytest.raises(TypeError):
+        Matrix(ZZ, 1, 1, [ZZ.one])
+
+
 def test_from_rows_rejects_a_float():
     with pytest.raises(TypeError):
         Matrix.from_rows(ZZ, [[1.5]])
@@ -303,6 +308,7 @@ def test_unboxed_kernel_matches_ring_value_arithmetic(data):
     assert value_rows(x - z) == [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(xv, zv)]
     assert value_rows(-x) == [[-a for a in row] for row in xv]
     assert value_rows(x.scale(s)) == [[s * a for a in row] for row in xv]
+    assert value_rows(x.transpose()) == [list(col) for col in zip(*xv)]
 
     q = data.draw(matrices(ring, r, r), label="q")
     w = data.draw(

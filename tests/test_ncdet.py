@@ -32,9 +32,9 @@ def rand_block(ring, m, rng):
     if isinstance(ring, PrimeField):
         return Matrix.from_rows(ring, [[rng.randrange(ring.p) for _ in range(m)] for _ in range(m)])
     if isinstance(ring, PolynomialRing):
-        return Matrix(
-            ring, m, m,
-            [ring.value([rng.randrange(-3, 4) for _ in range(rng.randrange(3))]) for _ in range(m * m)],
+        return Matrix.from_rows(
+            ring,
+            [[ring.value([rng.randrange(-3, 4) for _ in range(rng.randrange(3))]) for _ in range(m)] for _ in range(m)],
         )
     return Matrix.from_rows(ring, [[rng.randrange(-4, 5) for _ in range(m)] for _ in range(m)])
 

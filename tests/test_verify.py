@@ -135,7 +135,7 @@ class TestGenerators:
     def test_integer_ring_samples(self):
         bm = gen_satisfying(cond_f(2), 4, ZZ, seed=8)
         assert matrix_satisfies(bm, cond_f(2))
-        assert all(abs(e.payload) <= 6 for row in bm.blocks for b in row for e in b.entries)
+        assert all(abs(e) <= 6 for row in bm.blocks for b in row for e in b.entries)
 
 
 class TestCampaigns:
@@ -172,6 +172,10 @@ class TestCampaigns:
     def test_small_block_size_rejected(self):
         with pytest.raises(ValueError):
             run_campaign(cond_f(2), 1, F10007, 0, seed=1)
+
+    def test_condition_past_the_row_determinant_cap_rejected(self):
+        with pytest.raises(ValueError):
+            run_campaign(cond_f(9), 2, F10007, 0, seed=1)
 
 
 class TestCounterexamples:
