@@ -1,4 +1,5 @@
-"""Golden pins: seeded samples and reports that must not drift.
+"""Golden pins: seeded samples, reports and the symbolic-identity table
+that must not drift.
 
 These values were recorded from the generators and trial loops as they
 stand, so a refactor that reorders a random draw or a trial's seeding
@@ -6,6 +7,10 @@ fails here even when every identity still holds.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from blockdet.conditions import cond_f, cond_f_down, cond_f_side, cond_named
 from blockdet.matrix import format_block_matrix
@@ -13,6 +18,7 @@ from blockdet.ring import ZZ, PrimeField
 from blockdet.verify import gen_satisfying, pick_generator, silvester_check
 
 F10007 = PrimeField(10007)
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _sha(text):
@@ -83,3 +89,13 @@ def test_silvester_hypothesis_report():
     assert rep.summary_line() == "condition=silvester:a trials=20 failures=0 seed=11"
     assert rep.generator == "silvester"
     assert rep.first_failure is None
+
+
+def test_symbolic_identities_table():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "symbolic_identities.py")],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert proc.stderr == ""
+    assert _sha(proc.stdout) == "ec01ff5c52c3acb7048c597f3f3f307fd3900e7f2fec8497d9510a1700dfd54f"
