@@ -8,6 +8,7 @@ Identical flags and seed produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -208,10 +209,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    # Built once per process: parsing leaves no state in the parser, and
+    # building it costs about fifteen parses.
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors already; normalize other codes
         return 2 if exc.code not in (0,) else 0

@@ -9,6 +9,7 @@ transpose transforms, and edge-union live here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .matrix import BlockMatrix, commutes
 from .ncdet import ROW_DET_CAP, Permutation
@@ -47,6 +48,21 @@ class Condition:
     def commutes(self, u: Vertex, v: Vertex) -> bool:
         """Like has_edge, but False for u == v: a letter never passes itself."""
         return u != v and _edge(u, v) in self.edges
+
+    @cached_property
+    def letter_masks(self) -> tuple[dict[Vertex, int], tuple[int, ...]]:
+        """(index, dep) for the trace-monoid kernel: index numbers the
+        positions in (row, col) order, (r, c) -> (r - 1) * n + c - 1, and
+        dep[x] has a bit for every letter that does not commute with letter
+        x, x included."""
+        n = self.n
+        index = {(r, c): (r - 1) * n + c - 1 for r in range(1, n + 1) for c in range(1, n + 1)}
+        dep = [(1 << n * n) - 1] * (n * n)
+        for u, v in self.edges:
+            a, b = index[u], index[v]
+            dep[a] &= ~(1 << b)
+            dep[b] &= ~(1 << a)
+        return index, tuple(dep)
 
     def __len__(self) -> int:
         return len(self.edges)

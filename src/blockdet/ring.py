@@ -220,9 +220,11 @@ class PolynomialRing(Ring):
         return self.value((0, 1))
 
     def canonical(self, payload):
-        if isinstance(payload, int):
-            return _poly_trim((payload,))
-        return _poly_trim(payload)
+        coeffs = (payload,) if isinstance(payload, int) else tuple(payload)
+        for c in coeffs:
+            if not isinstance(c, int):
+                raise TypeError(f"integer coefficients required, got {type(c).__name__}")
+        return _poly_trim(coeffs)
 
     def int_payload(self, k: int) -> tuple[int, ...]:
         return (k,) if k else ()

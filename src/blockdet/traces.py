@@ -33,24 +33,27 @@ def word_normal_form(word: Word, rel: Condition) -> Word:
     """Lexicographically least representative of the word's trace class.
 
     Greedy: repeatedly emit the least letter that commutes with everything
-    before it.  Letters compare by (row, col).  Idempotent and
-    length-preserving; equal letters never commute, so their relative order
-    is fixed.
+    before it.  Letters compare by (row, col), which is the order of their
+    numbers in ``rel.letter_masks``; letter x commutes with everything
+    before it when ``dep[x] & seen == 0``, where ``seen`` is the bitmask of
+    the letters before it.  Idempotent and length-preserving; dep[x] holds
+    x itself, so equal letters never pass each other.
     """
-    _check_word(word, rel)
+    index, dep = rel.letter_masks
+    try:
+        xs = [index[lt] for lt in word]
+    except KeyError as exc:
+        raise ValueError(f"letter {exc.args[0]} out of range for size {rel.n}") from None
     letters = list(word)
     out: list[Letter] = []
-    while letters:
-        best = None
-        for idx, lt in enumerate(letters):
-            movable = True
-            for prev in letters[:idx]:
-                if not rel.commutes(lt, prev):
-                    movable = False
-                    break
-            if movable and (best is None or lt < letters[best]):
-                best = idx
+    while xs:
+        best, least, seen = 0, xs[0], 0
+        for pos, x in enumerate(xs):
+            if x < least and not dep[x] & seen:
+                best, least = pos, x
+            seen |= 1 << x
         out.append(letters.pop(best))
+        del xs[best]
     return tuple(out)
 
 

@@ -1,9 +1,15 @@
+import contextlib
+import io
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from blockdet.cli import main
 from blockdet.conditions import cond_f, parse_condition
 from blockdet.matrix import format_block_matrix, format_matrix, Matrix, block_view, parse_block_matrix
 from blockdet.ring import ZZ
+from blockdet.verify import BUILTIN_NAMES
 
 
 def run(capsys, *argv):
@@ -218,3 +224,82 @@ def test_generator_failure_is_usage_error(capsys, monkeypatch):
 def test_symbolic_output_line(capsys, argv, line):
     _, out, _ = run(capsys, *argv)
     assert out == line
+
+
+# Argv vocabulary for the fuzz property: each command's own flags, each
+# value good or bad (small negative and junk integers, bad --missing
+# strings, bad ring descriptors), plus missing files and foreign flags.
+# Sizes stay at n <= 3, m <= 4 and trials <= 2, so every call is quick.
+_BAD_INTS = ("-1", "0", "x", "", "1.5")
+_VALUES = {  # flag: (good values, bad values)
+    "--n": (("1", "2", "2", "3", "3"), _BAD_INTS),
+    "--m": (("2", "3", "4"), ("-1", "1", "x")),
+    "--k": (("1", "2"), _BAD_INTS + ("3",)),
+    "--c": (("1", "2", "3"), _BAD_INTS),
+    "--i": (("2",), _BAD_INTS + ("3",)),
+    "--j": (("3",), _BAD_INTS + ("2",)),
+    "--seed": (("0", "7", "-5", "123456789012345678901"), ("x", "")),
+    "--ring": (("int", "mod:2", "mod:10007", "poly:x"),
+               ("mod:8", "mod:", "mod:x", "poly:", "poly:1x", "float", "")),
+    "--family": (("f", "kappa", "complete", "empty", "side:1", "down:2", "tcol:1", "trow:2", "g5",
+                  "h1", "h4"), ("side:x", "tcol:9", "zzz", "")),
+    "--check": (("colswap", "transpose", "rowswap", "rowswap"), ("bogus",)),
+    "--missing": (("2,1,3,2", "3,2,2,1", "2,1,2,2", "3,1,2,3"),
+                  ("1,1,2,2", "3,1,3,1", "9,9,9,9", "2,1,3", "a,b,c,d", "", "2,1,3,2,1")),
+    "--builtin": (BUILTIN_NAMES, ("bogus",)),
+    "--name": (BUILTIN_NAMES + ("f", "kappa", "side:2", "g1"), ("zzz",)),
+    "--bogus": ((), ("1",)),
+}
+_COMMANDS = {
+    "det": (),
+    "ncdet": ("--builtin", "--n"),
+    "check": ("--builtin", "--n"),
+    "family": ("--name", "--n"),
+    "campaign": ("--family", "--n", "--m", "--ring", "--seed"),
+    "classify2": (),
+    "counterexample": ("--name", "--n"),
+    "symbolic": ("--check", "--n", "--k", "--c", "--i", "--j", "--missing"),
+    "optimality": ("--n", "--seed"),
+    "frobnicate": (),
+}
+_FILES = ("no-such-dir/no-such-file.txt", ".")
+
+
+@st.composite
+def cli_argv(draw):
+    # A seeded Random gives every choice a fixed rate; Hypothesis's own
+    # draws would favour the first option of each.
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    command = rng.choice(sorted(_COMMANDS))
+    argv = [command]
+    if rng.random() < 0.1:
+        argv.append(rng.choice(_FILES))
+    flags = [f for f in _COMMANDS[command] if rng.random() < 0.9]
+    if rng.random() < 0.05:
+        flags.append(rng.choice(sorted(_VALUES)))
+    rng.shuffle(flags)
+    for flag in flags:
+        argv.append(flag)
+        good, bad = _VALUES[flag]
+        if rng.random() < 0.97:
+            argv.append(rng.choice(good if good and rng.random() < 0.85 else bad))
+    if command in ("campaign", "optimality"):
+        # the last --trials wins, and the defaults are 200 and 60
+        argv += ["--trials", rng.choice(("-2", "0", "1", "2", "2"))]
+    return argv
+
+
+def _quiet_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(cli_argv())
+def test_fuzzed_argv_keeps_the_exit_code_contract(argv):
+    code, out, err = _quiet_main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    assert _quiet_main(argv)[:2] == (code, out)

@@ -236,6 +236,13 @@ def test_from_rows_rejects_a_float():
         Matrix.from_rows(ZZ, [[1.5]])
 
 
+def test_from_rows_rejects_a_float_polynomial_entry():
+    with pytest.raises(TypeError):
+        Matrix.from_rows(PZ, [[1.5]])
+    with pytest.raises(MatrixFormatError):
+        parse_matrix("1 1 poly:z\n1,1.5\n")
+
+
 def test_parsed_polynomial_entries_are_canonical():
     assert format_matrix(parse_matrix("1 2 poly:z\n1,2,0 0,0\n")) == "1 2 poly:z\n1,2 0\n"
 

@@ -73,6 +73,12 @@ def test_poly_canonical_form():
     assert (PZ.value((1, 1)) - PZ.value((0, 1))).payload == (1,)
 
 
+def test_poly_rejects_non_integer_coefficients():
+    for payload in ((2.5,), (1, 0.0), (1, "2"), 2.5):
+        with pytest.raises(TypeError):
+            PZ.value(payload)
+
+
 def test_eval_at_zero():
     assert poly_eval_at_zero(PZ.value((5, 3, 1))) == ZZ.from_int(5)
     assert poly_eval_at_zero(PZ.zero) == ZZ.from_int(0)

@@ -96,6 +96,84 @@ def test_normal_form_reachable_scrambles_agree(data):
     assert word_normal_form(w, rel) == word_normal_form(v, rel)
 
 
+def _check_word(word, rel):
+    for r, c in word:
+        if not (1 <= r <= rel.n and 1 <= c <= rel.n):
+            raise ValueError(f"letter {(r, c)} out of range for size {rel.n}")
+
+
+def greedy_normal_form_oracle(word, rel):
+    """The quadratic-scan greedy normal form on ``rel.commutes``, kept as
+    the slow oracle of the bitmask kernel."""
+    _check_word(word, rel)
+    letters = list(word)
+    out = []
+    while letters:
+        best = None
+        for idx, lt in enumerate(letters):
+            movable = True
+            for prev in letters[:idx]:
+                if not rel.commutes(lt, prev):
+                    movable = False
+                    break
+            if movable and (best is None or lt < letters[best]):
+                best = idx
+        out.append(letters.pop(best))
+    return tuple(out)
+
+
+@st.composite
+def relations(draw):
+    n = draw(st.integers(min_value=1, max_value=5))
+    density = draw(st.sampled_from((0.0, 0.2, 0.5, 0.8, 1.0)))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    return CommRel(n, frozenset(p for p in combinations(letters_of(n), 2) if rng.random() < density))
+
+
+def _outcome(normal_form, word, rel):
+    try:
+        return normal_form(word, rel)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_bitmask_kernel_matches_greedy_oracle(data):
+    rel = data.draw(relations())
+    n = rel.n
+    word = data.draw(st.lists(st.sampled_from(letters_of(n)), max_size=8))
+    stray = data.draw(st.none() | st.tuples(st.integers(-1, n + 2), st.integers(-1, n + 2)))
+    if stray is not None:
+        word.insert(data.draw(st.integers(0, len(word))), stray)
+    word = tuple(word)
+    assert _outcome(word_normal_form, word, rel) == _outcome(greedy_normal_form_oracle, word, rel)
+
+
+@settings(max_examples=100)
+@given(relations())
+def test_dependence_masks_match_commutes(rel):
+    index, dep = rel.letter_masks
+    letters = letters_of(rel.n)
+    assert sorted(index, key=index.get) == letters
+    assert len(dep) == len(letters)
+    for a in letters:
+        x = index[a]
+        assert dep[x] >> x & 1
+        for b in letters:
+            y = index[b]
+            assert bool(dep[x] >> y & 1) == (not rel.commutes(a, b))
+            assert dep[x] >> y & 1 == dep[y] >> x & 1
+
+
+def test_letter_masks_leave_equality_hash_and_repr_alone():
+    a, b = cond_kappa(3), cond_kappa(3)
+    before = (hash(a), repr(a))
+    masks = a.letter_masks
+    assert a.letter_masks is masks
+    assert a == b and (hash(a), repr(a)) == before == (hash(b), repr(b))
+
+
 class TestTraceEqual:
     def test_reflexive(self):
         rel = empty_condition(2)
