@@ -6,6 +6,13 @@ positions may swap when adjacent.  Polynomials keep their monomials in a
 canonical normal form, which makes equality of the symbolic determinant
 expansions decidable.  This is the engine behind the
 column-swap, transpose and row-swap ordering identities.
+
+The normal form is the lexicographically least word of the trace class.
+It runs on a bitmask kernel: ``Condition.letter_masks`` numbers the n*n
+positions in (row, col) order and gives each letter the bitmask of the
+letters it does not commute with, so one movability test is one ``&``.
+``trace_equal_by_projection`` stays on ``Condition.commutes`` as the
+independent check.
 """
 
 from __future__ import annotations
