@@ -211,8 +211,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 @functools.cache
 def _shared_parser() -> argparse.ArgumentParser:
-    # Built once per process: parsing leaves no state in the parser, and
-    # building it costs about fifteen parses.
+    # Built once per process; parsing leaves no state in the parser.  A
+    # one-shot `blockdet` builds it once either way.  Only callers that run
+    # main() many times in one process gain: the tests, and the benchmark
+    # worker, whose set-up already counts one build as the user's cost.
     return build_parser()
 
 

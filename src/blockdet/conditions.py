@@ -52,11 +52,11 @@ class Condition:
     @cached_property
     def letter_masks(self) -> tuple[dict[Vertex, int], tuple[int, ...]]:
         """(index, dep) for the trace-monoid kernel: index numbers the
-        positions in (row, col) order, (r, c) -> (r - 1) * n + c - 1, and
-        dep[x] has a bit for every letter that does not commute with letter
-        x, x included."""
+        positions in the (row, col) order of ``vertices``, and dep[x] has a
+        bit for every letter that does not commute with letter x, x
+        included."""
         n = self.n
-        index = {(r, c): (r - 1) * n + c - 1 for r in range(1, n + 1) for c in range(1, n + 1)}
+        index = {v: x for x, v in enumerate(vertices(n))}
         dep = [(1 << n * n) - 1] * (n * n)
         for u, v in self.edges:
             a, b = index[u], index[v]
