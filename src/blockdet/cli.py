@@ -126,7 +126,7 @@ def _cmd_symbolic(args) -> int:
     else:
         if args.i is None or args.j is None:
             raise ValueError("--i and --j are required for rowswap")
-        missing = _parse_missing(args.missing) if args.missing else None
+        missing = None if args.missing is None else _parse_missing(args.missing)
         ok = check_rowswap_identity(n, args.i, args.j, missing)
     # The row-ordered expansion has one word per permutation, and without
     # relations no two of them merge.

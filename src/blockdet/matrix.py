@@ -12,7 +12,7 @@ elimination over prime fields where division is available.
 
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import combinations, permutations
 
 from .ring import PrimeField, Ring, RingMismatchError, RingValue, parse_ring
 
@@ -23,11 +23,16 @@ class MatrixFormatError(ValueError):
     """Raised on malformed matrix text input."""
 
 
+def permutation_sign(perm) -> int:
+    """Sign of a sequence of distinct values, by counting inversions."""
+    inversions = sum(1 for a, b in combinations(perm, 2) if a > b)
+    return -1 if inversions % 2 else 1
+
+
 def signed_permutations(n: int):
     """Every permutation of range(n) as a tuple, paired with its sign."""
     for perm in permutations(range(n)):
-        inversions = sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
-        yield perm, -1 if inversions % 2 else 1
+        yield perm, permutation_sign(perm)
 
 
 class Matrix:

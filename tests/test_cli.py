@@ -9,6 +9,7 @@ from blockdet.cli import main
 from blockdet.conditions import cond_f, parse_condition
 from blockdet.matrix import format_block_matrix, format_matrix, Matrix, block_view, parse_block_matrix
 from blockdet.ring import ZZ
+from blockdet.traces import IDENTITY_CHECK_CAP
 from blockdet.verify import BUILTIN_NAMES
 
 
@@ -151,7 +152,8 @@ def test_symbolic_honest_failure(capsys):
 
 
 def test_symbolic_cap_exceeded(capsys):
-    code, _, err = run(capsys, "symbolic", "--check", "colswap", "--n", "7", "--k", "1")
+    n = str(IDENTITY_CHECK_CAP + 1)
+    code, _, err = run(capsys, "symbolic", "--check", "colswap", "--n", n, "--k", "1")
     assert code == 2
 
 
@@ -185,6 +187,7 @@ def test_usage_error_exit_code(capsys):
         ("counterexample", "--name", "m3", "--n", "2"),
         ("family", "--name", "f", "--n", "9"),
         ("campaign", "--family", "f", "--n", "300", "--m", "2", "--trials", "0"),
+        ("symbolic", "--check", "rowswap", "--n", "3", "--i", "2", "--j", "3", "--missing", ""),
     ],
 )
 def test_bad_size_or_trials_is_usage_error(capsys, argv):

@@ -4,13 +4,16 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from blockdet.conditions import Condition, complete_condition, cond_kappa, empty_condition
+from blockdet.conditions import Condition, complete_condition, cond_kappa, cond_t_col, empty_condition
 from blockdet.matrix import BlockMatrix, Matrix
 from blockdet.ncdet import nc_row_det
 from blockdet.ring import PrimeField
 from blockdet.traces import (
+    IDENTITY_CHECK_CAP,
     CommRel,
     TracePoly,
+    _identity_holds,
+    _reindexed_det,
     check_colswap_identity,
     check_rowswap_identity,
     check_transpose_identity,
@@ -123,8 +126,8 @@ def greedy_normal_form_oracle(word, rel):
 
 
 @st.composite
-def relations(draw):
-    n = draw(st.integers(min_value=1, max_value=5))
+def relations(draw, max_n=5):
+    n = draw(st.integers(min_value=1, max_value=max_n))
     density = draw(st.sampled_from((0.0, 0.2, 0.5, 0.8, 1.0)))
     rng = random.Random(draw(st.integers(0, 2**32)))
     return CommRel(n, frozenset(p for p in combinations(letters_of(n), 2) if rng.random() < density))
@@ -299,7 +302,7 @@ class TestColswap:
         with pytest.raises(ValueError):
             check_colswap_identity(2, 2)
         with pytest.raises(ValueError):
-            check_colswap_identity(7, 1)
+            check_colswap_identity(IDENTITY_CHECK_CAP + 1, 1)
 
 
 class TestTranspose:
@@ -320,7 +323,7 @@ class TestTranspose:
 
     def test_range_errors(self):
         with pytest.raises(ValueError):
-            check_transpose_identity(6, 1)
+            check_transpose_identity(IDENTITY_CHECK_CAP + 1, 1)
         with pytest.raises(ValueError):
             check_transpose_identity(2, 3)
 
@@ -354,7 +357,7 @@ class TestRowswap:
         with pytest.raises(ValueError):
             check_rowswap_identity(3, 2, 3, ((1, 1), (2, 2)))
         with pytest.raises(ValueError):
-            check_rowswap_identity(6, 2, 3, None)
+            check_rowswap_identity(IDENTITY_CHECK_CAP + 1, 2, 3, None)
 
     def _numeric_instance(self, n, i, j, missing, seed):
         # blocks realizing exactly the relation: perturbations share a slot
@@ -390,6 +393,72 @@ class TestRowswap:
         assert symbolic == expected
         numeric = all(self._numeric_instance(3, 2, 3, missing, seed) for seed in range(4))
         assert numeric == expected
+
+
+def test_identity_checks_at_the_cap():
+    n = IDENTITY_CHECK_CAP
+    corner = ((n - 1, n - 1), (n, n))
+    assert check_colswap_identity(n, n - 1)
+    assert check_transpose_identity(n, n)
+    # the withheld pair's rows keep their order under a swap of rows 2, 3
+    # and are reversed by a swap of its own two rows
+    assert check_rowswap_identity(n, 2, 3, corner)
+    assert not check_rowswap_identity(n, n - 1, n, corner)
+
+
+def _word_maps(n):
+    """(name, word map, sign) for every identity at size n, written apart
+    from blockdet.traces: colswap for each k, the transpose, and a swap of
+    every two rows i < j (row 1 included)."""
+    maps = [("transpose", lambda w: tuple((c, r) for r, c in reversed(w)), 1)]
+    for k in range(1, n):
+        tau = {k: k + 1, k + 1: k}
+        maps.append((f"colswap k={k}", lambda w, tau=tau: tuple((r, tau.get(c, c)) for r, c in w), -1))
+    for i, j in combinations(range(1, n + 1), 2):
+        sigma = {i: j, j: i}
+        maps.append((f"rowswap {i},{j}", lambda w, sigma=sigma: tuple((sigma.get(r, r), c) for r, c in w), -1))
+    return maps
+
+
+def _expansion_verdict(n, rel, word_map, sign):
+    """The n! oracle: expand both sides and compare trace polynomials."""
+    rhs = symbolic_row_det(n, rel)
+    return _reindexed_det(n, rel, word_map) == (rhs if sign == 1 else -rhs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_pairwise_criterion_matches_expansion(data):
+    # Random relations, each identity's word map, and both signs: a wrong
+    # sign must fail even where every pair is in order.
+    rel = data.draw(relations(max_n=4))
+    n = rel.n
+    for name, word_map, sign in _word_maps(n):
+        for s in (sign, -sign):
+            assert _identity_holds(n, rel, word_map, s) == _expansion_verdict(n, rel, word_map, s), (name, s)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_identity_checks_match_expansion(data):
+    # Each check under its own relation; rowswap for every i < j, with no
+    # withheld pair or a random one outside row 1.
+    n = data.draw(st.integers(1, 4))
+    pairs = list(combinations(letters_of(n)[n:], 2))
+    missing = data.draw(st.none() | st.sampled_from(pairs)) if pairs else None
+    maps = {name: (m, s) for name, m, s in _word_maps(n)}
+    for k in range(1, n):
+        m, s = maps[f"colswap k={k}"]
+        assert check_colswap_identity(n, k) == _expansion_verdict(n, empty_condition(n), m, s)
+    for c in range(1, n + 1):
+        m, s = maps["transpose"]
+        assert check_transpose_identity(n, c) == _expansion_verdict(n, cond_t_col(c, n), m, s)
+    rel = cond_kappa(n)
+    if missing is not None:
+        rel = CommRel(n, rel.edges - {missing})
+    for i, j in combinations(range(2, n + 1), 2):
+        m, s = maps[f"rowswap {i},{j}"]
+        assert check_rowswap_identity(n, i, j, missing) == _expansion_verdict(n, rel, m, s), (i, j, missing)
 
 
 class TestEvaluationHomomorphism:
