@@ -12,6 +12,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+from blockdet.cli import main
 from blockdet.conditions import cond_f, cond_f_down, cond_f_side, cond_named
 from blockdet.matrix import format_block_matrix
 from blockdet.ring import ZZ, PrimeField
@@ -99,3 +100,33 @@ def test_symbolic_identities_table():
     )
     assert proc.stderr == ""
     assert _sha(proc.stdout) == "ec01ff5c52c3acb7048c597f3f3f307fd3900e7f2fec8497d9510a1700dfd54f"
+
+
+def _cli(capsys, *argv):
+    code = main(list(argv))
+    out = capsys.readouterr()
+    assert (code, out.err) == (0, "")
+    return out.out
+
+
+def test_side_and_down_families(capsys):
+    # Every column- and row-relabelled variant of the row-one-free family.
+    text = "".join(
+        _cli(capsys, "family", "--name", f"{head}:{k}", "--n", str(n))
+        for n in range(2, 9)
+        for head in ("side", "down")
+        for k in range(1, n + 1)
+    )
+    assert _sha(text) == "cc443c0752fd2a92e00fe96cb72f261b6e9350b4e83ec5be225ffd223356f503"
+
+
+def test_optimality_reports(capsys):
+    # The edge relabelling onto the two canonical withheld edges, and the
+    # campaigns, at every supported size.
+    digests = {
+        2: "26ecf95f9f66b463d34d924c68b730fb0a45141e3bd3d382ce9d5544ba6f9398",
+        3: "b21ec7fe030ca7891e40a6f5a4b2a353c4d0517667c3ad6223ef9ead49c48dd3",
+        4: "4b830cf4ea3d8342b04ccb7fdde2c5fff4fc77c599b173e5a8eb8633394da3a7",
+    }
+    for n, digest in digests.items():
+        assert _sha(_cli(capsys, "optimality", "--n", str(n), "--trials", "5")) == digest
