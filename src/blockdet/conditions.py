@@ -10,9 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 
 from .matrix import BlockMatrix, commutes
-from .ncdet import ROW_DET_CAP, Permutation
+from .ncdet import ROW_DET_CAP
 
 Vertex = tuple[int, int]
 Edge = tuple[Vertex, Vertex]
@@ -42,11 +43,9 @@ class Condition:
             canon.add(_edge(u, v))
         object.__setattr__(self, "edges", frozenset(canon))
 
-    def has_edge(self, u: Vertex, v: Vertex) -> bool:
-        return _edge(u, v) in self.edges
-
     def commutes(self, u: Vertex, v: Vertex) -> bool:
-        """Like has_edge, but False for u == v: a letter never passes itself."""
+        """Whether u and v are joined; False for u == v: a letter never
+        passes itself."""
         return u != v and _edge(u, v) in self.edges
 
     @cached_property
@@ -79,18 +78,12 @@ def empty_condition(n: int) -> Condition:
 
 
 def complete_condition(n: int) -> Condition:
-    verts = vertices(n)
-    return Condition(n, frozenset(_edge(u, v) for i, u in enumerate(verts) for v in verts[i + 1 :]))
+    return _from_predicate(n, lambda u, v: True)
 
 
 def _from_predicate(n: int, pred) -> Condition:
-    verts = vertices(n)
-    edges = set()
-    for a, u in enumerate(verts):
-        for v in verts[a + 1 :]:
-            if pred(u, v):
-                edges.add(_edge(u, v))
-    return Condition(n, frozenset(edges))
+    # combinations of the sorted vertex list yields each pair as (u, v), u < v.
+    return Condition(n, frozenset((u, v) for u, v in combinations(vertices(n), 2) if pred(u, v)))
 
 
 def cond_f(n: int) -> Condition:
@@ -129,31 +122,33 @@ def cond_t_row(r: int, n: int) -> Condition:
     return cond_transpose(cond_t_col(r, n))
 
 
-def _extend(pi: Permutation, n: int):
-    # Extend a permutation of {1..m} to {1..n} by the identity.
-    def apply(x: int) -> int:
-        return pi(x) if x <= pi.n else x
+def _relabelling(images: tuple[int, ...], n: int) -> tuple[int, ...]:
+    # Check that images permutes 1..k for some k <= n; extend it by the identity.
+    k = len(images)
+    if sorted(images) != list(range(1, k + 1)):
+        raise ValueError(f"{images} is not a permutation of 1..{k}")
+    if k > n:
+        raise ValueError(f"permutation degree {k} exceeds condition size {n}")
+    return tuple(images) + tuple(range(k + 1, n + 1))
 
-    return apply
 
-
-def cond_col_permute(g: Condition, pi: Permutation) -> Condition:
-    if pi.n > g.n:
-        raise ValueError(f"permutation degree {pi.n} exceeds condition size {g.n}")
-    ap = _extend(pi, g.n)
+def cond_col_permute(g: Condition, images: tuple[int, ...]) -> Condition:
+    """Relabel columns: column x becomes column images[x-1], where ``images`` is
+    a permutation of 1..k for some k <= n; columns after k stay in place."""
+    ap = _relabelling(images, g.n)
     return Condition(
         g.n,
-        frozenset(_edge((i, ap(j)), (k, ap(l))) for (i, j), (k, l) in g.edges),
+        frozenset(_edge((i, ap[j - 1]), (k, ap[l - 1])) for (i, j), (k, l) in g.edges),
     )
 
 
-def cond_row_permute(g: Condition, pi: Permutation) -> Condition:
-    if pi.n > g.n:
-        raise ValueError(f"permutation degree {pi.n} exceeds condition size {g.n}")
-    ap = _extend(pi, g.n)
+def cond_row_permute(g: Condition, images: tuple[int, ...]) -> Condition:
+    """Relabel rows: row x becomes row images[x-1], where ``images`` is
+    a permutation of 1..k for some k <= n; rows after k stay in place."""
+    ap = _relabelling(images, g.n)
     return Condition(
         g.n,
-        frozenset(_edge((ap(i), j), (ap(k), l)) for (i, j), (k, l) in g.edges),
+        frozenset(_edge((ap[i - 1], j), (ap[k - 1], l)) for (i, j), (k, l) in g.edges),
     )
 
 
@@ -167,12 +162,18 @@ def cond_union(g: Condition, h: Condition) -> Condition:
     return Condition(g.n, g.edges | h.edges)
 
 
+def cond_minus_edge(g: Condition, edge: Edge) -> Condition:
+    """g with the pair of positions ``edge``, in either order, withheld."""
+    return Condition(g.n, g.edges - {_edge(*edge)})
+
+
 def cond_f_side(j: int, n: int) -> Condition:
     """Column-j variant of the row-one-free family."""
     if not 1 <= j <= n:
         raise ValueError(f"column {j} out of range for size {n}")
     base = cond_union(cond_transpose(cond_f(n)), cond_t_col(1, n))
-    return cond_col_permute(base, Permutation.transposition(j, 1, j))
+    swap = tuple(j if c == 1 else 1 if c == j else c for c in range(1, n + 1))
+    return cond_col_permute(base, swap)
 
 
 def cond_f_down(i: int, n: int) -> Condition:
@@ -256,14 +257,10 @@ def is_subgraph(g: Condition, h: Condition) -> bool:
 
 def commutativity_graph(bm: BlockMatrix) -> Condition:
     """Edge wherever two blocks commute exactly."""
-    n = bm.n
-    verts = vertices(n)
-    edges = set()
-    for a, u in enumerate(verts):
-        for v in verts[a + 1 :]:
-            if commutes(bm.blocks[u[0] - 1][u[1] - 1], bm.blocks[v[0] - 1][v[1] - 1]):
-                edges.add(_edge(u, v))
-    return Condition(n, frozenset(edges))
+    blocks = bm.blocks
+    return _from_predicate(
+        bm.n, lambda u, v: commutes(blocks[u[0] - 1][u[1] - 1], blocks[v[0] - 1][v[1] - 1])
+    )
 
 
 def matrix_satisfies(bm: BlockMatrix, g: Condition) -> bool:

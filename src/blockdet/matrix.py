@@ -333,12 +333,6 @@ class BlockMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("BlockMatrix is immutable")
 
-    @classmethod
-    def from_blocks(cls, blocks) -> BlockMatrix:
-        blocks = [list(row) for row in blocks]
-        first = blocks[0][0]
-        return cls(first.ring, first.rows, len(blocks), blocks)
-
     def block(self, i: int, j: int) -> Matrix:
         """Block at 0-based position (i, j)."""
         return self.blocks[i][j]

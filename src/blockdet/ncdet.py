@@ -13,90 +13,12 @@ polynomial-extension induction each take one run of it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations
 
 from .matrix import BlockMatrix, Matrix, det_commutative
 from .ring import IntegerRing, PolynomialRing, poly_is_monic
 
 ROW_DET_CAP = 8
-
-
-@dataclass(frozen=True)
-class Permutation:
-    """Permutation of {1..n}; ``images[i-1]`` is the image of i."""
-
-    images: tuple[int, ...]
-
-    def __post_init__(self):
-        if sorted(self.images) != list(range(1, len(self.images) + 1)):
-            raise ValueError(f"{self.images} is not a permutation of 1..{len(self.images)}")
-
-    @classmethod
-    def identity(cls, n: int) -> Permutation:
-        return cls(tuple(range(1, n + 1)))
-
-    @classmethod
-    def transposition(cls, n: int, a: int, b: int) -> Permutation:
-        if not (1 <= a <= n and 1 <= b <= n):
-            raise ValueError(f"transposition ({a} {b}) out of range for degree {n}")
-        images = list(range(1, n + 1))
-        images[a - 1], images[b - 1] = b, a
-        return cls(tuple(images))
-
-    @classmethod
-    def from_mapping(cls, n: int, mapping: dict[int, int]) -> Permutation:
-        """Extend a partial injective map on {1..n} to a permutation.
-
-        Unassigned sources take the remaining targets in increasing order.
-        """
-        if len(set(mapping.values())) != len(mapping):
-            raise ValueError("mapping is not injective")
-        free = [t for t in range(1, n + 1) if t not in mapping.values()]
-        images = []
-        it = iter(free)
-        for i in range(1, n + 1):
-            images.append(mapping[i] if i in mapping else next(it))
-        return cls(tuple(images))
-
-    @property
-    def n(self) -> int:
-        return len(self.images)
-
-    def __call__(self, i: int) -> int:
-        return self.images[i - 1]
-
-    def compose(self, other: Permutation) -> Permutation:
-        """Permutation mapping i to self(other(i))."""
-        if self.n != other.n:
-            raise ValueError("degree mismatch")
-        return Permutation(tuple(self(other(i)) for i in range(1, self.n + 1)))
-
-    def inverse(self) -> Permutation:
-        inv = [0] * self.n
-        for i, img in enumerate(self.images, start=1):
-            inv[img - 1] = i
-        return Permutation(tuple(inv))
-
-    @property
-    def sign(self) -> int:
-        # Cycle decomposition: sign = (-1)^(n - number of cycles).
-        seen = [False] * self.n
-        cycles = 0
-        for start in range(self.n):
-            if seen[start]:
-                continue
-            cycles += 1
-            i = start
-            while not seen[i]:
-                seen[i] = True
-                i = self.images[i] - 1
-        return 1 if (self.n - cycles) % 2 == 0 else -1
-
-
-def permutations_of(n: int):
-    """All permutations of degree n."""
-    for images in permutations(range(1, n + 1)):
-        yield Permutation(images)
 
 
 def nc_first_row_cofactors(bm: BlockMatrix) -> list[Matrix]:

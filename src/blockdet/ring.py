@@ -3,6 +3,8 @@ integer polynomials.
 
 Every value is immutable and canonical: prime-field payloads live in
 ``[0, p)`` and polynomial coefficient tuples carry no trailing zeros.
+So zero is the one falsy payload of each ring, and kernels test it by
+truthiness.
 """
 
 from __future__ import annotations
@@ -113,9 +115,6 @@ class Ring:
     def psub(self, a, b):
         return self.padd(a, self.pneg(b))
 
-    def is_zero_payload(self, a) -> bool:
-        raise NotImplementedError
-
     def format_payload(self, a) -> str:
         raise NotImplementedError
 
@@ -146,9 +145,6 @@ class IntegerRing(Ring):
 
     def psub(self, a, b):
         return a - b
-
-    def is_zero_payload(self, a) -> bool:
-        return a == 0
 
     def format_payload(self, a) -> str:
         return str(a)
@@ -190,9 +186,6 @@ class PrimeField(Ring):
 
     def psub(self, a, b):
         return (a - b) % self.p
-
-    def is_zero_payload(self, a) -> bool:
-        return a == 0
 
     def format_payload(self, a) -> str:
         return str(a)
@@ -237,9 +230,6 @@ class PolynomialRing(Ring):
 
     def pneg(self, a):
         return tuple(-c for c in a)
-
-    def is_zero_payload(self, a) -> bool:
-        return not a
 
     def format_payload(self, a) -> str:
         if not a:
@@ -290,9 +280,6 @@ class RingValue:
 
     def __hash__(self):
         return hash((self.ring, self.payload))
-
-    def is_zero(self) -> bool:
-        return self.ring.is_zero_payload(self.payload)
 
     def __repr__(self):
         return f"<{self.ring.label}: {self.ring.format_payload(self.payload)}>"

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .conditions import Condition, cond_kappa, cond_t_col, empty_condition, vertices
+from .conditions import Condition, cond_kappa, cond_minus_edge, cond_t_col, empty_condition, vertices
 from .matrix import permutation_sign, signed_permutations
 
 Letter = tuple[int, int]
@@ -33,8 +33,6 @@ Word = tuple[Letter, ...]
 
 SYMBOLIC_DET_CAP = 6
 IDENTITY_CHECK_CAP = 24
-
-CommRel = Condition
 
 
 def _check_word(word: Word, rel: Condition) -> None:
@@ -324,6 +322,6 @@ def check_rowswap_identity(
             raise ValueError("withheld pair must lie outside row 1")
         if not rel.commutes(a, b):
             raise ValueError(f"{missing_edge} is not a pair of distinct positions outside row 1")
-        rel = Condition(n, rel.edges - {(min(a, b), max(a, b))})
+        rel = cond_minus_edge(rel, (a, b))
     sigma = {i: j, j: i}
     return _identity_holds(n, rel, lambda word: tuple((sigma.get(r, r), c) for r, c in word), -1)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Callable, NamedTuple
 
 from .conditions import (
@@ -23,14 +24,16 @@ from .conditions import (
     cond_f_down,
     cond_f_side,
     cond_kappa,
+    cond_minus_edge,
     cond_named,
     cond_col_permute,
     cond_row_permute,
     is_subgraph,
     matrix_satisfies,
+    vertices,
 )
 from .matrix import BlockMatrix, Matrix, commutes, det_commutative
-from .ncdet import ROW_DET_CAP, Permutation, nc_row_det
+from .ncdet import ROW_DET_CAP, nc_row_det
 from .ring import (
     IntegerRing,
     PolynomialRing,
@@ -211,13 +214,7 @@ def _gen_h(which: str, m: int, ring: Ring, rng: random.Random):
 def _gen_generic(g: Condition, m: int, ring: Ring, rng: random.Random):
     # Scalar blocks commute with everything; one chosen non-edge pair gets
     # perturbations in a shared slot so the sample is not fully commutative.
-    verts = [(i, j) for i in range(1, g.n + 1) for j in range(1, g.n + 1)]
-    non_edges = [
-        (u, v)
-        for a, u in enumerate(verts)
-        for v in verts[a + 1 :]
-        if not g.has_edge(u, v)
-    ]
+    non_edges = [(u, v) for u, v in combinations(vertices(g.n), 2) if not g.commutes(u, v)]
     if not non_edges:
         return _gen_commutative(g.n, m, ring, rng)
     non_edges.sort(key=lambda e: (0 if e[0][0] >= 2 and e[1][0] >= 2 else 1, e))
@@ -407,14 +404,6 @@ _FIXED_BUILTINS = {"m1": _m1, "m2": _m2, "m3": _m3, "m3swapped": _m3_swapped}
 _WITNESS_DEFAULT_N = {"same_row": 2, "diff_row": 3}
 
 
-def counterexample_h(which: str) -> BlockMatrix:
-    """The explicit matrix certifying that h1..h4 is not sufficient."""
-    key = which.lower()
-    if key not in _H_TO_MATRIX:
-        raise ValueError(f"expected one of h1..h4, got {which!r}")
-    return builtin_matrix(_H_TO_MATRIX[key])
-
-
 def builtin_matrix(name: str, n: int | None = None) -> BlockMatrix:
     """Built-in matrices by name: m1, m2, m3, m3swapped, h1..h4,
     same_row (optionality witness, default n=2), diff_row (default n=3)."""
@@ -439,8 +428,8 @@ _LETTER_TO_VERTEX = {v: k for k, v in VERTEX_LETTERS.items()}
 
 
 def _edge_from_label(label: str):
-    u, v = _LETTER_TO_VERTEX[label[0]], _LETTER_TO_VERTEX[label[1]]
-    return (u, v) if u < v else (v, u)
+    # Condition puts the pair in order.
+    return _LETTER_TO_VERTEX[label[0]], _LETTER_TO_VERTEX[label[1]]
 
 
 @dataclass(frozen=True)
@@ -575,6 +564,8 @@ class OptimalityWitness(NamedTuple):
 
 
 def _witness_matrix(case: str, n: int) -> BlockMatrix:
+    if n > ROW_DET_CAP:
+        raise ValueError(f"row-determinant capped at n={ROW_DET_CAP}")
     ring = PolynomialRing("a")
     gen = ring.gen
     k = Matrix.from_rows(ring, [[1, 0], [0, 0]])
@@ -661,10 +652,11 @@ CANONICAL_SAME_ROW = ((2, 1), (2, 2))
 CANONICAL_DIFF_ROW = ((2, 1), (3, 2))
 
 
-def _minus_edge(base: Condition, edge) -> Condition:
-    u, v = edge
-    key = (u, v) if u < v else (v, u)
-    return Condition(base.n, base.edges - {key})
+def _from_mapping(n: int, mapping: dict[int, int]) -> tuple[int, ...]:
+    # Images of 1..n: mapping[i] where given; the other labels take the
+    # targets that mapping leaves free, in increasing order.
+    free = iter(t for t in range(1, n + 1) if t not in mapping.values())
+    return tuple(mapping[i] if i in mapping else next(free) for i in range(1, n + 1))
 
 
 def optimality_scan(
@@ -690,22 +682,21 @@ def optimality_scan(
     records = []
     for edge in sorted(fam.edges):
         (r1, c1), (r2, c2) = edge
+        col_map = _from_mapping(n, {c1: 1, c2: 2})
         if r1 == r2:
             case = "same_row"
-            row_map = Permutation.from_mapping(n, {r1: 2})
-            col_map = Permutation.from_mapping(n, {c1: 1, c2: 2})
+            row_map = _from_mapping(n, {r1: 2})
             canonical = CANONICAL_SAME_ROW
         else:
             case = "diff_row"
-            row_map = Permutation.from_mapping(n, {r1: 2, r2: 3})
-            col_map = Permutation.from_mapping(n, {c1: 1, c2: 2})
+            row_map = _from_mapping(n, {r1: 2, r2: 3})
             canonical = CANONICAL_DIFF_ROW
-        mapped = cond_row_permute(cond_col_permute(_minus_edge(kappa, edge), col_map), row_map)
-        mapped_ok = mapped == _minus_edge(kappa, canonical)
+        mapped = cond_row_permute(cond_col_permute(cond_minus_edge(kappa, edge), col_map), row_map)
+        mapped_ok = mapped == cond_minus_edge(kappa, canonical)
 
         if case == "same_row" or n >= 3:
             witness = optimality_counterexample(case, n)
-            satisfies = matrix_satisfies(witness.matrix, _minus_edge(kappa, canonical))
+            satisfies = matrix_satisfies(witness.matrix, cond_minus_edge(kappa, canonical))
             dichotomy = (
                 poly_degree(witness.det_of_ncdet) >= 1 and poly_degree(witness.det_flat) <= 0
             )

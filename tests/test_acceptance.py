@@ -11,6 +11,7 @@ from itertools import combinations
 import pytest
 
 from blockdet.conditions import (
+    Condition,
     cond_f,
     cond_f_down,
     cond_f_side,
@@ -28,7 +29,6 @@ from blockdet.matrix import (
 from blockdet.ncdet import bourbaki_trace, cofactor_column_check, nc_cofactor, nc_row_det
 from blockdet.ring import PolynomialRing, PrimeField, ZZ, poly_degree
 from blockdet.traces import (
-    CommRel,
     check_colswap_identity,
     check_rowswap_identity,
     check_transpose_identity,
@@ -242,7 +242,7 @@ def test_criterion_8_oracle_equivalences():
         n = rng.randrange(2, 5)
         pool = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
         pairs = list(combinations(pool, 2))
-        rel = CommRel(n, frozenset(p for p in pairs if rng.random() < 0.4))
+        rel = Condition(n, frozenset(p for p in pairs if rng.random() < 0.4))
         u = tuple(rng.choice(pool) for _ in range(rng.randrange(0, 9)))
         if rng.random() < 0.5:
             w = list(u)

@@ -188,6 +188,7 @@ def test_usage_error_exit_code(capsys):
         ("family", "--name", "f", "--n", "9"),
         ("campaign", "--family", "f", "--n", "300", "--m", "2", "--trials", "0"),
         ("symbolic", "--check", "rowswap", "--n", "3", "--i", "2", "--j", "3", "--missing", ""),
+        ("counterexample", "--name", "diff_row", "--n", "9"),
     ],
 )
 def test_bad_size_or_trials_is_usage_error(capsys, argv):

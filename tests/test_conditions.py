@@ -27,7 +27,6 @@ from blockdet.conditions import (
     vertices,
 )
 from blockdet.matrix import BlockMatrix, Matrix
-from blockdet.ncdet import Permutation
 from blockdet.ring import ZZ
 from blockdet.verify import builtin_matrix
 
@@ -41,7 +40,12 @@ def cond(n, *edges):
 def rand_perm(n, rng):
     images = list(range(1, n + 1))
     rng.shuffle(images)
-    return Permutation(tuple(images))
+    return tuple(images)
+
+
+def compose(p, q):
+    # The relabelling x -> p(q(x)), as a tuple of 1-based images.
+    return tuple(p[x - 1] for x in q)
 
 
 class TestFamilyF:
@@ -64,7 +68,7 @@ class TestFamilyF:
     def test_column_permutation_invariance(self, n):
         fam = cond_f(n)
         for images in iter_perms(range(1, n + 1)):
-            assert cond_col_permute(fam, Permutation(images)) == fam
+            assert cond_col_permute(fam, images) == fam
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_contained_in_kappa(self, n):
@@ -124,7 +128,7 @@ class TestTCol:
 class TestTransforms:
     def test_identity_acts_trivially(self):
         g = cond_f_side(2, 3)
-        ident = Permutation.identity(3)
+        ident = (1, 2, 3)
         assert cond_col_permute(g, ident) == g
         assert cond_row_permute(g, ident) == g
 
@@ -133,8 +137,8 @@ class TestTransforms:
         g = cond_t_col(2, 4)
         for _ in range(25):
             p, q = rand_perm(4, rng), rand_perm(4, rng)
-            assert cond_col_permute(cond_col_permute(g, q), p) == cond_col_permute(g, p.compose(q))
-            assert cond_row_permute(cond_row_permute(g, q), p) == cond_row_permute(g, p.compose(q))
+            assert cond_col_permute(cond_col_permute(g, q), p) == cond_col_permute(g, compose(p, q))
+            assert cond_row_permute(cond_row_permute(g, q), p) == cond_row_permute(g, compose(p, q))
 
     def test_involution_and_exchange(self):
         rng = random.Random(1)
@@ -152,12 +156,12 @@ class TestTransforms:
 
     def test_edge_count_preserved(self):
         g = cond_f(3)
-        assert len(cond_col_permute(g, Permutation((2, 1, 3)))) == len(g)
+        assert len(cond_col_permute(g, (2, 1, 3))) == len(g)
         assert len(cond_transpose(g)) == len(g)
 
     def test_degree_errors(self):
         with pytest.raises(ValueError):
-            cond_col_permute(cond_f(2), Permutation((2, 1, 3)))
+            cond_col_permute(cond_f(2), (2, 1, 3))
 
     def test_union(self):
         g = cond_f(2)
@@ -260,11 +264,11 @@ class TestCommutativityGraph:
     def test_optimality_witness_missing_edge(self):
         bm = builtin_matrix("same_row", n=2)
         graph = commutativity_graph(bm)
-        assert not graph.has_edge(C, D)
+        assert not graph.commutes(C, D)
 
     def test_m1_has_cross_edges(self):
         graph = commutativity_graph(builtin_matrix("m1"))
-        assert graph.has_edge(A, D) and graph.has_edge(B, C)
+        assert graph.commutes(A, D) and graph.commutes(B, C)
 
 
 class TestSatisfies:
@@ -322,7 +326,7 @@ def test_commutes_is_the_irreflexive_edge_relation():
             assert not g.commutes(u, u)
             for v in vertices(g.n):
                 if u != v:
-                    assert g.commutes(u, v) == g.commutes(v, u) == g.has_edge(u, v)
+                    assert g.commutes(u, v) == g.commutes(v, u) == ((min(u, v), max(u, v)) in g.edges)
 
 
 def test_condition_rejects_bad_vertices():

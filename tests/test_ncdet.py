@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from blockdet.conditions import cond_f
+from blockdet.conditions import cond_col_permute, cond_f, cond_row_permute
 from blockdet.matrix import (
     BlockMatrix,
     Matrix,
@@ -13,17 +13,15 @@ from blockdet.matrix import (
     signed_permutations,
 )
 from blockdet.ncdet import (
-    Permutation,
     bourbaki_trace,
     cofactor_column_check,
     nc_cofactor,
     nc_first_row_cofactors,
     nc_minor_det,
     nc_row_det,
-    permutations_of,
 )
 from blockdet.ring import PolynomialRing, PrimeField, ZZ, parse_ring, poly_eval_at_zero
-from blockdet.verify import builtin_matrix, gen_satisfying
+from blockdet.verify import _from_mapping, builtin_matrix, gen_satisfying
 
 F10007 = PrimeField(10007)
 
@@ -44,39 +42,18 @@ def rand_block_matrix(ring, m, n, rng):
 
 
 class TestPermutation:
-    def test_identity_and_sign(self):
-        assert Permutation.identity(4).sign == 1
-        assert Permutation.transposition(4, 1, 3).sign == -1
-        assert Permutation((2, 3, 1)).sign == 1  # 3-cycle
-
-    def test_sign_matches_inversion_parity(self):
-        for perm, sign in signed_permutations(4):
-            assert Permutation(tuple(i + 1 for i in perm)).sign == sign
-
-    def test_compose_and_inverse(self):
-        rng = random.Random(0)
-        for _ in range(50):
-            images = list(range(1, 6))
-            rng.shuffle(images)
-            p = Permutation(tuple(images))
-            assert p.compose(p.inverse()) == Permutation.identity(5)
-            assert p.inverse().compose(p) == Permutation.identity(5)
-
-    def test_compose_order(self):
-        p = Permutation((2, 1, 3))
-        q = Permutation((1, 3, 2))
-        assert p.compose(q)(2) == p(q(2))
-
+    # Relabellings are plain tuples of 1-based images; the sign is
+    # matrix.permutation_sign (see test_signed_permutations).
     def test_from_mapping(self):
-        p = Permutation.from_mapping(4, {2: 3, 3: 4})
-        assert p(1) == 1 and p(2) == 3 and p(3) == 4 and p(4) == 2
+        p = _from_mapping(4, {2: 3, 3: 4})
+        assert p[0] == 1 and p[1] == 3 and p[2] == 4 and p[3] == 2
 
     def test_rejects_non_bijection(self):
+        g = cond_f(3)
         with pytest.raises(ValueError):
-            Permutation((1, 1, 2))
-
-    def test_enumeration(self):
-        assert len(list(permutations_of(4))) == 24
+            cond_col_permute(g, (1, 1, 2))
+        with pytest.raises(ValueError):
+            cond_row_permute(g, (1, 1, 2))
 
 
 def perm_sum_row_det(bm):

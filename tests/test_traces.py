@@ -10,7 +10,6 @@ from blockdet.ncdet import nc_row_det
 from blockdet.ring import PrimeField
 from blockdet.traces import (
     IDENTITY_CHECK_CAP,
-    CommRel,
     TracePoly,
     _identity_holds,
     _reindexed_det,
@@ -34,7 +33,7 @@ def letters_of(n):
 
 def rand_rel(n, rng, density=0.4):
     pairs = list(combinations(letters_of(n), 2))
-    return CommRel(n, frozenset(p for p in pairs if rng.random() < density))
+    return Condition(n, frozenset(p for p in pairs if rng.random() < density))
 
 
 def rand_word(n, rng, max_len=8):
@@ -70,7 +69,7 @@ class TestNormalForm:
             assert word_normal_form(w, rel) == tuple(sorted(w))
 
     def test_single_swap(self):
-        rel = CommRel(2, frozenset({(((2, 1)), ((2, 2)))}))
+        rel = Condition(2, frozenset({(((2, 1)), ((2, 2)))}))
         assert word_normal_form(((2, 2), (2, 1)), rel) == ((2, 1), (2, 2))
 
     def test_letter_out_of_range(self):
@@ -130,7 +129,7 @@ def relations(draw, max_n=5):
     n = draw(st.integers(min_value=1, max_value=max_n))
     density = draw(st.sampled_from((0.0, 0.2, 0.5, 0.8, 1.0)))
     rng = random.Random(draw(st.integers(0, 2**32)))
-    return CommRel(n, frozenset(p for p in combinations(letters_of(n), 2) if rng.random() < density))
+    return Condition(n, frozenset(p for p in combinations(letters_of(n), 2) if rng.random() < density))
 
 
 def _outcome(normal_form, word, rel):
@@ -186,7 +185,7 @@ class TestTraceEqual:
     def test_edge_present_vs_absent(self):
         u = ((2, 1), (3, 2))
         v = ((3, 2), (2, 1))
-        with_edge = CommRel(3, frozenset({((2, 1), (3, 2))}))
+        with_edge = Condition(3, frozenset({((2, 1), (3, 2))}))
         without = empty_condition(3)
         assert trace_equal(u, v, with_edge)
         assert not trace_equal(u, v, without)
@@ -217,7 +216,7 @@ class TestTracePoly:
         assert x * TracePoly.one(rel) == x
 
     def test_difference_of_squares_commuting(self):
-        rel = CommRel(2, frozenset({((1, 1), (1, 2))}))
+        rel = Condition(2, frozenset({((1, 1), (1, 2))}))
         g = TracePoly.from_word(rel, ((1, 1),))
         h = TracePoly.from_word(rel, ((1, 2),))
         prod = (g - h) * (g + h)
@@ -249,7 +248,6 @@ class TestTracePoly:
             TracePoly.one(empty_condition(2)) * TracePoly.one(complete_condition(2))
 
     def test_relation_is_a_condition(self):
-        assert CommRel is Condition
         words = {((2, 2), (2, 1)): 1, ((1, 1),): -2}
         built = cond_kappa(3)
         assert TracePoly(built, words) == TracePoly(Condition(3, frozenset(built.edges)), words)
@@ -276,7 +274,7 @@ class TestSymbolicRowDet:
 
     def test_family_edge_never_reorders_size2(self):
         free = symbolic_row_det(2, empty_condition(2))
-        rel = CommRel(2, frozenset({((2, 1), (2, 2))}))
+        rel = Condition(2, frozenset({((2, 1), (2, 2))}))
         under_family = symbolic_row_det(2, rel)
         assert set(free.terms) == set(under_family.terms)
 
@@ -455,7 +453,7 @@ def test_identity_checks_match_expansion(data):
         assert check_transpose_identity(n, c) == _expansion_verdict(n, cond_t_col(c, n), m, s)
     rel = cond_kappa(n)
     if missing is not None:
-        rel = CommRel(n, rel.edges - {missing})
+        rel = Condition(n, rel.edges - {missing})
     for i, j in combinations(range(2, n + 1), 2):
         m, s = maps[f"rowswap {i},{j}"]
         assert check_rowswap_identity(n, i, j, missing) == _expansion_verdict(n, rel, m, s), (i, j, missing)
@@ -495,7 +493,7 @@ class TestEvaluationHomomorphism:
         rel = cond_kappa(n)
         edges = set(rel.edges)
         edges.discard(((2, 1), (2, 2)))
-        rel = CommRel(n, frozenset(edges))
+        rel = Condition(n, frozenset(edges))
         for _ in range(5):
             assignment = self._assignment(n, rel, rng)
             blocks = [[assignment[(i, j)] for j in range(1, n + 1)] for i in range(1, n + 1)]

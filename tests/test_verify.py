@@ -20,7 +20,6 @@ from blockdet.verify import (
     builtin_matrix,
     check_identity,
     classify_size2,
-    counterexample_h,
     gen_satisfying,
     optimality_counterexample,
     optimality_scan,
@@ -181,15 +180,15 @@ class TestCampaigns:
 class TestCounterexamples:
     @pytest.mark.parametrize("h", ["h1", "h2", "h3", "h4"])
     def test_each_h_matrix_satisfies_and_fails(self, h):
-        bm = counterexample_h(h)
+        bm = builtin_matrix(h)
         assert matrix_satisfies(bm, cond_named(h))
         assert not check_identity(bm).equal
 
     def test_h_mapping(self):
-        assert counterexample_h("h1") == builtin_matrix("m1")
-        assert counterexample_h("h4") == builtin_matrix("m2")
-        assert counterexample_h("h2") == builtin_matrix("m3")
-        assert counterexample_h("h3") == builtin_matrix("m3swapped")
+        assert builtin_matrix("h1") == builtin_matrix("m1")
+        assert builtin_matrix("h4") == builtin_matrix("m2")
+        assert builtin_matrix("h2") == builtin_matrix("m3")
+        assert builtin_matrix("h3") == builtin_matrix("m3swapped")
 
     def test_m3_block_values(self):
         bm = builtin_matrix("m3")
@@ -198,7 +197,7 @@ class TestCounterexamples:
 
     def test_unknown_names(self):
         with pytest.raises(ValueError):
-            counterexample_h("h5")
+            builtin_matrix("h5")
         with pytest.raises(ValueError):
             builtin_matrix("nope")
 
