@@ -5,6 +5,13 @@ row-major order, and every kernel computes on them directly.  ``RingValue``
 is the API form: ``from_rows`` accepts it, and ``entry``, ``row_list`` and
 the determinants return it.
 
+Products are built one row at a time: row i of A*B is the sum of
+a[i][k] * (row k of B) over the nonzero a[i][k] only, so zero entries of A
+cost nothing.  Over ``int`` and ``mod:p`` the row sums are exact Python
+ints, reduced once per entry (``% p`` over ``mod:p``) rather than after
+every product.  ``commutes`` compares XY and YX row by row and stops at
+the first row that differs.
+
 Determinants are exact: a division-free O(k^4) method (Bird's sequence of
 triangular mutations) over rings without division, and ordinary Gaussian
 elimination over prime fields where division is available.
@@ -12,9 +19,10 @@ elimination over prime fields where division is available.
 
 from __future__ import annotations
 
-from itertools import combinations, permutations
+import operator
+from itertools import chain, combinations, permutations, repeat
 
-from .ring import PrimeField, Ring, RingMismatchError, RingValue, parse_ring
+from .ring import PolynomialRing, PrimeField, Ring, RingMismatchError, RingValue, parse_ring
 
 EXPANSION_CAP = 8
 
@@ -127,7 +135,7 @@ class Matrix:
         self._check_ring(other)
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} times {other.rows}x{other.cols}")
-        return Matrix(self.ring, self.rows, other.cols, _matmul_payload(self, other))
+        return Matrix(self.ring, self.rows, other.cols, chain.from_iterable(_product_rows(self, other)))
 
     def scale(self, s: RingValue) -> Matrix:
         if s.ring != self.ring:
@@ -158,29 +166,46 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols} over {self.ring.label}: [{body}])"
 
 
-def _matmul_payload(a: Matrix, b: Matrix) -> list:
-    """Row-major payloads of a * b."""
-    padd = a.ring.padd
-    pmul = a.ring.pmul
-    zero = a.ring.int_payload(0)
-    bcols = [b.entries[j :: b.cols] for j in range(b.cols)]
-    out = []
+def _product_rows(a: Matrix, b: Matrix):
+    """Rows of a * b as payload lists, one row at a time.
+
+    Row i is the sum of a[i][k] * (row k of b) over the nonzero a[i][k]
+    only.  Over ``int`` and ``mod:p`` the sums are exact Python ints,
+    reduced once per entry at the end (``% p`` over ``mod:p``); over
+    ``poly:`` the ring's own payload operations run in the same loop.
+    """
+    ring = a.ring
+    if isinstance(ring, PolynomialRing):
+        add, mul = ring.padd, ring.pmul
+    else:
+        add, mul = operator.add, operator.mul
+    p = ring.p if isinstance(ring, PrimeField) else None
+    brows = b._payload_rows()
+    zero_row = [ring.int_payload(0)] * b.cols
     for arow in a._payload_rows():
-        for bcol in bcols:
-            acc = zero
-            for x, y in zip(arow, bcol):
-                if x and y:
-                    acc = padd(acc, pmul(x, y))
-            out.append(acc)
-    return out
+        acc = None
+        for x, brow in zip(arow, brows):
+            if x:
+                prods = map(mul, repeat(x), brow)
+                acc = list(prods) if acc is None else list(map(add, acc, prods))
+        if acc is None:
+            yield zero_row
+        elif p is None:
+            yield acc
+        else:
+            yield [v % p for v in acc]
 
 
 def commutes(x: Matrix, y: Matrix) -> bool:
-    """Exact test that x*y == y*x, without building result matrices."""
+    """Exact test that x*y == y*x, one row at a time.
+
+    Row i of xy is compared with row i of yx, and the test stops at the
+    first row that differs, so neither product is built in full.
+    """
     x._check_ring(y)
     if not (x.is_square and y.is_square and x.rows == y.rows):
         raise ValueError("commutation test requires equal square shapes")
-    return _matmul_payload(x, y) == _matmul_payload(y, x)
+    return all(map(operator.eq, _product_rows(x, y), _product_rows(y, x)))
 
 
 def _det_bird(ring: Ring, rows) -> object:

@@ -19,6 +19,8 @@ from .matrix import BlockMatrix, Matrix, det_commutative
 from .ring import IntegerRing, PolynomialRing, poly_is_monic
 
 ROW_DET_CAP = 8
+# Largest block size m a campaign draws: its cost grows as m^3.
+BLOCK_SIZE_CAP = 64
 
 
 def nc_first_row_cofactors(bm: BlockMatrix) -> list[Matrix]:

@@ -33,7 +33,7 @@ from .conditions import (
     vertices,
 )
 from .matrix import BlockMatrix, Matrix, commutes, det_commutative
-from .ncdet import ROW_DET_CAP, nc_row_det
+from .ncdet import BLOCK_SIZE_CAP, ROW_DET_CAP, nc_row_det
 from .ring import (
     IntegerRing,
     PolynomialRing,
@@ -71,7 +71,7 @@ def _rand_int(ring: Ring, rng: random.Random) -> int:
 
 
 def _dense(ring: Ring, m: int, rng: random.Random) -> Matrix:
-    return Matrix.from_rows(ring, [[_rand_int(ring, rng) for _ in range(m)] for _ in range(m)])
+    return Matrix(ring, m, m, [ring.int_payload(_rand_int(ring, rng)) for _ in range(m * m)])
 
 
 def _scalar(ring: Ring, m: int, rng: random.Random) -> Matrix:
@@ -85,14 +85,13 @@ def _slot(ring: Ring, m: int, rng: random.Random, corner: int) -> Matrix:
     Perturbations in disjoint slots multiply to zero both ways, so such
     blocks commute across slots; blocks sharing a slot generically do not.
     """
-    rows = [[0] * m for _ in range(m)]
+    entries = [0] * (m * m)
     c = _rand_int(ring, rng)
-    for i in range(m):
-        rows[i][i] = c
+    entries[:: m + 1] = [c] * m
     for r in (corner, corner + 1):
         for col in (corner, corner + 1):
-            rows[r][col] += _rand_int(ring, rng)
-    return Matrix.from_rows(ring, rows)
+            entries[r * m + col] += _rand_int(ring, rng)
+    return Matrix(ring, m, m, [ring.int_payload(v) for v in entries])
 
 
 def _poly_in(x: Matrix, coeffs) -> Matrix:
@@ -257,6 +256,13 @@ def pick_generator(g: Condition, m: int) -> tuple[str, GenFn]:
 _RETRY_CAP = 32
 
 
+def _check_block_size(m: int) -> None:
+    if m < 2:
+        raise ValueError("block size must be at least 2")
+    if m > BLOCK_SIZE_CAP:
+        raise ValueError(f"block size m={m} exceeds the cap {BLOCK_SIZE_CAP}")
+
+
 def gen_satisfying(g: Condition, m: int, ring: Ring, seed: int) -> BlockMatrix:
     """Deterministic sample satisfying the condition, non-vacuously.
 
@@ -264,9 +270,14 @@ def gen_satisfying(g: Condition, m: int, ring: Ring, seed: int) -> BlockMatrix:
     redraws (bounded, seed-driven) only when its intended noncommuting
     witness pair degenerates.
     """
-    if m < 2:
-        raise ValueError("block size must be at least 2")
-    name, fn = pick_generator(g, m)
+    _check_block_size(m)
+    return _draw_satisfying(g, pick_generator(g, m), ring, seed)
+
+
+def _draw_satisfying(g: Condition, generator: tuple[str, GenFn], ring: Ring, seed: int) -> BlockMatrix:
+    """``gen_satisfying`` with the generator for g already picked, so a
+    campaign looks it up once rather than once per trial."""
+    name, fn = generator
     rng = random.Random(_mix64(seed))
     for _ in range(_RETRY_CAP):
         bm, witnesses = fn(ring, rng)
@@ -347,20 +358,19 @@ def run_campaign(
     """Run the identity check over seeded samples satisfying the condition."""
     if trials < 0:
         raise ValueError(f"trials must be non-negative, got {trials}")
-    if m < 2:
-        raise ValueError("block size must be at least 2")
+    _check_block_size(m)
     if g.n > ROW_DET_CAP:
         raise ValueError(f"condition size n={g.n} exceeds the row-determinant cap {ROW_DET_CAP}")
-    name, _ = pick_generator(g, m)
+    generator = pick_generator(g, m)
 
     def trial(sub_seed: int):
-        bm = gen_satisfying(g, m, ring, sub_seed)
+        bm = _draw_satisfying(g, generator, ring, sub_seed)
         result = check_identity(bm)
         return bm, result.lhs, result.rhs
 
     return _run_trials(
         trials, seed, trial,
-        condition_id=condition_id, condition=g, m=m, ring_label=ring.label, generator=name,
+        condition_id=condition_id, condition=g, m=m, ring_label=ring.label, generator=generator[0],
     )
 
 

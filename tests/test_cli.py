@@ -189,6 +189,7 @@ def test_usage_error_exit_code(capsys):
         ("campaign", "--family", "f", "--n", "300", "--m", "2", "--trials", "0"),
         ("symbolic", "--check", "rowswap", "--n", "3", "--i", "2", "--j", "3", "--missing", ""),
         ("counterexample", "--name", "diff_row", "--n", "9"),
+        ("campaign", "--family", "f", "--n", "2", "--m", "65", "--trials", "1"),
     ],
 )
 def test_bad_size_or_trials_is_usage_error(capsys, argv):
@@ -203,10 +204,16 @@ def test_bad_size_or_trials_is_usage_error(capsys, argv):
 def test_generator_failure_is_usage_error(capsys, monkeypatch):
     import blockdet.verify
 
-    def failing(*args, **kwargs):
-        raise RuntimeError("generator 'x' failed to produce a non-vacuous sample")
+    def fully_commuting(g, m):
+        # Every block is a polynomial in one matrix, so the witness pair
+        # always commutes and every redraw is vacuous.
+        def fn(ring, rng):
+            bm, _ = blockdet.verify._gen_commutative(g.n, m, ring, rng)
+            return bm, [((1, 1), (2, 1))]
 
-    monkeypatch.setattr(blockdet.verify, "gen_satisfying", failing)
+        return "x", fn
+
+    monkeypatch.setattr(blockdet.verify, "pick_generator", fully_commuting)
     code, out, err = run(capsys, "campaign", "--family", "f", "--n", "2", "--m", "4")
     assert code == 2
     assert out == ""

@@ -21,6 +21,7 @@ from blockdet.matrix import (
     signed_permutations,
 )
 from blockdet.ring import PolynomialRing, PrimeField, RingMismatchError, RingValue, ZZ
+from blockdet.verify import _slot
 
 F7 = PrimeField(7)
 F10007 = PrimeField(10007)
@@ -264,7 +265,7 @@ def test_from_rows_and_parse_build_equal_matrices(ring, rows, text):
 
 # --- differential tests: fast paths against slow, independent oracles --------
 
-DIFF_RINGS = [ZZ, PrimeField(2), F10007, PZ]
+DIFF_RINGS = [ZZ, PrimeField(2), F10007, PrimeField(2**61 - 1), PZ]
 
 
 def ring_elements(ring):
@@ -317,13 +318,27 @@ def test_unboxed_kernel_matches_ring_value_arithmetic(data):
     assert value_rows(x.scale(s)) == [[s * a for a in row] for row in xv]
     assert value_rows(x.transpose()) == [list(col) for col in zip(*xv)]
 
-    q = data.draw(matrices(ring, r, r), label="q")
+    # commutes up to 8x8, on slot blocks whose 2x2 corners are shared,
+    # overlapping or disjoint, and against a commuting partner (q squared)
+    # with its last row perturbed, so the first differing row comes late.
+    d = data.draw(st.integers(1, 8), label="d")
+    slots = (
+        st.builds(_slot, st.just(ring), st.just(d), st.randoms(use_true_random=False),
+                  st.integers(0, d - 2))
+        if d >= 2
+        else st.nothing()
+    )
+    q = data.draw(matrices(ring, d, d) | slots, label="q")
+    square = oracle_product(q, q)
+    bumped = square[:-1] + [[e + ring.one for e in square[-1]]]
     w = data.draw(
         st.one_of(
-            matrices(ring, r, r),
+            matrices(ring, d, d),
             st.just(q),
-            st.just(Matrix.identity(ring, r).scale(s)),
-            st.just(Matrix.from_rows(ring, oracle_product(q, q))),
+            st.just(Matrix.identity(ring, d).scale(s)),
+            st.just(Matrix.from_rows(ring, square)),
+            slots,
+            st.just(Matrix.from_rows(ring, bumped)),
         ),
         label="w",
     )

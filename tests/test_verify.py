@@ -172,6 +172,19 @@ class TestCampaigns:
         with pytest.raises(ValueError):
             run_campaign(cond_f(2), 1, F10007, 0, seed=1)
 
+    def test_generator_is_picked_once_per_campaign(self, monkeypatch):
+        import blockdet.verify
+
+        calls = []
+
+        def counting(g, m):
+            calls.append((g, m))
+            return pick_generator(g, m)
+
+        monkeypatch.setattr(blockdet.verify, "pick_generator", counting)
+        assert run_campaign(cond_f(2), 4, F10007, 5, seed=1).failures == 0
+        assert calls == [(cond_f(2), 4)]
+
     def test_condition_past_the_row_determinant_cap_rejected(self):
         with pytest.raises(ValueError):
             run_campaign(cond_f(9), 2, F10007, 0, seed=1)
