@@ -1,7 +1,7 @@
 """Dense matrices over a single exact ring, plus the block-matrix view.
 
-A matrix stores its entries as the ring's canonical payloads, flat and in
-row-major order, and every kernel computes on them directly.  ``RingValue``
+A matrix stores its entries as a tuple of row tuples of the ring's canonical
+payloads, and every kernel computes on those rows directly.  ``RingValue``
 is the API form: ``from_rows`` accepts it, and ``entry``, ``row_list`` and
 the determinants return it.
 
@@ -46,21 +46,23 @@ def signed_permutations(n: int):
 class Matrix:
     """A rows x cols matrix over ``ring``.
 
-    ``entries`` is a flat row-major tuple of canonical payloads of ``ring``
-    (ints for ``int`` and ``mod:p``, coefficient tuples for ``poly:v``).
-    Build from ints or ``RingValue``s with ``from_rows``.
+    ``entries`` is a tuple of row tuples of canonical payloads of ``ring``
+    (ints for ``int`` and ``mod:p``, coefficient tuples for ``poly:v``);
+    the shape is read from it.  Build from ints or ``RingValue``s with
+    ``from_rows``.
     """
 
     __slots__ = ("ring", "rows", "cols", "entries")
 
-    def __init__(self, ring: Ring, rows: int, cols: int, entries):
-        entries = tuple(entries)
-        if len(entries) != rows * cols:
-            raise ValueError(f"expected {rows * cols} entries, got {len(entries)}")
-        if entries and isinstance(entries[0], RingValue):
+    def __init__(self, ring: Ring, entries):
+        entries = tuple(map(tuple, entries))
+        cols = len(entries[0]) if entries else 0
+        if any(len(row) != cols for row in entries):
+            raise ValueError("ragged rows")
+        if cols and isinstance(entries[0][0], RingValue):
             raise TypeError("Matrix entries are canonical payloads; use Matrix.from_rows for ring values")
         object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "rows", len(entries))
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "entries", entries)
 
@@ -70,44 +72,34 @@ class Matrix:
     @classmethod
     def from_rows(cls, ring: Ring, rows) -> Matrix:
         """Build a matrix from nested sequences of ints or ring values."""
-        rows = [list(r) for r in rows]
-        nrows = len(rows)
-        ncols = len(rows[0]) if rows else 0
-        entries = []
-        for r in rows:
-            if len(r) != ncols:
-                raise ValueError("ragged rows")
-            for e in r:
-                if not isinstance(e, RingValue):
-                    entries.append(ring.canonical(ring.int_payload(e)))
-                elif e.ring != ring:
-                    raise RingMismatchError("matrix entries must share the ring")
-                else:
-                    entries.append(e.payload)
-        return cls(ring, nrows, ncols, entries)
+
+        def payload(e):
+            if not isinstance(e, RingValue):
+                return ring.canonical(ring.int_payload(e))
+            if e.ring != ring:
+                raise RingMismatchError("matrix entries must share the ring")
+            return e.payload
+
+        return cls(ring, [map(payload, row) for row in rows])
 
     @classmethod
     def identity(cls, ring: Ring, k: int) -> Matrix:
         one, zero = ring.int_payload(1), ring.int_payload(0)
-        return cls(ring, k, k, [one if i == j else zero for i in range(k) for j in range(k)])
+        return cls(ring, [[one if i == j else zero for j in range(k)] for i in range(k)])
 
     @classmethod
     def zeros(cls, ring: Ring, rows: int, cols: int) -> Matrix:
-        return cls(ring, rows, cols, [ring.int_payload(0)] * (rows * cols))
+        return cls(ring, [(ring.int_payload(0),) * cols] * rows)
 
     @property
     def is_square(self) -> bool:
         return self.rows == self.cols
 
     def entry(self, i: int, j: int) -> RingValue:
-        return RingValue(self.ring, self.entries[i * self.cols + j])
+        return RingValue(self.ring, self.entries[i][j])
 
     def row_list(self, i: int) -> list[RingValue]:
-        return [RingValue(self.ring, p) for p in self.entries[i * self.cols : (i + 1) * self.cols]]
-
-    def _payload_rows(self) -> list[tuple]:
-        c = self.cols
-        return [self.entries[i * c : (i + 1) * c] for i in range(self.rows)]
+        return [RingValue(self.ring, p) for p in self.entries[i]]
 
     def _check_ring(self, other: Matrix) -> None:
         if self.ring != other.ring:
@@ -118,56 +110,50 @@ class Matrix:
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in addition")
         padd = self.ring.padd
-        return Matrix(self.ring, self.rows, self.cols, [padd(a, b) for a, b in zip(self.entries, other.entries)])
+        return Matrix(self.ring, [tuple(map(padd, a, b)) for a, b in zip(self.entries, other.entries)])
 
     def __sub__(self, other: Matrix) -> Matrix:
         self._check_ring(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in subtraction")
         psub = self.ring.psub
-        return Matrix(self.ring, self.rows, self.cols, [psub(a, b) for a, b in zip(self.entries, other.entries)])
+        return Matrix(self.ring, [tuple(map(psub, a, b)) for a, b in zip(self.entries, other.entries)])
 
     def __neg__(self) -> Matrix:
         pneg = self.ring.pneg
-        return Matrix(self.ring, self.rows, self.cols, [pneg(a) for a in self.entries])
+        return Matrix(self.ring, [tuple(map(pneg, row)) for row in self.entries])
 
     def __mul__(self, other: Matrix) -> Matrix:
         self._check_ring(other)
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} times {other.rows}x{other.cols}")
-        return Matrix(self.ring, self.rows, other.cols, chain.from_iterable(_product_rows(self, other)))
+        return Matrix(self.ring, _product_rows(self, other))
 
     def scale(self, s: RingValue) -> Matrix:
         if s.ring != self.ring:
             raise RingMismatchError("scalar from a different ring")
         pmul = self.ring.pmul
         sp = s.payload
-        return Matrix(self.ring, self.rows, self.cols, [pmul(sp, a) for a in self.entries])
+        return Matrix(self.ring, [tuple(map(pmul, repeat(sp), row)) for row in self.entries])
 
     def transpose(self) -> Matrix:
-        c = self.cols
-        return Matrix(self.ring, c, self.rows, [e for j in range(c) for e in self.entries[j::c]])
+        return Matrix(self.ring, zip(*self.entries))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
             return NotImplemented
-        return (
-            self.ring == other.ring
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
+        return self.ring == other.ring and self.entries == other.entries
 
     def __hash__(self):
-        return hash((self.ring, self.rows, self.cols, self.entries))
+        return hash((self.ring, self.entries))
 
     def __repr__(self):
-        body = "; ".join(" ".join(map(self.ring.format_payload, row)) for row in self._payload_rows())
+        body = "; ".join(" ".join(map(self.ring.format_payload, row)) for row in self.entries)
         return f"Matrix({self.rows}x{self.cols} over {self.ring.label}: [{body}])"
 
 
 def _product_rows(a: Matrix, b: Matrix):
-    """Rows of a * b as payload lists, one row at a time.
+    """Rows of a * b as payload tuples, one row at a time.
 
     Row i is the sum of a[i][k] * (row k of b) over the nonzero a[i][k]
     only.  Over ``int`` and ``mod:p`` the sums are exact Python ints,
@@ -180,20 +166,19 @@ def _product_rows(a: Matrix, b: Matrix):
     else:
         add, mul = operator.add, operator.mul
     p = ring.p if isinstance(ring, PrimeField) else None
-    brows = b._payload_rows()
-    zero_row = [ring.int_payload(0)] * b.cols
-    for arow in a._payload_rows():
+    zero_row = (ring.int_payload(0),) * b.cols
+    for arow in a.entries:
         acc = None
-        for x, brow in zip(arow, brows):
+        for x, brow in zip(arow, b.entries):
             if x:
                 prods = map(mul, repeat(x), brow)
-                acc = list(prods) if acc is None else list(map(add, acc, prods))
+                acc = tuple(prods) if acc is None else tuple(map(add, acc, prods))
         if acc is None:
             yield zero_row
         elif p is None:
             yield acc
         else:
-            yield [v % p for v in acc]
+            yield tuple([v % p for v in acc])
 
 
 def commutes(x: Matrix, y: Matrix) -> bool:
@@ -284,7 +269,7 @@ def det_commutative(mat: Matrix) -> RingValue:
     """Exact determinant over the matrix's (commutative) base ring."""
     if not mat.is_square:
         raise ValueError("determinant of a non-square matrix")
-    return RingValue(mat.ring, _det_payload(mat.ring, mat._payload_rows()))
+    return RingValue(mat.ring, _det_payload(mat.ring, mat.entries))
 
 
 def det_expansion_oracle(mat: Matrix) -> RingValue:
@@ -298,7 +283,7 @@ def det_expansion_oracle(mat: Matrix) -> RingValue:
     padd = ring.padd
     psub = ring.psub
     pmul = ring.pmul
-    rows = mat._payload_rows()
+    rows = mat.entries
     total = ring.int_payload(0)
     one = ring.int_payload(1)
     for perm, sign in signed_permutations(k):
@@ -325,14 +310,16 @@ def cofactor_matrix(mat: Matrix) -> Matrix:
         return mat
     if k == 1:
         return Matrix.identity(ring, 1)
-    rows = mat._payload_rows()
+    rows = mat.entries
     out = []
     for i in range(k):
+        out_row = []
         for j in range(k):
             sub = [[rows[r][c] for c in range(k) if c != j] for r in range(k) if r != i]
             minor = _det_payload(ring, sub)
-            out.append(minor if (i + j) % 2 == 0 else ring.pneg(minor))
-    return Matrix(ring, k, k, out)
+            out_row.append(minor if (i + j) % 2 == 0 else ring.pneg(minor))
+        out.append(out_row)
+    return Matrix(ring, out)
 
 
 class BlockMatrix:
@@ -368,14 +355,11 @@ class BlockMatrix:
         return BlockMatrix(self.ring, self.m, self.n, rows)
 
     def flatten(self) -> Matrix:
-        m, n = self.m, self.n
-        entries = []
-        for bi in range(n):
-            for r in range(m):
-                for bj in range(n):
-                    blk = self.blocks[bi][bj]
-                    entries.extend(blk.entries[r * m : (r + 1) * m])
-        return Matrix(self.ring, m * n, m * n, entries)
+        # Row r of block row bi joins row r of each block in that block row.
+        return Matrix(
+            self.ring,
+            [chain.from_iterable(rows) for brow in self.blocks for rows in zip(*(b.entries for b in brow))],
+        )
 
     def transpose(self) -> BlockMatrix:
         # Block (i, j) of the transpose is the transpose of block (j, i).
@@ -427,16 +411,11 @@ def block_view(mat: Matrix, m: int) -> BlockMatrix:
     if m < 1 or mat.rows % m:
         raise ValueError(f"dimension {mat.rows} not divisible by block size {m}")
     n = mat.rows // m
-    blocks = []
-    for bi in range(n):
-        row = []
-        for bj in range(n):
-            entries = []
-            for r in range(m):
-                base = (bi * m + r) * mat.cols + bj * m
-                entries.extend(mat.entries[base : base + m])
-            row.append(Matrix(mat.ring, m, m, entries))
-        blocks.append(row)
+    bands = [mat.entries[bi * m : (bi + 1) * m] for bi in range(n)]
+    blocks = [
+        [Matrix(mat.ring, [row[bj * m : (bj + 1) * m] for row in band]) for bj in range(n)]
+        for band in bands
+    ]
     return BlockMatrix(mat.ring, m, n, blocks)
 
 
@@ -444,12 +423,12 @@ def block_view(mat: Matrix, m: int) -> BlockMatrix:
 
 def format_matrix(mat: Matrix) -> str:
     lines = [f"{mat.rows} {mat.cols} {mat.ring.label}"]
-    lines.extend(" ".join(map(mat.ring.format_payload, row)) for row in mat._payload_rows())
+    lines.extend(" ".join(map(mat.ring.format_payload, row)) for row in mat.entries)
     return "\n".join(lines) + "\n"
 
 
 def _parse_grid(lines, start: int, nrows: int, ncols: int, ring: Ring):
-    entries = []
+    rows = []
     for r in range(nrows):
         lineno = start + r
         if lineno >= len(lines):
@@ -457,12 +436,14 @@ def _parse_grid(lines, start: int, nrows: int, ncols: int, ring: Ring):
         tokens = lines[lineno].split()
         if len(tokens) != ncols:
             raise MatrixFormatError(f"line {lineno + 1}: expected {ncols} entries, got {len(tokens)}")
+        row = []
         for c, tok in enumerate(tokens):
             try:
-                entries.append(ring.canonical(ring.parse_payload(tok)))
+                row.append(ring.canonical(ring.parse_payload(tok)))
             except (ValueError, TypeError):
                 raise MatrixFormatError(f"line {lineno + 1}, column {c + 1}: bad entry {tok!r}") from None
-    return entries
+        rows.append(row)
+    return rows
 
 
 def parse_matrix(text: str) -> Matrix:
@@ -480,12 +461,12 @@ def parse_matrix(text: str) -> Matrix:
         raise MatrixFormatError(f"line 1: {exc}") from None
     if nrows < 1 or ncols < 1:
         raise MatrixFormatError("line 1: dimensions must be positive")
-    return Matrix(ring, nrows, ncols, _parse_grid(lines, 1, nrows, ncols, ring))
+    return Matrix(ring, _parse_grid(lines, 1, nrows, ncols, ring))
 
 
 def format_block_matrix(bm: BlockMatrix) -> str:
     lines = [f"{bm.m} {bm.n} {bm.ring.label}"]
-    lines.extend(" ".join(map(bm.ring.format_payload, row)) for row in bm.flatten()._payload_rows())
+    lines.extend(" ".join(map(bm.ring.format_payload, row)) for row in bm.flatten().entries)
     return "\n".join(lines) + "\n"
 
 
@@ -505,5 +486,5 @@ def parse_block_matrix(text: str) -> BlockMatrix:
     if m < 1 or n < 1:
         raise MatrixFormatError("line 1: block sizes must be positive")
     k = m * n
-    flat = Matrix(ring, k, k, _parse_grid(lines, 1, k, k, ring))
+    flat = Matrix(ring, _parse_grid(lines, 1, k, k, ring))
     return block_view(flat, m)

@@ -178,10 +178,9 @@ def bourbaki_trace(bm: BlockMatrix) -> BourbakiTrace:
     rz = PolynomialRing("z")
 
     def lift(block: Matrix, add_z_diag: bool) -> Matrix:
-        # Row-major index idx is on the diagonal when idx % (m + 1) == 0.
-        return Matrix(rz, m, m, [
-            rz.canonical([x, 1] if add_z_diag and idx % (m + 1) == 0 else [x])
-            for idx, x in enumerate(block.entries)
+        return Matrix(rz, [
+            [rz.canonical([x, 1] if add_z_diag and i == j else [x]) for j, x in enumerate(row)]
+            for i, row in enumerate(block.entries)
         ])
 
     shifted = BlockMatrix(

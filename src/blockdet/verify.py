@@ -71,7 +71,7 @@ def _rand_int(ring: Ring, rng: random.Random) -> int:
 
 
 def _dense(ring: Ring, m: int, rng: random.Random) -> Matrix:
-    return Matrix(ring, m, m, [ring.int_payload(_rand_int(ring, rng)) for _ in range(m * m)])
+    return Matrix(ring, [[ring.int_payload(_rand_int(ring, rng)) for _ in range(m)] for _ in range(m)])
 
 
 def _scalar(ring: Ring, m: int, rng: random.Random) -> Matrix:
@@ -85,13 +85,12 @@ def _slot(ring: Ring, m: int, rng: random.Random, corner: int) -> Matrix:
     Perturbations in disjoint slots multiply to zero both ways, so such
     blocks commute across slots; blocks sharing a slot generically do not.
     """
-    entries = [0] * (m * m)
     c = _rand_int(ring, rng)
-    entries[:: m + 1] = [c] * m
+    rows = [[c if i == j else 0 for j in range(m)] for i in range(m)]
     for r in (corner, corner + 1):
         for col in (corner, corner + 1):
-            entries[r * m + col] += _rand_int(ring, rng)
-    return Matrix(ring, m, m, [ring.int_payload(v) for v in entries])
+            rows[r][col] += _rand_int(ring, rng)
+    return Matrix(ring, [[ring.int_payload(v) for v in row] for row in rows])
 
 
 def _poly_in(x: Matrix, coeffs) -> Matrix:
@@ -673,7 +672,6 @@ def optimality_scan(
     n: int,
     campaign_trials: int = 60,
     seed: int = 20161004,
-    ring: Ring | None = None,
 ) -> OptimalityScanReport:
     """Check minimality of the row-one-free family at size n.
 
@@ -684,8 +682,7 @@ def optimality_scan(
     """
     if not 2 <= n <= 4:
         raise ValueError("scan supported for 2 <= n <= 4")
-    if ring is None:
-        ring = PrimeField(10007)
+    ring = PrimeField(10007)
     kappa = cond_kappa(n)
     fam = cond_f(n)
 

@@ -229,7 +229,20 @@ def test_from_rows_rejects_a_value_from_another_ring():
 
 def test_constructor_rejects_ring_values():
     with pytest.raises(TypeError):
-        Matrix(ZZ, 1, 1, [ZZ.one])
+        Matrix(ZZ, [[ZZ.one]])
+
+
+def test_constructor_takes_the_shape_from_the_rows():
+    with pytest.raises(ValueError, match="ragged"):
+        Matrix(ZZ, [[1, 2], [3]])
+    with pytest.raises(ValueError, match="ragged"):
+        Matrix.from_rows(ZZ, [[1, 2], [3]])
+    wide = Matrix(ZZ, [[1, 2, 3]])
+    assert (wide.rows, wide.cols) == (1, 3)
+    assert wide.entries == ((1, 2, 3),)
+    empty = Matrix.from_rows(ZZ, [])
+    assert (empty.rows, empty.cols) == (0, 0)
+    assert det_commutative(empty) == ZZ.one
 
 
 def test_from_rows_rejects_a_float():

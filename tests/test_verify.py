@@ -65,6 +65,20 @@ class TestCheckIdentity:
         assert result.equal and result.lhs == ZZ.one
 
 
+SAMPLE_CASES = [
+    (cond_f(2), 4),
+    (cond_f(3), 6),
+    (cond_f_side(2, 3), 6),
+    (cond_f_down(3, 3), 6),
+    (cond_kappa(2), 4),
+    (cond_named("g5"), 4),
+    (cond_named("h1"), 3),
+    (cond_named("h3"), 3),
+    (Condition(3, frozenset({(((2, 1)), ((3, 2)))})), 2),
+    (empty_condition(2), 2),
+]
+
+
 class TestGenerators:
     @pytest.mark.parametrize(
         "cond,m,name",
@@ -83,24 +97,18 @@ class TestGenerators:
     def test_dispatch(self, cond, m, name):
         assert pick_generator(cond, m)[0] == name
 
+    # The mod:10007 cases keep their plain ids; the other rings add their label.
     @pytest.mark.parametrize(
-        "cond,m",
+        "cond,m,ring",
         [
-            (cond_f(2), 4),
-            (cond_f(3), 6),
-            (cond_f_side(2, 3), 6),
-            (cond_f_down(3, 3), 6),
-            (cond_kappa(2), 4),
-            (cond_named("g5"), 4),
-            (cond_named("h1"), 3),
-            (cond_named("h3"), 3),
-            (Condition(3, frozenset({(((2, 1)), ((3, 2)))})), 2),
-            (empty_condition(2), 2),
+            pytest.param(cond, m, ring, id=f"cond{i}-{m}" + ("" if ring == F10007 else f"-{ring.label}"))
+            for ring in (F10007, ZZ, PrimeField(2), PolynomialRing("x"))
+            for i, (cond, m) in enumerate(SAMPLE_CASES)
         ],
     )
-    def test_samples_satisfy_their_condition(self, cond, m):
+    def test_samples_satisfy_their_condition(self, cond, m, ring):
         for seed in range(8):
-            bm = gen_satisfying(cond, m, F10007, seed=seed)
+            bm = gen_satisfying(cond, m, ring, seed=seed)
             assert matrix_satisfies(bm, cond)
 
     def test_samples_are_not_fully_commutative(self):
@@ -134,7 +142,7 @@ class TestGenerators:
     def test_integer_ring_samples(self):
         bm = gen_satisfying(cond_f(2), 4, ZZ, seed=8)
         assert matrix_satisfies(bm, cond_f(2))
-        assert all(abs(e) <= 6 for row in bm.blocks for b in row for e in b.entries)
+        assert all(abs(e) <= 6 for row in bm.blocks for b in row for r in b.entries for e in r)
 
 
 class TestCampaigns:
