@@ -35,6 +35,8 @@ class Condition:
     edges: frozenset[Edge]
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ValueError(f"condition size must be at least 1, got n={self.n}")
         canon = set()
         for u, v in self.edges:
             for i, j in (u, v):
@@ -122,38 +124,33 @@ def cond_t_row(r: int, n: int) -> Condition:
     return cond_transpose(cond_t_col(r, n))
 
 
+def _relabel(g: Condition, vertex_map) -> Condition:
+    # Condition orders each relabelled pair.
+    return Condition(g.n, frozenset((vertex_map(u), vertex_map(v)) for u, v in g.edges))
+
+
 def _relabelling(images: tuple[int, ...], n: int) -> tuple[int, ...]:
-    # Check that images permutes 1..k for some k <= n; extend it by the identity.
-    k = len(images)
-    if sorted(images) != list(range(1, k + 1)):
-        raise ValueError(f"{images} is not a permutation of 1..{k}")
-    if k > n:
-        raise ValueError(f"permutation degree {k} exceeds condition size {n}")
-    return tuple(images) + tuple(range(k + 1, n + 1))
+    if sorted(images) != list(range(1, n + 1)):
+        raise ValueError(f"{images} is not a permutation of 1..{n}")
+    return images
 
 
 def cond_col_permute(g: Condition, images: tuple[int, ...]) -> Condition:
-    """Relabel columns: column x becomes column images[x-1], where ``images`` is
-    a permutation of 1..k for some k <= n; columns after k stay in place."""
+    """Relabel columns: column x becomes column images[x-1], where ``images``
+    is a permutation of 1..n."""
     ap = _relabelling(images, g.n)
-    return Condition(
-        g.n,
-        frozenset(_edge((i, ap[j - 1]), (k, ap[l - 1])) for (i, j), (k, l) in g.edges),
-    )
+    return _relabel(g, lambda v: (v[0], ap[v[1] - 1]))
 
 
 def cond_row_permute(g: Condition, images: tuple[int, ...]) -> Condition:
-    """Relabel rows: row x becomes row images[x-1], where ``images`` is
-    a permutation of 1..k for some k <= n; rows after k stay in place."""
+    """Relabel rows: row x becomes row images[x-1], where ``images`` is a
+    permutation of 1..n."""
     ap = _relabelling(images, g.n)
-    return Condition(
-        g.n,
-        frozenset(_edge((ap[i - 1], j), (ap[k - 1], l)) for (i, j), (k, l) in g.edges),
-    )
+    return _relabel(g, lambda v: (ap[v[0] - 1], v[1]))
 
 
 def cond_transpose(g: Condition) -> Condition:
-    return Condition(g.n, frozenset(_edge((j, i), (l, k)) for (i, j), (k, l) in g.edges))
+    return _relabel(g, lambda v: (v[1], v[0]))
 
 
 def cond_union(g: Condition, h: Condition) -> Condition:
@@ -183,21 +180,25 @@ def cond_f_down(i: int, n: int) -> Condition:
     return cond_union(cond_transpose(cond_f_side(i, n)), cond_t_row(i, n))
 
 
-# Size-2 conditions by letter: A=(1,1), B=(1,2), C=(2,1), D=(2,2).
-_A, _B, _C, _D = (1, 1), (1, 2), (2, 1), (2, 2)
-_NAMED_SIZE2: dict[str, tuple[Edge, ...]] = {
-    "g1": (_edge(_C, _D),),
-    "g2": (_edge(_A, _D), _edge(_B, _D)),
-    "g3": (_edge(_A, _C), _edge(_B, _C)),
-    "g4": (_edge(_A, _B), _edge(_A, _D), _edge(_B, _C)),
-    "g5": (_edge(_A, _B), _edge(_A, _C), _edge(_B, _D)),
-    "h1": (_edge(_A, _D), _edge(_B, _C)),
-    "h2": (_edge(_A, _B), _edge(_A, _C), _edge(_A, _D)),
-    "h3": (_edge(_A, _B), _edge(_B, _C), _edge(_B, _D)),
-    "h4": (_edge(_A, _C), _edge(_B, _D)),
+# Size-2 conditions by letter pairs: A=(1,1), B=(1,2), C=(2,1), D=(2,2).
+_LETTERS = {"A": (1, 1), "B": (1, 2), "C": (2, 1), "D": (2, 2)}
+_NAMED_SIZE2: dict[str, tuple[str, ...]] = {
+    "g1": ("CD",),
+    "g2": ("AD", "BD"),
+    "g3": ("AC", "BC"),
+    "g4": ("AB", "AD", "BC"),
+    "g5": ("AB", "AC", "BD"),
+    "h1": ("AD", "BC"),
+    "h2": ("AB", "AC", "AD"),
+    "h3": ("AB", "BC", "BD"),
+    "h4": ("AC", "BD"),
 }
 
-VERTEX_LETTERS = {_A: "A", _B: "B", _C: "C", _D: "D"}
+
+def size2_condition(labels: tuple[str, ...]) -> Condition:
+    """The size-2 condition whose edges are the letter pairs ``labels``,
+    such as ("AC", "BD")."""
+    return Condition(2, frozenset((_LETTERS[a], _LETTERS[b]) for a, b in labels))
 
 
 def cond_named(name: str) -> Condition:
@@ -205,7 +206,7 @@ def cond_named(name: str) -> Condition:
     key = name.lower()
     if key not in _NAMED_SIZE2:
         raise ValueError(f"unknown size-2 condition {name!r}")
-    return Condition(2, frozenset(_NAMED_SIZE2[key]))
+    return size2_condition(_NAMED_SIZE2[key])
 
 
 def family_condition(family_id: str, n: int) -> Condition:
@@ -295,5 +296,5 @@ def parse_condition(text: str) -> Condition:
         if len(parts) != 4:
             raise ValueError(f"bad edge line {ln!r}")
         i, j, k, l = (int(p) for p in parts)
-        edges.add(_edge((i, j), (k, l)))
+        edges.add(((i, j), (k, l)))
     return Condition(n, frozenset(edges))

@@ -349,11 +349,6 @@ class BlockMatrix:
         """Block at 0-based position (i, j)."""
         return self.blocks[i][j]
 
-    def with_block(self, i: int, j: int, mat: Matrix) -> BlockMatrix:
-        rows = [list(row) for row in self.blocks]
-        rows[i][j] = mat
-        return BlockMatrix(self.ring, self.m, self.n, rows)
-
     def flatten(self) -> Matrix:
         # Row r of block row bi joins row r of each block in that block row.
         return Matrix(
@@ -369,23 +364,6 @@ class BlockMatrix:
             self.n,
             [[self.blocks[j][i].transpose() for j in range(self.n)] for i in range(self.n)],
         )
-
-    def __mul__(self, other: BlockMatrix) -> BlockMatrix:
-        if not isinstance(other, BlockMatrix):
-            return NotImplemented
-        if self.ring != other.ring or self.m != other.m or self.n != other.n:
-            raise ValueError("block shape or ring mismatch")
-        n = self.n
-        out = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = self.blocks[i][0] * other.blocks[0][j]
-                for t in range(1, n):
-                    acc = acc + self.blocks[i][t] * other.blocks[t][j]
-                row.append(acc)
-            out.append(row)
-        return BlockMatrix(self.ring, self.m, n, out)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BlockMatrix):

@@ -149,14 +149,13 @@ class BourbakiTrace:
     ``shifted`` is the input with the polynomial variable added to each
     diagonal entry of each diagonal block; ``eliminator`` is the identity
     with its first block column replaced by the first-row cofactors of the
-    shifted matrix; ``product`` is their product, whose first column must
+    shifted matrix, so the first column of shifted times eliminator must
     collapse to (Det, 0, ..., 0)^t; ``tail`` is the shifted matrix without
     its first block row and column.
     """
 
     shifted: BlockMatrix
     eliminator: BlockMatrix
-    product: BlockMatrix
     tail: BlockMatrix
     shifted_det: Matrix
     checks: BourbakiChecks
@@ -198,13 +197,8 @@ def bourbaki_trace(bm: BlockMatrix) -> BourbakiTrace:
             for i in range(n)
         ],
     )
-    product = shifted * eliminator
     shifted_det = _row_times(shifted.blocks[0], cofs)
-
-    expected = shifted.with_block(0, 0, shifted_det)
-    for i in range(1, n):
-        expected = expected.with_block(i, 0, zero)
-    first_column_collapse = product == expected
+    first_column_collapse = cofactor_column_check(shifted)
 
     tail = BlockMatrix(
         rz, m, n - 1,
@@ -225,7 +219,6 @@ def bourbaki_trace(bm: BlockMatrix) -> BourbakiTrace:
     return BourbakiTrace(
         shifted=shifted,
         eliminator=eliminator,
-        product=product,
         tail=tail,
         shifted_det=shifted_det,
         checks=BourbakiChecks(

@@ -17,7 +17,6 @@ from itertools import combinations
 from typing import Callable, NamedTuple
 
 from .conditions import (
-    VERTEX_LETTERS,
     Condition,
     complete_condition,
     cond_f,
@@ -30,6 +29,7 @@ from .conditions import (
     cond_row_permute,
     is_subgraph,
     matrix_satisfies,
+    size2_condition,
     vertices,
 )
 from .matrix import BlockMatrix, Matrix, commutes, det_commutative
@@ -433,12 +433,6 @@ BUILTIN_NAMES = ("m1", "m2", "m3", "m3swapped", "h1", "h2", "h3", "h4", "same_ro
 # --- classification of all size-2 conditions ----------------------------------
 
 _EDGE_ORDER = ("AB", "AC", "AD", "BC", "BD", "CD")
-_LETTER_TO_VERTEX = {v: k for k, v in VERTEX_LETTERS.items()}
-
-
-def _edge_from_label(label: str):
-    # Condition puts the pair in order.
-    return _LETTER_TO_VERTEX[label[0]], _LETTER_TO_VERTEX[label[1]]
 
 
 @dataclass(frozen=True)
@@ -489,7 +483,7 @@ def classify_size2() -> Size2Classification:
     records = []
     for mask in range(64):
         labels = tuple(lbl for b, lbl in enumerate(_EDGE_ORDER) if mask >> b & 1)
-        cond = Condition(2, frozenset(_edge_from_label(lbl) for lbl in labels))
+        cond = size2_condition(labels)
         witness = next((nm for nm, g in minimal if is_subgraph(g, cond)), None)
         if witness is not None:
             records.append(GraphRecord(labels, cond, True, witness, None, None, None))
@@ -530,7 +524,7 @@ def silvester_check(
     v = variant.lower()
     if v not in _SILVESTER_EDGE:
         raise ValueError(f"variant must be one of a, b, c, got {variant!r}")
-    cond = Condition(2, frozenset({_edge_from_label(_SILVESTER_EDGE[v])}))
+    cond = size2_condition((_SILVESTER_EDGE[v],))
 
     def trial(sub_seed: int):
         rng = random.Random(_mix64(sub_seed))
@@ -686,35 +680,35 @@ def optimality_scan(
     kappa = cond_kappa(n)
     fam = cond_f(n)
 
+    # Per case: kappa without the canonical edge, and the witness's three
+    # verdicts on it.  A diff_row edge joins rows 2 and 3, so n >= 3 there.
+    verdicts = {}
     records = []
     for edge in sorted(fam.edges):
         (r1, c1), (r2, c2) = edge
         col_map = _from_mapping(n, {c1: 1, c2: 2})
         if r1 == r2:
-            case = "same_row"
+            case, canonical = "same_row", CANONICAL_SAME_ROW
             row_map = _from_mapping(n, {r1: 2})
-            canonical = CANONICAL_SAME_ROW
         else:
-            case = "diff_row"
+            case, canonical = "diff_row", CANONICAL_DIFF_ROW
             row_map = _from_mapping(n, {r1: 2, r2: 3})
-            canonical = CANONICAL_DIFF_ROW
-        mapped = cond_row_permute(cond_col_permute(cond_minus_edge(kappa, edge), col_map), row_map)
-        mapped_ok = mapped == cond_minus_edge(kappa, canonical)
-
-        if case == "same_row" or n >= 3:
+        if case not in verdicts:
+            target = cond_minus_edge(kappa, canonical)
             witness = optimality_counterexample(case, n)
-            satisfies = matrix_satisfies(witness.matrix, cond_minus_edge(kappa, canonical))
-            dichotomy = (
-                poly_degree(witness.det_of_ncdet) >= 1 and poly_degree(witness.det_flat) <= 0
+            verdicts[case] = (
+                target,
+                matrix_satisfies(witness.matrix, target),
+                poly_degree(witness.det_of_ncdet) >= 1 and poly_degree(witness.det_flat) <= 0,
+                witness.det_flat != witness.det_of_ncdet,
             )
-            fails = witness.det_flat != witness.det_of_ncdet
-        else:
-            satisfies = dichotomy = fails = False
+        target, satisfies, dichotomy, fails = verdicts[case]
+        mapped = cond_row_permute(cond_col_permute(cond_minus_edge(kappa, edge), col_map), row_map)
         records.append(
             EdgeCaseRecord(
                 edge=edge,
                 case=case,
-                mapped_matches_canonical=mapped_ok,
+                mapped_matches_canonical=mapped == target,
                 witness_satisfies=satisfies,
                 degree_dichotomy=dichotomy,
                 identity_fails=fails,

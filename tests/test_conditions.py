@@ -318,6 +318,19 @@ class TestFamilyIds:
 def test_condition_text_roundtrip():
     for g in (cond_f(3), cond_kappa(2), empty_condition(2), cond_f_side(2, 4)):
         assert parse_condition(format_condition(g)) == g
+    # Lines written higher vertex first, or more than once, name the same edges.
+    for g in (cond_f(3), cond_t_col(2, 3), cond_named("g4")):
+        lines = [f"{k} {l} {i} {j}" for (i, j), (k, l) in g.sorted_edges()]
+        text = format_condition(g) + "\n".join(lines + lines[:2]) + "\n"
+        assert parse_condition(text) == g
+        assert format_condition(parse_condition(text)) == format_condition(g)
+
+
+def test_condition_rejects_sizes_below_one():
+    for make in (lambda: parse_condition("0"), lambda: parse_condition("-3"),
+                 lambda: Condition(0, frozenset()), lambda: cond_f(-2)):
+        with pytest.raises(ValueError):
+            make()
 
 
 def test_commutes_is_the_irreflexive_edge_relation():

@@ -130,3 +130,8 @@ def test_optimality_reports(capsys):
     }
     for n, digest in digests.items():
         assert _sha(_cli(capsys, "optimality", "--n", str(n), "--trials", "5")) == digest
+
+
+def test_classify2_output(capsys):
+    # All 64 lines, each condition built from its letter pairs.
+    assert _sha(_cli(capsys, "classify2")) == "1a906fc7f9bd76312989f9e0d65faaead8ab7ab107e6b7f5dc5ccbc729594e2d"

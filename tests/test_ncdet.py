@@ -13,6 +13,7 @@ from blockdet.matrix import (
     signed_permutations,
 )
 from blockdet.ncdet import (
+    BourbakiChecks,
     bourbaki_trace,
     cofactor_column_check,
     nc_cofactor,
@@ -276,6 +277,12 @@ class TestCofactorColumnCheck:
 
 
 class TestBourbakiTrace:
+    def test_off_hypothesis_checks(self):
+        # M1 = [[A, B], [B, A]] breaks the identity and its first column does
+        # not collapse; the monic tail and the n = 2 induction step still hold.
+        checks = bourbaki_trace(builtin_matrix("m1")).checks
+        assert checks == BourbakiChecks(False, True, False, True, False)
+
     def test_scalar_blocks(self):
         bm = block_view(Matrix.from_rows(ZZ, [[1, 2], [3, 4]]), 1)
         trace = bourbaki_trace(bm)
