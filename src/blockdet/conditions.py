@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, starmap
 
-from .matrix import BlockMatrix, commutes
+from .matrix import BlockMatrix, shifted, shifted_commute
 from .ncdet import ROW_DET_CAP
 
 Vertex = tuple[int, int]
@@ -256,26 +256,40 @@ def is_subgraph(g: Condition, h: Condition) -> bool:
     return g.edges <= h.edges
 
 
+def block_commutation(bm: BlockMatrix):
+    """commute(u, v): whether the blocks of bm at positions u and v commute.
+
+    Each block is shifted (``matrix.shifted``) the first time a pair needs
+    it and kept for every later pair asked of the same function, so a
+    block is shifted once however many pairs it is in.
+    """
+    blocks, ring, forms = bm.blocks, bm.ring, {}
+
+    def form(v: Vertex) -> dict:
+        s = forms.get(v)
+        if s is None:
+            s = forms[v] = shifted(blocks[v[0] - 1][v[1] - 1])
+        return s
+
+    return lambda u, v: shifted_commute(ring, form(u), form(v))
+
+
 def commutativity_graph(bm: BlockMatrix) -> Condition:
     """Edge wherever two blocks commute exactly."""
-    blocks = bm.blocks
-    return _from_predicate(
-        bm.n, lambda u, v: commutes(blocks[u[0] - 1][u[1] - 1], blocks[v[0] - 1][v[1] - 1])
-    )
+    return _from_predicate(bm.n, block_commutation(bm))
 
 
 def matrix_satisfies(bm: BlockMatrix, g: Condition) -> bool:
     """True when every edge of g joins commuting blocks of bm.
 
     Equivalent to ``is_subgraph(g, commutativity_graph(bm))`` but only
-    examines the edges of g.
+    examines the edges of g, through ``block_commutation``: each block on
+    an edge is shifted once, and the test stops at the first edge whose
+    blocks do not commute.
     """
     if bm.n != g.n:
         raise ValueError(f"size mismatch: matrix n={bm.n}, condition n={g.n}")
-    for (i, j), (k, l) in g.edges:
-        if not commutes(bm.blocks[i - 1][j - 1], bm.blocks[k - 1][l - 1]):
-            return False
-    return True
+    return all(starmap(block_commutation(bm), g.edges))
 
 
 def format_condition(g: Condition) -> str:

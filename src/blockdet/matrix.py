@@ -9,8 +9,15 @@ Products are built one row at a time: row i of A*B is the sum of
 a[i][k] * (row k of B) over the nonzero a[i][k] only, so zero entries of A
 cost nothing.  Over ``int`` and ``mod:p`` the row sums are exact Python
 ints, reduced once per entry (``% p`` over ``mod:p``) rather than after
-every product.  ``commutes`` compares XY and YX row by row and stops at
-the first row that differs.
+every product.
+
+Commutation is tested on shifted blocks: XY = YX exactly when
+(X - cI)(Y - dI) = (Y - dI)(X - cI), for any scalars c and d.  ``shifted``
+subtracts a block's most common diagonal entry and keeps only the nonzero
+rows, so a scalar block keeps none and c*I plus a 2x2 perturbation keeps at
+most two.  ``shifted_commute`` compares the two products only on rows that
+are nonzero in either factor and stops at the first row that differs;
+``commutes`` runs it on two freshly shifted blocks.
 
 Determinants are exact: a division-free O(k^4) method (Bird's sequence of
 triangular mutations) over rings without division, and ordinary Gaussian
@@ -152,6 +159,15 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols} over {self.ring.label}: [{body}])"
 
 
+def _row_ops(ring: Ring):
+    """(add, mul, p) for sums of scaled payload rows: exact Python ints over
+    ``int`` and ``mod:p``, which the caller reduces ``% p`` once per entry
+    when p is not None, and the ring's own operations over ``poly:``."""
+    if isinstance(ring, PolynomialRing):
+        return ring.padd, ring.pmul, None
+    return operator.add, operator.mul, ring.p if isinstance(ring, PrimeField) else None
+
+
 def _product_rows(a: Matrix, b: Matrix):
     """Rows of a * b as payload tuples, one row at a time.
 
@@ -160,13 +176,8 @@ def _product_rows(a: Matrix, b: Matrix):
     reduced once per entry at the end (``% p`` over ``mod:p``); over
     ``poly:`` the ring's own payload operations run in the same loop.
     """
-    ring = a.ring
-    if isinstance(ring, PolynomialRing):
-        add, mul = ring.padd, ring.pmul
-    else:
-        add, mul = operator.add, operator.mul
-    p = ring.p if isinstance(ring, PrimeField) else None
-    zero_row = (ring.int_payload(0),) * b.cols
+    add, mul, p = _row_ops(a.ring)
+    zero_row = (a.ring.int_payload(0),) * b.cols
     for arow in a.entries:
         acc = None
         for x, brow in zip(arow, b.entries):
@@ -181,16 +192,72 @@ def _product_rows(a: Matrix, b: Matrix):
             yield tuple([v % p for v in acc])
 
 
-def commutes(x: Matrix, y: Matrix) -> bool:
-    """Exact test that x*y == y*x, one row at a time.
+def shifted(x: Matrix) -> dict[int, tuple]:
+    """The nonzero rows of x - cI by row index, for square x and c the most
+    common diagonal entry of x; on a tie, the one met first down the
+    diagonal."""
+    rows = x.entries
+    counts = {}
+    for i, row in enumerate(rows):
+        counts[row[i]] = counts.get(row[i], 0) + 1
+    # max keeps the first maximal key, and a dict keeps insertion order.
+    c = max(counts, key=counts.__getitem__, default=None)
+    zero = x.ring.int_payload(0)
+    psub = x.ring.psub
+    off_diagonal = len(rows) - 1
+    out = {}
+    for i, row in enumerate(rows):
+        d = row[i]
+        if d != c:
+            out[i] = row[:i] + (psub(d, c),) + row[i + 1 :]
+        elif row.count(zero) - (not d) < off_diagonal:
+            # A nonzero entry off the diagonal.
+            out[i] = row[:i] + (zero,) + row[i + 1 :]
+    return out
 
-    Row i of xy is compared with row i of yx, and the test stops at the
-    first row that differs, so neither product is built in full.
+
+def shifted_commute(ring: Ring, xs: dict[int, tuple], ys: dict[int, tuple]) -> bool:
+    """Whether X and Y commute, from their shifted rows xs and ys, those
+    of X' = X - cI and Y' = Y - dI.
+
+    Row i of X'Y' is the sum of X'[i][k] * (row k of Y') over the rows k
+    of ys, and it is zero unless i is a row of xs.  So only rows that are
+    nonzero in either factor are compared, and the test stops at the first
+    row that differs.  A scalar block (no rows) commutes with every block.
     """
+    if not xs or not ys:
+        return True
+    add, mul, p = _row_ops(ring)
+
+    def product_row(own, other):
+        # Row i of X'Y' from own = row i of X' and other = the rows of Y',
+        # or None when it is zero.
+        acc = None
+        for k, brow in other.items():
+            x = own[k]
+            if x:
+                prods = map(mul, repeat(x), brow)
+                acc = tuple(prods) if acc is None else tuple(map(add, acc, prods))
+        if acc is None:
+            return None
+        if p is not None:
+            acc = tuple([v % p for v in acc])
+        return acc if any(acc) else None
+
+    for i in xs.keys() | ys.keys():
+        xi, yi = xs.get(i), ys.get(i)
+        if (xi and product_row(xi, ys)) != (yi and product_row(yi, xs)):
+            return False
+    return True
+
+
+def commutes(x: Matrix, y: Matrix) -> bool:
+    """Exact test that x*y == y*x: ``shifted_commute`` on both blocks
+    shifted."""
     x._check_ring(y)
     if not (x.is_square and y.is_square and x.rows == y.rows):
         raise ValueError("commutation test requires equal square shapes")
-    return all(map(operator.eq, _product_rows(x, y), _product_rows(y, x)))
+    return shifted_commute(x.ring, shifted(x), shifted(y))
 
 
 def _det_bird(ring: Ring, rows) -> object:

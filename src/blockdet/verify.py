@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, starmap
 from typing import Callable, NamedTuple
 
 from .conditions import (
     Condition,
+    block_commutation,
     complete_condition,
     cond_f,
     cond_f_down,
@@ -32,7 +33,7 @@ from .conditions import (
     size2_condition,
     vertices,
 )
-from .matrix import BlockMatrix, Matrix, commutes, det_commutative
+from .matrix import BlockMatrix, Matrix, det_commutative
 from .ncdet import BLOCK_SIZE_CAP, ROW_DET_CAP, nc_row_det
 from .ring import (
     IntegerRing,
@@ -86,11 +87,14 @@ def _slot(ring: Ring, m: int, rng: random.Random, corner: int) -> Matrix:
     blocks commute across slots; blocks sharing a slot generically do not.
     """
     c = _rand_int(ring, rng)
-    rows = [[c if i == j else 0 for j in range(m)] for i in range(m)]
-    for r in (corner, corner + 1):
-        for col in (corner, corner + 1):
-            rows[r][col] += _rand_int(ring, rng)
-    return Matrix(ring, [[ring.int_payload(v) for v in row] for row in rows])
+    slot = [[(c if r == col else 0) + _rand_int(ring, rng) for col in (corner, corner + 1)]
+            for r in (corner, corner + 1)]
+    zero_row = (ring.int_payload(0),) * m
+    diagonal = (ring.int_payload(c),)
+    rows = [zero_row[:i] + diagonal + zero_row[i + 1 :] for i in range(m)]
+    for r, values in zip((corner, corner + 1), slot):
+        rows[r] = zero_row[:corner] + tuple(map(ring.int_payload, values)) + zero_row[corner + 2 :]
+    return Matrix(ring, rows)
 
 
 def _poly_in(x: Matrix, coeffs) -> Matrix:
@@ -282,10 +286,7 @@ def _draw_satisfying(g: Condition, generator: tuple[str, GenFn], ring: Ring, see
         bm, witnesses = fn(ring, rng)
         if not matrix_satisfies(bm, g):
             raise RuntimeError(f"generator {name!r} produced a non-satisfying sample")
-        if not witnesses or any(
-            not commutes(bm.blocks[u[0] - 1][u[1] - 1], bm.blocks[v[0] - 1][v[1] - 1])
-            for u, v in witnesses
-        ):
+        if not witnesses or not all(starmap(block_commutation(bm), witnesses)):
             return bm
     raise RuntimeError(f"generator {name!r} failed to produce a non-vacuous sample")
 

@@ -13,9 +13,9 @@ import sys
 from pathlib import Path
 
 from blockdet.cli import main
-from blockdet.conditions import cond_f, cond_f_down, cond_f_side, cond_named
+from blockdet.conditions import cond_f, cond_f_down, cond_f_side, cond_kappa, cond_named, cond_t_col
 from blockdet.matrix import format_block_matrix
-from blockdet.ring import ZZ, PrimeField
+from blockdet.ring import ZZ, PolynomialRing, PrimeField
 from blockdet.verify import gen_satisfying, pick_generator, silvester_check
 
 F10007 = PrimeField(10007)
@@ -66,6 +66,22 @@ def test_f_and_down_slots_samples():
     for g, name, digest in cases:
         assert pick_generator(g, 6)[0] == name
         assert _sha(format_block_matrix(gen_satisfying(g, 6, F10007, seed=7))) == digest
+
+
+def test_witness_retries_and_other_rings():
+    # Over mod:2 the first draws of these three commute on every witness
+    # pair, so the sample pinned is the one after 1, 3 and 2 retries.
+    f2 = PrimeField(2)
+    cases = [
+        (cond_named("g5"), 4, f2, 0, "286fa13773dcae2aa035272db1d6bcf9d6ae9ec7958ef6af27c23d42f43c4dea"),
+        (cond_t_col(1, 3), 3, f2, 2, "95fdc71475686059bd8cfb6ce7672ac44c719bf7e3f20f561222594a15885ac8"),
+        (cond_kappa(2), 2, f2, 0, "e86aa13fc11cde600be4498b9266ecad1846ebf3d2e39d76527592203f300b14"),
+        (cond_f_side(2, 3), 6, ZZ, 4, "697e4b2d78a94b71da60ad80db7610c550795955c27a07c79eff6233921f2489"),
+        (cond_kappa(3), 4, PolynomialRing("x"), 4,
+         "47f57d7c730fddf11c65ef4803f94db82588725ead7c7838d5be281b359d30dd"),
+    ]
+    for g, m, ring, seed, digest in cases:
+        assert _sha(format_block_matrix(gen_satisfying(g, m, ring, seed))) == digest, (g, m, ring.label, seed)
 
 
 def test_silvester_control_report():

@@ -1,8 +1,17 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from blockdet.conditions import (
+    Condition,
+    commutativity_graph,
+    family_condition,
+    is_subgraph,
+    matrix_satisfies,
+    vertices,
+)
 from blockdet.matrix import (
     BlockMatrix,
     Matrix,
@@ -18,10 +27,11 @@ from blockdet.matrix import (
     format_matrix,
     parse_block_matrix,
     parse_matrix,
+    shifted,
     signed_permutations,
 )
 from blockdet.ring import PolynomialRing, PrimeField, RingMismatchError, RingValue, ZZ
-from blockdet.verify import _slot
+from blockdet.verify import _slot, gen_satisfying
 
 F7 = PrimeField(7)
 F10007 = PrimeField(10007)
@@ -148,6 +158,46 @@ def test_commutes():
     x = Matrix.from_rows(ZZ, [[1, 2], [3, 4]])
     assert commutes(x, x * x)
     assert not commutes(x, Matrix.from_rows(ZZ, [[0, 1], [0, 0]]))
+
+
+def test_scalar_zero_and_one_by_one_blocks_shift_to_no_rows():
+    for ring in (ZZ, F7, PZ):
+        scalar = Matrix.identity(ring, 3).scale(ring.from_int(5))
+        zero = Matrix.zeros(ring, 3, 3)
+        assert shifted(scalar) == shifted(zero) == shifted(Matrix.zeros(ring, 0, 0)) == {}
+        other = rand_matrix(ring, 3, 3, random.Random(1))
+        assert commutes(scalar, other) and commutes(other, zero) and commutes(zero, scalar)
+        for k in (0, 1, -2):
+            x = Matrix.from_rows(ring, [[k]])
+            assert shifted(x) == {}
+            assert commutes(x, Matrix.from_rows(ring, [[3]]))
+
+
+def test_shift_is_the_most_common_diagonal_entry():
+    x = Matrix.from_rows(ZZ, [[0, 1], [0, 0]])
+    assert shifted(x) == {0: (0, 1)}
+    x = Matrix.from_rows(ZZ, [[4, 0, 0], [0, 7, 0], [2, 0, 7]])
+    assert shifted(x) == {0: (-3, 0, 0), 2: (2, 0, 0)}
+
+
+def test_diagonal_ties_shift_by_the_first_tied_entry():
+    diag = Matrix.from_rows(ZZ, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]])
+    assert shifted(diag) == {2: (0, 0, 1, 0), 3: (0, 0, 0, 1)}
+    reversed_diag = Matrix.from_rows(F7, [[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    assert shifted(reversed_diag) == {2: (0, 0, 6, 0), 3: (0, 0, 0, 6)}
+    assert shifted(Matrix.from_rows(ZZ, [[3, 0, 0], [0, 1, 0], [0, 0, 2]])) == {
+        1: (0, -2, 0),
+        2: (0, 0, -1),
+    }
+    # Whichever tied entry is the shift, the verdict is the product oracle's.
+    rng = random.Random(4)
+    for ring in (ZZ, F7, PZ):
+        tied = Matrix.from_rows(ring, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]])
+        blocks = [tied, _slot(ring, 4, rng, 0), _slot(ring, 4, rng, 1), _slot(ring, 4, rng, 2),
+                  rand_matrix(ring, 4, 4, rng), Matrix.identity(ring, 4)]
+        for x in blocks:
+            for y in blocks:
+                assert commutes(x, y) == (oracle_product(x, y) == oracle_product(y, x))
 
 
 def test_block_flatten_single():
@@ -389,3 +439,36 @@ def test_det_matches_sympy():
                 mat = rand_matrix(ring, k, k, rng)
                 want = sympy.Matrix(k, k, lambda i, j: to_sympy(mat.entry(i, j))).det()
                 assert sympy.expand(want - to_sympy(det_commutative(mat))) == 0, (ring.label, k)
+
+
+SAMPLE_RINGS = [ZZ, PrimeField(2), F10007, PolynomialRing("x")]
+FAMILY_IDS = ["f", "kappa", "complete", "empty", "side", "down", "tcol", "trow",
+              "g1", "g2", "g3", "g4", "g5", "h1", "h2", "h3", "h4"]
+
+
+def oracle_graph(bm):
+    """The commutativity graph of bm from ``oracle_product`` alone."""
+    n = bm.n
+    return Condition(n, frozenset(
+        (u, v)
+        for u, v in combinations(vertices(n), 2)
+        if oracle_product(bm.block(u[0] - 1, u[1] - 1), bm.block(v[0] - 1, v[1] - 1))
+        == oracle_product(bm.block(v[0] - 1, v[1] - 1), bm.block(u[0] - 1, u[1] - 1))
+    ))
+
+
+@settings(max_examples=75, deadline=None)
+@given(data=st.data())
+def test_generated_samples_satisfy_by_the_product_oracle(data):
+    family = data.draw(st.sampled_from(FAMILY_IDS), label="family")
+    n = 2 if family.startswith(("g", "h")) else data.draw(st.integers(1, 4), label="n")
+    if family in ("side", "down", "tcol", "trow"):
+        family = f"{family}:{data.draw(st.integers(1, n), label='k')}"
+    g = family_condition(family, n)
+    m = data.draw(st.integers(2, max(2, 2 * n)), label="m")
+    ring = data.draw(st.sampled_from(SAMPLE_RINGS), label="ring")
+    seed = data.draw(st.integers(0, 2**64 - 1), label="seed")
+    bm = gen_satisfying(g, m, ring, seed)
+    oracle = oracle_graph(bm)
+    assert matrix_satisfies(bm, g) == is_subgraph(g, oracle)
+    assert commutativity_graph(bm) == oracle
