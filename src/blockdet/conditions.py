@@ -9,7 +9,6 @@ transpose transforms, and edge-union live here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import combinations, starmap
 
 from .matrix import BlockMatrix, shifted, shifted_commute
@@ -49,21 +48,6 @@ class Condition:
         """Whether u and v are joined; False for u == v: a letter never
         passes itself."""
         return u != v and _edge(u, v) in self.edges
-
-    @cached_property
-    def letter_masks(self) -> tuple[dict[Vertex, int], tuple[int, ...]]:
-        """(index, dep) for the trace-monoid kernel: index numbers the
-        positions in the (row, col) order of ``vertices``, and dep[x] has a
-        bit for every letter that does not commute with letter x, x
-        included."""
-        n = self.n
-        index = {v: x for x, v in enumerate(vertices(n))}
-        dep = [(1 << n * n) - 1] * (n * n)
-        for u, v in self.edges:
-            a, b = index[u], index[v]
-            dep[a] &= ~(1 << b)
-            dep[b] &= ~(1 << a)
-        return index, tuple(dep)
 
     def __len__(self) -> int:
         return len(self.edges)

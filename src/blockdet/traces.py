@@ -1,24 +1,17 @@
-"""Free partially-commutative algebra over the integers.
+"""Trace-monoid words and the symbolic ordering identities.
 
 Words are sequences of grid positions (row, col); a commutation relation,
 the same ``Condition`` graph that matrices satisfy, declares which pairs of
-positions may swap when adjacent.  Polynomials keep their monomials in a
-canonical normal form, which makes equality of the symbolic determinant
-expansions decidable.
-
-The normal form is the lexicographically least word of the trace class.
-It runs on a bitmask kernel: ``Condition.letter_masks`` numbers the n*n
-positions in (row, col) order and gives each letter the bitmask of the
-letters it does not commute with, so one movability test is one ``&``.
-``trace_equal_by_projection`` stays on ``Condition.commutes`` as the
-independent check.
+positions may swap when adjacent.  ``word_normal_form`` gives the
+lexicographically least word of a trace class by a greedy scan, and
+``trace_equal_by_projection`` decides trace equality independently of it.
 
 The column-swap, transpose and row-swap ordering identities are decided
 without expanding either side: ``_identity_holds`` applies the identity's
 word map to every pair of letters in different rows and columns, O(n^4)
-pair tests instead of n! normal forms.  The n! expansion
-(``_reindexed_det`` compared with ``symbolic_row_det``) is the oracle the
-tests hold it to.
+pair tests instead of n! normal forms.  The n! expansion, a dict from
+normal form to coefficient (``_reindexed_det`` compared with
+``symbolic_row_det``), is the oracle the tests hold it to.
 """
 
 from __future__ import annotations
@@ -45,27 +38,20 @@ def word_normal_form(word: Word, rel: Condition) -> Word:
     """Lexicographically least representative of the word's trace class.
 
     Greedy: repeatedly emit the least letter that commutes with everything
-    before it.  Letters compare by (row, col), which is the order of their
-    numbers in ``rel.letter_masks``; letter x commutes with everything
-    before it when ``dep[x] & seen == 0``, where ``seen`` is the bitmask of
-    the letters before it.  Idempotent and length-preserving; dep[x] holds
-    x itself, so equal letters never pass each other.
+    before it, the first of equal letters on a tie.  Idempotent and
+    length-preserving; a letter never passes an equal one.
     """
-    index, dep = rel.letter_masks
-    try:
-        xs = [index[lt] for lt in word]
-    except KeyError as exc:
-        raise ValueError(f"letter {exc.args[0]} out of range for size {rel.n}") from None
+    _check_word(word, rel)
     letters = list(word)
     out: list[Letter] = []
-    while xs:
-        best, least, seen = 0, xs[0], 0
-        for pos, x in enumerate(xs):
-            if x < least and not dep[x] & seen:
-                best, least = pos, x
-            seen |= 1 << x
+    while letters:
+        best = 0
+        for idx in range(1, len(letters)):
+            lt = letters[idx]
+            # the order test is cheap, so it goes before the commutation scan
+            if lt < letters[best] and all(rel.commutes(lt, prev) for prev in letters[:idx]):
+                best = idx
         out.append(letters.pop(best))
-        del xs[best]
     return tuple(out)
 
 
@@ -93,137 +79,21 @@ def trace_equal_by_projection(u: Word, v: Word, rel: Condition) -> bool:
     return True
 
 
-def format_word(word: Word) -> str:
-    if not word:
-        return "1"
-    return "".join(f"({r},{c})" for r, c in word)
+def _reindexed_det(n: int, rel: Condition, word_map) -> dict[Word, int]:
+    """Sum of sign(pi) * word_map(w_pi) over the row-ordered words w_pi, as
+    a dict from normal form to its nonzero coefficient.
 
-
-class TracePoly:
-    """Integer linear combination of trace-monoid words."""
-
-    __slots__ = ("rel", "terms")
-
-    def __init__(self, rel: Condition, terms: dict[Word, int] | None = None, *, _normalized: bool = False):
-        if terms is None:
-            terms = {}
-        if not _normalized:
-            canon: dict[Word, int] = {}
-            for word, coeff in terms.items():
-                if not coeff:
-                    continue
-                key = word_normal_form(word, rel)
-                canon[key] = canon.get(key, 0) + coeff
-            terms = {w: c for w, c in canon.items() if c}
-        object.__setattr__(self, "rel", rel)
-        object.__setattr__(self, "terms", dict(terms))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TracePoly is immutable")
-
-    @property
-    def n(self) -> int:
-        return self.rel.n
-
-    @classmethod
-    def zero(cls, rel: Condition) -> TracePoly:
-        return cls(rel, {}, _normalized=True)
-
-    @classmethod
-    def one(cls, rel: Condition) -> TracePoly:
-        return cls(rel, {(): 1}, _normalized=True)
-
-    @classmethod
-    def from_word(cls, rel: Condition, word: Word, coeff: int = 1) -> TracePoly:
-        return cls(rel, {tuple(word): coeff})
-
-    def _check_rel(self, other: TracePoly) -> None:
-        if self.rel != other.rel:
-            raise ValueError("trace polynomials over different relations")
-
-    def __add__(self, other: TracePoly) -> TracePoly:
-        self._check_rel(other)
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            nc = out.get(w, 0) + c
-            if nc:
-                out[w] = nc
-            else:
-                out.pop(w, None)
-        return TracePoly(self.rel, out, _normalized=True)
-
-    def __neg__(self) -> TracePoly:
-        return TracePoly(self.rel, {w: -c for w, c in self.terms.items()}, _normalized=True)
-
-    def __sub__(self, other: TracePoly) -> TracePoly:
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            if other == 0:
-                return TracePoly.zero(self.rel)
-            return TracePoly(self.rel, {w: c * other for w, c in self.terms.items()}, _normalized=True)
-        self._check_rel(other)
-        out: dict[Word, int] = {}
-        rel = self.rel
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                key = word_normal_form(w1 + w2, rel)
-                nc = out.get(key, 0) + c1 * c2
-                if nc:
-                    out[key] = nc
-                else:
-                    out.pop(key, None)
-        return TracePoly(self.rel, out, _normalized=True)
-
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return self * other
-        return NotImplemented
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TracePoly):
-            return NotImplemented
-        return self.rel == other.rel and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.rel, frozenset(self.terms.items())))
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    @property
-    def term_count(self) -> int:
-        return len(self.terms)
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for word in sorted(self.terms):
-            coeff = self.terms[word]
-            sign = "+" if coeff > 0 else "-"
-            mag = "" if abs(coeff) == 1 else str(abs(coeff))
-            parts.append(f"{sign}{mag}{format_word(word)}")
-        return " ".join(parts)
-
-
-def _reindexed_det(n: int, rel: Condition, word_map) -> TracePoly:
-    """Sum of sign(pi) * word_map(w_pi) over the row-ordered words w_pi.
-
-    word_map must be injective (a relabeling of letters, maybe followed by
-    a reversal), so no two permutations' words collide before normalizing.
+    Terms that share a normal form are summed and zero sums dropped, so the
+    result is right for any word map, injective or not.
     """
-    return TracePoly(
-        rel,
-        {
-            word_map(tuple((r + 1, perm[r] + 1) for r in range(n))): sign
-            for perm, sign in signed_permutations(n)
-        },
-    )
+    terms: dict[Word, int] = {}
+    for perm, sign in signed_permutations(n):
+        key = word_normal_form(word_map(tuple((r + 1, perm[r] + 1) for r in range(n))), rel)
+        terms[key] = terms.get(key, 0) + sign
+    return {w: c for w, c in terms.items() if c}
 
 
-def symbolic_row_det(n: int, rel: Condition) -> TracePoly:
+def symbolic_row_det(n: int, rel: Condition) -> dict[Word, int]:
     """Row-ordered determinant of the generic n x n matrix of positions."""
     if n > SYMBOLIC_DET_CAP:
         raise ValueError(f"symbolic determinant capped at n={SYMBOLIC_DET_CAP}")

@@ -3,7 +3,7 @@ import io
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from blockdet.cli import main
 from blockdet.conditions import cond_f, parse_condition
@@ -310,6 +310,72 @@ def _quiet_main(argv):
 @settings(max_examples=300, deadline=None)
 @given(cli_argv())
 def test_fuzzed_argv_keeps_the_exit_code_contract(argv):
+    code, out, err = _quiet_main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    assert _quiet_main(argv)[:2] == (code, out)
+
+
+# File-content vocabulary for the fuzz property below: headers of 0-4
+# tokens whose sizes may be negative, huge or not integers, good and bad
+# ring descriptors, ragged entry rows, junk entries (some shaped like a
+# RingValue repr) and blank lines.  Well-formed files stay at most 6 x 6,
+# so every call is quick.
+_BAD_SIZES = ("0", "-1", "-7", "99999999999999999999", "1.5", "x", "")
+_GOOD_RINGS = ("int", "mod:2", "mod:7", "mod:10007", "poly:x")
+_BAD_RINGS = ("mod:8", "mod:1", "mod:0", "mod:-5", "mod:", "mod:x", "poly:", "float", "<int: 3>")
+_JUNK = ("<int: 3>", "<mod:7: 2>", "x", "1.5", "3/4", "1,2", "1,,2", ",", "--1", "0x1f", "½", "9" * 30)
+
+
+@st.composite
+def cli_file_case(draw):
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    command = rng.choice(("det", "check", "ncdet"))
+    if command == "det":
+        rows = rng.randint(1, 3)
+        cols = rows if rng.random() < 0.7 else rng.randint(1, 3)
+        header = [str(rows), str(cols)]
+    else:
+        m, n = rng.randint(1, 2), rng.randint(1, 3)
+        rows = cols = m * n
+        header = [str(m), str(n)]
+    header.append(rng.choice(_GOOD_RINGS))
+    header = [
+        tok if rng.random() < 0.9 else rng.choice(_BAD_RINGS if i == 2 else _BAD_SIZES)
+        for i, tok in enumerate(header)
+    ]
+    if rng.random() < 0.1:
+        header = header[: rng.randint(0, 2)] if rng.random() < 0.6 else header + ["3"]
+    lines = [" ".join(header)]
+    if rng.random() < 0.1:
+        rows += rng.choice((-1, 1))
+    # most files are clean, so well-formed inputs get through too
+    junk_rate = 0.0 if rng.random() < 0.6 else 0.1
+    poly = any(tok.startswith("poly:") for tok in header)
+    for _ in range(rows):
+        width = cols + (rng.choice((-1, 1)) if rng.random() < 0.05 else 0)
+        tokens = []
+        for _ in range(width):
+            if rng.random() < junk_rate:
+                tokens.append(rng.choice(_JUNK))
+            elif poly and rng.random() < 0.5:
+                tokens.append(",".join(str(rng.randint(-3, 3)) for _ in range(rng.randint(1, 3))))
+            else:
+                tokens.append(str(rng.randint(-9, 9)))
+        lines.append(" ".join(tokens))
+        if rng.random() < 0.1:
+            lines.append(rng.choice(("", "   ", "\t")))
+    return command, "\n".join(lines) + "\n"
+
+
+# Each example overwrites the one input file, so sharing tmp_path is safe.
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=cli_file_case())
+def test_fuzzed_file_contents_keep_the_exit_code_contract(tmp_path, case):
+    command, text = case
+    path = tmp_path / "input.txt"
+    path.write_text(text, encoding="utf-8")
+    argv = [command, str(path)]
     code, out, err = _quiet_main(argv)
     assert code in (0, 1, 2)
     assert "Traceback" not in err
