@@ -9,7 +9,9 @@ Products are built one row at a time: row i of A*B is the sum of
 a[i][k] * (row k of B) over the nonzero a[i][k] only, so zero entries of A
 cost nothing.  Over ``int`` and ``mod:p`` the row sums are exact Python
 ints, reduced once per entry (``% p`` over ``mod:p``) rather than after
-every product.
+every product.  The kernel, ``_product_rows``, takes and yields payload row
+tuples, so a sum of block products X1 Y1 + ... + Xk Yk is one call: the
+X's side by side times the Y's stacked in one column.
 
 Commutation is tested on shifted blocks: XY = YX exactly when
 (X - cI)(Y - dI) = (Y - dI)(X - cI), for any scalars c and d.  ``shifted``
@@ -19,9 +21,11 @@ most two.  ``shifted_commute`` compares the two products only on rows that
 are nonzero in either factor and stops at the first row that differs;
 ``commutes`` runs it on two freshly shifted blocks.
 
-Determinants are exact: a division-free O(k^4) method (Bird's sequence of
-triangular mutations) over rings without division, and ordinary Gaussian
-elimination over prime fields where division is available.
+Determinants are exact: Bareiss's fraction-free O(k^3) elimination over
+``int`` and ``poly:`` (every division it makes is exact, by Sylvester's
+identity), and ordinary Gaussian elimination over prime fields.  Bird's
+division-free O(k^4) method and the signed permutation sum stay as test
+oracles.
 """
 
 from __future__ import annotations
@@ -134,7 +138,7 @@ class Matrix:
         self._check_ring(other)
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} times {other.rows}x{other.cols}")
-        return Matrix(self.ring, _product_rows(self, other))
+        return Matrix(self.ring, _product_rows(self.ring, self.entries, other.entries))
 
     def scale(self, s: RingValue) -> Matrix:
         if s.ring != self.ring:
@@ -168,19 +172,20 @@ def _row_ops(ring: Ring):
     return operator.add, operator.mul, ring.p if isinstance(ring, PrimeField) else None
 
 
-def _product_rows(a: Matrix, b: Matrix):
-    """Rows of a * b as payload tuples, one row at a time.
+def _product_rows(ring: Ring, arows, brows):
+    """Rows of a * b as payload tuples, one row at a time, from the rows of
+    a and of b.
 
     Row i is the sum of a[i][k] * (row k of b) over the nonzero a[i][k]
     only.  Over ``int`` and ``mod:p`` the sums are exact Python ints,
     reduced once per entry at the end (``% p`` over ``mod:p``); over
     ``poly:`` the ring's own payload operations run in the same loop.
     """
-    add, mul, p = _row_ops(a.ring)
-    zero_row = (a.ring.int_payload(0),) * b.cols
-    for arow in a.entries:
+    add, mul, p = _row_ops(ring)
+    zero_row = (ring.int_payload(0),) * (len(brows[0]) if brows else 0)
+    for arow in arows:
         acc = None
-        for x, brow in zip(arow, b.entries):
+        for x, brow in zip(arow, brows):
             if x:
                 prods = map(mul, repeat(x), brow)
                 acc = tuple(prods) if acc is None else tuple(map(add, acc, prods))
@@ -260,42 +265,39 @@ def commutes(x: Matrix, y: Matrix) -> bool:
     return shifted_commute(x.ring, shifted(x), shifted(y))
 
 
-def _det_bird(ring: Ring, rows) -> object:
-    # Bird's division-free determinant: F_{k+1} = mu(F_k) A where mu zeroes
-    # the lower triangle and replaces each diagonal entry with minus the sum
-    # of the diagonal entries below it.  det A = (-1)^(k-1) (F_k)_{11}.
-    k = len(rows)
+def _det_bareiss(ring: Ring, rows) -> object:
+    # Bareiss's fraction-free elimination: after step c every entry below
+    # row c is the (c+2)-rowed leading minor through it, so dividing by the
+    # previous pivot is exact (Sylvester's identity).  A zero pivot swaps
+    # in a lower row with a nonzero entry and flips the sign.
+    m = [list(row) for row in rows]
+    k = len(m)
     if k == 0:
         return ring.int_payload(1)
-    padd = ring.padd
-    pmul = ring.pmul
-    pneg = ring.pneg
-    zero = ring.int_payload(0)
-    a = f = rows
-    for _ in range(k - 1):
-        suffix = [zero] * k
-        acc = zero
-        for i in range(k - 1, -1, -1):
-            suffix[i] = acc
-            acc = padd(acc, f[i][i])
-        g = []
-        for i in range(k):
-            mii = pneg(suffix[i])
-            fi = f[i]
-            grow = []
-            for j in range(k):
-                aij = a[i][j]
-                total = pmul(mii, aij) if (mii and aij) else zero
-                for t in range(i + 1, k):
-                    x = fi[t]
-                    if x:
-                        y = a[t][j]
-                        if y:
-                            total = padd(total, pmul(x, y))
-                grow.append(total)
-            g.append(grow)
-        f = g
-    return f[0][0] if k % 2 else ring.pneg(f[0][0])
+    pmul, psub, pexquo = ring.pmul, ring.psub, ring.pexquo
+    one = ring.int_payload(1)
+    prev = one
+    negate = False
+    for c in range(k - 1):
+        piv = next((r for r in range(c, k) if m[r][c]), None)
+        if piv is None:
+            return ring.int_payload(0)
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
+            negate = not negate
+        pivot = m[c][c]
+        tail = m[c][c + 1 :]
+        for r in range(c + 1, k):
+            row = m[r]
+            f = row[c]
+            if f:
+                new = [psub(pmul(pivot, x), pmul(f, y)) for x, y in zip(row[c + 1 :], tail)]
+            else:
+                new = [pmul(pivot, x) for x in row[c + 1 :]]
+            row[c + 1 :] = new if prev == one else [pexquo(x, prev) for x in new]
+        prev = pivot
+    det = m[k - 1][k - 1]
+    return ring.pneg(det) if negate else det
 
 
 def _det_gauss_mod_p(p: int, rows) -> int:
@@ -329,7 +331,7 @@ def _det_gauss_mod_p(p: int, rows) -> int:
 def _det_payload(ring: Ring, rows) -> object:
     if isinstance(ring, PrimeField):
         return _det_gauss_mod_p(ring.p, rows)
-    return _det_bird(ring, rows)
+    return _det_bareiss(ring, rows)
 
 
 def det_commutative(mat: Matrix) -> RingValue:
@@ -365,6 +367,45 @@ def det_expansion_oracle(mat: Matrix) -> RingValue:
             continue
         total = padd(total, prod) if sign > 0 else psub(total, prod)
     return RingValue(ring, total)
+
+
+def _det_bird(ring: Ring, rows) -> object:
+    # Bird's division-free determinant, a test oracle for Bareiss's method:
+    # F_{k+1} = mu(F_k) A where mu zeroes the lower triangle and replaces
+    # each diagonal entry with minus the sum of the diagonal entries below
+    # it.  det A = (-1)^(k-1) (F_k)_{11}.
+    k = len(rows)
+    if k == 0:
+        return ring.int_payload(1)
+    padd = ring.padd
+    pmul = ring.pmul
+    pneg = ring.pneg
+    zero = ring.int_payload(0)
+    a = f = rows
+    for _ in range(k - 1):
+        suffix = [zero] * k
+        acc = zero
+        for i in range(k - 1, -1, -1):
+            suffix[i] = acc
+            acc = padd(acc, f[i][i])
+        g = []
+        for i in range(k):
+            mii = pneg(suffix[i])
+            fi = f[i]
+            grow = []
+            for j in range(k):
+                aij = a[i][j]
+                total = pmul(mii, aij) if (mii and aij) else zero
+                for t in range(i + 1, k):
+                    x = fi[t]
+                    if x:
+                        y = a[t][j]
+                        if y:
+                            total = padd(total, pmul(x, y))
+                grow.append(total)
+            g.append(grow)
+        f = g
+    return f[0][0] if k % 2 else ring.pneg(f[0][0])
 
 
 def cofactor_matrix(mat: Matrix) -> Matrix:

@@ -8,78 +8,106 @@ is optimal for the noncommutative determinant (Nisan, STOC 1991).  The
 program's last level holds every first-row minor, so the determinant, the
 first-column cofactor identity and a checkable trace of the
 polynomial-extension induction each take one run of it.
+
+Each entry of the program is a sum of block products, and it is computed
+as one ``matrix._product_rows`` call: the blocks of the row side by side
+times the entries they multiply stacked in one column.  The program works
+on payload row tuples, reduces each entry once, and builds a ``Matrix``
+only for what it returns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 
-from .matrix import BlockMatrix, Matrix, det_commutative
-from .ring import IntegerRing, PolynomialRing, poly_is_monic
+from .matrix import BlockMatrix, Matrix, _product_rows, det_commutative
+from .ring import IntegerRing, PolynomialRing, Ring, poly_is_monic
 
 ROW_DET_CAP = 8
 # Largest block size m a campaign draws: its cost grows as m^3.
 BLOCK_SIZE_CAP = 64
 
 
+def _row_times(ring: Ring, row, column) -> tuple:
+    """Rows of the sum of row[t] * column[t], as one product: the blocks of
+    ``row`` side by side times those of ``column`` stacked.  Both hold
+    blocks as payload row tuples."""
+    left = [list(chain.from_iterable(rows)) for rows in zip(*row)]
+    return tuple(_product_rows(ring, left, list(chain.from_iterable(column))))
+
+
+def _negated(ring: Ring, rows) -> tuple:
+    pneg = ring.pneg
+    return tuple(tuple(map(pneg, row)) for row in rows)
+
+
+def _subset_dp(bm: BlockMatrix, top: int) -> dict[int, tuple]:
+    """E[S] by column mask, as payload rows, for every set S of n - top
+    columns: the row-determinant of block rows top..n-1 (0-based)
+    restricted to the columns in S.
+
+    It starts from the last row, E[{c}] = B[n-1][c], and grows one row r
+    at a time: E[S] = sum over c in S of (-1)^#{c' in S : c' < c}
+    B[r][c] E[S - {c}], keeping the factors in row order.  Each B[r][c] is
+    negated once, and each E[S] is one product.
+    """
+    n = bm.n
+    if n > ROW_DET_CAP:
+        raise ValueError(f"row-determinant capped at n={ROW_DET_CAP}")
+    ring = bm.ring
+    blocks = bm.blocks
+    level = {1 << c: blk.entries for c, blk in enumerate(blocks[n - 1])}
+    for r in range(n - 2, top - 1, -1):
+        signed = [(blk.entries, _negated(ring, blk.entries)) for blk in blocks[r]]
+        nxt = {}
+        for cols in combinations(range(n), n - r):
+            mask = sum(1 << c for c in cols)
+            nxt[mask] = _row_times(
+                ring,
+                [signed[c][idx % 2] for idx, c in enumerate(cols)],
+                [level[mask ^ (1 << c)] for c in cols],
+            )
+        level = nxt
+    return level
+
+
+def _cofactor_rows(bm: BlockMatrix) -> list[tuple]:
+    # The first-row cofactors as payload rows: (-1)^j E[all - {j}] over
+    # block rows 1..n-1.
+    minors = _subset_dp(bm, 1)
+    full = (1 << bm.n) - 1
+    return [
+        minors[full ^ (1 << c)] if c % 2 == 0 else _negated(bm.ring, minors[full ^ (1 << c)])
+        for c in range(bm.n)
+    ]
+
+
 def nc_first_row_cofactors(bm: BlockMatrix) -> list[Matrix]:
     """All n first-row cofactors, (-1)^(1+j) times the (1, j) minor, from
     one dynamic program over column subsets.
 
-    E[S], for a set S of k columns, is the row-determinant of the last k
-    block rows restricted to the columns in S.  It starts from the last
-    row, E[{c}] = B[n][c], and grows one row r at a time:
-    E[S] = sum over c in S of (-1)^#{c' in S : c' < c} B[r][c] E[S - {c}],
-    keeping the factors in row order.  The (1, j) minor is E[all - {j}].
+    The (1, j) minor is the program's E[all - {j}] over block rows 2..n.
     Stopping below row 1 takes n 2^(n-1) - 2n block products.
     """
-    n = bm.n
-    if n < 2:
+    if bm.n < 2:
         raise ValueError("cofactors need n >= 2")
-    if n > ROW_DET_CAP:
-        raise ValueError(f"row-determinant capped at n={ROW_DET_CAP}")
-    blocks = bm.blocks
-    level = {1 << c: blk for c, blk in enumerate(blocks[n - 1])}
-    for r in range(n - 2, 0, -1):
-        row = blocks[r]
-        nxt = {}
-        for cols in combinations(range(n), n - r):
-            mask = sum(1 << c for c in cols)
-            acc = row[cols[0]] * level[mask ^ (1 << cols[0])]
-            for idx in range(1, len(cols)):
-                c = cols[idx]
-                term = row[c] * level[mask ^ (1 << c)]
-                acc = acc - term if idx % 2 else acc + term
-            nxt[mask] = acc
-        level = nxt
-    full = (1 << n) - 1
-    return [
-        level[full ^ (1 << c)] if c % 2 == 0 else -level[full ^ (1 << c)]
-        for c in range(n)
-    ]
-
-
-def _row_times(row, cofs) -> Matrix:
-    acc = row[0] * cofs[0]
-    for blk, cof in zip(row[1:], cofs[1:]):
-        acc = acc + blk * cof
-    return acc
+    return [Matrix(bm.ring, rows) for rows in _cofactor_rows(bm)]
 
 
 def nc_row_det(bm: BlockMatrix) -> Matrix:
     """Signed permutation sum with factors ordered by block row.
 
-    Evaluated as the first-row expansion over the cofactors of
-    ``nc_first_row_cofactors``: n 2^(n-1) - n block products, not the
-    (n-1) n! of the sum written out.
+    Evaluated as the subset dynamic program run up to the first row, whose
+    last step is the first-row expansion: n 2^(n-1) - n block products, not
+    the (n-1) n! of the sum written out.
     """
     n = bm.n
     if n < 1:
         raise ValueError("row-determinant needs n >= 1")
     if n == 1:
         return bm.blocks[0][0]
-    return _row_times(bm.blocks[0], nc_first_row_cofactors(bm))
+    return Matrix(bm.ring, _subset_dp(bm, 0)[(1 << n) - 1])
 
 
 def nc_minor_det(bm: BlockMatrix, i: int, j: int) -> Matrix:
@@ -103,6 +131,14 @@ def nc_cofactor(bm: BlockMatrix, i: int, j: int) -> Matrix:
     return minor if (i + j) % 2 == 0 else -minor
 
 
+def _column_collapses(bm: BlockMatrix, cofs) -> bool:
+    # Every block row below the first times the cofactor column is zero.
+    return not any(
+        any(map(any, _row_times(bm.ring, [blk.entries for blk in row], cofs)))
+        for row in bm.blocks[1:]
+    )
+
+
 def cofactor_column_check(bm: BlockMatrix) -> bool:
     """Check the first-column cofactor identity, blockwise and exactly.
 
@@ -113,12 +149,9 @@ def cofactor_column_check(bm: BlockMatrix) -> bool:
     row 1 and in different columns commutes; reported honestly for any
     input.
     """
-    n = bm.n
-    if n == 1:
+    if bm.n == 1:
         return True
-    cofs = nc_first_row_cofactors(bm)
-    zero = Matrix.zeros(bm.ring, bm.m, bm.m)
-    return all(_row_times(row, cofs) == zero for row in bm.blocks[1:])
+    return _column_collapses(bm, _cofactor_rows(bm))
 
 
 @dataclass(frozen=True)
@@ -187,7 +220,8 @@ def bourbaki_trace(bm: BlockMatrix) -> BourbakiTrace:
         [[lift(bm.blocks[i][j], i == j) for j in range(n)] for i in range(n)],
     )
 
-    cofs = nc_first_row_cofactors(shifted)
+    cof_rows = _cofactor_rows(shifted)
+    cofs = [Matrix(rz, rows) for rows in cof_rows]
     ident = Matrix.identity(rz, m)
     zero = Matrix.zeros(rz, m, m)
     eliminator = BlockMatrix(
@@ -197,8 +231,8 @@ def bourbaki_trace(bm: BlockMatrix) -> BourbakiTrace:
             for i in range(n)
         ],
     )
-    shifted_det = _row_times(shifted.blocks[0], cofs)
-    first_column_collapse = cofactor_column_check(shifted)
+    shifted_det = Matrix(rz, _row_times(rz, [blk.entries for blk in shifted.blocks[0]], cof_rows))
+    first_column_collapse = _column_collapses(shifted, cof_rows)
 
     tail = BlockMatrix(
         rz, m, n - 1,

@@ -4,7 +4,8 @@ integer polynomials.
 Every value is immutable and canonical: prime-field payloads live in
 ``[0, p)`` and polynomial coefficient tuples carry no trailing zeros.
 So zero is the one falsy payload of each ring, and kernels test it by
-truthiness.
+truthiness.  Each ring also has an exact quotient, ``pexquo``, which raises
+``ArithmeticError`` rather than round when the divisor does not divide.
 """
 
 from __future__ import annotations
@@ -72,6 +73,31 @@ def poly_mul_payload(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return _poly_trim(out)
 
 
+def poly_exquo_payload(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """Exact quotient a / b in Z[z] by long division.
+
+    Raises ``ArithmeticError`` when b does not divide a, rather than
+    rounding; a zero b raises ``ZeroDivisionError``, one of its kind.
+    """
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    lead = b[-1]
+    db = len(b) - 1
+    rem = list(a)
+    out = [0] * max(len(a) - db, 0)
+    for i in range(len(out) - 1, -1, -1):
+        c, r = divmod(rem[i + db], lead)
+        if r:
+            raise ArithmeticError("inexact polynomial division")
+        if c:
+            out[i] = c
+            for j, y in enumerate(b):
+                rem[i + j] -= c * y
+    if any(rem[:db]):
+        raise ArithmeticError("inexact polynomial division")
+    return tuple(out)
+
+
 class Ring:
     """Base class for ring descriptors.
 
@@ -115,6 +141,11 @@ class Ring:
     def psub(self, a, b):
         return self.padd(a, self.pneg(b))
 
+    def pexquo(self, a, b):
+        """The exact quotient a / b; raises ``ArithmeticError`` when b does
+        not divide a."""
+        raise NotImplementedError
+
     def format_payload(self, a) -> str:
         raise NotImplementedError
 
@@ -145,6 +176,12 @@ class IntegerRing(Ring):
 
     def psub(self, a, b):
         return a - b
+
+    def pexquo(self, a, b):
+        q, r = divmod(a, b)
+        if r:
+            raise ArithmeticError(f"{b} does not divide {a}")
+        return q
 
     def format_payload(self, a) -> str:
         return str(a)
@@ -186,6 +223,11 @@ class PrimeField(Ring):
 
     def psub(self, a, b):
         return (a - b) % self.p
+
+    def pexquo(self, a, b):
+        if not b:
+            raise ZeroDivisionError("division by zero in a prime field")
+        return a * pow(b, -1, self.p) % self.p
 
     def format_payload(self, a) -> str:
         return str(a)
@@ -230,6 +272,9 @@ class PolynomialRing(Ring):
 
     def pneg(self, a):
         return tuple(-c for c in a)
+
+    def pexquo(self, a, b):
+        return poly_exquo_payload(a, b)
 
     def format_payload(self, a) -> str:
         if not a:

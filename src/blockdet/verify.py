@@ -19,7 +19,6 @@ from typing import Callable, NamedTuple
 from .conditions import (
     Condition,
     block_commutation,
-    complete_condition,
     cond_f,
     cond_f_down,
     cond_f_side,
@@ -98,12 +97,15 @@ def _slot(ring: Ring, m: int, rng: random.Random, corner: int) -> Matrix:
 
 
 def _poly_in(x: Matrix, coeffs) -> Matrix:
+    # The sum of coeffs[i] x^i.  x^i is built only when coeffs[i] needs it,
+    # so degree d takes d - 1 products.
     ring = x.ring
     acc = Matrix.identity(ring, x.rows).scale(ring.from_int(coeffs[0]))
     power = x
-    for c in coeffs[1:]:
+    for i, c in enumerate(coeffs[1:]):
+        if i:
+            power = power * x
         acc = acc + power.scale(ring.from_int(c))
-        power = power * x
     return acc
 
 
@@ -231,7 +233,9 @@ def _gen_generic(g: Condition, m: int, ring: Ring, rng: random.Random):
 def pick_generator(g: Condition, m: int) -> tuple[str, GenFn]:
     """Choose the most specific sound generator for a condition."""
     n = g.n
-    if g == complete_condition(n):
+    # Condition orders and range-checks its edges, so only the complete
+    # graph has all n^2 (n^2 - 1) / 2 of them.
+    if len(g.edges) == n * n * (n * n - 1) // 2:
         return "commutative", lambda ring, rng: _gen_commutative(n, m, ring, rng)
     if m >= 2 * n:
         if g == cond_f(n):

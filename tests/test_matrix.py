@@ -16,6 +16,7 @@ from blockdet.matrix import (
     BlockMatrix,
     Matrix,
     MatrixFormatError,
+    _det_bareiss,
     _det_bird,
     _det_gauss_mod_p,
     block_view,
@@ -408,17 +409,44 @@ def test_unboxed_kernel_matches_ring_value_arithmetic(data):
     assert commutes(q, w) == (oracle_product(q, w) == oracle_product(w, q))
 
 
+def pivoting_matrices(ring, k):
+    """k x k matrices on which elimination meets a zero pivot: a zero
+    leading entry in the first column (or the whole column), a repeated
+    row, or a product through an inner dimension below k."""
+    zero = ring.int_payload(0)
+
+    def zero_lead(args):
+        mat, j = args
+        return Matrix(ring, [(zero,) + row[1:] if i < j else row for i, row in enumerate(mat.entries)])
+
+    def repeat_row(args):
+        mat, i, j = args
+        rows = list(mat.entries)
+        rows[j] = rows[i]
+        return Matrix(ring, rows)
+
+    leading = st.tuples(matrices(ring, k, k), st.integers(1, k)).map(zero_lead)
+    repeated = st.tuples(matrices(ring, k, k), st.integers(0, k - 1), st.integers(0, k - 1)).map(repeat_row)
+    narrow = st.integers(1, max(1, k - 1)).flatmap(
+        lambda r: st.tuples(matrices(ring, k, r), matrices(ring, r, k))
+    ).map(lambda xy: xy[0] * xy[1])
+    return leading | repeated | narrow
+
+
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_bird_gauss_and_expansion_agree(data):
     ring = data.draw(st.sampled_from(DIFF_RINGS), label="ring")
     k = data.draw(st.integers(1, 5), label="k")
-    mat = data.draw(matrices(ring, k, k), label="mat")
+    mat = data.draw(matrices(ring, k, k) | pivoting_matrices(ring, k), label="mat")
     oracle = det_expansion_oracle(mat)
+    rows = mat.entries
+    # Bareiss's runtime kernel against Bird's method and the expansion, on
+    # every ring: Bird's method is division-free, and over a field every
+    # quotient is exact, so both hold there too.
+    assert RingValue(ring, _det_bareiss(ring, rows)) == oracle
+    assert RingValue(ring, _det_bird(ring, rows)) == oracle
     if isinstance(ring, PrimeField):
-        # Bird's method is division-free, so it is valid over a field too.
-        rows = [[e.payload for e in row] for row in value_rows(mat)]
-        assert RingValue(ring, _det_bird(ring, rows)) == oracle
         assert RingValue(ring, _det_gauss_mod_p(ring.p, rows)) == oracle
     assert det_commutative(mat) == oracle
 

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from blockdet import ncdet
 from blockdet.conditions import cond_col_permute, cond_f, cond_row_permute
 from blockdet.matrix import (
     BlockMatrix,
@@ -104,24 +105,27 @@ def test_subset_dp_matches_permutation_sum(bm):
 def test_block_product_counts(monkeypatch):
     # The subset DP takes n 2^(n-1) - n block products for the determinant
     # and n fewer for the cofactors alone; the permutation sum takes (n-1) n!.
-    calls = 0
-    mul = Matrix.__mul__
+    # Each sum of k block products is one fused product of a 1 x k block
+    # row by a k x 1 block column, so it counts as k (left, right) terms.
+    terms = 0
+    fused = ncdet._product_rows
 
-    def counting_mul(self, other):
-        nonlocal calls
-        calls += 1
-        return mul(self, other)
+    def counting_product(ring, arows, brows):
+        nonlocal terms
+        terms += len(arows[0]) // len(brows[0])
+        return fused(ring, arows, brows)
 
-    monkeypatch.setattr(Matrix, "__mul__", counting_mul)
+    monkeypatch.setattr(ncdet, "_product_rows", counting_product)
     rng = random.Random(11)
     for n in range(2, 9):
-        bm = rand_block_matrix(F10007, 1, n, rng)
-        calls = 0
-        nc_row_det(bm)
-        assert calls == n * 2 ** (n - 1) - n, n
-        calls = 0
-        nc_first_row_cofactors(bm)
-        assert calls == n * 2 ** (n - 1) - 2 * n, n
+        for m in (1, 2):
+            bm = rand_block_matrix(F10007, m, n, rng)
+            terms = 0
+            nc_row_det(bm)
+            assert terms == n * 2 ** (n - 1) - n, (n, m)
+            terms = 0
+            nc_first_row_cofactors(bm)
+            assert terms == n * 2 ** (n - 1) - 2 * n, (n, m)
 
 
 def test_dp_size_guards():

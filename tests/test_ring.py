@@ -147,6 +147,28 @@ def test_eval_at_zero_is_a_homomorphism(ca, cb):
     assert poly_eval_at_zero(x * y) == poly_eval_at_zero(x) * poly_eval_at_zero(y)
 
 
+@given(coeffs, coeffs, coeffs)
+def test_exact_quotient_undoes_multiplication_and_never_rounds(ca, cb, cr):
+    a, b = PZ.canonical(ca), PZ.canonical(cb)
+    if not b:
+        with pytest.raises(ZeroDivisionError):
+            PZ.pexquo(a, b)
+        return
+    assert PZ.pexquo(PZ.pmul(a, b), b) == a
+    # A nonzero remainder of lower degree than b: b does not divide a*b + r.
+    r = PZ.canonical(cr[: len(b) - 1]) if len(b) > 1 else PZ.canonical([c % b[0] for c in cr])
+    if r:
+        with pytest.raises(ArithmeticError):
+            PZ.pexquo(PZ.padd(PZ.pmul(a, b), r), b)
+    for ring in (ZZ, F10007):
+        x, y = ring.int_payload(sum(ca)), ring.int_payload(sum(cb) or 1)
+        assert ring.pexquo(ring.pmul(x, y), y) == x
+        with pytest.raises(ZeroDivisionError):
+            ring.pexquo(x, ring.int_payload(0))
+    with pytest.raises(ArithmeticError):
+        ZZ.pexquo(7, 2)
+
+
 @given(coeffs)
 def test_poly_parse_format_roundtrip(ca):
     v = PZ.value(tuple(ca))

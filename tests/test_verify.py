@@ -17,6 +17,7 @@ from blockdet.matrix import Matrix, block_view, commutes
 from blockdet.ncdet import nc_row_det
 from blockdet.ring import PolynomialRing, PrimeField, ZZ, poly_degree
 from blockdet.verify import (
+    _poly_in,
     builtin_matrix,
     check_identity,
     classify_size2,
@@ -96,6 +97,36 @@ class TestGenerators:
     )
     def test_dispatch(self, cond, m, name):
         assert pick_generator(cond, m)[0] == name
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_only_the_complete_graph_is_commutative(self, n):
+        full = complete_condition(n)
+        assert pick_generator(full, 2)[0] == "commutative"
+        for edge in (min(full.edges), max(full.edges)):
+            short = Condition(n, full.edges - {edge})
+            assert pick_generator(short, 2)[0] != "commutative"
+
+    def test_polynomial_in_a_block_takes_d_minus_1_products(self, monkeypatch):
+        # c_0 + c_1 x + ... + c_d x^d needs only x^2, ..., x^d.
+        x = Matrix.from_rows(ZZ, [[1, 2], [3, 4]])
+        mul = Matrix.__mul__
+        calls = 0
+
+        def counting_mul(self, other):
+            nonlocal calls
+            calls += 1
+            return mul(self, other)
+
+        monkeypatch.setattr(Matrix, "__mul__", counting_mul)
+        for d in range(0, 5):
+            coeffs = [3 - i for i in range(d + 1)]
+            want, power = Matrix.zeros(ZZ, 2, 2), Matrix.identity(ZZ, 2)
+            for c in coeffs:
+                want = want + power.scale(ZZ.from_int(c))
+                power = mul(power, x)
+            calls = 0
+            assert _poly_in(x, coeffs) == want
+            assert calls == max(d - 1, 0), d
 
     # The mod:10007 cases keep their plain ids; the other rings add their label.
     @pytest.mark.parametrize(
