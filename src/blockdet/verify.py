@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations, starmap
+from itertools import chain, combinations, starmap
 from typing import Callable, NamedTuple
 
 from .conditions import (
@@ -215,19 +215,31 @@ def _gen_h(which: str, m: int, ring: Ring, rng: random.Random):
     return bm, [((2, 1), (2, 2))]
 
 
-def _gen_generic(g: Condition, m: int, ring: Ring, rng: random.Random):
-    # Scalar blocks commute with everything; one chosen non-edge pair gets
+def _gen_generic(special: Pair, n: int, m: int, ring: Ring, rng: random.Random):
+    # Scalar blocks commute with everything; the special non-edge pair gets
     # perturbations in a shared slot so the sample is not fully commutative.
-    non_edges = [(u, v) for u, v in combinations(vertices(g.n), 2) if not g.commutes(u, v)]
-    if not non_edges:
-        return _gen_commutative(g.n, m, ring, rng)
-    non_edges.sort(key=lambda e: (0 if e[0][0] >= 2 and e[1][0] >= 2 else 1, e))
-    special = non_edges[0]
-
     def block_at(i: int, j: int) -> Matrix:
         return _slot(ring, m, rng, 0) if (i, j) in special else _scalar(ring, m, rng)
 
-    return _build(ring, m, g.n, block_at), [special]
+    return _build(ring, m, n, block_at), [special]
+
+
+def _special_non_edge(g: Condition) -> Pair:
+    """The first non-edge in lexicographic order with both rows >= 2, or
+    else the first non-edge; g must not be complete."""
+    every = vertices(g.n)
+    lower = [v for v in every if v[0] >= 2]
+    pairs = chain(combinations(lower, 2), combinations(every, 2))
+    return next((u, v) for u, v in pairs if not g.commutes(u, v))
+
+
+def _is_kappa(g: Condition) -> bool:
+    # Condition orders and range-checks its edges, so a condition with no
+    # edge through row 1 has at most C(n(n-1), 2) of them, and only kappa
+    # has that many.  An edge (u, v) has u < v, so it touches row 1 exactly
+    # when u does.
+    outside = g.n * (g.n - 1)
+    return len(g.edges) == outside * (outside - 1) // 2 and all(u[0] != 1 for u, _ in g.edges)
 
 
 def pick_generator(g: Condition, m: int) -> tuple[str, GenFn]:
@@ -248,7 +260,7 @@ def pick_generator(g: Condition, m: int) -> tuple[str, GenFn]:
             if g == cond_f_down(i, n):
                 ii = i
                 return f"down-slots:{i}", lambda ring, rng: _gen_down(ii, n, m, ring, rng)
-    if g == cond_kappa(n):
+    if _is_kappa(g):
         return "kappa-poly", lambda ring, rng: _gen_kappa(n, m, ring, rng)
     if n == 2 and m >= 4 and g == cond_named("g5"):
         return "g5-overlap", lambda ring, rng: _gen_g5(m, ring, rng)
@@ -257,7 +269,8 @@ def pick_generator(g: Condition, m: int) -> tuple[str, GenFn]:
             if g == cond_named(name):
                 nm = name
                 return f"{name}-falsify", lambda ring, rng: _gen_h(nm, m, ring, rng)
-    return "generic-scalar", lambda ring, rng: _gen_generic(g, m, ring, rng)
+    special = _special_non_edge(g)
+    return "generic-scalar", lambda ring, rng: _gen_generic(special, n, m, ring, rng)
 
 
 _RETRY_CAP = 32

@@ -14,9 +14,9 @@ from pathlib import Path
 
 from blockdet.cli import main
 from blockdet.conditions import cond_f, cond_f_down, cond_f_side, cond_kappa, cond_named, cond_t_col
-from blockdet.matrix import format_block_matrix
+from blockdet.matrix import det_commutative, format_block_matrix, format_matrix
 from blockdet.ring import ZZ, PolynomialRing, PrimeField
-from blockdet.verify import gen_satisfying, pick_generator, silvester_check
+from blockdet.verify import check_identity, gen_satisfying, pick_generator, silvester_check, trial_seed
 
 F10007 = PrimeField(10007)
 ROOT = Path(__file__).resolve().parent.parent
@@ -151,3 +151,44 @@ def test_optimality_reports(capsys):
 def test_classify2_output(capsys):
     # All 64 lines, each condition built from its letter pairs.
     assert _sha(_cli(capsys, "classify2")) == "1a906fc7f9bd76312989f9e0d65faaead8ab7ab107e6b7f5dc5ccbc729594e2d"
+
+
+def test_falsifying_campaigns_over_mod_p(capsys):
+    # The lhs/rhs values printed here come from Gaussian elimination mod p.
+    digests = {
+        0: "cc84deb26bd12d03c5cac55cd2ca0c0fbac1acf9b1ef8486aba5c653ebfddca3",
+        1: "192245b8957dbdf9aa3ae341f899350e34bbd7b6f1ab4c6cea029ab11ba9b1a7",
+        7: "36c61c89b363ef81c8abee45e6b5ba6851025ab681ca22e0a1e0667e88900651",
+    }
+    for seed, digest in digests.items():
+        text = ""
+        for name in ("h1", "h2", "h3", "h4"):
+            code = main(["campaign", "--family", name, "--n", "2", "--m", "3", "--ring", "mod:10007",
+                         "--trials", "12", "--seed", str(seed)])
+            out = capsys.readouterr()
+            assert (code, out.err) == (1, "")
+            text += out.out
+        assert _sha(text) == digest, seed
+
+
+def test_every_trial_value_of_the_falsifying_campaigns():
+    text = "".join(
+        f"{name} {i} {r.lhs} {r.rhs}\n"
+        for name in ("h1", "h2", "h3", "h4")
+        for i in range(12)
+        for r in [check_identity(gen_satisfying(cond_named(name), 3, F10007, trial_seed(0, i)))]
+    )
+    assert _sha(text) == "be725b9ed34717024b334825852a0d962c785960e74d77d377861b3802144459"
+
+
+def test_flattened_determinants_over_mod_p(capsys, tmp_path):
+    path = tmp_path / "f4.txt"
+    path.write_text(format_matrix(gen_satisfying(cond_f(4), 8, F10007, 0).flatten()))
+    assert _cli(capsys, "det", str(path)) == "det=8198\n"
+    cases = ((cond_f(4), 8), (cond_f_side(2, 3), 6), (cond_f_down(3, 3), 6), (cond_kappa(3), 6))
+    text = "".join(
+        f"{det_commutative(gen_satisfying(g, m, F10007, trial_seed(3, i)).flatten())}\n"
+        for g, m in cases
+        for i in range(10)
+    )
+    assert _sha(text) == "1a8d961763fa67419cbd77b529c42e2abd3781b5a6d74de439236a9023180b98"

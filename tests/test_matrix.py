@@ -13,6 +13,7 @@ from blockdet.conditions import (
     vertices,
 )
 from blockdet.matrix import (
+    EXPANSION_CAP,
     BlockMatrix,
     Matrix,
     MatrixFormatError,
@@ -28,6 +29,7 @@ from blockdet.matrix import (
     format_matrix,
     parse_block_matrix,
     parse_matrix,
+    permutation_sign,
     shifted,
     signed_permutations,
 )
@@ -449,6 +451,49 @@ def test_bird_gauss_and_expansion_agree(data):
     if isinstance(ring, PrimeField):
         assert RingValue(ring, _det_gauss_mod_p(ring.p, rows)) == oracle
     assert det_commutative(mat) == oracle
+
+
+GAUSS_FIELDS = [PrimeField(2), PrimeField(3), F10007]
+BLOCK_FAMILIES = ["f", "kappa", "side:1", "down:2", "tcol:1"]
+
+
+def sparse_field_rows(data, ring):
+    """Square payload rows over a prime field whose zero counts differ, so
+    that the sparsest-first sort moves them: entries under a random zero
+    mask with some rows zeroed or repeated, or a block sample (drawn over
+    mod:10007 and reduced mod p) with its rows shuffled."""
+    rng = data.draw(st.randoms(use_true_random=False), label="rng")
+    if data.draw(st.booleans(), label="block sample"):
+        family = data.draw(st.sampled_from(BLOCK_FAMILIES), label="family")
+        n = data.draw(st.integers(2, 4), label="n")
+        m = data.draw(st.integers(2, 32 // n), label="m")
+        flat = gen_satisfying(family_condition(family, n), m, F10007, rng.getrandbits(64)).flatten()
+        rows = [[x % ring.p for x in row] for row in flat.entries]
+    else:
+        k = data.draw(st.integers(1, EXPANSION_CAP) | st.integers(1, 32), label="k")
+        density = rng.uniform(0.25, 1)
+        rows = [[rng.randrange(1, ring.p) if rng.random() < density else 0 for _ in range(k)] for _ in range(k)]
+        if data.draw(st.integers(0, 3), label="zero row") == 0:
+            rows[rng.randrange(k)] = [0] * k
+        if data.draw(st.integers(0, 3), label="repeated row") == 0:
+            rows[rng.randrange(k)] = list(rows[rng.randrange(k)])
+    rng.shuffle(rows)
+    return [tuple(row) for row in rows]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_sparsest_first_gauss_matches_bareiss_and_expansion(data):
+    ring = data.draw(st.sampled_from(GAUSS_FIELDS), label="ring")
+    rows = sparse_field_rows(data, ring)
+    k = len(rows)
+    det = _det_gauss_mod_p(ring.p, rows)
+    assert det == _det_bareiss(ring, rows)
+    if k <= EXPANSION_CAP:
+        assert RingValue(ring, det) == det_expansion_oracle(Matrix(ring, rows))
+    # det(PA) = sign(P) det(A) for a row permutation P.
+    perm = data.draw(st.permutations(range(k)), label="perm")
+    assert _det_gauss_mod_p(ring.p, [rows[i] for i in perm]) == permutation_sign(perm) * det % ring.p
 
 
 def test_det_matches_sympy():

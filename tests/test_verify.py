@@ -1,4 +1,8 @@
+import random
+from itertools import combinations
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from blockdet.conditions import (
     Condition,
@@ -10,14 +14,18 @@ from blockdet.conditions import (
     cond_kappa,
     cond_named,
     empty_condition,
+    family_condition,
     is_subgraph,
     matrix_satisfies,
+    vertices,
 )
 from blockdet.matrix import Matrix, block_view, commutes
 from blockdet.ncdet import nc_row_det
 from blockdet.ring import PolynomialRing, PrimeField, ZZ, poly_degree
 from blockdet.verify import (
+    _is_kappa,
     _poly_in,
+    _special_non_edge,
     builtin_matrix,
     check_identity,
     classify_size2,
@@ -174,6 +182,75 @@ class TestGenerators:
         bm = gen_satisfying(cond_f(2), 4, ZZ, seed=8)
         assert matrix_satisfies(bm, cond_f(2))
         assert all(abs(e) <= 6 for row in bm.blocks for b in row for r in b.entries for e in r)
+
+
+def family_ids(n):
+    """Every family id that ``family_condition`` accepts at size n."""
+    ids = ["f", "kappa", "complete", "empty"]
+    ids += [f"{head}:{k}" for head in ("side", "down", "tcol", "trow") for k in range(1, n + 1)]
+    if n == 2:
+        ids += ["g1", "g2", "g3", "g4", "g5", "h1", "h2", "h3", "h4"]
+    return ids
+
+
+def sorted_non_edge(g):
+    """The generic generator's special pair as it used to be chosen on
+    every draw: all non-edges sorted, those with both rows >= 2 first."""
+    non_edges = [(u, v) for u, v in combinations(vertices(g.n), 2) if not g.commutes(u, v)]
+    non_edges.sort(key=lambda e: (0 if e[0][0] >= 2 and e[1][0] >= 2 else 1, e))
+    return non_edges[0]
+
+
+@st.composite
+def random_conditions(draw):
+    """Random edge sets at n = 1..4, dense and sparse, plus kappa's edges
+    with some withheld and some edges through row 1 added."""
+    n = draw(st.integers(1, 4), label="n")
+    rng = draw(st.randoms(use_true_random=False), label="rng")
+    pairs = list(combinations(vertices(n), 2))
+    if draw(st.booleans(), label="near kappa"):
+        edges = set(cond_kappa(n).edges)
+        edges -= set(rng.sample(sorted(edges), min(len(edges), draw(st.integers(0, 2), label="withheld"))))
+        row_one = [e for e in pairs if e[0][0] == 1]
+        edges |= set(rng.sample(row_one, min(len(row_one), draw(st.integers(0, 2), label="added"))))
+    else:
+        density = rng.random()
+        edges = {e for e in pairs if rng.random() < density}
+    return Condition(n, frozenset(edges))
+
+
+class TestGeneratorChoice:
+    def test_kappa_is_recognised_for_every_family(self):
+        for n in range(1, 9):
+            for fid in family_ids(n):
+                g = family_condition(fid, n)
+                assert _is_kappa(g) == (g == cond_kappa(n)), (fid, n)
+
+    @settings(max_examples=300, deadline=None)
+    @given(g=random_conditions())
+    def test_choices_match_the_built_kappa_and_the_sorted_non_edge(self, g):
+        assert _is_kappa(g) == (g == cond_kappa(g.n))
+        if len(g) == g.n * g.n * (g.n * g.n - 1) // 2:
+            return
+        special = sorted_non_edge(g)
+        assert _special_non_edge(g) == special
+        name, fn = pick_generator(g, 2)
+        if name == "generic-scalar":
+            assert fn(F10007, random.Random(0))[1] == [special]
+
+    def test_the_special_non_edge_is_picked_once_per_campaign(self, monkeypatch):
+        import blockdet.verify
+
+        calls = []
+
+        def counting(g):
+            calls.append(g)
+            return _special_non_edge(g)
+
+        monkeypatch.setattr(blockdet.verify, "_special_non_edge", counting)
+        g = family_condition("tcol:1", 3)
+        assert run_campaign(g, 3, F10007, 4, seed=1).generator == "generic-scalar"
+        assert calls == [g]
 
 
 class TestCampaigns:
