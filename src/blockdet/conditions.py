@@ -77,9 +77,27 @@ def cond_f(n: int) -> Condition:
     return _from_predicate(n, lambda u, v: u[0] != 1 and v[0] != 1 and u[1] != v[1])
 
 
+def kappa_pair(u: Vertex, v: Vertex) -> bool:
+    """Whether u and v are joined in kappa: distinct, both outside row 1."""
+    return u != v and u[0] != 1 and v[0] != 1
+
+
 def cond_kappa(n: int) -> Condition:
     """Complete graph on all positions outside row 1."""
-    return _from_predicate(n, lambda u, v: u[0] != 1 and v[0] != 1)
+    return _from_predicate(n, kappa_pair)
+
+
+def t_col_pair(c: int):
+    """pair(u, v): whether u and v are joined in the column-c transpose
+    relation; False for u == v, as in ``Condition.commutes``."""
+
+    def pair(u: Vertex, v: Vertex) -> bool:
+        (i, j), (k, l) = u, v
+        if i != k and j != l and j != c and l != c:
+            return True
+        return (j == c or l == c) and (i - k) * (j - l) > 0
+
+    return pair
 
 
 def cond_t_col(c: int, n: int) -> Condition:
@@ -91,14 +109,7 @@ def cond_t_col(c: int, n: int) -> Condition:
     """
     if not 1 <= c <= n:
         raise ValueError(f"column {c} out of range for size {n}")
-
-    def pred(u: Vertex, v: Vertex) -> bool:
-        (i, j), (k, l) = u, v
-        if i != k and j != l and j != c and l != c:
-            return True
-        return (j == c or l == c) and (i - k) * (j - l) > 0
-
-    return _from_predicate(n, pred)
+    return _from_predicate(n, t_col_pair(c))
 
 
 def cond_t_row(r: int, n: int) -> Condition:

@@ -7,18 +7,17 @@ lexicographically least word of a trace class by a greedy scan, and
 ``trace_equal_by_projection`` decides trace equality independently of it.
 
 The column-swap, transpose and row-swap ordering identities are decided
-without expanding either side: ``_identity_holds`` applies the identity's
-word map to every pair of letters in different rows and columns, O(n^4)
-pair tests instead of n! normal forms.  The n! expansion, a dict from
-normal form to coefficient (``_reindexed_det`` compared with
-``symbolic_row_det``), is the oracle the tests hold it to.
+without expanding either side or building a ``Condition``: ``_identity_holds``
+maps each letter once and tests every pair of letters in different rows and
+columns against the relation's pair predicate, O(n^4) pair tests instead of
+n! normal forms.  The n! expansion, a dict from normal form to coefficient
+(``_reindexed_det`` compared with ``symbolic_row_det``), is the oracle the
+tests hold it to.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
-
-from .conditions import Condition, cond_kappa, cond_minus_edge, cond_t_col, empty_condition, vertices
+from .conditions import Condition, kappa_pair, t_col_pair
 from .matrix import permutation_sign, signed_permutations
 
 Letter = tuple[int, int]
@@ -102,18 +101,19 @@ def symbolic_row_det(n: int, rel: Condition) -> dict[Word, int]:
     return _reindexed_det(n, rel, lambda word: word)
 
 
-def _identity_holds(n: int, rel: Condition, word_map, sign: int) -> bool:
+def _identity_holds(n: int, commutes, letter_map, reverse: bool, sign: int) -> bool:
     """Whether _reindexed_det(n, rel, word_map) == sign * symbolic_row_det(n, rel),
     decided pair by pair instead of by n! normal forms.
 
-    w_pi is the row-ordered word ((1, pi(1)), ..., (n, pi(n))).  word_map
-    relabels the letters by a column permutation tau, a row permutation
-    sigma or the transpose, the last followed by a reversal of the word, so
-    it sends w_pi to a reordering of the word of pi' = tau pi, pi sigma^-1
-    or pi^-1.
+    rel is the pair predicate ``commutes(a, b)``, False for a == b as in
+    ``Condition.commutes``.  word_map relabels each letter by ``letter_map``
+    (a column permutation tau, a row permutation sigma or the transpose),
+    then with ``reverse`` reverses the word.  It sends the row-ordered word
+    w_pi = ((1, pi(1)), ..., (n, pi(n))) to a reordering of the word of
+    pi' = tau pi, pi sigma^-1 or pi^-1.
 
-    - The letter set {(r, pi(r))} determines pi, and word_map is injective
-      on letters, so no two words of either side share a letter multiset:
+    - The letter set {(r, pi(r))} determines pi, and letter_map is
+      injective, so no two words of either side share a letter multiset:
       nothing merges or cancels.  The sides agree iff every mapped w_pi is
       trace-equivalent to w_pi' and carries its coefficient.
     - sign(pi') / sign(pi) is the same for every pi, so the coefficients
@@ -127,17 +127,19 @@ def _identity_holds(n: int, rel: Condition, word_map, sign: int) -> bool:
       different column appear together, p first, in some w_pi.
 
     So the identity holds iff the sign agrees and every such pair (p, q)
-    whose image word_map((p, q)) is out of row order commutes under rel.
-    Those pairs form the least relation under which the identity holds.
+    whose image is out of row order commutes.  Those pairs form the least
+    relation under which the identity holds.
     """
-    image = word_map(tuple((r, r) for r in range(1, n + 1)))
-    if permutation_sign([c for _, c in sorted(image)]) != sign:
+    grid = [[letter_map((r, c)) for c in range(1, n + 1)] for r in range(1, n + 1)]
+    if permutation_sign([c for _, c in sorted(grid[r][r] for r in range(n))]) != sign:
         return False
-    for p, q in combinations(vertices(n), 2):
-        if p[0] < q[0] and p[1] != q[1]:
-            a, b = word_map((p, q))
-            if a[0] > b[0] and not rel.commutes(a, b):
-                return False
+    for r, upper in enumerate(grid):
+        for lower in grid[r + 1 :]:
+            for x, p in enumerate(upper):
+                for y, q in enumerate(lower):
+                    a, b = (q, p) if reverse else (p, q)
+                    if x != y and a[0] > b[0] and not commutes(a, b):
+                        return False
     return True
 
 
@@ -145,38 +147,43 @@ def check_colswap_identity(n: int, k: int) -> bool:
     """Swapping adjacent columns k, k+1 negates the row determinant.
 
     Holds with no commutation at all: the swap relabels columns only, so
-    every product stays ordered by row and no pair needs to commute.
-    Decided under the empty relation by ``_identity_holds``.
+    every product stays ordered by row.  Decided under the empty relation.
     """
     if not (1 <= k < n <= IDENTITY_CHECK_CAP):
         raise ValueError(f"need 1 <= k < n <= {IDENTITY_CHECK_CAP}, got k={k}, n={n}")
     tau = {k: k + 1, k + 1: k}
-    return _identity_holds(
-        n, empty_condition(n), lambda word: tuple((r, tau.get(c, c)) for r, c in word), -1
-    )
+    return _identity_holds(n, lambda a, b: False, lambda lt: (lt[0], tau.get(lt[1], lt[1])), False, -1)
 
 
 def check_transpose_identity(n: int, c: int) -> bool:
     """Transposing and re-transposing preserves the row determinant.
 
     The expansion of the double transpose orders each product by descending
-    column; it must equal the row-ordered expansion under the column-c
-    compatibility relation.  False under weaker relations in general.
-    Decided by ``_identity_holds``.
+    column; it equals the row-ordered expansion under the column-c relation
+    ``t_col_pair(c)``, and in general not under weaker ones.
     """
     if not (1 <= c <= n <= IDENTITY_CHECK_CAP):
         raise ValueError(f"need 1 <= c <= n <= {IDENTITY_CHECK_CAP}, got c={c}, n={n}")
-    return _identity_holds(
-        n, cond_t_col(c, n), lambda word: tuple((col, r) for r, col in reversed(word)), 1
-    )
+    return _identity_holds(n, t_col_pair(c), lambda lt: (lt[1], lt[0]), True, 1)
 
 
-def check_rowswap_identity(
-    n: int, i: int, j: int, missing_edge: tuple[Letter, Letter] | None = None
-) -> bool:
+def _rowswap_pair(n: int, missing_edge: tuple[Letter, Letter] | None):
+    """``kappa_pair`` less the withheld pair, once that pair is range-checked."""
+    if missing_edge is None:
+        return kappa_pair
+    a, b = (tuple(lt) for lt in missing_edge)
+    if a[0] < 2 or b[0] < 2:
+        raise ValueError("withheld pair must lie outside row 1")
+    if a == b or not all(len(lt) == 2 and lt[0] <= n and 1 <= lt[1] <= n for lt in (a, b)):
+        raise ValueError(f"{missing_edge} is not a pair of distinct positions outside row 1")
+    withheld = {(a, b), (b, a)}
+    return lambda u, v: kappa_pair(u, v) and (u, v) not in withheld
+
+
+def check_rowswap_identity(n: int, i: int, j: int, missing_edge: tuple[Letter, Letter] | None = None) -> bool:
     """Swapping rows i and j negates the row determinant, under the relation
     where all pairs of positions outside row 1 commute except one withheld
-    pair.
+    pair (``_rowswap_pair``).
 
     True whenever the withheld pair shares a row or a column (the two
     letters never meet in one monomial), or when the swap preserves the
@@ -185,13 +192,5 @@ def check_rowswap_identity(
     """
     if not (2 <= i < j <= n <= IDENTITY_CHECK_CAP):
         raise ValueError(f"need 2 <= i < j <= n <= {IDENTITY_CHECK_CAP}, got i={i}, j={j}, n={n}")
-    rel = cond_kappa(n)
-    if missing_edge is not None:
-        a, b = (tuple(lt) for lt in missing_edge)
-        if a[0] < 2 or b[0] < 2:
-            raise ValueError("withheld pair must lie outside row 1")
-        if not rel.commutes(a, b):
-            raise ValueError(f"{missing_edge} is not a pair of distinct positions outside row 1")
-        rel = cond_minus_edge(rel, (a, b))
-    sigma = {i: j, j: i}
-    return _identity_holds(n, rel, lambda word: tuple((sigma.get(r, r), c) for r, c in word), -1)
+    commutes, sigma = _rowswap_pair(n, missing_edge), {i: j, j: i}
+    return _identity_holds(n, commutes, lambda lt: (sigma.get(lt[0], lt[0]), lt[1]), False, -1)

@@ -2,7 +2,7 @@ import random
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from blockdet.conditions import (
     Condition,
@@ -481,7 +481,10 @@ def sparse_field_rows(data, ring):
     return [tuple(row) for row in rows]
 
 
-@settings(max_examples=200, deadline=None)
+# No shrink phase: each shrink step reruns Bareiss up to 32 x 32 and the
+# expansion at k = 8, so shrinking a failure took minutes; the first
+# counterexample is reported as drawn.
+@settings(max_examples=200, deadline=None, phases=[p for p in Phase if p is not Phase.shrink])
 @given(data=st.data())
 def test_sparsest_first_gauss_matches_bareiss_and_expansion(data):
     ring = data.draw(st.sampled_from(GAUSS_FIELDS), label="ring")

@@ -4,7 +4,15 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from blockdet.conditions import Condition, complete_condition, cond_kappa, cond_t_col, empty_condition
+from blockdet.conditions import (
+    Condition,
+    complete_condition,
+    cond_kappa,
+    cond_minus_edge,
+    cond_t_col,
+    empty_condition,
+    t_col_pair,
+)
 from blockdet.matrix import BlockMatrix, Matrix
 from blockdet.ncdet import nc_row_det
 from blockdet.ring import PrimeField
@@ -12,6 +20,7 @@ from blockdet.traces import (
     IDENTITY_CHECK_CAP,
     _identity_holds,
     _reindexed_det,
+    _rowswap_pair,
     check_colswap_identity,
     check_rowswap_identity,
     check_transpose_identity,
@@ -260,6 +269,27 @@ class TestRowswap:
         with pytest.raises(ValueError):
             check_rowswap_identity(IDENTITY_CHECK_CAP + 1, 2, 3, None)
 
+    @pytest.mark.parametrize(
+        "missing",
+        [
+            ((2, 1), (6, 1)),  # row past n
+            ((2, 0), (3, 1)),  # column 0
+            ((2, 1), (3, 6)),  # column past n
+            ((2, 1), (2, 1)),  # equal letters
+            ((3, 2), (3, 2)),
+        ],
+    )
+    def test_withheld_pair_not_two_positions_is_rejected(self, missing):
+        with pytest.raises(ValueError) as exc:
+            check_rowswap_identity(5, 2, 3, missing)
+        assert str(exc.value) == f"{missing} is not a pair of distinct positions outside row 1"
+
+    @pytest.mark.parametrize("missing", [((1, 1), (2, 2)), ((3, 1), (1, 3)), ((1, 2), (1, 2)), ((0, 1), (2, 1))])
+    def test_withheld_pair_in_row_1_is_rejected(self, missing):
+        with pytest.raises(ValueError) as exc:
+            check_rowswap_identity(5, 2, 3, missing)
+        assert str(exc.value) == "withheld pair must lie outside row 1"
+
     def _numeric_instance(self, n, i, j, missing, seed):
         # blocks realizing exactly the relation: perturbations share a slot
         # only at the withheld pair, everything else outside row 1 scalar
@@ -308,17 +338,23 @@ def test_identity_checks_at_the_cap():
 
 
 def _word_maps(n):
-    """(name, word map, sign) for every identity at size n, written apart
-    from blockdet.traces: colswap for each k, the transpose, and a swap of
-    every two rows i < j (row 1 included)."""
-    maps = [("transpose", lambda w: tuple((c, r) for r, c in reversed(w)), 1)]
+    """(name, letter map, reverse, sign) for every identity at size n,
+    written apart from blockdet.traces: colswap for each k, the transpose,
+    and a swap of every two rows i < j (row 1 included)."""
+    maps = [("transpose", lambda lt: (lt[1], lt[0]), True, 1)]
     for k in range(1, n):
         tau = {k: k + 1, k + 1: k}
-        maps.append((f"colswap k={k}", lambda w, tau=tau: tuple((r, tau.get(c, c)) for r, c in w), -1))
+        maps.append((f"colswap k={k}", lambda lt, tau=tau: (lt[0], tau.get(lt[1], lt[1])), False, -1))
     for i, j in combinations(range(1, n + 1), 2):
         sigma = {i: j, j: i}
-        maps.append((f"rowswap {i},{j}", lambda w, sigma=sigma: tuple((sigma.get(r, r), c) for r, c in w), -1))
+        maps.append((f"rowswap {i},{j}", lambda lt, sigma=sigma: (sigma.get(lt[0], lt[0]), lt[1]), False, -1))
     return maps
+
+
+def _word_map(letter_map, reverse):
+    """The word map the oracle expands: relabel every letter, then reverse
+    the word when asked."""
+    return lambda w: tuple(letter_map(lt) for lt in (reversed(w) if reverse else w))
 
 
 def _expansion_verdict(n, rel, word_map, sign):
@@ -331,12 +367,15 @@ def _expansion_verdict(n, rel, word_map, sign):
 @given(st.data())
 def test_pairwise_criterion_matches_expansion(data):
     # Random relations, each identity's word map, and both signs: a wrong
-    # sign must fail even where every pair is in order.
+    # sign must fail even where every pair is in order.  The relation's own
+    # Condition.commutes is the pair predicate.
     rel = data.draw(relations(max_n=4))
     n = rel.n
-    for name, word_map, sign in _word_maps(n):
+    for name, letter_map, reverse, sign in _word_maps(n):
+        word_map = _word_map(letter_map, reverse)
         for s in (sign, -sign):
-            assert _identity_holds(n, rel, word_map, s) == _expansion_verdict(n, rel, word_map, s), (name, s)
+            got = _identity_holds(n, rel.commutes, letter_map, reverse, s)
+            assert got == _expansion_verdict(n, rel, word_map, s), (name, s)
 
 
 @settings(max_examples=60, deadline=None)
@@ -347,7 +386,7 @@ def test_identity_checks_match_expansion(data):
     n = data.draw(st.integers(1, 4))
     pairs = list(combinations(letters_of(n)[n:], 2))
     missing = data.draw(st.none() | st.sampled_from(pairs)) if pairs else None
-    maps = {name: (m, s) for name, m, s in _word_maps(n)}
+    maps = {name: (_word_map(m, rev), s) for name, m, rev, s in _word_maps(n)}
     for k in range(1, n):
         m, s = maps[f"colswap k={k}"]
         assert check_colswap_identity(n, k) == _expansion_verdict(n, empty_condition(n), m, s)
@@ -360,6 +399,21 @@ def test_identity_checks_match_expansion(data):
     for i, j in combinations(range(2, n + 1), 2):
         m, s = maps[f"rowswap {i},{j}"]
         assert check_rowswap_identity(n, i, j, missing) == _expansion_verdict(n, rel, m, s), (i, j, missing)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_pair_predicates_match_their_conditions(n):
+    # Every ordered pair of letters, u == v included: the predicates keep
+    # Condition.commutes's contract, False on the diagonal.
+    letters = letters_of(n)
+    kappa = cond_kappa(n)
+    for missing in [None] + [p for pair in combinations(letters[n:], 2) for p in (pair, pair[::-1])]:
+        pred = _rowswap_pair(n, missing)
+        rel = kappa if missing is None else cond_minus_edge(kappa, missing)
+        assert all(pred(u, v) == rel.commutes(u, v) for u in letters for v in letters), missing
+    for c in range(1, n + 1):
+        pred, rel = t_col_pair(c), cond_t_col(c, n)
+        assert all(pred(u, v) == rel.commutes(u, v) for u in letters for v in letters), c
 
 
 class TestEvaluationHomomorphism:
