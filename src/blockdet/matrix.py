@@ -28,18 +28,17 @@ the rows sparsest first (Markowitz 1957): a stable sort on the zero count,
 whose parity goes into the sign, and a pivot row at most half full updates
 only its nonzero columns.  A flattened block sample is mostly rows with a
 scalar and one 2x2 slot per block, so they are eliminated before the dense
-first block row and fill in little.  Bird's division-free O(k^4) method and
-the signed permutation sum stay as test oracles.
+first block row and fill in little.  The slow oracles the tests hold these
+kernels to, the signed permutation sum and Bird's division-free O(k^4)
+method, live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 import operator
-from itertools import chain, combinations, permutations, repeat
+from itertools import chain, permutations, repeat
 
 from .ring import PolynomialRing, PrimeField, Ring, RingMismatchError, RingValue, parse_ring
-
-EXPANSION_CAP = 8
 
 
 class MatrixFormatError(ValueError):
@@ -47,9 +46,18 @@ class MatrixFormatError(ValueError):
 
 
 def permutation_sign(perm) -> int:
-    """Sign of a sequence of distinct values, by counting inversions."""
-    inversions = sum(1 for a, b in combinations(perm, 2) if a > b)
-    return -1 if inversions % 2 else 1
+    """Sign of a permutation of range(k), in O(k): by the parity of k minus
+    its number of cycles."""
+    seen = [False] * len(perm)
+    parity = len(perm)
+    for start in range(len(perm)):
+        if not seen[start]:
+            parity -= 1
+            i = start
+            while not seen[i]:
+                seen[i] = True
+                i = perm[i]
+    return -1 if parity % 2 else 1
 
 
 def signed_permutations(n: int):
@@ -120,19 +128,17 @@ class Matrix:
         if self.ring != other.ring:
             raise RingMismatchError("matrices over different rings")
 
-    def __add__(self, other: Matrix) -> Matrix:
+    def _entrywise(self, other: Matrix, op, what: str) -> Matrix:
         self._check_ring(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch in addition")
-        padd = self.ring.padd
-        return Matrix(self.ring, [tuple(map(padd, a, b)) for a, b in zip(self.entries, other.entries)])
+            raise ValueError(f"shape mismatch in {what}")
+        return Matrix(self.ring, [tuple(map(op, a, b)) for a, b in zip(self.entries, other.entries)])
+
+    def __add__(self, other: Matrix) -> Matrix:
+        return self._entrywise(other, self.ring.padd, "addition")
 
     def __sub__(self, other: Matrix) -> Matrix:
-        self._check_ring(other)
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch in subtraction")
-        psub = self.ring.psub
-        return Matrix(self.ring, [tuple(map(psub, a, b)) for a, b in zip(self.entries, other.entries)])
+        return self._entrywise(other, self.ring.psub, "subtraction")
 
     def __neg__(self) -> Matrix:
         pneg = self.ring.pneg
@@ -306,9 +312,9 @@ def _det_bareiss(ring: Ring, rows) -> object:
 
 def _det_gauss_mod_p(p: int, rows) -> int:
     # Rows go sparsest first: a stable sort on the zero count, so equal
-    # rows keep their order, whose parity (k minus its cycle count) goes
-    # into the sign.  Already in order, they skip the sort, which keeps
-    # dense inputs as fast as plain elimination.
+    # rows keep their order, whose sign goes into the determinant.  Already
+    # in order, they skip the sort, which keeps dense inputs as fast as
+    # plain elimination.
     k = len(rows)
     zeros = [row.count(0) for row in rows]
     det = 1
@@ -317,15 +323,7 @@ def _det_gauss_mod_p(p: int, rows) -> int:
     else:
         order = sorted(range(k), key=zeros.__getitem__, reverse=True)
         m = [list(rows[i]) for i in order]
-        det = -1 if k % 2 else 1
-        seen = [False] * k
-        for start in range(k):
-            if not seen[start]:
-                det = -det
-                i = start
-                while not seen[i]:
-                    seen[i] = True
-                    i = order[i]
+        det = permutation_sign(order)
     for col in range(k - 1):
         piv = None
         for r in range(col, k):
@@ -369,73 +367,6 @@ def det_commutative(mat: Matrix) -> RingValue:
     if not mat.is_square:
         raise ValueError("determinant of a non-square matrix")
     return RingValue(mat.ring, _det_payload(mat.ring, mat.entries))
-
-
-def det_expansion_oracle(mat: Matrix) -> RingValue:
-    """Determinant by the signed permutation sum; test oracle only."""
-    if not mat.is_square:
-        raise ValueError("determinant of a non-square matrix")
-    k = mat.rows
-    if k > EXPANSION_CAP:
-        raise ValueError(f"expansion oracle capped at dimension {EXPANSION_CAP}")
-    ring = mat.ring
-    padd = ring.padd
-    psub = ring.psub
-    pmul = ring.pmul
-    rows = mat.entries
-    total = ring.int_payload(0)
-    one = ring.int_payload(1)
-    for perm, sign in signed_permutations(k):
-        prod = one
-        for i in range(k):
-            e = rows[i][perm[i]]
-            if not e:
-                prod = None
-                break
-            prod = pmul(prod, e)
-        if prod is None:
-            continue
-        total = padd(total, prod) if sign > 0 else psub(total, prod)
-    return RingValue(ring, total)
-
-
-def _det_bird(ring: Ring, rows) -> object:
-    # Bird's division-free determinant, a test oracle for Bareiss's method:
-    # F_{k+1} = mu(F_k) A where mu zeroes the lower triangle and replaces
-    # each diagonal entry with minus the sum of the diagonal entries below
-    # it.  det A = (-1)^(k-1) (F_k)_{11}.
-    k = len(rows)
-    if k == 0:
-        return ring.int_payload(1)
-    padd = ring.padd
-    pmul = ring.pmul
-    pneg = ring.pneg
-    zero = ring.int_payload(0)
-    a = f = rows
-    for _ in range(k - 1):
-        suffix = [zero] * k
-        acc = zero
-        for i in range(k - 1, -1, -1):
-            suffix[i] = acc
-            acc = padd(acc, f[i][i])
-        g = []
-        for i in range(k):
-            mii = pneg(suffix[i])
-            fi = f[i]
-            grow = []
-            for j in range(k):
-                aij = a[i][j]
-                total = pmul(mii, aij) if (mii and aij) else zero
-                for t in range(i + 1, k):
-                    x = fi[t]
-                    if x:
-                        y = a[t][j]
-                        if y:
-                            total = padd(total, pmul(x, y))
-                grow.append(total)
-            g.append(grow)
-        f = g
-    return f[0][0] if k % 2 else ring.pneg(f[0][0])
 
 
 def cofactor_matrix(mat: Matrix) -> Matrix:
@@ -537,16 +468,43 @@ def block_view(mat: Matrix, m: int) -> BlockMatrix:
 
 # --- text formats -----------------------------------------------------------
 
-def format_matrix(mat: Matrix) -> str:
-    lines = [f"{mat.rows} {mat.cols} {mat.ring.label}"]
-    lines.extend(" ".join(map(mat.ring.format_payload, row)) for row in mat.entries)
+def _format_text(a: int, b: int, ring: Ring, rows) -> str:
+    lines = [f"{a} {b} {ring.label}"]
+    lines.extend(" ".join(map(ring.format_payload, row)) for row in rows)
     return "\n".join(lines) + "\n"
 
 
-def _parse_grid(lines, start: int, nrows: int, ncols: int, ring: Ring):
+def format_matrix(mat: Matrix) -> str:
+    return _format_text(mat.rows, mat.cols, mat.ring, mat.entries)
+
+
+def format_block_matrix(bm: BlockMatrix) -> str:
+    return _format_text(bm.m, bm.n, bm.ring, bm.flatten().entries)
+
+
+def _parse_header(text: str, names: str, sizes: str):
+    """The nonblank lines of ``text``, the two positive sizes and the ring
+    of its header line ``a b ring``; ``names`` spells a and b, ``sizes``
+    names them in the error."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise MatrixFormatError("line 1: empty input")
+    header = lines[0].split()
+    if len(header) != 3:
+        raise MatrixFormatError(f"line 1: header must be '{names} ring-descriptor'")
+    try:
+        a, b = int(header[0]), int(header[1])
+        ring = parse_ring(header[2])
+    except ValueError as exc:
+        raise MatrixFormatError(f"line 1: {exc}") from None
+    if a < 1 or b < 1:
+        raise MatrixFormatError(f"line 1: {sizes} must be positive")
+    return lines, a, b, ring
+
+
+def _parse_grid(lines, nrows: int, ncols: int, ring: Ring):
     rows = []
-    for r in range(nrows):
-        lineno = start + r
+    for lineno in range(1, nrows + 1):
         if lineno >= len(lines):
             raise MatrixFormatError(f"line {lineno + 1}: expected {nrows} entry rows, file ended early")
         tokens = lines[lineno].split()
@@ -564,43 +522,11 @@ def _parse_grid(lines, start: int, nrows: int, ncols: int, ring: Ring):
 
 def parse_matrix(text: str) -> Matrix:
     """Parse the plain-text matrix format: ``rows cols ring`` then entry rows."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise MatrixFormatError("line 1: empty input")
-    header = lines[0].split()
-    if len(header) != 3:
-        raise MatrixFormatError("line 1: header must be 'rows cols ring-descriptor'")
-    try:
-        nrows, ncols = int(header[0]), int(header[1])
-        ring = parse_ring(header[2])
-    except ValueError as exc:
-        raise MatrixFormatError(f"line 1: {exc}") from None
-    if nrows < 1 or ncols < 1:
-        raise MatrixFormatError("line 1: dimensions must be positive")
-    return Matrix(ring, _parse_grid(lines, 1, nrows, ncols, ring))
-
-
-def format_block_matrix(bm: BlockMatrix) -> str:
-    lines = [f"{bm.m} {bm.n} {bm.ring.label}"]
-    lines.extend(" ".join(map(bm.ring.format_payload, row)) for row in bm.flatten().entries)
-    return "\n".join(lines) + "\n"
+    lines, nrows, ncols, ring = _parse_header(text, "rows cols", "dimensions")
+    return Matrix(ring, _parse_grid(lines, nrows, ncols, ring))
 
 
 def parse_block_matrix(text: str) -> BlockMatrix:
     """Parse the block-matrix format: ``m n ring`` then the mn x mn entries."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise MatrixFormatError("line 1: empty input")
-    header = lines[0].split()
-    if len(header) != 3:
-        raise MatrixFormatError("line 1: header must be 'm n ring-descriptor'")
-    try:
-        m, n = int(header[0]), int(header[1])
-        ring = parse_ring(header[2])
-    except ValueError as exc:
-        raise MatrixFormatError(f"line 1: {exc}") from None
-    if m < 1 or n < 1:
-        raise MatrixFormatError("line 1: block sizes must be positive")
-    k = m * n
-    flat = Matrix(ring, _parse_grid(lines, 1, k, k, ring))
-    return block_view(flat, m)
+    lines, m, n, ring = _parse_header(text, "m n", "block sizes")
+    return block_view(Matrix(ring, _parse_grid(lines, m * n, m * n, ring)), m)

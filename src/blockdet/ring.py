@@ -53,51 +53,6 @@ def _poly_trim(coeffs) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
-def poly_add_payload(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] += c
-    return _poly_trim(out)
-
-
-def poly_mul_payload(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _poly_trim(out)
-
-
-def poly_exquo_payload(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """Exact quotient a / b in Z[z] by long division.
-
-    Raises ``ArithmeticError`` when b does not divide a, rather than
-    rounding; a zero b raises ``ZeroDivisionError``, one of its kind.
-    """
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    lead = b[-1]
-    db = len(b) - 1
-    rem = list(a)
-    out = [0] * max(len(a) - db, 0)
-    for i in range(len(out) - 1, -1, -1):
-        c, r = divmod(rem[i + db], lead)
-        if r:
-            raise ArithmeticError("inexact polynomial division")
-        if c:
-            out[i] = c
-            for j, y in enumerate(b):
-                rem[i + j] -= c * y
-    if any(rem[:db]):
-        raise ArithmeticError("inexact polynomial division")
-    return tuple(out)
-
-
 class Ring:
     """Base class for ring descriptors.
 
@@ -265,16 +220,49 @@ class PolynomialRing(Ring):
         return (k,) if k else ()
 
     def padd(self, a, b):
-        return poly_add_payload(a, b)
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] += c
+        return _poly_trim(out)
 
     def pmul(self, a, b):
-        return poly_mul_payload(a, b)
+        if not a or not b:
+            return ()
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        return _poly_trim(out)
 
     def pneg(self, a):
         return tuple(-c for c in a)
 
     def pexquo(self, a, b):
-        return poly_exquo_payload(a, b)
+        """Exact quotient a / b in Z[z] by long division.
+
+        Raises ``ArithmeticError`` when b does not divide a, rather than
+        rounding; a zero b raises ``ZeroDivisionError``, one of its kind.
+        """
+        if not b:
+            raise ZeroDivisionError("polynomial division by zero")
+        lead = b[-1]
+        db = len(b) - 1
+        rem = list(a)
+        out = [0] * max(len(a) - db, 0)
+        for i in range(len(out) - 1, -1, -1):
+            c, r = divmod(rem[i + db], lead)
+            if r:
+                raise ArithmeticError("inexact polynomial division")
+            if c:
+                out[i] = c
+                for j, y in enumerate(b):
+                    rem[i + j] -= c * y
+        if any(rem[:db]):
+            raise ArithmeticError("inexact polynomial division")
+        return tuple(out)
 
     def format_payload(self, a) -> str:
         if not a:

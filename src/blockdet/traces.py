@@ -3,8 +3,9 @@
 Words are sequences of grid positions (row, col); a commutation relation,
 the same ``Condition`` graph that matrices satisfy, declares which pairs of
 positions may swap when adjacent.  ``word_normal_form`` gives the
-lexicographically least word of a trace class by a greedy scan, and
-``trace_equal_by_projection`` decides trace equality independently of it.
+lexicographically least word of a trace class by a greedy scan.  The
+tests hold it to an independent equality test by the projection lemma,
+``trace_equal_by_projection`` in ``tests/oracles.py``.
 
 The column-swap, transpose and row-swap ordering identities are decided
 without expanding either side or building a ``Condition``: ``_identity_holds``
@@ -54,30 +55,6 @@ def word_normal_form(word: Word, rel: Condition) -> Word:
     return tuple(out)
 
 
-def trace_equal(u: Word, v: Word, rel: Condition) -> bool:
-    """Equality of trace classes, via normal forms."""
-    return word_normal_form(u, rel) == word_normal_form(v, rel)
-
-
-def trace_equal_by_projection(u: Word, v: Word, rel: Condition) -> bool:
-    """Independent equality test: equal letter multisets and equal
-    projections onto every non-commuting pair of letters."""
-    _check_word(u, rel)
-    _check_word(v, rel)
-    if sorted(u) != sorted(v):
-        return False
-    letters = sorted(set(u))
-    for x, a in enumerate(letters):
-        for b in letters[x + 1 :]:
-            if rel.commutes(a, b):
-                continue
-            pu = tuple(lt for lt in u if lt == a or lt == b)
-            pv = tuple(lt for lt in v if lt == a or lt == b)
-            if pu != pv:
-                return False
-    return True
-
-
 def _reindexed_det(n: int, rel: Condition, word_map) -> dict[Word, int]:
     """Sum of sign(pi) * word_map(w_pi) over the row-ordered words w_pi, as
     a dict from normal form to its nonzero coefficient.
@@ -121,8 +98,8 @@ def _identity_holds(n: int, commutes, letter_map, reverse: bool, sign: int) -> b
     - Two words of distinct letters are trace-equivalent iff every
       non-commuting pair of letters appears in the same relative order.
       This is the projection lemma (Cartier-Foata 1969; Diekert-Rozenberg,
-      *The Book of Traces*, 1995); ``trace_equal_by_projection`` implements
-      it.  In w_pi' that order is row order.
+      *The Book of Traces*, 1995); ``trace_equal_by_projection`` in
+      ``tests/oracles.py`` implements it.  In w_pi' that order is row order.
     - For n >= 2, any two letters p, q with p in a row above q and in a
       different column appear together, p first, in some w_pi.
 
@@ -131,7 +108,7 @@ def _identity_holds(n: int, commutes, letter_map, reverse: bool, sign: int) -> b
     relation under which the identity holds.
     """
     grid = [[letter_map((r, c)) for c in range(1, n + 1)] for r in range(1, n + 1)]
-    if permutation_sign([c for _, c in sorted(grid[r][r] for r in range(n))]) != sign:
+    if permutation_sign([c - 1 for _, c in sorted(grid[r][r] for r in range(n))]) != sign:
         return False
     for r, upper in enumerate(grid):
         for lower in grid[r + 1 :]:

@@ -34,14 +34,7 @@ from .conditions import (
 )
 from .matrix import BlockMatrix, Matrix, det_commutative
 from .ncdet import BLOCK_SIZE_CAP, ROW_DET_CAP, nc_row_det
-from .ring import (
-    IntegerRing,
-    PolynomialRing,
-    PrimeField,
-    Ring,
-    RingValue,
-    poly_degree,
-)
+from .ring import ZZ, PolynomialRing, PrimeField, Ring, RingValue, poly_degree
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -393,41 +386,18 @@ def run_campaign(
 
 # --- deterministic counterexamples -------------------------------------------
 
-_ZZ = IntegerRing()
-
-
-def _m1() -> BlockMatrix:
-    a = Matrix.from_rows(_ZZ, [[1, 2], [3, 4]])
-    b = Matrix.from_rows(_ZZ, [[5, 6], [7, 8]])
-    return BlockMatrix(_ZZ, 2, 2, [[a, b], [b, a]])
-
-
-def _m2() -> BlockMatrix:
-    a = Matrix.from_rows(_ZZ, [[1, 2], [3, 4]])
-    b = Matrix.from_rows(_ZZ, [[5, 6], [7, 8]])
-    return BlockMatrix(_ZZ, 2, 2, [[a, b], [a, b]])
-
-
-def _m3_blocks() -> tuple[Matrix, Matrix, Matrix, Matrix]:
-    c = Matrix.from_rows(_ZZ, [[1, 0, 0], [0, 1, 0], [0, 0, 2]])
-    d = Matrix.from_rows(_ZZ, [[1, 2, 0], [3, 4, 0], [0, 0, 5]])
-    e = Matrix.from_rows(_ZZ, [[6, 7, 0], [8, 9, 0], [0, 0, 10]])
-    f = Matrix.from_rows(_ZZ, [[1, 1, 0], [0, 1, 0], [0, 0, 1]])
-    return c, d, e, f
-
-
-def _m3() -> BlockMatrix:
-    c, d, e, f = _m3_blocks()
-    return BlockMatrix(_ZZ, 3, 2, [[c, d], [e, f]])
-
-
-def _m3_swapped() -> BlockMatrix:
-    c, d, e, f = _m3_blocks()
-    return BlockMatrix(_ZZ, 3, 2, [[d, c], [f, e]])
-
-
+# The fixed counterexamples over Z, as block rows of the named integer blocks.
+_BLOCKS = {
+    "a": [[1, 2], [3, 4]],
+    "b": [[5, 6], [7, 8]],
+    "c": [[1, 0, 0], [0, 1, 0], [0, 0, 2]],
+    "d": [[1, 2, 0], [3, 4, 0], [0, 0, 5]],
+    "e": [[6, 7, 0], [8, 9, 0], [0, 0, 10]],
+    "f": [[1, 1, 0], [0, 1, 0], [0, 0, 1]],
+}
+_FIXED_BUILTINS = {"m1": ("ab", "ba"), "m2": ("ab", "ab"), "m3": ("cd", "ef"), "m3swapped": ("dc", "fe")}
+# classify_size2 offers the falsifiers in this order.
 _H_TO_MATRIX = {"h1": "m1", "h4": "m2", "h2": "m3", "h3": "m3swapped"}
-_FIXED_BUILTINS = {"m1": _m1, "m2": _m2, "m3": _m3, "m3swapped": _m3_swapped}
 _WITNESS_DEFAULT_N = {"same_row": 2, "diff_row": 3}
 
 
@@ -442,10 +412,11 @@ def builtin_matrix(name: str, n: int | None = None) -> BlockMatrix:
         raise ValueError(f"unknown built-in matrix {name!r}")
     if n is not None:
         raise ValueError(f"built-in matrix {name!r} takes no size, got n={n}")
-    return _FIXED_BUILTINS[key]()
+    blocks = [[Matrix.from_rows(ZZ, _BLOCKS[b]) for b in brow] for brow in _FIXED_BUILTINS[key]]
+    return BlockMatrix(ZZ, blocks[0][0].rows, len(blocks), blocks)
 
 
-BUILTIN_NAMES = ("m1", "m2", "m3", "m3swapped", "h1", "h2", "h3", "h4", "same_row", "diff_row")
+BUILTIN_NAMES = (*_FIXED_BUILTINS, *sorted(_H_TO_MATRIX), *_WITNESS_DEFAULT_N)
 
 
 # --- classification of all size-2 conditions ----------------------------------

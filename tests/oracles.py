@@ -1,0 +1,113 @@
+"""Slow, independent oracles that the tests hold the package's kernels to.
+
+None of this runs in ``blockdet`` itself:
+
+- ``det_expansion_oracle``, the determinant as the signed permutation sum,
+  and ``_det_bird``, Bird's division-free O(k^4) determinant, check
+  Bareiss's elimination and sparsest-first Gaussian elimination
+  (``blockdet.matrix``);
+- ``trace_equal`` compares normal forms, and ``trace_equal_by_projection``
+  decides trace equality by the projection lemma, independently of
+  ``word_normal_form``; ``blockdet.traces._identity_holds`` rests on that
+  lemma.
+"""
+
+from __future__ import annotations
+
+from blockdet.conditions import Condition
+from blockdet.matrix import Matrix, signed_permutations
+from blockdet.ring import Ring, RingValue
+from blockdet.traces import Word, _check_word, word_normal_form
+
+EXPANSION_CAP = 8
+
+
+def det_expansion_oracle(mat: Matrix) -> RingValue:
+    """Determinant by the signed permutation sum; test oracle only."""
+    if not mat.is_square:
+        raise ValueError("determinant of a non-square matrix")
+    k = mat.rows
+    if k > EXPANSION_CAP:
+        raise ValueError(f"expansion oracle capped at dimension {EXPANSION_CAP}")
+    ring = mat.ring
+    padd = ring.padd
+    psub = ring.psub
+    pmul = ring.pmul
+    rows = mat.entries
+    total = ring.int_payload(0)
+    one = ring.int_payload(1)
+    for perm, sign in signed_permutations(k):
+        prod = one
+        for i in range(k):
+            e = rows[i][perm[i]]
+            if not e:
+                prod = None
+                break
+            prod = pmul(prod, e)
+        if prod is None:
+            continue
+        total = padd(total, prod) if sign > 0 else psub(total, prod)
+    return RingValue(ring, total)
+
+
+def _det_bird(ring: Ring, rows) -> object:
+    # Bird's division-free determinant, a test oracle for Bareiss's method:
+    # F_{k+1} = mu(F_k) A where mu zeroes the lower triangle and replaces
+    # each diagonal entry with minus the sum of the diagonal entries below
+    # it.  det A = (-1)^(k-1) (F_k)_{11}.
+    k = len(rows)
+    if k == 0:
+        return ring.int_payload(1)
+    padd = ring.padd
+    pmul = ring.pmul
+    pneg = ring.pneg
+    zero = ring.int_payload(0)
+    a = f = rows
+    for _ in range(k - 1):
+        suffix = [zero] * k
+        acc = zero
+        for i in range(k - 1, -1, -1):
+            suffix[i] = acc
+            acc = padd(acc, f[i][i])
+        g = []
+        for i in range(k):
+            mii = pneg(suffix[i])
+            fi = f[i]
+            grow = []
+            for j in range(k):
+                aij = a[i][j]
+                total = pmul(mii, aij) if (mii and aij) else zero
+                for t in range(i + 1, k):
+                    x = fi[t]
+                    if x:
+                        y = a[t][j]
+                        if y:
+                            total = padd(total, pmul(x, y))
+                grow.append(total)
+            g.append(grow)
+        f = g
+    return f[0][0] if k % 2 else ring.pneg(f[0][0])
+
+
+def trace_equal(u: Word, v: Word, rel: Condition) -> bool:
+    """Equality of trace classes, via normal forms."""
+    return word_normal_form(u, rel) == word_normal_form(v, rel)
+
+
+def trace_equal_by_projection(u: Word, v: Word, rel: Condition) -> bool:
+    """Independent equality test: equal letter multisets and equal
+    projections onto every non-commuting pair of letters."""
+    _check_word(u, rel)
+    _check_word(v, rel)
+    if sorted(u) != sorted(v):
+        return False
+    letters = sorted(set(u))
+    for x, a in enumerate(letters):
+        for b in letters[x + 1 :]:
+            if rel.commutes(a, b):
+                continue
+            pu = tuple(lt for lt in u if lt == a or lt == b)
+            pv = tuple(lt for lt in v if lt == a or lt == b)
+            if pu != pv:
+                return False
+    return True

@@ -19,22 +19,10 @@ from blockdet.conditions import (
     is_subgraph,
     matrix_satisfies,
 )
-from blockdet.matrix import (
-    BlockMatrix,
-    Matrix,
-    commutes,
-    det_commutative,
-    det_expansion_oracle,
-)
+from blockdet.matrix import BlockMatrix, Matrix, commutes, det_commutative
 from blockdet.ncdet import bourbaki_trace, cofactor_column_check, nc_cofactor, nc_row_det
 from blockdet.ring import PolynomialRing, PrimeField, ZZ, poly_degree
-from blockdet.traces import (
-    check_colswap_identity,
-    check_rowswap_identity,
-    check_transpose_identity,
-    trace_equal,
-    trace_equal_by_projection,
-)
+from blockdet.traces import check_colswap_identity, check_rowswap_identity, check_transpose_identity
 from blockdet.verify import (
     builtin_matrix,
     check_identity,
@@ -45,6 +33,7 @@ from blockdet.verify import (
     silvester_check,
     trial_seed,
 )
+from oracles import det_expansion_oracle, trace_equal, trace_equal_by_projection
 
 F10007 = PrimeField(10007)
 PA = PolynomialRing("a")

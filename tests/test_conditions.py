@@ -2,6 +2,7 @@ import random
 from itertools import combinations, permutations as iter_perms
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from blockdet.conditions import (
     Condition,
@@ -324,6 +325,20 @@ def test_condition_text_roundtrip():
         text = format_condition(g) + "\n".join(lines + lines[:2]) + "\n"
         assert parse_condition(text) == g
         assert format_condition(parse_condition(text)) == format_condition(g)
+
+
+@st.composite
+def conditions(draw):
+    n = draw(st.integers(1, 4))
+    pairs = list(combinations(vertices(n), 2))
+    edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    return Condition(n, frozenset(edges))
+
+
+@settings(max_examples=150, deadline=None)
+@given(g=conditions())
+def test_condition_text_round_trips(g):
+    assert parse_condition(format_condition(g)) == g
 
 
 def test_condition_rejects_sizes_below_one():

@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
@@ -13,18 +13,15 @@ from blockdet.conditions import (
     vertices,
 )
 from blockdet.matrix import (
-    EXPANSION_CAP,
     BlockMatrix,
     Matrix,
     MatrixFormatError,
     _det_bareiss,
-    _det_bird,
     _det_gauss_mod_p,
     block_view,
     cofactor_matrix,
     commutes,
     det_commutative,
-    det_expansion_oracle,
     format_block_matrix,
     format_matrix,
     parse_block_matrix,
@@ -35,6 +32,7 @@ from blockdet.matrix import (
 )
 from blockdet.ring import PolynomialRing, PrimeField, RingMismatchError, RingValue, ZZ
 from blockdet.verify import _slot, gen_satisfying
+from oracles import EXPANSION_CAP, _det_bird, det_expansion_oracle
 
 F7 = PrimeField(7)
 F10007 = PrimeField(10007)
@@ -275,6 +273,54 @@ def test_parse_errors_carry_line_info():
         parse_matrix("")
 
 
+# Every header error of the two file formats, word for word: the text, then
+# the error from parse_matrix and from parse_block_matrix.
+BAD_INT = "line 1: invalid literal for int() with base 10: "
+HEADER_ERRORS = {
+    "empty": ("", "line 1: empty input", "line 1: empty input"),
+    "blank": ("\n  \n", "line 1: empty input", "line 1: empty input"),
+    "two-fields": ("1 2", "line 1: header must be 'rows cols ring-descriptor'",
+                   "line 1: header must be 'm n ring-descriptor'"),
+    "four-fields": ("1 2 int x\n", "line 1: header must be 'rows cols ring-descriptor'",
+                    "line 1: header must be 'm n ring-descriptor'"),
+    "zero-first": ("0 1 int\n", "line 1: dimensions must be positive", "line 1: block sizes must be positive"),
+    "zero-second": ("1 0 int\n", "line 1: dimensions must be positive", "line 1: block sizes must be positive"),
+    "negative": ("-1 2 int\n", "line 1: dimensions must be positive", "line 1: block sizes must be positive"),
+    "bad-int": ("a 1 int\n", BAD_INT + "'a'", BAD_INT + "'a'"),
+    "float": ("1 1.5 int\n", BAD_INT + "'1.5'", BAD_INT + "'1.5'"),
+    "bad-modulus": ("1 1 mod:x\n1\n", *["line 1: bad prime-field descriptor 'mod:x'"] * 2),
+    "composite": ("1 1 mod:4\n1\n", *["line 1: modulus 4 is not prime"] * 2),
+    "unknown-ring": ("1 1 foo\n1\n", *["line 1: unknown ring descriptor 'foo'"] * 2),
+    "no-variable": ("1 1 poly:\n1\n", *["line 1: polynomial ring descriptor needs a variable name"] * 2),
+}
+
+
+@pytest.mark.parametrize("text, matrix_error, block_error", HEADER_ERRORS.values(), ids=HEADER_ERRORS)
+def test_header_errors_are_pinned(text, matrix_error, block_error):
+    with pytest.raises(MatrixFormatError) as exc:
+        parse_matrix(text)
+    assert str(exc.value) == matrix_error
+    with pytest.raises(MatrixFormatError) as exc:
+        parse_block_matrix(text)
+    assert str(exc.value) == block_error
+
+
+def inversion_sign(perm):
+    """The definition of the sign: -1 to the number of pairs out of order."""
+    return -1 if sum(a > b for a, b in combinations(perm, 2)) % 2 else 1
+
+
+def test_permutation_sign_is_the_inversion_parity():
+    for k in range(7):
+        for perm in permutations(range(k)):
+            assert permutation_sign(perm) == inversion_sign(perm), perm
+    rng = random.Random(16)
+    for _ in range(500):
+        perm = list(range(rng.randint(0, 64)))
+        rng.shuffle(perm)
+        assert permutation_sign(perm) == inversion_sign(perm), perm
+
+
 def test_from_rows_rejects_a_value_from_another_ring():
     with pytest.raises(RingMismatchError):
         Matrix.from_rows(ZZ, [[PrimeField(7).one]])
@@ -409,6 +455,23 @@ def test_unboxed_kernel_matches_ring_value_arithmetic(data):
         label="w",
     )
     assert commutes(q, w) == (oracle_product(q, w) == oracle_product(w, q))
+
+
+FORMAT_RINGS = DIFF_RINGS + [PolynomialRing("a"), PolynomialRing("x1")]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_text_formats_round_trip(data):
+    ring = data.draw(st.sampled_from(FORMAT_RINGS), label="ring")
+    rows, cols = data.draw(st.integers(1, 4), label="rows"), data.draw(st.integers(1, 4), label="cols")
+    mat = data.draw(matrices(ring, rows, cols), label="mat")
+    assert parse_matrix(format_matrix(mat)) == mat
+    m, n = data.draw(st.integers(1, 3), label="m"), data.draw(st.integers(1, 3), label="n")
+    blocks = data.draw(st.lists(st.lists(matrices(ring, m, m), min_size=n, max_size=n), min_size=n, max_size=n),
+                       label="blocks")
+    bm = BlockMatrix(ring, m, n, blocks)
+    assert parse_block_matrix(format_block_matrix(bm)) == bm
 
 
 def pivoting_matrices(ring, k):

@@ -25,11 +25,10 @@ from blockdet.traces import (
     check_rowswap_identity,
     check_transpose_identity,
     symbolic_row_det,
-    trace_equal,
-    trace_equal_by_projection,
     word_normal_form,
 )
 from blockdet.verify import _dense, _scalar, _slot
+from oracles import trace_equal, trace_equal_by_projection
 
 F10007 = PrimeField(10007)
 
