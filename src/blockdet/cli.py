@@ -1,7 +1,9 @@
 """Command-line interface.
 
 Exit codes are a stable contract: 0 for success or a verified equality,
-1 for a verified inequality or falsification, 2 for usage/input errors.
+1 for a verified inequality or falsification, 2 for usage/input errors
+and, with ``internal error:`` on stderr and no traceback, for any other
+exception.
 Identical flags and seed produce byte-identical output.
 """
 
@@ -231,6 +233,12 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:
+        # Anything else is a fault of the program, not of the input; it
+        # still gets exit 2 and one line, with no traceback.
+        # KeyboardInterrupt is not an Exception and is left to propagate.
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

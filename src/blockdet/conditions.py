@@ -4,15 +4,28 @@ A block matrix satisfies a condition when every edge of the condition joins
 a pair of commuting blocks (labeled containment on the fixed vertex set,
 not isomorphism).  All the named families, the column/row permutation and
 transpose transforms, and edge-union live here.
+
+``matrix_satisfies`` proves satisfaction exactly.  Edges at a scalar block
+hold with no product, and the rest are tested on shifted blocks
+(``matrix.shifted_commute``), except those a centralizer certificate
+settles: when a block X is cyclic, every block that commutes with X is a
+polynomial in X, so once X commutes with its neighbours in the condition,
+every edge among them holds.  X is proven cyclic by the rank of its Krylov
+matrix mod p over mod:p and mod one fixed prime over int, where full rank
+mod a prime implies full rank over Q; poly: samples, and samples where no
+block on an edge has the m - 1 shifted rows a cyclic block needs, are
+tested pair by pair.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from itertools import combinations, starmap
+from itertools import combinations
 
-from .matrix import BlockMatrix, shifted, shifted_commute
+from .matrix import BlockMatrix, Matrix, _det_gauss_mod_p, shifted, shifted_commute
 from .ncdet import ROW_DET_CAP
+from .ring import PolynomialRing, PrimeField, Ring
 
 Vertex = tuple[int, int]
 Edge = tuple[Vertex, Vertex]
@@ -274,17 +287,72 @@ def commutativity_graph(bm: BlockMatrix) -> Condition:
     return _from_predicate(bm.n, block_commutation(bm))
 
 
+# Over int, cyclicity is proven mod this prime: a Krylov matrix of full
+# rank mod q has full rank over Q.
+_KRYLOV_PRIME = (1 << 31) - 1
+
+
+def _is_cyclic(ring: Ring, x: Matrix) -> bool:
+    """Whether e1, x e1, ..., x^(m-1) e1 has full rank, by Gaussian
+    elimination mod p over mod:p and mod ``_KRYLOV_PRIME`` over int.  True
+    proves x cyclic, with e1 a cyclic vector; False only means that this
+    test did not show it."""
+    q = ring.p if isinstance(ring, PrimeField) else _KRYLOV_PRIME
+    rows = x.entries
+    v = (1,) + (0,) * (len(rows) - 1)
+    krylov = [v]
+    for _ in range(len(rows) - 1):
+        v = tuple([sum(map(operator.mul, row, v)) % q for row in rows])
+        krylov.append(v)
+    return _det_gauss_mod_p(q, krylov) != 0
+
+
 def matrix_satisfies(bm: BlockMatrix, g: Condition) -> bool:
     """True when every edge of g joins commuting blocks of bm.
 
     Equivalent to ``is_subgraph(g, commutativity_graph(bm))`` but only
-    examines the edges of g, through ``block_commutation``: each block on
-    an edge is shifted once, and the test stops at the first edge whose
-    blocks do not commute.
+    examines the edges of g.  Each block on an edge is shifted once
+    (``matrix.shifted``).  An edge at a scalar block, which has no shifted
+    rows, holds with no product; the others are tested by
+    ``shifted_commute`` up to the first that fails, except those that a
+    centralizer certificate settles.
+
+    The certificate: if a block X is cyclic, every block that commutes with
+    X is a polynomial in X (Horn and Johnson, Matrix Analysis, Thm
+    3.2.4.2), so once X commutes with each of its neighbours in g, every
+    edge of g among those neighbours holds.  X is taken among the blocks of
+    highest degree in g, and it is tested (``_is_cyclic``) only when some
+    edge lies among its neighbours.  A cyclic X has rank(X - cI) >= m - 1
+    for every c, so a block with fewer than m - 1 shifted rows cannot be
+    one; when no block on an edge has that many, as in slot and scalar
+    samples, or over poly:, the edges are tested pair by pair with no
+    further bookkeeping.
     """
     if bm.n != g.n:
         raise ValueError(f"size mismatch: matrix n={bm.n}, condition n={g.n}")
-    return all(starmap(block_commutation(bm), g.edges))
+    ring, m, blocks, edges = bm.ring, bm.m, bm.blocks, g.edges
+    forms = {v: shifted(blocks[v[0] - 1][v[1] - 1]) for v in {w for e in edges for w in e}}
+    if isinstance(ring, PolynomialRing) or all(len(s) < m - 1 for s in forms.values()):
+        return all(shifted_commute(ring, forms[u], forms[v]) for u, v in edges)
+    live = [(u, v) for u, v in edges if forms[u] and forms[v]]
+    neighbours = {}
+    for u, v in live:
+        neighbours.setdefault(u, set()).add(v)
+        neighbours.setdefault(v, set()).add(u)
+    hub = min(
+        (v for v in neighbours if len(forms[v]) >= m - 1),
+        key=lambda v: (-len(neighbours[v]), v),
+        default=None,
+    )
+    if hub is not None:
+        around = neighbours[hub]
+        rest = [(u, v) for u, v in live if hub != u and hub != v and not (u in around and v in around)]
+        if len(rest) + len(around) < len(live) and _is_cyclic(ring, blocks[hub[0] - 1][hub[1] - 1]):
+            x = forms[hub]
+            if not all(shifted_commute(ring, x, forms[v]) for v in around):
+                return False
+            live = rest
+    return all(shifted_commute(ring, forms[u], forms[v]) for u, v in live)
 
 
 def format_condition(g: Condition) -> str:

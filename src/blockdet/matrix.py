@@ -483,39 +483,42 @@ def format_block_matrix(bm: BlockMatrix) -> str:
 
 
 def _parse_header(text: str, names: str, sizes: str):
-    """The nonblank lines of ``text``, the two positive sizes and the ring
-    of its header line ``a b ring``; ``names`` spells a and b, ``sizes``
-    names them in the error."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    """The nonblank lines of ``text`` as (line number, line) pairs, counting
+    blank lines too, then the two positive sizes and the ring of its header
+    line ``a b ring``; ``names`` spells a and b, ``sizes`` names them in the
+    error."""
+    lines = [(no, ln) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not lines:
         raise MatrixFormatError("line 1: empty input")
-    header = lines[0].split()
+    at, header = lines[0][0], lines[0][1].split()
     if len(header) != 3:
-        raise MatrixFormatError(f"line 1: header must be '{names} ring-descriptor'")
+        raise MatrixFormatError(f"line {at}: header must be '{names} ring-descriptor'")
     try:
         a, b = int(header[0]), int(header[1])
         ring = parse_ring(header[2])
     except ValueError as exc:
-        raise MatrixFormatError(f"line 1: {exc}") from None
+        raise MatrixFormatError(f"line {at}: {exc}") from None
     if a < 1 or b < 1:
-        raise MatrixFormatError(f"line 1: {sizes} must be positive")
+        raise MatrixFormatError(f"line {at}: {sizes} must be positive")
     return lines, a, b, ring
 
 
 def _parse_grid(lines, nrows: int, ncols: int, ring: Ring):
+    # lines[1:] are the entry rows; a missing row is reported on the line
+    # after the last nonblank one.
     rows = []
-    for lineno in range(1, nrows + 1):
-        if lineno >= len(lines):
-            raise MatrixFormatError(f"line {lineno + 1}: expected {nrows} entry rows, file ended early")
-        tokens = lines[lineno].split()
+    for k in range(1, nrows + 1):
+        if k >= len(lines):
+            raise MatrixFormatError(f"line {lines[-1][0] + 1}: expected {nrows} entry rows, file ended early")
+        at, tokens = lines[k][0], lines[k][1].split()
         if len(tokens) != ncols:
-            raise MatrixFormatError(f"line {lineno + 1}: expected {ncols} entries, got {len(tokens)}")
+            raise MatrixFormatError(f"line {at}: expected {ncols} entries, got {len(tokens)}")
         row = []
         for c, tok in enumerate(tokens):
             try:
                 row.append(ring.canonical(ring.parse_payload(tok)))
             except (ValueError, TypeError):
-                raise MatrixFormatError(f"line {lineno + 1}, column {c + 1}: bad entry {tok!r}") from None
+                raise MatrixFormatError(f"line {at}, column {c + 1}: bad entry {tok!r}") from None
         rows.append(row)
     return rows
 

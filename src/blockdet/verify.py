@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import chain, combinations, starmap
+from itertools import chain, combinations, repeat, starmap
 from typing import Callable, NamedTuple
 
 from .conditions import (
@@ -32,7 +32,7 @@ from .conditions import (
     size2_condition,
     vertices,
 )
-from .matrix import BlockMatrix, Matrix, det_commutative
+from .matrix import BlockMatrix, Matrix, _row_ops, det_commutative
 from .ncdet import BLOCK_SIZE_CAP, ROW_DET_CAP, nc_row_det
 from .ring import ZZ, PolynomialRing, PrimeField, Ring, RingValue, poly_degree
 
@@ -56,19 +56,55 @@ def trial_seed(seed: int, index: int) -> int:
 
 
 # --- random building blocks -------------------------------------------------
+#
+# Every random entry comes from ``_draws``: over mod:p the values of
+# rng.randrange(p), otherwise those of rng.randrange(-3, 4), in the same
+# order and from the same generator state, so the samples are the ones
+# those calls gave.  A block takes one call for all its entries and builds
+# its payload rows directly, with no ``RingValue`` and no matrix
+# arithmetic: a dense block is its draws row-major; a slot block draws its
+# scalar and then the four slot entries, row-major.  A polynomial
+# c0 I + c1 x + c2 x^2 in a block x is built in one pass over the payload
+# rows of x and x^2, reduced once per entry as ``matrix._product_rows``
+# does, and a generator whose blocks are polynomials in one x computes x^2
+# once per sample.
 
-def _rand_int(ring: Ring, rng: random.Random) -> int:
-    if isinstance(ring, PrimeField):
-        return rng.randrange(ring.p)
-    return rng.randrange(-3, 4)
+def _draws(ring: Ring, rng: random.Random, count: int) -> list[int]:
+    """count draws: what count calls of rng.randrange(p) give over mod:p,
+    and of rng.randrange(-3, 4) over the other rings.
+
+    This is CPython's own rule for randrange(n) (``Random._randbelow``):
+    k = n.bit_length(), then r = getrandbits(k), redrawn while r >= n.
+    """
+    n, offset = (ring.p, 0) if isinstance(ring, PrimeField) else (7, -3)
+    k = n.bit_length()
+    getrandbits = rng.getrandbits
+    out = []
+    append = out.append
+    for _ in range(count):
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        append(r + offset)
+    return out
 
 
 def _dense(ring: Ring, m: int, rng: random.Random) -> Matrix:
-    return Matrix(ring, [[ring.int_payload(_rand_int(ring, rng)) for _ in range(m)] for _ in range(m)])
+    values = _draws(ring, rng, m * m)
+    # A draw over mod:p or int is its own payload.
+    if isinstance(ring, PolynomialRing):
+        values = list(map(ring.int_payload, values))
+    return Matrix(ring, [values[i : i + m] for i in range(0, m * m, m)])
+
+
+def _diag_rows(ring: Ring, values) -> list[tuple]:
+    """Payload rows of the diagonal matrix with the int entries values."""
+    zero_row = (ring.int_payload(0),) * len(values)
+    return [zero_row[:i] + (ring.int_payload(v),) + zero_row[i + 1 :] for i, v in enumerate(values)]
 
 
 def _scalar(ring: Ring, m: int, rng: random.Random) -> Matrix:
-    return Matrix.identity(ring, m).scale(ring.from_int(_rand_int(ring, rng)))
+    return Matrix(ring, _diag_rows(ring, _draws(ring, rng, 1) * m))
 
 
 def _slot(ring: Ring, m: int, rng: random.Random, corner: int) -> Matrix:
@@ -78,37 +114,48 @@ def _slot(ring: Ring, m: int, rng: random.Random, corner: int) -> Matrix:
     Perturbations in disjoint slots multiply to zero both ways, so such
     blocks commute across slots; blocks sharing a slot generically do not.
     """
-    c = _rand_int(ring, rng)
-    slot = [[(c if r == col else 0) + _rand_int(ring, rng) for col in (corner, corner + 1)]
-            for r in (corner, corner + 1)]
-    zero_row = (ring.int_payload(0),) * m
-    diagonal = (ring.int_payload(c),)
-    rows = [zero_row[:i] + diagonal + zero_row[i + 1 :] for i in range(m)]
-    for r, values in zip((corner, corner + 1), slot):
-        rows[r] = zero_row[:corner] + tuple(map(ring.int_payload, values)) + zero_row[corner + 2 :]
+    c, a, b, d, e = _draws(ring, rng, 5)
+    payload = ring.int_payload
+    rows = _diag_rows(ring, [c] * m)
+    left, right = rows[corner][:corner], rows[corner][corner + 2 :]
+    rows[corner] = left + (payload(c + a), payload(b)) + right
+    rows[corner + 1] = left + (payload(d), payload(c + e)) + right
     return Matrix(ring, rows)
 
 
-def _poly_in(x: Matrix, coeffs) -> Matrix:
-    # The sum of coeffs[i] x^i.  x^i is built only when coeffs[i] needs it,
-    # so degree d takes d - 1 products.
-    ring = x.ring
-    acc = Matrix.identity(ring, x.rows).scale(ring.from_int(coeffs[0]))
-    power = x
-    for i, c in enumerate(coeffs[1:]):
-        if i:
-            power = power * x
-        acc = acc + power.scale(ring.from_int(c))
-    return acc
+def _powers(x: Matrix, d: int) -> list:
+    """Payload rows of x, x^2, ..., x^d; d - 1 products."""
+    powers = [x]
+    for _ in range(d - 1):
+        powers.append(powers[-1] * x)
+    return [power.entries for power in powers[:d]]
 
 
-def _rand_poly_in(x: Matrix, rng: random.Random) -> Matrix:
-    return _poly_in(x, [_rand_int(x.ring, rng) for _ in range(3)])
+def _poly_in(x: Matrix, coeffs, powers=None) -> Matrix:
+    """The sum of the int coeffs[i] times x^i, in one pass over the payload
+    rows of x, x^2, ... (``powers``; computed here when None, so degree d
+    takes d - 1 products)."""
+    ring, m = x.ring, x.rows
+    if powers is None:
+        powers = _powers(x, len(coeffs) - 1)
+    add, mul, p = _row_ops(ring)
+    c0, *cs = map(ring.int_payload, coeffs)
+    terms = [(c, power) for c, power in zip(cs, powers) if c]
+    zero_row = [ring.int_payload(0)] * m
+    rows = []
+    for i in range(m):
+        acc = zero_row
+        for c, power in terms:
+            acc = list(map(add, acc, map(mul, repeat(c), power[i])))
+        acc = acc[:i] + [add(acc[i], c0)] + acc[i + 1 :]
+        rows.append(acc if p is None else [v % p for v in acc])
+    return Matrix(ring, rows)
 
 
-def _diag(ring: Ring, values) -> Matrix:
-    m = len(values)
-    return Matrix.from_rows(ring, [[values[i] if i == j else 0 for j in range(m)] for i in range(m)])
+def _rand_poly_in(x: Matrix, rng: random.Random, powers=None) -> Matrix:
+    """c0 I + c1 x + c2 x^2 with three drawn coefficients; powers, when
+    given, holds the payload rows of x and x^2."""
+    return _poly_in(x, _draws(x.ring, rng, 3), powers)
 
 
 # --- condition-specific generators -------------------------------------------
@@ -157,9 +204,10 @@ def _gen_down(i0: int, n: int, m: int, ring: Ring, rng: random.Random):
 
 def _gen_kappa(n: int, m: int, ring: Ring, rng: random.Random):
     x = _dense(ring, m, rng)
+    powers = _powers(x, 2)
 
     def block_at(i: int, j: int) -> Matrix:
-        return _dense(ring, m, rng) if i == 1 else _rand_poly_in(x, rng)
+        return _dense(ring, m, rng) if i == 1 else _rand_poly_in(x, rng, powers)
 
     bm = _build(ring, m, n, block_at)
     return bm, [((1, 1), (2, 1))]
@@ -167,7 +215,8 @@ def _gen_kappa(n: int, m: int, ring: Ring, rng: random.Random):
 
 def _gen_commutative(n: int, m: int, ring: Ring, rng: random.Random):
     x = _dense(ring, m, rng)
-    bm = _build(ring, m, n, lambda i, j: _rand_poly_in(x, rng))
+    powers = _powers(x, 2)
+    bm = _build(ring, m, n, lambda i, j: _rand_poly_in(x, rng, powers))
     return bm, []
 
 
@@ -175,12 +224,10 @@ def _gen_g5(m: int, ring: Ring, rng: random.Random):
     # A scalar on indices {1,2}, B scalar on {2,3}; C and D carry
     # perturbations supported there, overlapping at index 2, so AB, AC and
     # BD commute while C and D generically do not.
-    a2 = _rand_int(ring, rng)
-    avals = [a2, a2] + [_rand_int(ring, rng) for _ in range(m - 2)]
-    b23 = _rand_int(ring, rng)
-    bvals = [_rand_int(ring, rng), b23, b23] + [_rand_int(ring, rng) for _ in range(m - 3)]
-    a = _diag(ring, avals)
-    b = _diag(ring, bvals)
+    a2, *arest = _draws(ring, rng, m - 1)
+    b23, b1, *brest = _draws(ring, rng, m - 1)
+    a = Matrix(ring, _diag_rows(ring, [a2, a2, *arest]))
+    b = Matrix(ring, _diag_rows(ring, [b1, b23, b23, *brest]))
     c = _slot(ring, m, rng, 0)
     d = _slot(ring, m, rng, 1)
     bm = BlockMatrix(ring, m, 2, [[a, b], [c, d]])

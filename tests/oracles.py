@@ -9,13 +9,16 @@ None of this runs in ``blockdet`` itself:
 - ``trace_equal`` compares normal forms, and ``trace_equal_by_projection``
   decides trace equality by the projection lemma, independently of
   ``word_normal_form``; ``blockdet.traces._identity_holds`` rests on that
-  lemma.
+  lemma;
+- ``pairwise_satisfies`` multiplies out both products of every edge's
+  blocks, with no shift and no centralizer certificate, and checks
+  ``blockdet.conditions.matrix_satisfies``.
 """
 
 from __future__ import annotations
 
 from blockdet.conditions import Condition
-from blockdet.matrix import Matrix, signed_permutations
+from blockdet.matrix import BlockMatrix, Matrix, signed_permutations
 from blockdet.ring import Ring, RingValue
 from blockdet.traces import Word, _check_word, word_normal_form
 
@@ -110,4 +113,14 @@ def trace_equal_by_projection(u: Word, v: Word, rel: Condition) -> bool:
             pv = tuple(lt for lt in v if lt == a or lt == b)
             if pu != pv:
                 return False
+    return True
+
+
+def pairwise_satisfies(bm: BlockMatrix, g: Condition) -> bool:
+    """Whether every edge of g joins blocks x, y of bm with x y = y x, by
+    both full products of every pair."""
+    for (i, j), (k, l) in g.edges:
+        x, y = bm.block(i - 1, j - 1), bm.block(k - 1, l - 1)
+        if x * y != y * x:
+            return False
     return True

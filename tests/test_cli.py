@@ -55,6 +55,14 @@ def test_det_command(tmp_path, capsys):
     assert out == "det=-2\n"
 
 
+def test_input_errors_name_the_line_of_the_file(tmp_path, capsys):
+    path = tmp_path / "m.txt"
+    path.write_text("2 2 int\n\n1 2\n3 x\n")
+    assert run(capsys, "det", str(path)) == (2, "", "input error: line 4, column 2: bad entry 'x'\n")
+    path.write_text("2 2 int\n\n1 2\n")
+    assert run(capsys, "det", str(path)) == (2, "", "input error: line 4: expected 2 entry rows, file ended early\n")
+
+
 def test_det_rejects_uncertified_modulus(tmp_path, capsys):
     path = tmp_path / "m.txt"
     path.write_text("2 2 mod:318665857834031151167461\n1 2\n3 4\n")
@@ -218,6 +226,33 @@ def test_generator_failure_is_usage_error(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert err == "error: generator 'x' failed to produce a non-vacuous sample\n"
+
+
+def _failing_command(monkeypatch, exc):
+    # classify2 raises exc; the parser is rebuilt so that it binds the
+    # replaced command.
+    import blockdet.cli
+
+    def failing(args):
+        raise exc
+
+    monkeypatch.setattr(blockdet.cli, "_cmd_classify2", failing)
+    monkeypatch.setattr(blockdet.cli, "_shared_parser", blockdet.cli.build_parser)
+
+
+@pytest.mark.parametrize("exc", [ZeroDivisionError("modular inverse of 0"), KeyError((2, 1))])
+def test_unexpected_exception_is_an_internal_error(capsys, monkeypatch, exc):
+    _failing_command(monkeypatch, exc)
+    code, out, err = run(capsys, "classify2")
+    assert code == 2
+    assert out == ""
+    assert err == f"internal error: {type(exc).__name__}: {exc}\n"
+
+
+def test_keyboard_interrupt_is_not_caught(monkeypatch):
+    _failing_command(monkeypatch, KeyboardInterrupt())
+    with pytest.raises(KeyboardInterrupt):
+        main(["classify2"])
 
 
 @pytest.mark.parametrize(

@@ -25,11 +25,14 @@ from blockdet.conditions import (
     is_subgraph,
     matrix_satisfies,
     parse_condition,
+    size2_condition,
     vertices,
 )
+import blockdet.conditions
 from blockdet.matrix import BlockMatrix, Matrix
-from blockdet.ring import ZZ
-from blockdet.verify import builtin_matrix
+from blockdet.ring import ZZ, PolynomialRing, PrimeField
+from blockdet.verify import builtin_matrix, gen_satisfying
+from oracles import pairwise_satisfies
 
 A, B, C, D = (1, 1), (1, 2), (2, 1), (2, 2)
 
@@ -362,3 +365,221 @@ def test_condition_rejects_bad_vertices():
         Condition(2, frozenset({((0, 1), (1, 1))}))
     with pytest.raises(ValueError):
         Condition(2, frozenset({((1, 1), (1, 1))}))
+
+
+# --- the centralizer certificate in matrix_satisfies -------------------------
+#
+# Blocks are built over Z and then read into the ring, so one construction
+# serves every ring: a derogatory or e1-blind block over Z stays a trap mod
+# a small prime or as constant polynomials, or else the oracle says so.
+
+CERT_RINGS = [ZZ, PrimeField(2), PrimeField(3), PrimeField(10007), PolynomialRing("x")]
+HUB_KINDS = ("dense", "derogatory", "e1-blind", "distinct-diagonal", "scalar")
+BLOCK_KINDS = ("poly-in-hub", "centralizer", "dense", "scalar", "poly-in-other")
+
+
+def _z(rows):
+    return Matrix.from_rows(ZZ, rows)
+
+
+def _entries(rng, m):
+    return [[rng.randint(-3, 3) for _ in range(m)] for _ in range(m)]
+
+
+def _unitriangular(rng, m, upper):
+    """A unitriangular matrix over Z and its inverse."""
+    strict = _z([[rng.randint(-2, 2) if (j > i if upper else j < i) else 0 for j in range(m)]
+                 for i in range(m)])
+    ident = Matrix.identity(ZZ, m)
+    inverse, power = ident, ident
+    for k in range(1, m):
+        power = power * strict
+        inverse = inverse + power if k % 2 == 0 else inverse - power
+    return ident + strict, inverse
+
+
+def _conjugator(rng, m):
+    """P = U L and its inverse over Z, so that P moves e1 off the
+    coordinate axes."""
+    u, u_inv = _unitriangular(rng, m, True)
+    low, low_inv = _unitriangular(rng, m, False)
+    return u * low, low_inv * u_inv
+
+
+def _diag(values):
+    m = len(values)
+    return _z([[values[i] if i == j else 0 for j in range(m)] for i in range(m)])
+
+
+def _hub(kind, m, rng):
+    """The block the others are built around, and a maker of blocks that
+    commute with it."""
+    p, p_inv = _conjugator(rng, m)
+    if kind == "derogatory":
+        # P diag(1, 1, 2, 3, ...) P^-1; its centralizer is P (R + D) P^-1
+        # for any 2x2 R in the corner and diagonal D, so two members
+        # generically do not commute with each other.
+        hub = p * _diag(([1, 1] + list(range(2, m)))[:m]) * p_inv
+
+        def centralizer():
+            corner = _entries(rng, m)
+            rows = [[corner[i][j] if i < 2 and j < 2 else (rng.randint(-3, 3) if i == j else 0)
+                     for j in range(m)] for i in range(m)]
+            return p * _z(rows) * p_inv
+
+        return hub, centralizer
+    if kind == "e1-blind":
+        # Cyclic for most draws, but e1 lies in the invariant span of the
+        # first k coordinates, so its Krylov matrix is singular.
+        k = rng.randint(1, max(1, m - 1))
+        top, bottom = _entries(rng, m), _entries(rng, m)
+        hub = _z([[(top if i < k else bottom)[i][j] if (i < k) == (j < k) else 0
+                   for j in range(m)] for i in range(m)])
+    elif kind == "distinct-diagonal":
+        hub = _diag(list(range(1, m + 1)))
+    elif kind == "scalar":
+        hub = _diag([rng.randint(-3, 3)] * m)
+    else:
+        hub = _z(_entries(rng, m))
+    return hub, lambda: _poly_in_z(hub, rng)
+
+
+def _poly_in_z(x, rng):
+    m = x.rows
+    return (_diag([rng.randint(-3, 3)] * m) + x.scale(ZZ.from_int(rng.randint(-3, 3)))
+            + (x * x).scale(ZZ.from_int(rng.randint(-3, 3))))
+
+
+@st.composite
+def certificate_cases(draw):
+    ring = draw(st.sampled_from(CERT_RINGS), label="ring")
+    n = draw(st.integers(2, 3), label="n")
+    m = draw(st.integers(1, 5), label="m")
+    rng = random.Random(draw(st.integers(0, 2**32 - 1), label="seed"))
+    # Dense hubs are cyclic for most draws, so the certificate runs often.
+    hub, commuting = _hub(draw(st.sampled_from(HUB_KINDS[:1] * 4 + HUB_KINDS[1:]), label="hub"), m, rng)
+    pairs = list(combinations(vertices(n), 2))
+    edges = draw(st.one_of(
+        st.just(frozenset(pairs)),
+        st.just(cond_kappa(n).edges),
+        st.sets(st.sampled_from(pairs)).map(frozenset),
+        st.sets(st.sampled_from(pairs), min_size=len(pairs) - 2).map(frozenset),
+        st.just(None),
+    ), label="edges")
+    clique = set()
+    if edges is None:
+        # A clique of blocks that commute with the hub, through the hub's
+        # position, which the certificate settles, and edges away from it,
+        # which are still to be tested.
+        clique = {(1, 1), *draw(st.sets(st.sampled_from(vertices(n)[1:]), min_size=2, max_size=4),
+                                label="clique")}
+        away = [(u, v) for u, v in pairs if u not in clique and v not in clique]
+        edges = frozenset(combinations(sorted(clique), 2))
+        if away:
+            edges |= draw(st.sets(st.sampled_from(away)), label="away")
+    other = _z(_entries(rng, m))
+    makers = {
+        "poly-in-hub": lambda: _poly_in_z(hub, rng),
+        "centralizer": commuting,
+        "dense": lambda: _z(_entries(rng, m)),
+        "scalar": lambda: _diag([rng.randint(-3, 3)] * m),
+        "poly-in-other": lambda: _poly_in_z(other, rng),
+    }
+    # Most blocks commute with the hub, so the certificate is tried often.
+    kinds = st.sampled_from(BLOCK_KINDS[:2] * 3 + BLOCK_KINDS[2:])
+    in_clique = st.sampled_from(BLOCK_KINDS[:2])
+
+    def block(v):
+        if v == (1, 1):
+            return hub
+        return makers[draw(in_clique if v in clique else kinds, label="block")]()
+
+    bm = BlockMatrix(ring, m, n, [[Matrix.from_rows(ring, block(v).entries) for v in vertices(n)[i * n : i * n + n]]
+                                  for i in range(n)])
+    return bm, Condition(n, edges)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=certificate_cases())
+def test_certified_satisfaction_matches_the_pairwise_oracle(case):
+    bm, g = case
+    assert matrix_satisfies(bm, g) == pairwise_satisfies(bm, g)
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    real = getattr(blockdet.conditions, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(blockdet.conditions, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("n, m", [(2, 4), (3, 6), (4, 4), (4, 8)])
+def test_kappa_sample_is_certified_with_one_test_per_neighbour(monkeypatch, n, m):
+    ring = PrimeField(10007)
+    for seed in range(3):
+        bm = gen_satisfying(cond_kappa(n), m, ring, seed)
+        tests = _counting(monkeypatch, "shifted_commute")
+        assert matrix_satisfies(bm, cond_kappa(n))
+        # The hub's n(n-1) - 1 neighbours, and no product among them.
+        assert len(tests) == n * (n - 1) - 1
+        monkeypatch.undo()
+
+
+def test_complete_sample_over_z_is_certified(monkeypatch):
+    g = complete_condition(3)
+    bm = gen_satisfying(g, 4, ZZ, 1)
+    cyclic = _counting(monkeypatch, "_is_cyclic")
+    tests = _counting(monkeypatch, "shifted_commute")
+    assert matrix_satisfies(bm, g)
+    assert len(cyclic) == 1
+    assert len(tests) < len(g.edges)
+
+
+@pytest.mark.parametrize("family, n, m", [
+    ("f", 2, 4), ("f", 3, 6), ("f", 4, 8), ("side:2", 3, 6), ("down:1", 3, 6), ("g5", 2, 4), ("g5", 2, 6),
+    ("tcol:2", 3, 4),
+])
+def test_slot_and_scalar_samples_never_run_the_krylov_test(monkeypatch, family, n, m):
+    g = family_condition(family, n)
+    for seed in range(4):
+        bm = gen_satisfying(g, m, PrimeField(10007), seed)
+        cyclic = _counting(monkeypatch, "_is_cyclic")
+        assert matrix_satisfies(bm, g)
+        assert cyclic == []
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("ring", [ZZ, PrimeField(10007), PrimeField(2)], ids=lambda r: r.label)
+def test_a_derogatory_hub_certifies_nothing(ring):
+    # X commutes with Y and Z, which do not commute with each other: a
+    # certificate resting on X would wrongly pass the triangle.
+    rng = random.Random(5)
+    hub, commuting = _hub("derogatory", 4, rng)
+    y, z = commuting(), commuting()
+    while y * z == z * y:
+        z = commuting()
+    blocks = [[Matrix.from_rows(ring, b.entries) for b in row] for row in [[hub, y], [z, hub]]]
+    bm = BlockMatrix(ring, 4, 2, blocks)
+    g = size2_condition(("AB", "AC", "BC"))
+    assert matrix_satisfies(bm, g) == pairwise_satisfies(bm, g)
+
+
+@pytest.mark.parametrize("ring", [ZZ, PrimeField(10007)], ids=lambda r: r.label)
+def test_edges_away_from_the_hub_are_still_tested(monkeypatch, ring):
+    # Row 1 is the hub and two polynomials in it, a triangle the
+    # certificate settles; the edge in row 2 joins two dense blocks.
+    rng = random.Random(1)
+    hub = _z(_entries(rng, 3))
+    rows = [[hub, hub * hub, hub + _diag([2, 2, 2])], [_z(_entries(rng, 3)) for _ in range(3)],
+            [_diag([1, 2, 3])] * 3]
+    bm = BlockMatrix(ring, 3, 3, [[Matrix.from_rows(ring, b.entries) for b in row] for row in rows])
+    row_one = cond(3, ((1, 1), (1, 2)), ((1, 1), (1, 3)), ((1, 2), (1, 3)))
+    cyclic = _counting(monkeypatch, "_is_cyclic")
+    assert matrix_satisfies(bm, row_one)
+    assert not matrix_satisfies(bm, cond_union(row_one, cond(3, ((2, 1), (2, 2)))))
+    assert len(cyclic) == 2

@@ -305,6 +305,27 @@ def test_header_errors_are_pinned(text, matrix_error, block_error):
     assert str(exc.value) == block_error
 
 
+# Errors name the line of the file, blank lines counted: the text, then the
+# error from parse_matrix.
+BLANK_LINE_ERRORS = {
+    "bad-entry-after-blank": ("2 2 int\n\n1 2\n3 x\n", "line 4, column 2: bad entry 'x'"),
+    "ended-early-after-blank": ("2 2 int\n\n1 2\n", "line 4: expected 2 entry rows, file ended early"),
+    "short-row-after-blanks": ("2 2 int\n1 2\n\n \n3\n", "line 5: expected 2 entries, got 1"),
+    "header-after-blank": ("\n2 2 foo\n1 2\n3 4\n", "line 2: unknown ring descriptor 'foo'"),
+    # No blank line: the messages the format has always given.
+    "bad-entry": ("2 2 int\n1 2\n3 x\n", "line 3, column 2: bad entry 'x'"),
+    "ended-early": ("2 2 int\n1 2\n", "line 3: expected 2 entry rows, file ended early"),
+    "ended-early-trailing-blank": ("2 2 int\n1 2\n\n\n", "line 3: expected 2 entry rows, file ended early"),
+}
+
+
+@pytest.mark.parametrize("text, error", BLANK_LINE_ERRORS.values(), ids=BLANK_LINE_ERRORS)
+def test_errors_name_the_line_of_the_file(text, error):
+    with pytest.raises(MatrixFormatError) as exc:
+        parse_matrix(text)
+    assert str(exc.value) == error
+
+
 def inversion_sign(perm):
     """The definition of the sign: -1 to the number of pairs out of order."""
     return -1 if sum(a > b for a, b in combinations(perm, 2)) % 2 else 1

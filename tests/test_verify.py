@@ -23,6 +23,7 @@ from blockdet.matrix import Matrix, block_view, commutes
 from blockdet.ncdet import nc_row_det
 from blockdet.ring import PolynomialRing, PrimeField, ZZ, poly_degree
 from blockdet.verify import (
+    _draws,
     _is_kappa,
     _poly_in,
     _special_non_edge,
@@ -55,6 +56,27 @@ class TestSeeds:
         y = gen_satisfying(g, 6, F10007, seed=99)
         assert x == y
         assert x != gen_satisfying(g, 6, F10007, seed=100)
+
+
+# _draws inlines CPython's rule for randrange; if a Python release changes
+# randrange, this test fails by name, not only the golden pins.
+@pytest.mark.parametrize(
+    "ring, args",
+    [pytest.param(ring, args, id=ring.label) for ring, args in
+     [(PrimeField(p), (p,)) for p in (2, 3, 10007, 65537, 2**31 - 1)]
+     + [(ZZ, (-3, 4)), (PolynomialRing("x"), (-3, 4))]],
+)
+def test_draws_are_randrange_draws(ring, args):
+    ours, python = random.Random(2017), random.Random(2017)
+    sizes = random.Random(5)
+    got, want = [], []
+    while len(got) < 20_000:
+        # Single draws and whole blocks, one after another on one Random.
+        count = sizes.choice((1, 1, 3, 5, 16, 36, 64))
+        got += _draws(ring, ours, count)
+        want += [python.randrange(*args) for _ in range(count)]
+    assert got == want
+    assert ours.getstate() == python.getstate()
 
 
 class TestCheckIdentity:
