@@ -5,16 +5,8 @@ a pair of commuting blocks (labeled containment on the fixed vertex set,
 not isomorphism).  All the named families, the column/row permutation and
 transpose transforms, and edge-union live here.
 
-``matrix_satisfies`` proves satisfaction exactly.  Edges at a scalar block
-hold with no product, and the rest are tested on shifted blocks
-(``matrix.shifted_commute``), except those a centralizer certificate
-settles: when a block X is cyclic, every block that commutes with X is a
-polynomial in X, so once X commutes with its neighbours in the condition,
-every edge among them holds.  X is proven cyclic by the rank of its Krylov
-matrix mod p over mod:p and mod one fixed prime over int, where full rank
-mod a prime implies full rank over Q; poly: samples, and samples where no
-block on an edge has the m - 1 shifted rows a cyclic block needs, are
-tested pair by pair.
+``matrix_satisfies`` proves satisfaction exactly; its docstring states the
+centralizer certificate that settles some edges without testing them.
 """
 
 from __future__ import annotations
@@ -264,27 +256,11 @@ def is_subgraph(g: Condition, h: Condition) -> bool:
     return g.edges <= h.edges
 
 
-def block_commutation(bm: BlockMatrix):
-    """commute(u, v): whether the blocks of bm at positions u and v commute.
-
-    Each block is shifted (``matrix.shifted``) the first time a pair needs
-    it and kept for every later pair asked of the same function, so a
-    block is shifted once however many pairs it is in.
-    """
-    blocks, ring, forms = bm.blocks, bm.ring, {}
-
-    def form(v: Vertex) -> dict:
-        s = forms.get(v)
-        if s is None:
-            s = forms[v] = shifted(blocks[v[0] - 1][v[1] - 1])
-        return s
-
-    return lambda u, v: shifted_commute(ring, form(u), form(v))
-
-
 def commutativity_graph(bm: BlockMatrix) -> Condition:
-    """Edge wherever two blocks commute exactly."""
-    return _from_predicate(bm.n, block_commutation(bm))
+    """Edge wherever two blocks commute exactly; each block is shifted
+    (``matrix.shifted``) once."""
+    forms = {v: shifted(bm.blocks[v[0] - 1][v[1] - 1]) for v in vertices(bm.n)}
+    return _from_predicate(bm.n, lambda u, v: shifted_commute(bm.ring, forms[u], forms[v]))
 
 
 # Over int, cyclicity is proven mod this prime: a Krylov matrix of full

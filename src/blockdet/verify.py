@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import chain, combinations, repeat, starmap
+from functools import partial
+from itertools import chain, combinations, repeat
 from typing import Callable, NamedTuple
 
 from .conditions import (
     Condition,
-    block_commutation,
     cond_f,
     cond_f_down,
     cond_f_side,
@@ -32,7 +32,7 @@ from .conditions import (
     size2_condition,
     vertices,
 )
-from .matrix import BlockMatrix, Matrix, _row_ops, det_commutative
+from .matrix import BlockMatrix, Matrix, _row_ops, commutes, det_commutative
 from .ncdet import BLOCK_SIZE_CAP, ROW_DET_CAP, nc_row_det
 from .ring import ZZ, PolynomialRing, PrimeField, Ring, RingValue, poly_degree
 
@@ -66,8 +66,7 @@ def trial_seed(seed: int, index: int) -> int:
 # scalar and then the four slot entries, row-major.  A polynomial
 # c0 I + c1 x + c2 x^2 in a block x is built in one pass over the payload
 # rows of x and x^2, reduced once per entry as ``matrix._product_rows``
-# does, and a generator whose blocks are polynomials in one x computes x^2
-# once per sample.
+# does; every caller computes x^2 = x * x itself, once per drawn x.
 
 def _draws(ring: Ring, rng: random.Random, count: int) -> list[int]:
     """count draws: what count calls of rng.randrange(p) give over mod:p,
@@ -123,21 +122,10 @@ def _slot(ring: Ring, m: int, rng: random.Random, corner: int) -> Matrix:
     return Matrix(ring, rows)
 
 
-def _powers(x: Matrix, d: int) -> list:
-    """Payload rows of x, x^2, ..., x^d; d - 1 products."""
-    powers = [x]
-    for _ in range(d - 1):
-        powers.append(powers[-1] * x)
-    return [power.entries for power in powers[:d]]
-
-
-def _poly_in(x: Matrix, coeffs, powers=None) -> Matrix:
-    """The sum of the int coeffs[i] times x^i, in one pass over the payload
-    rows of x, x^2, ... (``powers``; computed here when None, so degree d
-    takes d - 1 products)."""
+def _poly_in(x: Matrix, coeffs, powers) -> Matrix:
+    """The sum of the int coeffs[i] times x^i, in one pass over ``powers``,
+    the payload rows of x, x^2, ..., x^d for d = len(coeffs) - 1."""
     ring, m = x.ring, x.rows
-    if powers is None:
-        powers = _powers(x, len(coeffs) - 1)
     add, mul, p = _row_ops(ring)
     c0, *cs = map(ring.int_payload, coeffs)
     terms = [(c, power) for c, power in zip(cs, powers) if c]
@@ -152,75 +140,57 @@ def _poly_in(x: Matrix, coeffs, powers=None) -> Matrix:
     return Matrix(ring, rows)
 
 
-def _rand_poly_in(x: Matrix, rng: random.Random, powers=None) -> Matrix:
-    """c0 I + c1 x + c2 x^2 with three drawn coefficients; powers, when
-    given, holds the payload rows of x and x^2."""
-    return _poly_in(x, _draws(x.ring, rng, 3), powers)
+def _rand_poly_in(x: Matrix, x2: Matrix, rng: random.Random) -> Matrix:
+    """c0 I + c1 x + c2 x^2 with three drawn coefficients, for x2 = x * x."""
+    return _poly_in(x, _draws(x.ring, rng, 3), (x.entries, x2.entries))
 
 
-# --- condition-specific generators -------------------------------------------
+# --- generators ----------------------------------------------------------------
 #
-# Each generator returns (matrix, witness_pairs) where witness_pairs is a
-# list of vertex pairs expected to be genuinely noncommuting; the caller
-# retries on the rare degenerate draw where all of them commute.
+# A generator maps (ring, rng) to (matrix, witness_pairs), where
+# witness_pairs lists non-edges of the condition that are expected to be
+# genuinely noncommuting; the caller redraws on the rare degenerate draw
+# where all of them commute.  ``pick_generator`` fixes the witness pairs
+# once per condition.  Almost every sample comes from one of two
+# factories: ``_gen_layout``, where each block is dense, scalar or a slot
+# block in a fixed slot, and ``_gen_poly``, where the blocks are
+# polynomials in one drawn block.  Only g5 (its diagonal draws) and h1, h4
+# (polynomials in two drawn blocks) have generators of their own.
 
 Pair = tuple[tuple[int, int], tuple[int, int]]
 GenFn = Callable[[Ring, random.Random], tuple[BlockMatrix, list[Pair]]]
 
 
-def _build(ring: Ring, m: int, n: int, block_at) -> BlockMatrix:
-    return BlockMatrix(ring, m, n, [[block_at(i + 1, j + 1) for j in range(n)] for i in range(n)])
+def _gen_layout(n: int, m: int, kind, witnesses: list[Pair]) -> GenFn:
+    """Samples whose block at 1-based (i, j) is dense, scalar or a slot
+    block at 0-based corner k, as kind(i, j) is "dense", "scalar" or k;
+    blocks are drawn in row-major order."""
+    draws = {"dense": _dense, "scalar": _scalar}
+    kinds = [[kind(i, j) for j in range(1, n + 1)] for i in range(1, n + 1)]
+    grid = [[draws.get(k) or partial(_slot, corner=k) for k in row] for row in kinds]
+
+    def fn(ring: Ring, rng: random.Random):
+        return BlockMatrix(ring, m, n, [[draw(ring, m, rng) for draw in row] for row in grid]), witnesses
+
+    return fn
 
 
-def _gen_f(n: int, m: int, ring: Ring, rng: random.Random):
-    def block_at(i: int, j: int) -> Matrix:
-        return _dense(ring, m, rng) if i == 1 else _slot(ring, m, rng, 2 * j - 2)
+def _gen_poly(n: int, m: int, dense_first_row: bool, witnesses: list[Pair]) -> GenFn:
+    """Samples whose blocks, after one drawn block x, are c0 I + c1 x +
+    c2 x^2 with drawn coefficients, except a dense first block row when
+    dense_first_row; blocks are drawn in row-major order."""
 
-    bm = _build(ring, m, n, block_at)
-    witnesses = [((1, j), (2, j)) for j in range(1, n + 1)]
-    witnesses += [((2, j), (i, j)) for j in range(1, n + 1) for i in range(3, n + 1)]
-    return bm, witnesses
+    def fn(ring: Ring, rng: random.Random):
+        x = _dense(ring, m, rng)
+        x2 = x * x
+        blocks = [[_dense(ring, m, rng) if dense_first_row and i == 0 else _rand_poly_in(x, x2, rng)
+                   for _ in range(n)] for i in range(n)]
+        return BlockMatrix(ring, m, n, blocks), witnesses
 
-
-def _gen_side(j0: int, n: int, m: int, ring: Ring, rng: random.Random):
-    def block_at(i: int, j: int) -> Matrix:
-        if j != j0:
-            return _slot(ring, m, rng, 2 * i - 2)
-        return _dense(ring, m, rng) if i == n else _slot(ring, m, rng, 2 * i - 2)
-
-    bm = _build(ring, m, n, block_at)
-    witnesses = [((i, j0), (i, c)) for i in range(1, n + 1) for c in range(1, n + 1) if c != j0]
-    return bm, witnesses
+    return fn
 
 
-def _gen_down(i0: int, n: int, m: int, ring: Ring, rng: random.Random):
-    def block_at(i: int, j: int) -> Matrix:
-        return _slot(ring, m, rng, 2 * j - 2)
-
-    bm = _build(ring, m, n, block_at)
-    witnesses = [((r, j), (r + 1, j)) for j in range(1, n + 1) for r in range(1, n)]
-    return bm, witnesses
-
-
-def _gen_kappa(n: int, m: int, ring: Ring, rng: random.Random):
-    x = _dense(ring, m, rng)
-    powers = _powers(x, 2)
-
-    def block_at(i: int, j: int) -> Matrix:
-        return _dense(ring, m, rng) if i == 1 else _rand_poly_in(x, rng, powers)
-
-    bm = _build(ring, m, n, block_at)
-    return bm, [((1, 1), (2, 1))]
-
-
-def _gen_commutative(n: int, m: int, ring: Ring, rng: random.Random):
-    x = _dense(ring, m, rng)
-    powers = _powers(x, 2)
-    bm = _build(ring, m, n, lambda i, j: _rand_poly_in(x, rng, powers))
-    return bm, []
-
-
-def _gen_g5(m: int, ring: Ring, rng: random.Random):
+def _gen_g5(m: int, ring: Ring, rng: random.Random) -> BlockMatrix:
     # A scalar on indices {1,2}, B scalar on {2,3}; C and D carry
     # perturbations supported there, overlapping at index 2, so AB, AC and
     # BD commute while C and D generically do not.
@@ -230,38 +200,16 @@ def _gen_g5(m: int, ring: Ring, rng: random.Random):
     b = Matrix(ring, _diag_rows(ring, [b1, b23, b23, *brest]))
     c = _slot(ring, m, rng, 0)
     d = _slot(ring, m, rng, 1)
-    bm = BlockMatrix(ring, m, 2, [[a, b], [c, d]])
-    return bm, [((2, 1), (2, 2))]
+    return BlockMatrix(ring, m, 2, [[a, b], [c, d]])
 
 
-def _gen_h(which: str, m: int, ring: Ring, rng: random.Random):
-    if which == "h1":
-        a = _dense(ring, m, rng)
-        b = _dense(ring, m, rng)
-        blocks = [[a, b], [_rand_poly_in(b, rng), _rand_poly_in(a, rng)]]
-    elif which == "h2":
-        blocks = [[_scalar(ring, m, rng), _dense(ring, m, rng)],
-                  [_dense(ring, m, rng), _dense(ring, m, rng)]]
-    elif which == "h3":
-        blocks = [[_dense(ring, m, rng), _scalar(ring, m, rng)],
-                  [_dense(ring, m, rng), _dense(ring, m, rng)]]
-    elif which == "h4":
-        a = _dense(ring, m, rng)
-        b = _dense(ring, m, rng)
-        blocks = [[a, b], [_rand_poly_in(a, rng), _rand_poly_in(b, rng)]]
-    else:
-        raise ValueError(f"unknown size-2 condition {which!r}")
-    bm = BlockMatrix(ring, m, 2, blocks)
-    return bm, [((2, 1), (2, 2))]
-
-
-def _gen_generic(special: Pair, n: int, m: int, ring: Ring, rng: random.Random):
-    # Scalar blocks commute with everything; the special non-edge pair gets
-    # perturbations in a shared slot so the sample is not fully commutative.
-    def block_at(i: int, j: int) -> Matrix:
-        return _slot(ring, m, rng, 0) if (i, j) in special else _scalar(ring, m, rng)
-
-    return _build(ring, m, n, block_at), [special]
+def _gen_h(crossed: bool, m: int, ring: Ring, rng: random.Random) -> BlockMatrix:
+    # A and B dense; C and D polynomials in B and A (h1, crossed) or in A
+    # and B (h4).
+    a = _dense(ring, m, rng)
+    b = _dense(ring, m, rng)
+    x, y = (b, a) if crossed else (a, b)
+    return BlockMatrix(ring, m, 2, [[a, b], [_rand_poly_in(x, x * x, rng), _rand_poly_in(y, y * y, rng)]])
 
 
 def _special_non_edge(g: Condition) -> Pair:
@@ -285,32 +233,44 @@ def _is_kappa(g: Condition) -> bool:
 def pick_generator(g: Condition, m: int) -> tuple[str, GenFn]:
     """Choose the most specific sound generator for a condition."""
     n = g.n
+    span = range(1, n + 1)
     # Condition orders and range-checks its edges, so only the complete
     # graph has all n^2 (n^2 - 1) / 2 of them.
     if len(g.edges) == n * n * (n * n - 1) // 2:
-        return "commutative", lambda ring, rng: _gen_commutative(n, m, ring, rng)
+        return "commutative", _gen_poly(n, m, False, [])
     if m >= 2 * n:
+        # Slot blocks in different slots commute; f and down put each
+        # column's blocks in one slot, side each row's.  f's first block
+        # row and side's block (n, c) are dense.
         if g == cond_f(n):
-            return "f-slots", lambda ring, rng: _gen_f(n, m, ring, rng)
-        for j in range(1, n + 1):
-            if g == cond_f_side(j, n):
-                jj = j
-                return f"side-slots:{j}", lambda ring, rng: _gen_side(jj, n, m, ring, rng)
-        for i in range(1, n + 1):
-            if g == cond_f_down(i, n):
-                ii = i
-                return f"down-slots:{i}", lambda ring, rng: _gen_down(ii, n, m, ring, rng)
+            witnesses = [((1, j), (2, j)) for j in span] + [((2, j), (i, j)) for j in span for i in span[2:]]
+            return "f-slots", _gen_layout(n, m, lambda i, j: "dense" if i == 1 else 2 * j - 2, witnesses)
+        for c in span:
+            if g == cond_f_side(c, n):
+                witnesses = [((i, c), (i, j)) for i in span for j in span if j != c]
+                return f"side-slots:{c}", _gen_layout(
+                    n, m, lambda i, j: "dense" if (i, j) == (n, c) else 2 * i - 2, witnesses)
+        for r in span:
+            if g == cond_f_down(r, n):
+                witnesses = [((i, j), (i + 1, j)) for j in span for i in span[:-1]]
+                return f"down-slots:{r}", _gen_layout(n, m, lambda i, j: 2 * j - 2, witnesses)
     if _is_kappa(g):
-        return "kappa-poly", lambda ring, rng: _gen_kappa(n, m, ring, rng)
-    if n == 2 and m >= 4 and g == cond_named("g5"):
-        return "g5-overlap", lambda ring, rng: _gen_g5(m, ring, rng)
+        return "kappa-poly", _gen_poly(n, m, True, [((1, 1), (2, 1))])
     if n == 2:
-        for name in ("h1", "h2", "h3", "h4"):
+        cd = [((2, 1), (2, 2))]
+        if m >= 4 and g == cond_named("g5"):
+            return "g5-overlap", lambda ring, rng: (_gen_g5(m, ring, rng), cd)
+        for name, scalar_at in (("h2", (1, 1)), ("h3", (1, 2))):
             if g == cond_named(name):
-                nm = name
-                return f"{name}-falsify", lambda ring, rng: _gen_h(nm, m, ring, rng)
+                return f"{name}-falsify", _gen_layout(
+                    2, m, lambda i, j: "scalar" if (i, j) == scalar_at else "dense", cd)
+        for name, crossed in (("h1", True), ("h4", False)):
+            if g == cond_named(name):
+                return f"{name}-falsify", lambda ring, rng: (_gen_h(crossed, m, ring, rng), cd)
+    # Scalar blocks commute with everything; the special non-edge pair gets
+    # perturbations in a shared slot so the sample is not fully commutative.
     special = _special_non_edge(g)
-    return "generic-scalar", lambda ring, rng: _gen_generic(special, n, m, ring, rng)
+    return "generic-scalar", _gen_layout(n, m, lambda i, j: 0 if (i, j) in special else "scalar", [special])
 
 
 _RETRY_CAP = 32
@@ -343,7 +303,9 @@ def _draw_satisfying(g: Condition, generator: tuple[str, GenFn], ring: Ring, see
         bm, witnesses = fn(ring, rng)
         if not matrix_satisfies(bm, g):
             raise RuntimeError(f"generator {name!r} produced a non-satisfying sample")
-        if not witnesses or not all(starmap(block_commutation(bm), witnesses)):
+        if not witnesses or not all(
+            commutes(bm.block(i - 1, j - 1), bm.block(k - 1, l - 1)) for (i, j), (k, l) in witnesses
+        ):
             return bm
     raise RuntimeError(f"generator {name!r} failed to produce a non-vacuous sample")
 
@@ -539,7 +501,14 @@ def classify_size2() -> Size2Classification:
 
 # --- two-block determinant identities -----------------------------------------
 
-_SILVESTER_EDGE = {"a": "AC", "b": "BD", "c": "AB"}
+# variant -> (hypothesis edge, (source, target), combination): under the
+# hypothesis the target block is a polynomial in the source block, and
+# det M = det(combination(A, B, C, D)).
+_SILVESTER = {
+    "a": ("AC", (0, 2), lambda a, b, c, d: a * d - c * b),
+    "b": ("BD", (1, 3), lambda a, b, c, d: d * a - b * c),
+    "c": ("AB", (0, 1), lambda a, b, c, d: d * a - c * b),
+}
 
 
 def silvester_check(
@@ -558,33 +527,21 @@ def silvester_check(
     negative control: failures are expected.
     """
     v = variant.lower()
-    if v not in _SILVESTER_EDGE:
+    if v not in _SILVESTER:
         raise ValueError(f"variant must be one of a, b, c, got {variant!r}")
-    cond = size2_condition((_SILVESTER_EDGE[v],))
+    edge, (source, target), combination = _SILVESTER[v]
+    cond = size2_condition((edge,))
 
     def trial(sub_seed: int):
         rng = random.Random(_mix64(sub_seed))
-        a = _dense(ring, m, rng)
-        b = _dense(ring, m, rng)
-        c = _dense(ring, m, rng)
-        d = _dense(ring, m, rng)
+        blocks = [_dense(ring, m, rng) for _ in range(4)]
         if enforce_hypothesis:
-            if v == "a":
-                c = _rand_poly_in(a, rng)
-            elif v == "b":
-                d = _rand_poly_in(b, rng)
-            else:
-                b = _rand_poly_in(a, rng)
-        bm = BlockMatrix(ring, m, 2, [[a, b], [c, d]])
+            x = blocks[source]
+            blocks[target] = _rand_poly_in(x, x * x, rng)
+        bm = BlockMatrix(ring, m, 2, [blocks[:2], blocks[2:]])
         if enforce_hypothesis and not matrix_satisfies(bm, cond):
             raise RuntimeError("hypothesis generator broke its own constraint")
-        if v == "a":
-            combo = a * d - c * b
-        elif v == "b":
-            combo = d * a - b * c
-        else:
-            combo = d * a - c * b
-        return bm, det_commutative(bm.flatten()), det_commutative(combo)
+        return bm, det_commutative(bm.flatten()), det_commutative(combination(*blocks))
 
     tag = "" if enforce_hypothesis else ":control"
     return _run_trials(

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from blockdet.cli import main
-from blockdet.conditions import cond_f, parse_condition
+from blockdet.conditions import complete_condition, cond_f, parse_condition
 from blockdet.matrix import format_block_matrix, format_matrix, Matrix, block_view, parse_block_matrix
 from blockdet.ring import ZZ
 from blockdet.traces import IDENTITY_CHECK_CAP
-from blockdet.verify import BUILTIN_NAMES
+from blockdet.verify import BUILTIN_NAMES, pick_generator
 
 
 def run(capsys, *argv):
@@ -215,9 +215,10 @@ def test_generator_failure_is_usage_error(capsys, monkeypatch):
     def fully_commuting(g, m):
         # Every block is a polynomial in one matrix, so the witness pair
         # always commutes and every redraw is vacuous.
+        _, commutative = pick_generator(complete_condition(g.n), m)
+
         def fn(ring, rng):
-            bm, _ = blockdet.verify._gen_commutative(g.n, m, ring, rng)
-            return bm, [((1, 1), (2, 1))]
+            return commutative(ring, rng)[0], [((1, 1), (2, 1))]
 
         return "x", fn
 

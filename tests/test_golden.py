@@ -13,7 +13,16 @@ import sys
 from pathlib import Path
 
 from blockdet.cli import main
-from blockdet.conditions import cond_f, cond_f_down, cond_f_side, cond_kappa, cond_named, cond_t_col
+from blockdet.conditions import (
+    complete_condition,
+    cond_f,
+    cond_f_down,
+    cond_f_side,
+    cond_kappa,
+    cond_named,
+    cond_t_col,
+    matrix_satisfies,
+)
 from blockdet.matrix import det_commutative, format_block_matrix, format_matrix
 from blockdet.ring import ZZ, PolynomialRing, PrimeField
 from blockdet.verify import check_identity, gen_satisfying, pick_generator, silvester_check, trial_seed
@@ -82,6 +91,44 @@ def test_witness_retries_and_other_rings():
     ]
     for g, m, ring, seed, digest in cases:
         assert _sha(format_block_matrix(gen_satisfying(g, m, ring, seed))) == digest, (g, m, ring.label, seed)
+
+
+def test_commutative_samples():
+    # Every block a polynomial in one drawn block, on each ring.
+    g = complete_condition(2)
+    assert pick_generator(g, 3)[0] == "commutative"
+    digests = {
+        "mod:10007": "510aba73d29bfb8461816c0153bd21605b73407d94b31503c9d4e8c0e3c3d390",
+        "int": "494331607289a3e64f6f069bac4b5e42a4800407523760b2cf9a272810139505",
+        "mod:2": "b1293d4b5bfcbd88ef0a30fd49f650492c6771e96af28e8a4935f854018873e6",
+        "poly:x": "183314c154466a94e0ada040c7e51cb0dd439cbdb4eda3f86f6a2132678e2648",
+    }
+    for ring in (F10007, ZZ, PrimeField(2), PolynomialRing("x")):
+        text = "".join(format_block_matrix(gen_satisfying(g, 3, ring, seed)) for seed in range(5))
+        assert _sha(text) == digests[ring.label], ring.label
+
+
+def test_silvester_hypothesis_samples(monkeypatch):
+    # Each trial's sample, recorded as the hypothesis check receives it.
+    import blockdet.verify
+
+    seen = []
+
+    def recording(bm, g):
+        seen.append(bm)
+        return matrix_satisfies(bm, g)
+
+    monkeypatch.setattr(blockdet.verify, "matrix_satisfies", recording)
+    digests = {
+        "a": "61d61ac4d8e0d42adabe949415d2e29fbe26d73a572d6f5ee68fc57d35bb2f6c",
+        "b": "c43e02fcbcae6fb9eaff3cc6218b45256379a62ce79214858e9c008406177cd4",
+        "c": "355cc789882d41f55df3daf8a38ae27c4efcfd930f6d201771ef5a96c591e8dc",
+    }
+    for variant, digest in digests.items():
+        seen.clear()
+        rep = silvester_check(variant, 3, F10007, 6, seed=5)
+        assert (rep.failures, len(seen)) == (0, 6)
+        assert _sha("".join(map(format_block_matrix, seen))) == digest, variant
 
 
 def test_silvester_control_report():

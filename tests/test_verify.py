@@ -136,27 +136,17 @@ class TestGenerators:
             short = Condition(n, full.edges - {edge})
             assert pick_generator(short, 2)[0] != "commutative"
 
-    def test_polynomial_in_a_block_takes_d_minus_1_products(self, monkeypatch):
-        # c_0 + c_1 x + ... + c_d x^d needs only x^2, ..., x^d.
+    def test_polynomial_in_a_block_takes_d_minus_1_products(self):
+        # c_0 + c_1 x + ... + c_d x^d from the payload rows of x, ..., x^d.
         x = Matrix.from_rows(ZZ, [[1, 2], [3, 4]])
-        mul = Matrix.__mul__
-        calls = 0
-
-        def counting_mul(self, other):
-            nonlocal calls
-            calls += 1
-            return mul(self, other)
-
-        monkeypatch.setattr(Matrix, "__mul__", counting_mul)
         for d in range(0, 5):
             coeffs = [3 - i for i in range(d + 1)]
-            want, power = Matrix.zeros(ZZ, 2, 2), Matrix.identity(ZZ, 2)
+            want, power, powers = Matrix.zeros(ZZ, 2, 2), Matrix.identity(ZZ, 2), []
             for c in coeffs:
                 want = want + power.scale(ZZ.from_int(c))
-                power = mul(power, x)
-            calls = 0
-            assert _poly_in(x, coeffs) == want
-            assert calls == max(d - 1, 0), d
+                power = power * x
+                powers.append(power.entries)
+            assert _poly_in(x, coeffs, powers[:d]) == want, d
 
     # The mod:10007 cases keep their plain ids; the other rings add their label.
     @pytest.mark.parametrize(
@@ -259,6 +249,29 @@ class TestGeneratorChoice:
         name, fn = pick_generator(g, 2)
         if name == "generic-scalar":
             assert fn(F10007, random.Random(0))[1] == [special]
+
+    def test_witnesses_are_non_edges_that_the_sample_breaks(self):
+        # Every family at n <= 3 with and without room for slots, and the
+        # slot families at n = 4: each generator's witness pairs are
+        # non-edges of its condition, and every sample leaves at least one
+        # of them noncommuting.
+        cases = [(fid, n, m) for n in (1, 2, 3) for fid in family_ids(n) for m in sorted({2, 3, 4, 2 * n})]
+        cases += [(fid, 4, 8) for fid in ["f"] + [f"{head}:{k}" for head in ("side", "down") for k in range(1, 5)]]
+        names = set()
+        for fid, n, m in cases:
+            g = family_condition(fid, n)
+            name, fn = pick_generator(g, m)
+            names.add(name.partition(":")[0])
+            witnesses = fn(F10007, random.Random(0))[1]
+            if name == "commutative":
+                assert witnesses == [], (fid, n, m)
+                continue
+            assert witnesses and not any(g.commutes(u, v) for u, v in witnesses), (fid, n, m)
+            for ring, seed in ((F10007, 1), (PrimeField(2), 2)):
+                graph = commutativity_graph(gen_satisfying(g, m, ring, seed))
+                assert not all(graph.commutes(u, v) for u, v in witnesses), (fid, n, m, ring.label)
+        assert names == {"commutative", "f-slots", "side-slots", "down-slots", "kappa-poly", "g5-overlap",
+                         "h1-falsify", "h2-falsify", "h3-falsify", "h4-falsify", "generic-scalar"}
 
     def test_the_special_non_edge_is_picked_once_per_campaign(self, monkeypatch):
         import blockdet.verify
