@@ -239,3 +239,32 @@ def test_flattened_determinants_over_mod_p(capsys, tmp_path):
         for i in range(10)
     )
     assert _sha(text) == "1a8d961763fa67419cbd77b529c42e2abd3781b5a6d74de439236a9023180b98"
+
+
+def _transcript(capsys, argvs):
+    # argv, exit code, stdout and stderr of each call, in order.
+    text = ""
+    for argv in argvs:
+        code = main(argv)
+        out = capsys.readouterr()
+        text += f"{argv}\n{code}\n{out.out}\n{out.err}\n"
+    return text
+
+
+def test_witness_commands_at_every_size(capsys):
+    # Sizes below a witness's least n, and n = 9 past the cap, are usage errors: exit 2.
+    argvs = [
+        [cmd, flag, case, "--n", str(n)]
+        for cmd, flag in (("counterexample", "--name"), ("check", "--builtin"), ("ncdet", "--builtin"))
+        for case in ("same_row", "diff_row")
+        for n in range(10)
+    ]
+    assert _sha(_transcript(capsys, argvs)) == "25a03a7b6fb834249f9de91fe3cc66867bbd68340dcf30e972c4deb594aa6227"
+
+
+def test_family_ids_good_and_bad(capsys):
+    ids = ("f", "kappa", "complete", "empty", "side:2", "down:1", "tcol:1", "trow:2", "g5", "h1",
+           "F", " kappa ", "SIDE:2", "side: 2", "side:0", "side:-1", "side:10", "side:x", "side:",
+           "side", "f:2", ":2", "foo", "foo:x", "foo:2", "g6", "")
+    argvs = [["family", "--name", fid, "--n", str(n)] for fid in ids for n in (0, 1, 2, 3, 9)]
+    assert _sha(_transcript(capsys, argvs)) == "3a264e84aeab74f6e86f518fb71752c4c8edefffb796333e526cdb2a2f278fd3"
