@@ -209,6 +209,11 @@ def cond_named(name: str) -> Condition:
     return size2_condition(_NAMED_SIZE2[key])
 
 
+# Family ids by name, and those that take a parameter k, as ``name:k``.
+_FAMILIES = {"f": cond_f, "kappa": cond_kappa, "complete": complete_condition, "empty": empty_condition}
+_PARAMETER_FAMILIES = {"side": cond_f_side, "down": cond_f_down, "tcol": cond_t_col, "trow": cond_t_row}
+
+
 def family_condition(family_id: str, n: int) -> Condition:
     """Instantiate a named family at size n, for 1 <= n <= ROW_DET_CAP.
 
@@ -220,32 +225,20 @@ def family_condition(family_id: str, n: int) -> Condition:
     if n > ROW_DET_CAP:
         raise ValueError(f"size n={n} exceeds the row-determinant cap {ROW_DET_CAP}")
     fid = family_id.strip().lower()
-    if fid == "f":
-        return cond_f(n)
-    if fid == "kappa":
-        return cond_kappa(n)
-    if fid == "complete":
-        return complete_condition(n)
-    if fid == "empty":
-        return empty_condition(n)
+    if fid in _FAMILIES:
+        return _FAMILIES[fid](n)
     if fid in _NAMED_SIZE2:
         if n != 2:
             raise ValueError(f"{family_id!r} is a size-2 condition, got n={n}")
         return cond_named(fid)
-    if ":" in fid:
-        head, _, tail = fid.partition(":")
+    head, colon, tail = fid.partition(":")
+    if colon:
         try:
             k = int(tail)
         except ValueError:
             raise ValueError(f"bad family parameter in {family_id!r}") from None
-        if head == "side":
-            return cond_f_side(k, n)
-        if head == "down":
-            return cond_f_down(k, n)
-        if head == "tcol":
-            return cond_t_col(k, n)
-        if head == "trow":
-            return cond_t_row(k, n)
+        if head in _PARAMETER_FAMILIES:
+            return _PARAMETER_FAMILIES[head](k, n)
     raise ValueError(f"unknown family id {family_id!r}")
 
 

@@ -3,7 +3,11 @@
 A matrix stores its entries as a tuple of row tuples of the ring's canonical
 payloads, and every kernel computes on those rows directly.  ``RingValue``
 is the API form: ``from_rows`` accepts it, and ``entry``, ``row_list`` and
-the determinants return it.
+the determinants return it.  ``Matrix`` and ``BlockMatrix`` are frozen
+dataclasses, like ``RingValue``, with their own validating ``__init__``
+and ``__repr__``: a matrix compares and hashes on ``(ring, entries)``, a
+block matrix on all four fields, and assigning or deleting any attribute
+raises ``dataclasses.FrozenInstanceError``, an ``AttributeError``.
 
 Products are built one row at a time: row i of A*B is the sum of
 a[i][k] * (row k of B) over the nonzero a[i][k] only, so zero entries of A
@@ -36,6 +40,7 @@ method, live in ``tests/oracles.py``.
 from __future__ import annotations
 
 import operator
+from dataclasses import dataclass, field
 from itertools import chain, permutations, repeat
 
 from .ring import PolynomialRing, PrimeField, Ring, RingMismatchError, RingValue, parse_ring
@@ -66,6 +71,7 @@ def signed_permutations(n: int):
         yield perm, permutation_sign(perm)
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class Matrix:
     """A rows x cols matrix over ``ring``.
 
@@ -75,7 +81,10 @@ class Matrix:
     ``from_rows``.
     """
 
-    __slots__ = ("ring", "rows", "cols", "entries")
+    ring: Ring
+    rows: int = field(compare=False)
+    cols: int = field(compare=False)
+    entries: tuple
 
     def __init__(self, ring: Ring, entries):
         entries = tuple(map(tuple, entries))
@@ -88,9 +97,6 @@ class Matrix:
         object.__setattr__(self, "rows", len(entries))
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "entries", entries)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Matrix is immutable")
 
     @classmethod
     def from_rows(cls, ring: Ring, rows) -> Matrix:
@@ -159,14 +165,6 @@ class Matrix:
 
     def transpose(self) -> Matrix:
         return Matrix(self.ring, zip(*self.entries))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        return self.ring == other.ring and self.entries == other.entries
-
-    def __hash__(self):
-        return hash((self.ring, self.entries))
 
     def __repr__(self):
         body = "; ".join(" ".join(map(self.ring.format_payload, row)) for row in self.entries)
@@ -391,10 +389,14 @@ def cofactor_matrix(mat: Matrix) -> Matrix:
     return Matrix(ring, out)
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class BlockMatrix:
     """An n x n array of m x m matrices over a common base ring."""
 
-    __slots__ = ("ring", "m", "n", "blocks")
+    ring: Ring
+    m: int
+    n: int
+    blocks: tuple
 
     def __init__(self, ring: Ring, m: int, n: int, blocks):
         blocks = tuple(tuple(row) for row in blocks)
@@ -410,9 +412,6 @@ class BlockMatrix:
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "blocks", blocks)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BlockMatrix is immutable")
 
     def block(self, i: int, j: int) -> Matrix:
         """Block at 0-based position (i, j)."""
@@ -433,19 +432,6 @@ class BlockMatrix:
             self.n,
             [[self.blocks[j][i].transpose() for j in range(self.n)] for i in range(self.n)],
         )
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BlockMatrix):
-            return NotImplemented
-        return (
-            self.ring == other.ring
-            and self.m == other.m
-            and self.n == other.n
-            and self.blocks == other.blocks
-        )
-
-    def __hash__(self):
-        return hash((self.ring, self.m, self.n, self.blocks))
 
     def __repr__(self):
         return f"BlockMatrix(n={self.n}, m={self.m}, ring={self.ring.label})"

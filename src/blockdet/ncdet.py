@@ -105,8 +105,6 @@ def nc_row_det(bm: BlockMatrix) -> Matrix:
     n = bm.n
     if n < 1:
         raise ValueError("row-determinant needs n >= 1")
-    if n == 1:
-        return bm.blocks[0][0]
     return Matrix(bm.ring, _subset_dp(bm, 0)[(1 << n) - 1])
 
 

@@ -1,11 +1,14 @@
 """Exact commutative base rings: integers, prime fields, and univariate
 integer polynomials.
 
-Every value is immutable and canonical: prime-field payloads live in
-``[0, p)`` and polynomial coefficient tuples carry no trailing zeros.
-So zero is the one falsy payload of each ring, and kernels test it by
-truthiness.  Each ring also has an exact quotient, ``pexquo``, which raises
-``ArithmeticError`` rather than round when the divisor does not divide.
+The rings and their elements, ``RingValue``, are frozen dataclasses: they
+compare and hash by their fields, and assigning or deleting any attribute
+raises ``dataclasses.FrozenInstanceError``, an ``AttributeError``.  Every
+payload is canonical: prime-field payloads live in ``[0, p)`` and
+polynomial coefficient tuples carry no trailing zeros.  So zero is the one
+falsy payload of each ring, and kernels test it by truthiness.  Each ring
+also has an exact quotient, ``pexquo``, which raises ``ArithmeticError``
+rather than round when the divisor does not divide.
 """
 
 from __future__ import annotations
@@ -273,17 +276,13 @@ class PolynomialRing(Ring):
         return _poly_trim(int(part) for part in token.split(","))
 
 
+@dataclass(frozen=True)
 class RingValue:
-    """Immutable element of one of the rings above."""
+    """Immutable element of one of the rings above: ``payload`` is a
+    canonical payload of ``ring``."""
 
-    __slots__ = ("ring", "payload")
-
-    def __init__(self, ring: Ring, payload):
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "payload", payload)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RingValue is immutable")
+    ring: Ring
+    payload: object
 
     def _check(self, other: RingValue) -> None:
         if not isinstance(other, RingValue):
@@ -305,14 +304,6 @@ class RingValue:
 
     def __neg__(self) -> RingValue:
         return RingValue(self.ring, self.ring.pneg(self.payload))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RingValue):
-            return NotImplemented
-        return self.ring == other.ring and self.payload == other.payload
-
-    def __hash__(self):
-        return hash((self.ring, self.payload))
 
     def __repr__(self):
         return f"<{self.ring.label}: {self.ring.format_payload(self.payload)}>"

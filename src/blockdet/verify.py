@@ -559,38 +559,29 @@ class OptimalityWitness(NamedTuple):
     det_of_ncdet: RingValue
 
 
+# The 2x2 blocks of each witness by 0-based position; the least n is the
+# number of block rows they fill, and I fills the rest of the diagonal.
+_WITNESS_PLACEMENTS = {
+    "same_row": (2, {(0, 0): "k", (0, 1): "l", (1, 0): "a", (1, 1): "b"}),
+    "diff_row": (3, {(0, 0): "k", (0, 1): "l", (1, 0): "a", (1, 2): "I", (2, 1): "b", (2, 2): "I"}),
+}
+
+
 def _witness_matrix(case: str, n: int) -> BlockMatrix:
     if n > ROW_DET_CAP:
         raise ValueError(f"row-determinant capped at n={ROW_DET_CAP}")
-    ring = PolynomialRing("a")
-    gen = ring.gen
-    k = Matrix.from_rows(ring, [[1, 0], [0, 0]])
-    l = Matrix.from_rows(ring, [[0, 0], [1, 0]])
-    a = Matrix.from_rows(ring, [[gen, ring.zero], [ring.zero, ring.zero]])
-    b = Matrix.from_rows(ring, [[0, 1], [0, 0]])
-    ident = Matrix.identity(ring, 2)
-    zero = Matrix.zeros(ring, 2, 2)
-
-    if case == "same_row":
-        if n < 2:
-            raise ValueError("same_row witness needs n >= 2")
-        rows = [[zero] * n for _ in range(n)]
-        rows[0][0], rows[0][1] = k, l
-        rows[1][0], rows[1][1] = a, b
-        for i in range(2, n):
-            rows[i][i] = ident
-    elif case == "diff_row":
-        if n < 3:
-            raise ValueError("diff_row witness needs n >= 3")
-        rows = [[zero] * n for _ in range(n)]
-        rows[0][0], rows[0][1] = k, l
-        rows[1][0], rows[1][2] = a, ident
-        rows[2][1], rows[2][2] = b, ident
-        for i in range(3, n):
-            rows[i][i] = ident
-    else:
+    if case not in _WITNESS_PLACEMENTS:
         raise ValueError(f"case must be same_row or diff_row, got {case!r}")
-    return BlockMatrix(ring, 2, n, rows)
+    least, placed = _WITNESS_PLACEMENTS[case]
+    if n < least:
+        raise ValueError(f"{case} witness needs n >= {least}")
+    ring = PolynomialRing("a")
+    named = {"k": [[1, 0], [0, 0]], "l": [[0, 0], [1, 0]], "a": [[ring.gen, 0], [0, 0]],
+             "b": [[0, 1], [0, 0]], "I": [[1, 0], [0, 1]], "0": [[0, 0], [0, 0]]}
+    blocks = {name: Matrix.from_rows(ring, rows) for name, rows in named.items()}
+    return BlockMatrix(ring, 2, n, [
+        [blocks[placed.get((i, j), "I" if i == j >= least else "0")] for j in range(n)] for i in range(n)
+    ])
 
 
 def optimality_counterexample(case: str, n: int) -> OptimalityWitness:

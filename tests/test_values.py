@@ -87,3 +87,14 @@ def test_exact_repr_and_str():
     assert (repr(F7.from_int(-1)), str(F7.from_int(-1))) == ("<mod:7: 6>", "6")
     assert (repr(PA.value((1, 0, 2))), str(PA.value((1, 0, 2)))) == ("<poly:a: 1,0,2>", "1,0,2")
     assert (repr(PA.zero), str(PA.zero)) == ("<poly:a: 0>", "0")
+
+
+def test_deleting_a_field_raises():
+    mat, bm, v = _values()
+    for obj, fields in ((mat, ("ring", "rows", "cols", "entries")), (bm, ("ring", "m", "n", "blocks")),
+                        (v, ("ring", "payload"))):
+        for name in fields:
+            with pytest.raises(AttributeError):
+                delattr(obj, name)
+            getattr(obj, name)
+        hash(obj)
