@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .matrix import BlockMatrix, Matrix, _det_gauss_mod_p, shifted, shifted_commute
-from .ncdet import ROW_DET_CAP
+from .ncdet import check_row_det_size
 from .ring import PolynomialRing, PrimeField, Ring
 
 Vertex = tuple[int, int]
@@ -222,8 +222,7 @@ def family_condition(family_id: str, n: int) -> Condition:
     """
     if n < 1:
         raise ValueError(f"size must be at least 1, got n={n}")
-    if n > ROW_DET_CAP:
-        raise ValueError(f"size n={n} exceeds the row-determinant cap {ROW_DET_CAP}")
+    check_row_det_size(n)
     fid = family_id.strip().lower()
     if fid in _FAMILIES:
         return _FAMILIES[fid](n)

@@ -9,24 +9,48 @@ program's last level holds every first-row minor, so the determinant, the
 first-column cofactor identity and a checkable trace of the
 polynomial-extension induction each take one run of it.
 
-Each entry of the program is a sum of block products, and it is computed
-as one ``matrix._product_rows`` call: the blocks of the row side by side
-times the entries they multiply stacked in one column.  The program works
-on payload row tuples, reduces each entry once, and builds a ``Matrix``
-only for what it returns.
+Each entry of the program is a sum of block products: the blocks of the
+row side by side times the entries they multiply stacked in one column.
+One predicate, ``_packs``, picks how it is computed from the ring and n m:
+
+- Over ``mod:p`` with n m (p - 1) p < 2^64, each entry is held as m Python
+  ints, one per payload row, with each entry of the row in its own 64-bit
+  slot.  A row is packed as ``int.from_bytes(array("Q", row).tobytes(),
+  sys.byteorder)`` and unpacked by ``to_bytes`` in the same byte order,
+  cast to ``"Q"``, so the slots come back in order on either endianness.
+  Row i of an entry is ``sum(map(mul, ...))`` of row i of the left blocks
+  against the packed rows stacked, one C-level multiply-add per term; the
+  sign of a term goes on its packed factor as P - E, P the all-p row, so
+  every slot stays in [0, p].  A slot then sums at most n m terms of at
+  most (p - 1) p, so the bound keeps it from carrying into its neighbour.
+  Each entry's slots are reduced mod p once and repacked, and only the
+  level the program returns is unpacked.
+- Over ``int``, ``poly:`` and larger primes, each entry is one
+  ``matrix._product_rows`` call on payload row tuples, reduced once.
+
+Either way the program builds a ``Matrix`` only for what it returns.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
 from itertools import chain, combinations
+from operator import mul
 
 from .matrix import BlockMatrix, Matrix, _product_rows, det_commutative
-from .ring import IntegerRing, PolynomialRing, Ring, poly_is_monic
+from .ring import IntegerRing, PolynomialRing, PrimeField, Ring, poly_is_monic
 
 ROW_DET_CAP = 8
 # Largest block size m a campaign draws: its cost grows as m^3.
 BLOCK_SIZE_CAP = 64
+
+
+def check_row_det_size(n: int) -> None:
+    """Raise ``ValueError`` when n block rows exceed ``ROW_DET_CAP``."""
+    if n > ROW_DET_CAP:
+        raise ValueError(f"size n={n} exceeds the row-determinant cap {ROW_DET_CAP}")
 
 
 def _row_times(ring: Ring, row, column) -> tuple:
@@ -42,6 +66,57 @@ def _negated(ring: Ring, rows) -> tuple:
     return tuple(tuple(map(pneg, row)) for row in rows)
 
 
+def _packs(ring: Ring, n: int, m: int) -> bool:
+    """Whether the subset DP runs on packed rows: over ``mod:p``, when a
+    slot's largest sum, n m terms of at most (p - 1) p, fits in 64 bits."""
+    return isinstance(ring, PrimeField) and n * m * (ring.p - 1) * ring.p < 2**64
+
+
+def _pack(row) -> int:
+    # One 64-bit slot per entry.  Packing and unpacking both use the native
+    # byte order, so the slots come back in row order on either endianness.
+    return int.from_bytes(array("Q", row).tobytes(), sys.byteorder)
+
+
+def _unpack(packed: int, m: int) -> tuple:
+    return tuple(memoryview(packed.to_bytes(8 * m, sys.byteorder)).cast("Q"))
+
+
+def _packed_entry(p: int, left, column) -> list[int]:
+    """Packed rows of one DP entry mod p: row i is the sum of left[i][t]
+    times column[t], with ``left`` the payload rows of a block row's blocks
+    side by side and ``column`` the packed rows of the factors stacked.
+    Each term is one multiply-add on whole rows, and the entry's slots are
+    reduced and repacked in one pass."""
+    width = 8 * len(left)
+    order = sys.byteorder
+    sums = b"".join([sum(map(mul, row, column)).to_bytes(width, order) for row in left])
+    reduced = array("Q", [v % p for v in memoryview(sums).cast("Q")]).tobytes()
+    return [int.from_bytes(reduced[i : i + width], order) for i in range(0, len(reduced), width)]
+
+
+def _subset_dp_packed(bm: BlockMatrix, top: int) -> dict[int, tuple]:
+    # ``_subset_dp`` with each E[S] as m packed rows; a sign goes on the
+    # factor E[S - {c}] as P - E, P the packed all-p row.
+    n, m, p = bm.n, bm.m, bm.ring.p
+    blocks = bm.blocks
+    full = _pack([p] * m)
+    level = {1 << c: [_pack(row) for row in blk.entries] for c, blk in enumerate(blocks[n - 1])}
+    for r in range(n - 2, top - 1, -1):
+        signed = {mask: (rows, [full - x for x in rows]) for mask, rows in level.items()}
+        brows = [blk.entries for blk in blocks[r]]
+        nxt = {}
+        for cols in combinations(range(n), n - r):
+            mask = sum(1 << c for c in cols)
+            nxt[mask] = _packed_entry(
+                p,
+                [list(chain.from_iterable(rows)) for rows in zip(*[brows[c] for c in cols])],
+                list(chain.from_iterable(signed[mask ^ (1 << c)][idx % 2] for idx, c in enumerate(cols))),
+            )
+        level = nxt
+    return {mask: tuple(_unpack(x, m) for x in rows) for mask, rows in level.items()}
+
+
 def _subset_dp(bm: BlockMatrix, top: int) -> dict[int, tuple]:
     """E[S] by column mask, as payload rows, for every set S of n - top
     columns: the row-determinant of block rows top..n-1 (0-based)
@@ -49,13 +124,15 @@ def _subset_dp(bm: BlockMatrix, top: int) -> dict[int, tuple]:
 
     It starts from the last row, E[{c}] = B[n-1][c], and grows one row r
     at a time: E[S] = sum over c in S of (-1)^#{c' in S : c' < c}
-    B[r][c] E[S - {c}], keeping the factors in row order.  Each B[r][c] is
-    negated once, and each E[S] is one product.
+    B[r][c] E[S - {c}], keeping the factors in row order.  On payload rows
+    each B[r][c] is negated once, and each E[S] is one product; over
+    ``mod:p`` within the slot bound, ``_subset_dp_packed`` runs instead.
     """
     n = bm.n
-    if n > ROW_DET_CAP:
-        raise ValueError(f"row-determinant capped at n={ROW_DET_CAP}")
+    check_row_det_size(n)
     ring = bm.ring
+    if _packs(ring, n, bm.m):
+        return _subset_dp_packed(bm, top)
     blocks = bm.blocks
     level = {1 << c: blk.entries for c, blk in enumerate(blocks[n - 1])}
     for r in range(n - 2, top - 1, -1):

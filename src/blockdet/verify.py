@@ -33,7 +33,7 @@ from .conditions import (
     vertices,
 )
 from .matrix import BlockMatrix, Matrix, _row_ops, commutes, det_commutative
-from .ncdet import BLOCK_SIZE_CAP, ROW_DET_CAP, nc_row_det
+from .ncdet import BLOCK_SIZE_CAP, check_row_det_size, nc_row_det
 from .ring import ZZ, PolynomialRing, PrimeField, Ring, RingValue, poly_degree
 
 _MASK = (1 << 64) - 1
@@ -378,8 +378,7 @@ def run_campaign(
     if trials < 0:
         raise ValueError(f"trials must be non-negative, got {trials}")
     _check_block_size(m)
-    if g.n > ROW_DET_CAP:
-        raise ValueError(f"condition size n={g.n} exceeds the row-determinant cap {ROW_DET_CAP}")
+    check_row_det_size(g.n)
     generator = pick_generator(g, m)
 
     def trial(sub_seed: int):
@@ -568,8 +567,7 @@ _WITNESS_PLACEMENTS = {
 
 
 def _witness_matrix(case: str, n: int) -> BlockMatrix:
-    if n > ROW_DET_CAP:
-        raise ValueError(f"row-determinant capped at n={ROW_DET_CAP}")
+    check_row_det_size(n)
     if case not in _WITNESS_PLACEMENTS:
         raise ValueError(f"case must be same_row or diff_row, got {case!r}")
     least, placed = _WITNESS_PLACEMENTS[case]

@@ -259,7 +259,7 @@ def test_witness_commands_at_every_size(capsys):
         for case in ("same_row", "diff_row")
         for n in range(10)
     ]
-    assert _sha(_transcript(capsys, argvs)) == "25a03a7b6fb834249f9de91fe3cc66867bbd68340dcf30e972c4deb594aa6227"
+    assert _sha(_transcript(capsys, argvs)) == "eb6753e6424b9d40af8cc81c6d3797cc6fabeb68985e4bebea347a8a58f428ed"
 
 
 def test_family_ids_good_and_bad(capsys):

@@ -1,4 +1,5 @@
 import random
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,7 +23,7 @@ from blockdet.ncdet import (
     nc_minor_det,
     nc_row_det,
 )
-from blockdet.ring import PolynomialRing, PrimeField, ZZ, parse_ring, poly_eval_at_zero
+from blockdet.ring import PolynomialRing, PrimeField, ZZ, _is_prime, parse_ring, poly_eval_at_zero
 from blockdet.verify import _from_mapping, builtin_matrix, gen_satisfying
 
 F10007 = PrimeField(10007)
@@ -102,30 +103,112 @@ def test_subset_dp_matches_permutation_sum(bm):
         assert nc_first_row_cofactors(bm) == perm_sum_first_row_cofactors(bm)
 
 
-def test_block_product_counts(monkeypatch):
+# The function that computes one DP entry on each path, and the number of
+# block products in that entry from its arguments.  Each entry, a sum of k
+# block products, is one fused product of a 1 x k block row by a k x 1
+# block column: over int one ``_product_rows`` call on payload rows, over
+# mod:p one ``_packed_entry`` call on packed rows.
+PRODUCT_SEAMS = {
+    "int": ("_product_rows", lambda ring, arows, brows: len(arows[0]) // len(brows[0])),
+    "mod:10007": ("_packed_entry", lambda p, left, column: len(column) // len(left)),
+}
+
+
+@pytest.mark.parametrize("label", PRODUCT_SEAMS)
+def test_block_product_counts(monkeypatch, label):
     # The subset DP takes n 2^(n-1) - n block products for the determinant
     # and n fewer for the cofactors alone; the permutation sum takes (n-1) n!.
-    # Each sum of k block products is one fused product of a 1 x k block
-    # row by a k x 1 block column, so it counts as k (left, right) terms.
+    name, count = PRODUCT_SEAMS[label]
+    seam = getattr(ncdet, name)
     terms = 0
-    fused = ncdet._product_rows
 
-    def counting_product(ring, arows, brows):
+    def counting(*args):
         nonlocal terms
-        terms += len(arows[0]) // len(brows[0])
-        return fused(ring, arows, brows)
+        terms += count(*args)
+        return seam(*args)
 
-    monkeypatch.setattr(ncdet, "_product_rows", counting_product)
+    monkeypatch.setattr(ncdet, name, counting)
+    ring = parse_ring(label)
     rng = random.Random(11)
     for n in range(2, 9):
         for m in (1, 2):
-            bm = rand_block_matrix(F10007, m, n, rng)
+            bm = rand_block_matrix(ring, m, n, rng)
             terms = 0
             nc_row_det(bm)
             assert terms == n * 2 ** (n - 1) - n, (n, m)
             terms = 0
             nc_first_row_cofactors(bm)
             assert terms == n * 2 ** (n - 1) - 2 * n, (n, m)
+
+
+def packed_boundary(k):
+    """The largest prime p with k (p - 1) p < 2^64, the worst slot sum of
+    the packed DP at n m = k, and the next prime above it."""
+    p = isqrt(2**64 // k) + 1
+    while k * (p - 1) * p >= 2**64 or not _is_prime(p):
+        p -= 1
+    q = p + 1
+    while not _is_prime(q):
+        q += 1
+    return p, q
+
+
+def test_packed_boundary_primes():
+    assert packed_boundary(16) == (1073741789, 1073741827)
+    assert packed_boundary(128) == (379625047, 379625083)
+    for n, m in ((2, 8), (4, 4), (8, 2), (8, 16)):
+        p, q = packed_boundary(n * m)
+        assert ncdet._packs(PrimeField(p), n, m) and not ncdet._packs(PrimeField(q), n, m)
+
+
+def assert_row_det_commutes_with_reduction(bm):
+    # Z -> Z/p is a ring map, so the determinant over mod:p is the one over
+    # int, reduced mod p.
+    lifted = BlockMatrix(ZZ, bm.m, bm.n, [[Matrix(ZZ, b.entries) for b in row] for row in bm.blocks])
+
+    def reduced(x):
+        return Matrix.from_rows(bm.ring, x.entries)
+
+    assert nc_row_det(bm) == reduced(nc_row_det(lifted))
+    if bm.n >= 2:
+        assert nc_first_row_cofactors(bm) == list(map(reduced, nc_first_row_cofactors(lifted)))
+
+
+@st.composite
+def boundary_block_matrices(draw):
+    # At the largest prime the packed path takes and the next one, which
+    # takes the tuple path; entries are mostly 0, 1 and p - 1.
+    n = draw(st.integers(1, 8))
+    m = draw(st.integers(1, 8))
+    p = packed_boundary(n * m)[draw(st.integers(0, 1))]
+    ring = PrimeField(p)
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    return BlockMatrix(ring, m, n, [
+        [Matrix(ring, [[rng.choice((0, 1, p - 1, rng.randrange(p))) for _ in range(m)] for _ in range(m)])
+         for _ in range(n)]
+        for _ in range(n)
+    ])
+
+
+@settings(max_examples=40, deadline=None)
+@given(boundary_block_matrices())
+def test_packed_row_det_matches_int_reduced_at_the_slot_bound(bm):
+    assert_row_det_commutes_with_reduction(bm)
+
+
+def test_packed_row_det_at_the_largest_slot_sums():
+    # At the largest prime the packed path takes and at the next one, with
+    # every entry p - 1.  With n = 2 and B[1][0] = 0 instead, each slot of
+    # the last level sums m (p - 1)^2 + m (p - 1) p, within m (p - 1) of
+    # the bound; at the next prime that sum no longer fits in 64 bits.
+    for n, m in ((8, 8), (3, 8), (8, 1), (2, 8), (2, 1)):
+        for p in packed_boundary(n * m):
+            ring = PrimeField(p)
+            full = Matrix(ring, [[p - 1] * m] * m)
+            blocks = [[full] * n for _ in range(n)]
+            if n == 2:
+                blocks[1][0] = Matrix.zeros(ring, m, m)
+            assert_row_det_commutes_with_reduction(BlockMatrix(ring, m, n, blocks))
 
 
 def test_dp_size_guards():
