@@ -3,7 +3,9 @@
 A block matrix satisfies a condition when every edge of the condition joins
 a pair of commuting blocks (labeled containment on the fixed vertex set,
 not isomorphism).  All the named families, the column/row permutation and
-transpose transforms, and edge-union live here.
+transpose transforms, and edge-union live here.  ``Condition(n, edges)``
+checks every edge; the builders and transforms, whose edges are in order
+and in range by construction, build through the trusted ``Condition._of``.
 
 ``matrix_satisfies`` proves satisfaction exactly; its docstring states the
 centralizer certificate that settles some edges without testing them.
@@ -49,6 +51,16 @@ class Condition:
             canon.add(_edge(u, v))
         object.__setattr__(self, "edges", frozenset(canon))
 
+    @classmethod
+    def _of(cls, n: int, edges: frozenset[Edge]) -> Condition:
+        """The trusted constructor: ``edges`` is a frozenset of pairs (u, v),
+        u < v, in range for n, taken as it is.  Only n is checked."""
+        if n < 1:
+            raise ValueError(f"condition size must be at least 1, got n={n}")
+        g = object.__new__(cls)
+        g.__dict__.update(n=n, edges=edges)
+        return g
+
     def commutes(self, u: Vertex, v: Vertex) -> bool:
         """Whether u and v are joined; False for u == v: a letter never
         passes itself."""
@@ -65,7 +77,7 @@ class Condition:
 
 
 def empty_condition(n: int) -> Condition:
-    return Condition(n, frozenset())
+    return Condition._of(n, frozenset())
 
 
 def complete_condition(n: int) -> Condition:
@@ -74,7 +86,7 @@ def complete_condition(n: int) -> Condition:
 
 def _from_predicate(n: int, pred) -> Condition:
     # combinations of the sorted vertex list yields each pair as (u, v), u < v.
-    return Condition(n, frozenset((u, v) for u, v in combinations(vertices(n), 2) if pred(u, v)))
+    return Condition._of(n, frozenset((u, v) for u, v in combinations(vertices(n), 2) if pred(u, v)))
 
 
 def cond_f(n: int) -> Condition:
@@ -125,8 +137,9 @@ def cond_t_row(r: int, n: int) -> Condition:
 
 
 def _relabel(g: Condition, vertex_map) -> Condition:
-    # Condition orders each relabelled pair.
-    return Condition(g.n, frozenset((vertex_map(u), vertex_map(v)) for u, v in g.edges))
+    # vertex_map is a bijection of the grid, so only a pair's order can change.
+    mapped = ((vertex_map(u), vertex_map(v)) for u, v in g.edges)
+    return Condition._of(g.n, frozenset((a, b) if a < b else (b, a) for a, b in mapped))
 
 
 def _relabelling(images: tuple[int, ...], n: int) -> tuple[int, ...]:
@@ -156,12 +169,12 @@ def cond_transpose(g: Condition) -> Condition:
 def cond_union(g: Condition, h: Condition) -> Condition:
     if g.n != h.n:
         raise ValueError(f"size mismatch: {g.n} vs {h.n}")
-    return Condition(g.n, g.edges | h.edges)
+    return Condition._of(g.n, g.edges | h.edges)
 
 
 def cond_minus_edge(g: Condition, edge: Edge) -> Condition:
     """g with the pair of positions ``edge``, in either order, withheld."""
-    return Condition(g.n, g.edges - {_edge(*edge)})
+    return Condition._of(g.n, g.edges - {_edge(*edge)})
 
 
 def cond_f_side(j: int, n: int) -> Condition:

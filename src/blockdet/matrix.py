@@ -1,9 +1,11 @@
 """Dense matrices over a single exact ring, plus the block-matrix view.
 
 A matrix stores its entries as a tuple of row tuples of the ring's canonical
-payloads, and every kernel computes on those rows directly.  ``RingValue``
-is the API form: ``from_rows`` accepts it, and ``entry``, ``row_list`` and
-the determinants return it.  ``Matrix`` and ``BlockMatrix`` are frozen
+payloads, and every kernel computes on those rows directly.  Values are
+checked where they enter: ``Matrix(ring, rows)`` takes ints, payloads or
+``RingValue``s and canonicalises each entry, while the kernels build through
+the trusted ``Matrix._of``.  ``entry``, ``row_list`` and the determinants
+return ``RingValue``s.  ``Matrix`` and ``BlockMatrix`` are frozen
 dataclasses, like ``RingValue``, with their own validating ``__init__``
 and ``__repr__``: a matrix compares and hashes on ``(ring, entries)``, a
 block matrix on all four fields, and assigning or deleting any attribute
@@ -77,8 +79,9 @@ class Matrix:
 
     ``entries`` is a tuple of row tuples of canonical payloads of ``ring``
     (ints for ``int`` and ``mod:p``, coefficient tuples for ``poly:v``);
-    the shape is read from it.  Build from ints or ``RingValue``s with
-    ``from_rows``.
+    the shape is read from it.  ``rows`` may hold ints, payloads or
+    ``RingValue``s of ``ring``; any other value raises ``RingMismatchError``
+    or ``TypeError``, and ragged rows raise ``ValueError``.
     """
 
     ring: Ring
@@ -86,39 +89,39 @@ class Matrix:
     cols: int = field(compare=False)
     entries: tuple
 
-    def __init__(self, ring: Ring, entries):
-        entries = tuple(map(tuple, entries))
-        cols = len(entries[0]) if entries else 0
-        if any(len(row) != cols for row in entries):
-            raise ValueError("ragged rows")
-        if cols and isinstance(entries[0][0], RingValue):
-            raise TypeError("Matrix entries are canonical payloads; use Matrix.from_rows for ring values")
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "rows", len(entries))
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", entries)
-
-    @classmethod
-    def from_rows(cls, ring: Ring, rows) -> Matrix:
-        """Build a matrix from nested sequences of ints or ring values."""
-
+    def __init__(self, ring: Ring, rows):
         def payload(e):
             if not isinstance(e, RingValue):
-                return ring.canonical(ring.int_payload(e))
+                return ring.canonical(e)
             if e.ring != ring:
                 raise RingMismatchError("matrix entries must share the ring")
             return e.payload
 
-        return cls(ring, [map(payload, row) for row in rows])
+        entries = tuple(tuple(map(payload, row)) for row in rows)
+        if any(len(row) != len(entries[0]) for row in entries):
+            raise ValueError("ragged rows")
+        self._fill(ring, entries)
+
+    @classmethod
+    def _of(cls, ring: Ring, entries: tuple) -> Matrix:
+        """The trusted constructor: ``entries`` is a tuple of equal-length
+        tuples of canonical payloads of ``ring``, taken as it is."""
+        mat = object.__new__(cls)
+        mat._fill(ring, entries)
+        return mat
+
+    def _fill(self, ring: Ring, entries: tuple) -> None:
+        # Straight into the instance dict, past the frozen __setattr__.
+        self.__dict__.update(ring=ring, rows=len(entries), cols=len(entries[0]) if entries else 0, entries=entries)
 
     @classmethod
     def identity(cls, ring: Ring, k: int) -> Matrix:
         one, zero = ring.int_payload(1), ring.int_payload(0)
-        return cls(ring, [[one if i == j else zero for j in range(k)] for i in range(k)])
+        return cls._of(ring, tuple(tuple(one if i == j else zero for j in range(k)) for i in range(k)))
 
     @classmethod
     def zeros(cls, ring: Ring, rows: int, cols: int) -> Matrix:
-        return cls(ring, [(ring.int_payload(0),) * cols] * rows)
+        return cls._of(ring, ((ring.int_payload(0),) * cols,) * rows)
 
     @property
     def is_square(self) -> bool:
@@ -138,7 +141,7 @@ class Matrix:
         self._check_ring(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError(f"shape mismatch in {what}")
-        return Matrix(self.ring, [tuple(map(op, a, b)) for a, b in zip(self.entries, other.entries)])
+        return Matrix._of(self.ring, tuple(tuple(map(op, a, b)) for a, b in zip(self.entries, other.entries)))
 
     def __add__(self, other: Matrix) -> Matrix:
         return self._entrywise(other, self.ring.padd, "addition")
@@ -148,23 +151,23 @@ class Matrix:
 
     def __neg__(self) -> Matrix:
         pneg = self.ring.pneg
-        return Matrix(self.ring, [tuple(map(pneg, row)) for row in self.entries])
+        return Matrix._of(self.ring, tuple(tuple(map(pneg, row)) for row in self.entries))
 
     def __mul__(self, other: Matrix) -> Matrix:
         self._check_ring(other)
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} times {other.rows}x{other.cols}")
-        return Matrix(self.ring, _product_rows(self.ring, self.entries, other.entries))
+        return Matrix._of(self.ring, tuple(_product_rows(self.ring, self.entries, other.entries)))
 
     def scale(self, s: RingValue) -> Matrix:
         if s.ring != self.ring:
             raise RingMismatchError("scalar from a different ring")
         pmul = self.ring.pmul
         sp = s.payload
-        return Matrix(self.ring, [tuple(map(pmul, repeat(sp), row)) for row in self.entries])
+        return Matrix._of(self.ring, tuple(tuple(map(pmul, repeat(sp), row)) for row in self.entries))
 
     def transpose(self) -> Matrix:
-        return Matrix(self.ring, zip(*self.entries))
+        return Matrix._of(self.ring, tuple(zip(*self.entries)))
 
     def __repr__(self):
         body = "; ".join(" ".join(map(self.ring.format_payload, row)) for row in self.entries)
@@ -385,8 +388,8 @@ def cofactor_matrix(mat: Matrix) -> Matrix:
             sub = [[rows[r][c] for c in range(k) if c != j] for r in range(k) if r != i]
             minor = _det_payload(ring, sub)
             out_row.append(minor if (i + j) % 2 == 0 else ring.pneg(minor))
-        out.append(out_row)
-    return Matrix(ring, out)
+        out.append(tuple(out_row))
+    return Matrix._of(ring, tuple(out))
 
 
 @dataclass(frozen=True, init=False, repr=False)
@@ -419,9 +422,9 @@ class BlockMatrix:
 
     def flatten(self) -> Matrix:
         # Row r of block row bi joins row r of each block in that block row.
-        return Matrix(
+        return Matrix._of(
             self.ring,
-            [chain.from_iterable(rows) for brow in self.blocks for rows in zip(*(b.entries for b in brow))],
+            tuple(tuple(chain.from_iterable(rows)) for brow in self.blocks for rows in zip(*(b.entries for b in brow))),
         )
 
     def transpose(self) -> BlockMatrix:
@@ -446,7 +449,7 @@ def block_view(mat: Matrix, m: int) -> BlockMatrix:
     n = mat.rows // m
     bands = [mat.entries[bi * m : (bi + 1) * m] for bi in range(n)]
     blocks = [
-        [Matrix(mat.ring, [row[bj * m : (bj + 1) * m] for row in band]) for bj in range(n)]
+        [Matrix._of(mat.ring, tuple(row[bj * m : (bj + 1) * m] for row in band)) for bj in range(n)]
         for band in bands
     ]
     return BlockMatrix(mat.ring, m, n, blocks)
@@ -502,8 +505,8 @@ def _parse_grid(lines, nrows: int, ncols: int, ring: Ring):
         row = []
         for c, tok in enumerate(tokens):
             try:
-                row.append(ring.canonical(ring.parse_payload(tok)))
-            except (ValueError, TypeError):
+                row.append(ring.parse_payload(tok))
+            except ValueError:
                 raise MatrixFormatError(f"line {at}, column {c + 1}: bad entry {tok!r}") from None
         rows.append(row)
     return rows

@@ -28,7 +28,8 @@ One predicate, ``_packs``, picks how it is computed from the ring and n m:
 - Over ``int``, ``poly:`` and larger primes, each entry is one
   ``matrix._product_rows`` call on payload row tuples, reduced once.
 
-Either way the program builds a ``Matrix`` only for what it returns.
+Either way the program builds a ``Matrix``, through the trusted
+``Matrix._of``, only for what it returns.
 """
 
 from __future__ import annotations
@@ -169,7 +170,7 @@ def nc_first_row_cofactors(bm: BlockMatrix) -> list[Matrix]:
     """
     if bm.n < 2:
         raise ValueError("cofactors need n >= 2")
-    return [Matrix(bm.ring, rows) for rows in _cofactor_rows(bm)]
+    return [Matrix._of(bm.ring, rows) for rows in _cofactor_rows(bm)]
 
 
 def nc_row_det(bm: BlockMatrix) -> Matrix:
@@ -182,7 +183,7 @@ def nc_row_det(bm: BlockMatrix) -> Matrix:
     n = bm.n
     if n < 1:
         raise ValueError("row-determinant needs n >= 1")
-    return Matrix(bm.ring, _subset_dp(bm, 0)[(1 << n) - 1])
+    return Matrix._of(bm.ring, _subset_dp(bm, 0)[(1 << n) - 1])
 
 
 def nc_minor_det(bm: BlockMatrix, i: int, j: int) -> Matrix:
@@ -285,10 +286,10 @@ def bourbaki_trace(bm: BlockMatrix) -> BourbakiTrace:
     rz = PolynomialRing("z")
 
     def lift(block: Matrix, add_z_diag: bool) -> Matrix:
-        return Matrix(rz, [
-            [rz.canonical([x, 1] if add_z_diag and i == j else [x]) for j, x in enumerate(row)]
+        return Matrix._of(rz, tuple(
+            tuple((x, 1) if add_z_diag and i == j else rz.int_payload(x) for j, x in enumerate(row))
             for i, row in enumerate(block.entries)
-        ])
+        ))
 
     shifted = BlockMatrix(
         rz, m, n,
@@ -296,7 +297,7 @@ def bourbaki_trace(bm: BlockMatrix) -> BourbakiTrace:
     )
 
     cof_rows = _cofactor_rows(shifted)
-    cofs = [Matrix(rz, rows) for rows in cof_rows]
+    cofs = [Matrix._of(rz, rows) for rows in cof_rows]
     ident = Matrix.identity(rz, m)
     zero = Matrix.zeros(rz, m, m)
     eliminator = BlockMatrix(
@@ -306,7 +307,7 @@ def bourbaki_trace(bm: BlockMatrix) -> BourbakiTrace:
             for i in range(n)
         ],
     )
-    shifted_det = Matrix(rz, _row_times(rz, [blk.entries for blk in shifted.blocks[0]], cof_rows))
+    shifted_det = Matrix._of(rz, _row_times(rz, [blk.entries for blk in shifted.blocks[0]], cof_rows))
     first_column_collapse = _column_collapses(shifted, cof_rows)
 
     tail = BlockMatrix(

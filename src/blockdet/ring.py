@@ -4,11 +4,12 @@ integer polynomials.
 The rings and their elements, ``RingValue``, are frozen dataclasses: they
 compare and hash by their fields, and assigning or deleting any attribute
 raises ``dataclasses.FrozenInstanceError``, an ``AttributeError``.  Every
-payload is canonical: prime-field payloads live in ``[0, p)`` and
-polynomial coefficient tuples carry no trailing zeros.  So zero is the one
-falsy payload of each ring, and kernels test it by truthiness.  Each ring
-also has an exact quotient, ``pexquo``, which raises ``ArithmeticError``
-rather than round when the divisor does not divide.
+payload is canonical, as ``ring.canonical`` makes it: a plain ``int`` over
+``int``, one in ``[0, p)`` over ``mod:p``, and an int tuple with no trailing
+zeros over ``poly:``.  So zero is the one falsy payload of each ring, and
+kernels test it by truthiness.  Each ring also has an exact quotient,
+``pexquo``, which raises ``ArithmeticError`` rather than round when the
+divisor does not divide.
 """
 
 from __future__ import annotations
@@ -66,11 +67,8 @@ class Ring:
 
     label: str
 
-    def value(self, payload) -> RingValue:
-        return RingValue(self, self.canonical(payload))
-
     def from_int(self, k: int) -> RingValue:
-        return self.value(self.int_payload(k))
+        return RingValue(self, self.int_payload(k))
 
     @property
     def zero(self) -> RingValue:
@@ -118,7 +116,7 @@ class IntegerRing(Ring):
     def canonical(self, payload):
         if not isinstance(payload, int):
             raise TypeError(f"integer payload required, got {type(payload).__name__}")
-        return payload
+        return int(payload)
 
     def int_payload(self, k: int) -> int:
         return k
@@ -210,14 +208,14 @@ class PolynomialRing(Ring):
 
     @property
     def gen(self) -> RingValue:
-        return self.value((0, 1))
+        return RingValue(self, (0, 1))
 
     def canonical(self, payload):
         coeffs = (payload,) if isinstance(payload, int) else tuple(payload)
         for c in coeffs:
             if not isinstance(c, int):
                 raise TypeError(f"integer coefficients required, got {type(c).__name__}")
-        return _poly_trim(coeffs)
+        return _poly_trim(map(int, coeffs))
 
     def int_payload(self, k: int) -> tuple[int, ...]:
         return (k,) if k else ()
@@ -278,11 +276,14 @@ class PolynomialRing(Ring):
 
 @dataclass(frozen=True)
 class RingValue:
-    """Immutable element of one of the rings above: ``payload`` is a
-    canonical payload of ``ring``."""
+    """Immutable element of one of the rings above: ``payload`` is brought
+    to its canonical form by ``ring.canonical``."""
 
     ring: Ring
     payload: object
+
+    def __post_init__(self):
+        object.__setattr__(self, "payload", self.ring.canonical(self.payload))
 
     def _check(self, other: RingValue) -> None:
         if not isinstance(other, RingValue):
@@ -326,7 +327,7 @@ def poly_eval_at_zero(x: RingValue) -> RingValue:
     """Constant coefficient of a polynomial, as an integer ring value."""
     if not isinstance(x.ring, PolynomialRing):
         raise ValueError("poly_eval_at_zero requires a polynomial ring value")
-    return ZZ.value(x.payload[0] if x.payload else 0)
+    return RingValue(ZZ, x.payload[0] if x.payload else 0)
 
 
 def poly_is_monic(x: RingValue) -> bool:

@@ -93,7 +93,7 @@ def _dense(ring: Ring, m: int, rng: random.Random) -> Matrix:
     # A draw over mod:p or int is its own payload.
     if isinstance(ring, PolynomialRing):
         values = list(map(ring.int_payload, values))
-    return Matrix(ring, [values[i : i + m] for i in range(0, m * m, m)])
+    return Matrix._of(ring, tuple(tuple(values[i : i + m]) for i in range(0, m * m, m)))
 
 
 def _diag_rows(ring: Ring, values) -> list[tuple]:
@@ -103,7 +103,7 @@ def _diag_rows(ring: Ring, values) -> list[tuple]:
 
 
 def _scalar(ring: Ring, m: int, rng: random.Random) -> Matrix:
-    return Matrix(ring, _diag_rows(ring, _draws(ring, rng, 1) * m))
+    return Matrix._of(ring, tuple(_diag_rows(ring, _draws(ring, rng, 1) * m)))
 
 
 def _slot(ring: Ring, m: int, rng: random.Random, corner: int) -> Matrix:
@@ -119,7 +119,7 @@ def _slot(ring: Ring, m: int, rng: random.Random, corner: int) -> Matrix:
     left, right = rows[corner][:corner], rows[corner][corner + 2 :]
     rows[corner] = left + (payload(c + a), payload(b)) + right
     rows[corner + 1] = left + (payload(d), payload(c + e)) + right
-    return Matrix(ring, rows)
+    return Matrix._of(ring, tuple(rows))
 
 
 def _poly_in(x: Matrix, coeffs, powers) -> Matrix:
@@ -136,8 +136,8 @@ def _poly_in(x: Matrix, coeffs, powers) -> Matrix:
         for c, power in terms:
             acc = list(map(add, acc, map(mul, repeat(c), power[i])))
         acc = acc[:i] + [add(acc[i], c0)] + acc[i + 1 :]
-        rows.append(acc if p is None else [v % p for v in acc])
-    return Matrix(ring, rows)
+        rows.append(tuple(acc) if p is None else tuple([v % p for v in acc]))
+    return Matrix._of(ring, tuple(rows))
 
 
 def _rand_poly_in(x: Matrix, x2: Matrix, rng: random.Random) -> Matrix:
@@ -196,8 +196,8 @@ def _gen_g5(m: int, ring: Ring, rng: random.Random) -> BlockMatrix:
     # BD commute while C and D generically do not.
     a2, *arest = _draws(ring, rng, m - 1)
     b23, b1, *brest = _draws(ring, rng, m - 1)
-    a = Matrix(ring, _diag_rows(ring, [a2, a2, *arest]))
-    b = Matrix(ring, _diag_rows(ring, [b1, b23, b23, *brest]))
+    a = Matrix._of(ring, tuple(_diag_rows(ring, [a2, a2, *arest])))
+    b = Matrix._of(ring, tuple(_diag_rows(ring, [b1, b23, b23, *brest])))
     c = _slot(ring, m, rng, 0)
     d = _slot(ring, m, rng, 1)
     return BlockMatrix(ring, m, 2, [[a, b], [c, d]])
@@ -420,7 +420,7 @@ def builtin_matrix(name: str, n: int | None = None) -> BlockMatrix:
         raise ValueError(f"unknown built-in matrix {name!r}")
     if n is not None:
         raise ValueError(f"built-in matrix {name!r} takes no size, got n={n}")
-    blocks = [[Matrix.from_rows(ZZ, _BLOCKS[b]) for b in brow] for brow in _FIXED_BUILTINS[key]]
+    blocks = [[Matrix(ZZ, _BLOCKS[b]) for b in brow] for brow in _FIXED_BUILTINS[key]]
     return BlockMatrix(ZZ, blocks[0][0].rows, len(blocks), blocks)
 
 
@@ -576,7 +576,7 @@ def _witness_matrix(case: str, n: int) -> BlockMatrix:
     ring = PolynomialRing("a")
     named = {"k": [[1, 0], [0, 0]], "l": [[0, 0], [1, 0]], "a": [[ring.gen, 0], [0, 0]],
              "b": [[0, 1], [0, 0]], "I": [[1, 0], [0, 1]], "0": [[0, 0], [0, 0]]}
-    blocks = {name: Matrix.from_rows(ring, rows) for name, rows in named.items()}
+    blocks = {name: Matrix(ring, rows) for name, rows in named.items()}
     return BlockMatrix(ring, 2, n, [
         [blocks[placed.get((i, j), "I" if i == j >= least else "0")] for j in range(n)] for i in range(n)
     ])
@@ -710,7 +710,7 @@ def optimality_scan(
         if not extra:
             break
         chosen = rng.sample(extra, k=max(1, len(extra) // 2))
-        g = Condition(n, fam.edges | frozenset(chosen))
+        g = Condition._of(n, fam.edges | frozenset(chosen))
         campaigns.append(
             run_campaign(g, 4, ring, campaign_trials, trial_seed(seed, 3 + idx),
                          condition_id=f"f-super:{idx}")

@@ -21,7 +21,7 @@ from blockdet.conditions import (
 )
 from blockdet.matrix import BlockMatrix, Matrix, commutes, det_commutative
 from blockdet.ncdet import bourbaki_trace, cofactor_column_check, nc_cofactor, nc_row_det
-from blockdet.ring import PolynomialRing, PrimeField, ZZ, poly_degree
+from blockdet.ring import PolynomialRing, PrimeField, RingValue, ZZ, poly_degree
 from blockdet.traces import check_colswap_identity, check_rowswap_identity, check_transpose_identity
 from blockdet.verify import (
     builtin_matrix,
@@ -61,14 +61,14 @@ def test_criterion_1_counterexample_values():
 def test_criterion_2_optimality_dichotomy():
     t0 = time.perf_counter()
     same = optimality_counterexample("same_row", 2)
-    assert nc_row_det(same.matrix) == Matrix.from_rows(
+    assert nc_row_det(same.matrix) == Matrix(
         PA, [[PA.zero, PA.one], [-PA.gen, PA.zero]]
     )
     assert same.det_of_ncdet == PA.gen
     assert poly_degree(same.det_flat) <= 0
 
     diff = optimality_counterexample("diff_row", 3)
-    assert nc_row_det(diff.matrix) == Matrix.from_rows(
+    assert nc_row_det(diff.matrix) == Matrix(
         PA, [[PA.zero, -PA.one], [-PA.gen, PA.zero]]
     )
     assert diff.det_of_ncdet == -PA.gen
@@ -154,7 +154,7 @@ def test_criterion_7_symbolic_identity_suite():
     for _ in range(10):
         blocks = [
             [
-                Matrix.from_rows(ZZ, [[rng.randrange(-4, 5) for _ in range(3)] for _ in range(3)])
+                Matrix(ZZ, [[rng.randrange(-4, 5) for _ in range(3)] for _ in range(3)])
                 for _ in range(3)
             ]
             for _ in range(3)
@@ -192,19 +192,19 @@ def test_criterion_8_oracle_equivalences():
         for dim in range(1, 7):
             for _ in range(100):
                 if label == "poly":
-                    mat = Matrix.from_rows(
+                    mat = Matrix(
                         ring,
                         [
-                            [ring.value(tuple(rng.randrange(-2, 3) for _ in range(2))) for _ in range(dim)]
+                            [RingValue(ring, tuple(rng.randrange(-2, 3) for _ in range(2))) for _ in range(dim)]
                             for _ in range(dim)
                         ],
                     )
                 elif label == "mod":
-                    mat = Matrix.from_rows(
+                    mat = Matrix(
                         ring, [[rng.randrange(ring.p) for _ in range(dim)] for _ in range(dim)]
                     )
                 else:
-                    mat = Matrix.from_rows(
+                    mat = Matrix(
                         ring, [[rng.randrange(-9, 10) for _ in range(dim)] for _ in range(dim)]
                     )
                 assert det_commutative(mat) == det_expansion_oracle(mat), (label, dim)
@@ -214,15 +214,15 @@ def test_criterion_8_oracle_equivalences():
         for n in range(1, 6):
             for _ in range(20):
                 if isinstance(ring, PrimeField):
-                    flat = Matrix.from_rows(
+                    flat = Matrix(
                         ring, [[rng.randrange(ring.p) for _ in range(n)] for _ in range(n)]
                     )
                 else:
-                    flat = Matrix.from_rows(
+                    flat = Matrix(
                         ring, [[rng.randrange(-5, 6) for _ in range(n)] for _ in range(n)]
                     )
                 bm = BlockMatrix(ring, 1, n, [[
-                    Matrix.from_rows(ring, [[flat.entry(i, j)]]) for j in range(n)] for i in range(n)])
+                    Matrix(ring, [[flat.entry(i, j)]]) for j in range(n)] for i in range(n)])
                 assert nc_row_det(bm).entry(0, 0) == det_commutative(flat)
 
     # normal-form equality agrees with projection equality

@@ -49,7 +49,7 @@ def test_check_malformed_input(tmp_path, capsys):
 
 def test_det_command(tmp_path, capsys):
     path = tmp_path / "m.txt"
-    path.write_text(format_matrix(Matrix.from_rows(ZZ, [[1, 2], [3, 4]])))
+    path.write_text(format_matrix(Matrix(ZZ, [[1, 2], [3, 4]])))
     code, out, _ = run(capsys, "det", str(path))
     assert code == 0
     assert out == "det=-2\n"

@@ -13,6 +13,7 @@ from blockdet.conditions import (
     cond_f_down,
     cond_f_side,
     cond_kappa,
+    cond_minus_edge,
     cond_named,
     cond_row_permute,
     cond_t_col,
@@ -31,7 +32,7 @@ from blockdet.conditions import (
 import blockdet.conditions
 from blockdet.matrix import BlockMatrix, Matrix
 from blockdet.ring import ZZ, PolynomialRing, PrimeField
-from blockdet.verify import builtin_matrix, gen_satisfying
+from blockdet.verify import builtin_matrix, gen_satisfying, optimality_scan
 from oracles import pairwise_satisfies
 
 A, B, C, D = (1, 1), (1, 2), (2, 1), (2, 2)
@@ -367,6 +368,51 @@ def test_condition_rejects_bad_vertices():
         Condition(2, frozenset({((1, 1), (1, 1))}))
 
 
+# --- the trusted paths: every condition built inside is what the checked ------
+# --- constructor makes of its edges ----------------------------------------------
+
+def assert_trusted(g):
+    assert type(g.edges) is frozenset and all(u < v for u, v in g.edges)
+    assert Condition(g.n, g.edges) == g
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_every_builder_and_transform_builds_checked_conditions(n):
+    span = range(1, n + 1)
+    families = [cond_f(n), cond_kappa(n), complete_condition(n), empty_condition(n)]
+    families += [make(k, n) for make in (cond_f_side, cond_f_down, cond_t_col, cond_t_row) for k in span]
+    rng = random.Random(n)
+    shuffled = list(span)
+    rng.shuffle(shuffled)
+    images = [tuple(span), tuple(reversed(span)), (*span[1:], 1), tuple(shuffled)]
+    for g in families:
+        assert_trusted(g)
+        assert_trusted(cond_transpose(g))
+        for perm in images:
+            assert_trusted(cond_col_permute(g, perm))
+            assert_trusted(cond_row_permute(g, perm))
+        assert_trusted(cond_union(g, cond_transpose(g)))
+        for u, v in sorted(g.edges)[:6]:
+            assert_trusted(cond_minus_edge(g, (u, v)))
+            assert cond_minus_edge(g, (v, u)) == cond_minus_edge(g, (u, v))
+    if n <= 3:
+        assert_trusted(commutativity_graph(gen_satisfying(cond_f(n), 2 * n, ZZ, seed=n)))
+
+
+def test_trusted_conditions_still_check_their_size():
+    for make in (lambda: empty_condition(0), lambda: complete_condition(-1), lambda: cond_kappa(0)):
+        with pytest.raises(ValueError, match="condition size must be at least 1"):
+            make()
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_optimality_scan_campaigns_run_on_checked_conditions(n):
+    report = optimality_scan(n, campaign_trials=1)
+    assert [c.condition_id for c in report.campaigns] == ["f", "kappa", "f-super:0", "f-super:1"]
+    for campaign in report.campaigns:
+        assert_trusted(campaign.condition)
+
+
 # --- the centralizer certificate in matrix_satisfies -------------------------
 #
 # Blocks are built over Z and then read into the ring, so one construction
@@ -379,7 +425,7 @@ BLOCK_KINDS = ("poly-in-hub", "centralizer", "dense", "scalar", "poly-in-other")
 
 
 def _z(rows):
-    return Matrix.from_rows(ZZ, rows)
+    return Matrix(ZZ, rows)
 
 
 def _entries(rng, m):
@@ -494,7 +540,7 @@ def certificate_cases(draw):
             return hub
         return makers[draw(in_clique if v in clique else kinds, label="block")]()
 
-    bm = BlockMatrix(ring, m, n, [[Matrix.from_rows(ring, block(v).entries) for v in vertices(n)[i * n : i * n + n]]
+    bm = BlockMatrix(ring, m, n, [[Matrix(ring, block(v).entries) for v in vertices(n)[i * n : i * n + n]]
                                   for i in range(n)])
     return bm, Condition(n, edges)
 
@@ -563,7 +609,7 @@ def test_a_derogatory_hub_certifies_nothing(ring):
     y, z = commuting(), commuting()
     while y * z == z * y:
         z = commuting()
-    blocks = [[Matrix.from_rows(ring, b.entries) for b in row] for row in [[hub, y], [z, hub]]]
+    blocks = [[Matrix(ring, b.entries) for b in row] for row in [[hub, y], [z, hub]]]
     bm = BlockMatrix(ring, 4, 2, blocks)
     g = size2_condition(("AB", "AC", "BC"))
     assert matrix_satisfies(bm, g) == pairwise_satisfies(bm, g)
@@ -577,7 +623,7 @@ def test_edges_away_from_the_hub_are_still_tested(monkeypatch, ring):
     hub = _z(_entries(rng, 3))
     rows = [[hub, hub * hub, hub + _diag([2, 2, 2])], [_z(_entries(rng, 3)) for _ in range(3)],
             [_diag([1, 2, 3])] * 3]
-    bm = BlockMatrix(ring, 3, 3, [[Matrix.from_rows(ring, b.entries) for b in row] for row in rows])
+    bm = BlockMatrix(ring, 3, 3, [[Matrix(ring, b.entries) for b in row] for row in rows])
     row_one = cond(3, ((1, 1), (1, 2)), ((1, 1), (1, 3)), ((1, 2), (1, 3)))
     cyclic = _counting(monkeypatch, "_is_cyclic")
     assert matrix_satisfies(bm, row_one)

@@ -45,18 +45,18 @@ ALL_RINGS = [ZZ, F10007, PZ]
 def rand_matrix(ring, rows, cols, rng):
     def entry():
         if isinstance(ring, PolynomialRing):
-            return ring.value(tuple(rng.randrange(-3, 4) for _ in range(2)))
+            return RingValue(ring, tuple(rng.randrange(-3, 4) for _ in range(2)))
         if isinstance(ring, PrimeField):
             return ring.from_int(rng.randrange(ring.p))
         return ring.from_int(rng.randrange(-5, 6))
 
-    return Matrix.from_rows(ring, [[entry() for _ in range(cols)] for _ in range(rows)])
+    return Matrix(ring, [[entry() for _ in range(cols)] for _ in range(rows)])
 
 
 def test_matmul_example():
-    x = Matrix.from_rows(ZZ, [[1, 2], [3, 4]])
-    y = Matrix.from_rows(ZZ, [[5, 6], [7, 8]])
-    assert x * y == Matrix.from_rows(ZZ, [[19, 22], [43, 50]])
+    x = Matrix(ZZ, [[1, 2], [3, 4]])
+    y = Matrix(ZZ, [[5, 6], [7, 8]])
+    assert x * y == Matrix(ZZ, [[19, 22], [43, 50]])
 
 
 def test_matmul_identity():
@@ -67,36 +67,36 @@ def test_matmul_identity():
 
 
 def test_matmul_mod_example():
-    x = Matrix.from_rows(F7, [[1, 1], [0, 1]])
-    y = Matrix.from_rows(F7, [[1, 0], [1, 1]])
-    assert x * y == Matrix.from_rows(F7, [[2, 1], [1, 1]])
+    x = Matrix(F7, [[1, 1], [0, 1]])
+    y = Matrix(F7, [[1, 0], [1, 1]])
+    assert x * y == Matrix(F7, [[2, 1], [1, 1]])
 
 
 def test_matmul_shape_errors():
-    x = Matrix.from_rows(ZZ, [[1, 2]])
+    x = Matrix(ZZ, [[1, 2]])
     with pytest.raises(ValueError):
         x * x
 
 
 def test_det_small_examples():
-    assert det_commutative(Matrix.from_rows(ZZ, [[1, 2], [3, 4]])) == ZZ.from_int(-2)
+    assert det_commutative(Matrix(ZZ, [[1, 2], [3, 4]])) == ZZ.from_int(-2)
     for k in (1, 2, 3, 4):
         assert det_commutative(Matrix.identity(ZZ, k)) == ZZ.one
-    assert det_expansion_oracle(Matrix.from_rows(ZZ, [[0]])) == ZZ.zero
+    assert det_expansion_oracle(Matrix(ZZ, [[0]])) == ZZ.zero
 
 
 def test_det_poly_expansion_example():
     a = PA.gen
-    m = Matrix.from_rows(PA, [[a, PA.one], [PA.one, PA.zero]])
+    m = Matrix(PA, [[a, PA.one], [PA.one, PA.zero]])
     assert det_expansion_oracle(m) == -PA.one
     assert det_commutative(m) == -PA.one
 
 
 def test_det_rejects_non_square():
     with pytest.raises(ValueError):
-        det_commutative(Matrix.from_rows(ZZ, [[1, 2]]))
+        det_commutative(Matrix(ZZ, [[1, 2]]))
     with pytest.raises(ValueError):
-        det_expansion_oracle(Matrix.from_rows(ZZ, [[1, 2]]))
+        det_expansion_oracle(Matrix(ZZ, [[1, 2]]))
 
 
 def test_signed_permutations():
@@ -140,11 +140,11 @@ def test_det_transpose_invariant(ring):
 
 
 def test_cofactor_examples():
-    assert cofactor_matrix(Matrix.from_rows(ZZ, [[1, 2], [3, 4]])) == Matrix.from_rows(
+    assert cofactor_matrix(Matrix(ZZ, [[1, 2], [3, 4]])) == Matrix(
         ZZ, [[4, -3], [-2, 1]]
     )
     assert cofactor_matrix(Matrix.identity(ZZ, 3)) == Matrix.identity(ZZ, 3)
-    assert cofactor_matrix(Matrix.from_rows(ZZ, [[7]])) == Matrix.identity(ZZ, 1)
+    assert cofactor_matrix(Matrix(ZZ, [[7]])) == Matrix.identity(ZZ, 1)
 
 
 def test_cofactor_identity_randomized():
@@ -156,9 +156,9 @@ def test_cofactor_identity_randomized():
 
 
 def test_commutes():
-    x = Matrix.from_rows(ZZ, [[1, 2], [3, 4]])
+    x = Matrix(ZZ, [[1, 2], [3, 4]])
     assert commutes(x, x * x)
-    assert not commutes(x, Matrix.from_rows(ZZ, [[0, 1], [0, 0]]))
+    assert not commutes(x, Matrix(ZZ, [[0, 1], [0, 0]]))
 
 
 def test_scalar_zero_and_one_by_one_blocks_shift_to_no_rows():
@@ -169,31 +169,31 @@ def test_scalar_zero_and_one_by_one_blocks_shift_to_no_rows():
         other = rand_matrix(ring, 3, 3, random.Random(1))
         assert commutes(scalar, other) and commutes(other, zero) and commutes(zero, scalar)
         for k in (0, 1, -2):
-            x = Matrix.from_rows(ring, [[k]])
+            x = Matrix(ring, [[k]])
             assert shifted(x) == {}
-            assert commutes(x, Matrix.from_rows(ring, [[3]]))
+            assert commutes(x, Matrix(ring, [[3]]))
 
 
 def test_shift_is_the_most_common_diagonal_entry():
-    x = Matrix.from_rows(ZZ, [[0, 1], [0, 0]])
+    x = Matrix(ZZ, [[0, 1], [0, 0]])
     assert shifted(x) == {0: (0, 1)}
-    x = Matrix.from_rows(ZZ, [[4, 0, 0], [0, 7, 0], [2, 0, 7]])
+    x = Matrix(ZZ, [[4, 0, 0], [0, 7, 0], [2, 0, 7]])
     assert shifted(x) == {0: (-3, 0, 0), 2: (2, 0, 0)}
 
 
 def test_diagonal_ties_shift_by_the_first_tied_entry():
-    diag = Matrix.from_rows(ZZ, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]])
+    diag = Matrix(ZZ, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]])
     assert shifted(diag) == {2: (0, 0, 1, 0), 3: (0, 0, 0, 1)}
-    reversed_diag = Matrix.from_rows(F7, [[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    reversed_diag = Matrix(F7, [[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
     assert shifted(reversed_diag) == {2: (0, 0, 6, 0), 3: (0, 0, 0, 6)}
-    assert shifted(Matrix.from_rows(ZZ, [[3, 0, 0], [0, 1, 0], [0, 0, 2]])) == {
+    assert shifted(Matrix(ZZ, [[3, 0, 0], [0, 1, 0], [0, 0, 2]])) == {
         1: (0, -2, 0),
         2: (0, 0, -1),
     }
     # Whichever tied entry is the shift, the verdict is the product oracle's.
     rng = random.Random(4)
     for ring in (ZZ, F7, PZ):
-        tied = Matrix.from_rows(ring, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]])
+        tied = Matrix(ring, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]])
         blocks = [tied, _slot(ring, 4, rng, 0), _slot(ring, 4, rng, 1), _slot(ring, 4, rng, 2),
                   rand_matrix(ring, 4, 4, rng), Matrix.identity(ring, 4)]
         for x in blocks:
@@ -202,7 +202,7 @@ def test_diagonal_ties_shift_by_the_first_tied_entry():
 
 
 def test_block_flatten_single():
-    a = Matrix.from_rows(ZZ, [[1, 2], [3, 4]])
+    a = Matrix(ZZ, [[1, 2], [3, 4]])
     bm = BlockMatrix(ZZ, 2, 1, [[a]])
     assert bm.flatten() == a
 
@@ -231,7 +231,7 @@ def test_block_view_errors():
     with pytest.raises(ValueError):
         block_view(Matrix.identity(ZZ, 6), 4)
     with pytest.raises(ValueError):
-        block_view(Matrix.from_rows(ZZ, [[1, 2]]), 1)
+        block_view(Matrix(ZZ, [[1, 2]]), 1)
 
 
 def test_block_transpose_definition():
@@ -342,37 +342,37 @@ def test_permutation_sign_is_the_inversion_parity():
         assert permutation_sign(perm) == inversion_sign(perm), perm
 
 
+# The checked constructor was spelled ``Matrix.from_rows`` once; the tests
+# below keep that name so their ids do not change.
 def test_from_rows_rejects_a_value_from_another_ring():
     with pytest.raises(RingMismatchError):
-        Matrix.from_rows(ZZ, [[PrimeField(7).one]])
+        Matrix(ZZ, [[PrimeField(7).one]])
 
 
 def test_constructor_rejects_ring_values():
-    with pytest.raises(TypeError):
-        Matrix(ZZ, [[ZZ.one]])
+    # The one public constructor takes ring values of its own ring.
+    assert Matrix(ZZ, [[ZZ.one]]) == Matrix(ZZ, [[1]])
 
 
 def test_constructor_takes_the_shape_from_the_rows():
     with pytest.raises(ValueError, match="ragged"):
         Matrix(ZZ, [[1, 2], [3]])
-    with pytest.raises(ValueError, match="ragged"):
-        Matrix.from_rows(ZZ, [[1, 2], [3]])
     wide = Matrix(ZZ, [[1, 2, 3]])
     assert (wide.rows, wide.cols) == (1, 3)
     assert wide.entries == ((1, 2, 3),)
-    empty = Matrix.from_rows(ZZ, [])
+    empty = Matrix(ZZ, [])
     assert (empty.rows, empty.cols) == (0, 0)
     assert det_commutative(empty) == ZZ.one
 
 
 def test_from_rows_rejects_a_float():
     with pytest.raises(TypeError):
-        Matrix.from_rows(ZZ, [[1.5]])
+        Matrix(ZZ, [[1.5]])
 
 
 def test_from_rows_rejects_a_float_polynomial_entry():
     with pytest.raises(TypeError):
-        Matrix.from_rows(PZ, [[1.5]])
+        Matrix(PZ, [[1.5]])
     with pytest.raises(MatrixFormatError):
         parse_matrix("1 1 poly:z\n1,1.5\n")
 
@@ -386,12 +386,12 @@ def test_parsed_polynomial_entries_are_canonical():
     [
         (ZZ, [[1, -2], [0, 7]], "2 2 int\n1 -2\n0 7\n"),
         (F7, [[9, -1, 0]], "1 3 mod:7\n2 6 0\n"),
-        (PZ, [[PZ.value((1, 2, 0)), 3], [0, PZ.gen]], "2 2 poly:z\n1,2 3\n0 0,1\n"),
+        (PZ, [[RingValue(PZ, (1, 2, 0)), 3], [0, PZ.gen]], "2 2 poly:z\n1,2 3\n0 0,1\n"),
     ],
     ids=["int", "mod:7", "poly:z"],
 )
 def test_from_rows_and_parse_build_equal_matrices(ring, rows, text):
-    built, parsed = Matrix.from_rows(ring, rows), parse_matrix(text)
+    built, parsed = Matrix(ring, rows), parse_matrix(text)
     assert built == parsed
     assert hash(built) == hash(parsed)
 
@@ -402,10 +402,10 @@ DIFF_RINGS = [ZZ, PrimeField(2), F10007, PrimeField(2**61 - 1), PZ]
 
 
 def ring_elements(ring):
-    """Entries as ``Matrix.from_rows`` takes them, zero-heavy so the
+    """Entries as ``Matrix`` takes them, zero-heavy so the
     kernels' zero-skipping branches run."""
     if isinstance(ring, PolynomialRing):
-        return st.lists(st.integers(-3, 3), max_size=3).map(lambda c: ring.value(tuple(c)))
+        return st.lists(st.integers(-3, 3), max_size=3).map(lambda c: RingValue(ring, tuple(c)))
     small = st.sampled_from([0, 0, 1, -1]) | st.integers(-50, 50)
     if isinstance(ring, PrimeField):
         return small | st.integers(0, ring.p - 1)
@@ -415,7 +415,7 @@ def ring_elements(ring):
 def matrices(ring, rows, cols):
     return st.lists(
         st.lists(ring_elements(ring), min_size=cols, max_size=cols), min_size=rows, max_size=rows
-    ).map(lambda grid: Matrix.from_rows(ring, grid))
+    ).map(lambda grid: Matrix(ring, grid))
 
 
 def as_value(ring, e):
@@ -469,9 +469,9 @@ def test_unboxed_kernel_matches_ring_value_arithmetic(data):
             matrices(ring, d, d),
             st.just(q),
             st.just(Matrix.identity(ring, d).scale(s)),
-            st.just(Matrix.from_rows(ring, square)),
+            st.just(Matrix(ring, square)),
             slots,
-            st.just(Matrix.from_rows(ring, bumped)),
+            st.just(Matrix(ring, bumped)),
         ),
         label="w",
     )

@@ -23,7 +23,7 @@ from blockdet.ncdet import (
     nc_minor_det,
     nc_row_det,
 )
-from blockdet.ring import PolynomialRing, PrimeField, ZZ, _is_prime, parse_ring, poly_eval_at_zero
+from blockdet.ring import PolynomialRing, PrimeField, RingValue, ZZ, _is_prime, parse_ring, poly_eval_at_zero
 from blockdet.verify import _from_mapping, builtin_matrix, gen_satisfying
 
 F10007 = PrimeField(10007)
@@ -31,13 +31,13 @@ F10007 = PrimeField(10007)
 
 def rand_block(ring, m, rng):
     if isinstance(ring, PrimeField):
-        return Matrix.from_rows(ring, [[rng.randrange(ring.p) for _ in range(m)] for _ in range(m)])
+        return Matrix(ring, [[rng.randrange(ring.p) for _ in range(m)] for _ in range(m)])
     if isinstance(ring, PolynomialRing):
-        return Matrix.from_rows(
+        return Matrix(
             ring,
-            [[ring.value([rng.randrange(-3, 4) for _ in range(rng.randrange(3))]) for _ in range(m)] for _ in range(m)],
+            [[RingValue(ring, [rng.randrange(-3, 4) for _ in range(rng.randrange(3))]) for _ in range(m)] for _ in range(m)],
         )
-    return Matrix.from_rows(ring, [[rng.randrange(-4, 5) for _ in range(m)] for _ in range(m)])
+    return Matrix(ring, [[rng.randrange(-4, 5) for _ in range(m)] for _ in range(m)])
 
 
 def rand_block_matrix(ring, m, n, rng):
@@ -167,7 +167,7 @@ def assert_row_det_commutes_with_reduction(bm):
     lifted = BlockMatrix(ZZ, bm.m, bm.n, [[Matrix(ZZ, b.entries) for b in row] for row in bm.blocks])
 
     def reduced(x):
-        return Matrix.from_rows(bm.ring, x.entries)
+        return Matrix(bm.ring, x.entries)
 
     assert nc_row_det(bm) == reduced(nc_row_det(lifted))
     if bm.n >= 2:
@@ -211,6 +211,32 @@ def test_packed_row_det_at_the_largest_slot_sums():
             assert_row_det_commutes_with_reduction(BlockMatrix(ring, m, n, blocks))
 
 
+def test_packed_row_det_of_a_block_built_from_a_payload_of_at_least_2_to_the_62():
+    # 2**62 is 4 mod 7.  The packed kernel adds whole 64-bit slots, so a
+    # payload kept as given would carry into its neighbour: this sample
+    # once gave [3 1; 3 1].
+    f7 = PrimeField(7)
+    a = Matrix(f7, [[2**62, 0], [0, 1]])
+    b = Matrix(f7, [[5, 3], [6, 6]])
+    bm = BlockMatrix(f7, 2, 2, [[a, b], [b, b]])
+    assert a == Matrix(f7, [[4, 0], [0, 1]])
+    assert ncdet._packs(f7, 2, 2)
+    assert nc_row_det(bm) == Matrix(f7, [[5, 0], [3, 1]])
+    assert det_commutative(nc_row_det(bm)) == det_commutative(bm.flatten())
+
+
+def test_packed_row_det_of_a_block_built_from_negative_payloads():
+    # A payload of -1 kept as given once raised OverflowError from
+    # array("Q") in the packed kernel.
+    f7 = PrimeField(7)
+    neg = Matrix(f7, [[-1, 6], [13, -8]])
+    assert neg.entries == ((6, 6), (6, 6))
+    bm = BlockMatrix(f7, 2, 2, [[neg, Matrix.identity(f7, 2)], [neg, neg]])
+    # Det = N N - I N = N^2 - N; N is -J for J the all-ones block, J^2 = 2J.
+    assert nc_row_det(bm) == Matrix(f7, [[3, 3], [3, 3]])
+    assert_row_det_commutes_with_reduction(bm)
+
+
 def test_dp_size_guards():
     with pytest.raises(ValueError):
         nc_row_det(BlockMatrix(ZZ, 2, 0, []))
@@ -230,16 +256,16 @@ def test_nc_row_det_two_blocks_order():
 
 def test_nc_row_det_known_values():
     m1 = builtin_matrix("m1")
-    assert nc_row_det(m1) == Matrix.from_rows(ZZ, [[-60, -68], [-76, -84]])
+    assert nc_row_det(m1) == Matrix(ZZ, [[-60, -68], [-76, -84]])
     pa = PolynomialRing("a")
     w = builtin_matrix("same_row", n=2)
-    assert nc_row_det(w) == Matrix.from_rows(
+    assert nc_row_det(w) == Matrix(
         pa, [[pa.zero, pa.one], [-pa.gen, pa.zero]]
     )
 
 
 def test_nc_row_det_single_block():
-    a = Matrix.from_rows(ZZ, [[1, 2], [3, 4]])
+    a = Matrix(ZZ, [[1, 2], [3, 4]])
     assert nc_row_det(BlockMatrix(ZZ, 2, 1, [[a]])) == a
 
 
@@ -348,7 +374,7 @@ def test_laplace_first_row_no_hypothesis():
 
 class TestCofactorColumnCheck:
     def test_trivial_single_block(self):
-        a = Matrix.from_rows(ZZ, [[1, 2], [3, 4]])
+        a = Matrix(ZZ, [[1, 2], [3, 4]])
         assert cofactor_column_check(BlockMatrix(ZZ, 2, 1, [[a]]))
 
     @pytest.mark.parametrize("n", [2, 3])
@@ -371,7 +397,7 @@ class TestBourbakiTrace:
         assert checks == BourbakiChecks(False, True, False, True, False)
 
     def test_scalar_blocks(self):
-        bm = block_view(Matrix.from_rows(ZZ, [[1, 2], [3, 4]]), 1)
+        bm = block_view(Matrix(ZZ, [[1, 2], [3, 4]]), 1)
         trace = bourbaki_trace(bm)
         assert trace.checks.all_pass
         assert poly_eval_at_zero(det_commutative(trace.shifted.flatten())) == ZZ.from_int(-2)
@@ -398,7 +424,7 @@ class TestBourbakiTrace:
                         want = [base]
                         if i == j and r == c:
                             want.append(1)
-                        assert blk.entry(r, c) == z.ring.value(want)
+                        assert blk.entry(r, c) == RingValue(z.ring, want)
 
     def test_requires_integer_ring(self):
         bm = BlockMatrix(F10007, 2, 2, [[Matrix.identity(F10007, 2)] * 2] * 2)

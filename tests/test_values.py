@@ -2,10 +2,24 @@
 equal and hashed by their contents whatever path built them, and printed
 the same way."""
 
-import pytest
+import random
 
-from blockdet.matrix import BlockMatrix, Matrix, block_view, parse_block_matrix, parse_matrix
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from blockdet.conditions import family_condition
+from blockdet.matrix import (
+    BlockMatrix,
+    Matrix,
+    block_view,
+    cofactor_matrix,
+    format_matrix,
+    parse_block_matrix,
+    parse_matrix,
+)
+from blockdet.ncdet import bourbaki_trace, nc_cofactor, nc_first_row_cofactors, nc_minor_det, nc_row_det
 from blockdet.ring import ZZ, PolynomialRing, PrimeField, RingValue
+from blockdet.verify import _dense, _poly_in, _scalar, _slot, gen_satisfying, pick_generator
 
 F7 = PrimeField(7)
 PA = PolynomialRing("a")
@@ -17,13 +31,13 @@ BLOCK_TEXT = "2 2 int\n1 2 0 0\n3 4 0 5\n0 0 6 0\n0 0 0 1\n"
 
 def _blocks(ring):
     return [
-        [Matrix.from_rows(ring, [[1, 2], [3, 4]]), Matrix.from_rows(ring, [[0, 0], [0, 5]])],
-        [Matrix.from_rows(ring, [[0, 0], [0, 0]]), Matrix.from_rows(ring, [[6, 0], [0, 1]])],
+        [Matrix(ring, [[1, 2], [3, 4]]), Matrix(ring, [[0, 0], [0, 5]])],
+        [Matrix(ring, [[0, 0], [0, 0]]), Matrix(ring, [[6, 0], [0, 1]])],
     ]
 
 
 def _values():
-    mat = Matrix.from_rows(ZZ, ROWS)
+    mat = Matrix(ZZ, ROWS)
     return mat, block_view(mat, 2), mat.entry(1, 0)
 
 
@@ -35,7 +49,7 @@ def test_assigning_a_field_or_a_new_attribute_raises():
             with pytest.raises(AttributeError):
                 setattr(obj, name, None)
         assert not hasattr(obj, "extra")
-    assert mat == Matrix.from_rows(ZZ, ROWS) and bm == block_view(mat, 2) and v == ZZ.from_int(3)
+    assert mat == Matrix(ZZ, ROWS) and bm == block_view(mat, 2) and v == ZZ.from_int(3)
 
 
 def test_values_built_by_different_paths_are_equal():
@@ -46,9 +60,9 @@ def test_values_built_by_different_paths_are_equal():
     for other in (parse_block_matrix(BLOCK_TEXT), BlockMatrix(ZZ, 2, 2, _blocks(ZZ)), block_view(parsed, 2)):
         assert bm == other and hash(bm) == hash(other)
     assert bm.flatten() == mat
-    for other in (ZZ.from_int(3), ZZ.value(3), RingValue(ZZ, 3), parsed.entry(1, 0), mat.row_list(1)[0]):
+    for other in (ZZ.from_int(3), RingValue(ZZ, 3), parsed.entry(1, 0), mat.row_list(1)[0]):
         assert v == other and hash(v) == hash(other)
-    assert PA.gen == Matrix.from_rows(PA, [[PA.gen]]).entry(0, 0) == PA.value((0, 1))
+    assert PA.gen == Matrix(PA, [[PA.gen]]).entry(0, 0) == RingValue(PA, (0, 1))
 
 
 def test_hash_is_the_hash_of_the_compared_fields():
@@ -56,7 +70,7 @@ def test_hash_is_the_hash_of_the_compared_fields():
     assert hash(mat) == hash((ZZ, mat.entries))
     assert hash(bm) == hash((ZZ, 2, 2, bm.blocks))
     assert hash(v) == hash((ZZ, 3))
-    p = PA.value((1, 0, 2))
+    p = RingValue(PA, (1, 0, 2))
     assert hash(p) == hash((PA, (1, 0, 2)))
     assert len({mat, parse_matrix(TEXT), bm, block_view(mat, 2), v, ZZ.from_int(3)}) == 3
 
@@ -66,11 +80,11 @@ def test_values_differ_from_tuples_other_classes_and_other_rings():
     assert mat != (ZZ, mat.entries) and mat != mat.entries
     assert bm != (ZZ, 2, 2, bm.blocks) and bm != bm.blocks
     assert v != (ZZ, 3) and v != 3
-    one_by_one = Matrix.from_rows(ZZ, [[3]])
+    one_by_one = Matrix(ZZ, [[3]])
     assert one_by_one != ZZ.from_int(3) and ZZ.from_int(3) != one_by_one
     assert block_view(one_by_one, 1) != one_by_one and one_by_one != block_view(one_by_one, 1)
-    assert mat != Matrix.from_rows(F7, ROWS)
-    assert Matrix.from_rows(F7, [[1, 2]]) != Matrix.from_rows(PrimeField(11), [[1, 2]])
+    assert mat != Matrix(F7, ROWS)
+    assert Matrix(F7, [[1, 2]]) != Matrix(PrimeField(11), [[1, 2]])
     assert bm != BlockMatrix(F7, 2, 2, _blocks(F7))
     assert v != F7.from_int(3) and F7.from_int(3) != PrimeField(11).from_int(3)
     assert ZZ.from_int(0) != PA.zero
@@ -80,12 +94,12 @@ def test_exact_repr_and_str():
     mat, bm, v = _values()
     text = "Matrix(4x4 over int: [1 2 0 0; 3 4 0 5; 0 0 6 0; 0 0 0 1])"
     assert repr(mat) == str(mat) == text
-    assert repr(Matrix.from_rows(PA, [[PA.gen, -1]])) == "Matrix(1x2 over poly:a: [0,1 -1])"
+    assert repr(Matrix(PA, [[PA.gen, -1]])) == "Matrix(1x2 over poly:a: [0,1 -1])"
     assert repr(Matrix(ZZ, [])) == "Matrix(0x0 over int: [])"
     assert repr(bm) == str(bm) == "BlockMatrix(n=2, m=2, ring=int)"
     assert (repr(v), str(v)) == ("<int: 3>", "3")
     assert (repr(F7.from_int(-1)), str(F7.from_int(-1))) == ("<mod:7: 6>", "6")
-    assert (repr(PA.value((1, 0, 2))), str(PA.value((1, 0, 2)))) == ("<poly:a: 1,0,2>", "1,0,2")
+    assert (repr(RingValue(PA, (1, 0, 2))), str(RingValue(PA, (1, 0, 2)))) == ("<poly:a: 1,0,2>", "1,0,2")
     assert (repr(PA.zero), str(PA.zero)) == ("<poly:a: 0>", "0")
 
 
@@ -98,3 +112,138 @@ def test_deleting_a_field_raises():
                 delattr(obj, name)
             getattr(obj, name)
         hash(obj)
+
+
+def test_ring_values_are_canonical_whatever_payload_built_them():
+    for raw in (9, 2 + 7 * 2**70, -5, True + 1):
+        assert RingValue(F7, raw) == F7.from_int(2) and hash(RingValue(F7, raw)) == hash(F7.from_int(2))
+        assert RingValue(F7, raw).payload == 2
+    assert RingValue(PA, (1, 0, 0)) == RingValue(PA, [1]) == RingValue(PA, 1) == PA.one
+    assert type(RingValue(ZZ, True).payload) is int and RingValue(PA, (False, True)).payload == (0, 1)
+    assert format_matrix(Matrix(ZZ, [[True, False]])) == "1 2 int\n1 0\n"
+    for ring, raw in ((ZZ, 1.5), (F7, "3"), (PA, (1, 0.5))):
+        with pytest.raises(TypeError):
+            RingValue(ring, raw)
+        with pytest.raises(TypeError):
+            Matrix(ring, [[raw]])
+
+
+# --- the checked edge: Matrix(ring, rows) canonicalises every entry ----------
+
+BIG = 2**70
+EDGE_RINGS = [ZZ, F7, PrimeField(2**61 - 1), PA]
+
+
+@st.composite
+def entry_forms(draw, ring):
+    """A canonical payload of ``ring`` and a form of it that ``Matrix``
+    takes: an int that is negative, at least p or at least 2^64, a bool,
+    an untrimmed coefficient tuple or list, or a ``RingValue``."""
+    if isinstance(ring, PolynomialRing):
+        coeffs = draw(st.lists(st.integers(-5, 5), max_size=3))
+        while coeffs and not coeffs[-1]:
+            coeffs.pop()
+        canonical = tuple(coeffs)
+        raw = draw(st.sampled_from([canonical + (0, 0), coeffs + [0], canonical]))
+        if len(canonical) <= 1 and draw(st.booleans()):
+            raw = canonical[0] if canonical else 0
+    elif isinstance(ring, PrimeField):
+        canonical = draw(st.integers(0, ring.p - 1))
+        raw = canonical + ring.p * draw(st.integers(-BIG, BIG))
+    else:
+        canonical = draw(st.integers(-BIG, BIG) | st.sampled_from([0, 1]))
+        raw = bool(canonical) if canonical in (0, 1) and draw(st.booleans()) else canonical
+    if draw(st.booleans()):
+        raw = RingValue(ring, raw)
+    return canonical, raw
+
+
+def plain_ints(mat):
+    for row in mat.entries:
+        for e in row:
+            yield from (e if isinstance(e, tuple) else (e,))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_a_matrix_built_from_any_form_of_its_entries_is_the_canonical_one(data):
+    ring = data.draw(st.sampled_from(EDGE_RINGS))
+    rows, cols = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    grid = [[data.draw(entry_forms(ring)) for _ in range(cols)] for _ in range(rows)]
+    canonical = tuple(tuple(c for c, _ in row) for row in grid)
+    mat = Matrix(ring, [[raw for _, raw in row] for row in grid])
+    assert mat.entries == canonical and (mat.rows, mat.cols) == (rows, cols)
+    assert mat == Matrix(ring, canonical) and hash(mat) == hash(Matrix(ring, canonical))
+    assert all(type(x) is int for x in plain_ints(mat))
+    assert parse_matrix(format_matrix(mat)) == mat
+
+
+# --- the trusted paths: every matrix built inside is what the checked ---------
+# --- constructor makes of its entries ------------------------------------------
+
+def assert_trusted(mat):
+    assert type(mat.entries) is tuple and all(type(row) is tuple for row in mat.entries)
+    assert (mat.rows, mat.cols) == (len(mat.entries), len(mat.entries[0]) if mat.entries else 0)
+    assert Matrix(mat.ring, mat.entries).entries == mat.entries
+    assert all(type(x) is int for x in plain_ints(mat))
+
+
+# One condition per generator kind, with a size and block size that pick it.
+GENERATOR_CASES = {
+    "commutative": ("complete", 2, 2),
+    "f-slots": ("f", 2, 4),
+    "side-slots:1": ("side:1", 2, 4),
+    "down-slots:2": ("down:2", 2, 4),
+    "kappa-poly": ("kappa", 3, 2),
+    "g5-overlap": ("g5", 2, 4),
+    "h1-falsify": ("h1", 2, 2),
+    "h2-falsify": ("h2", 2, 2),
+    "h3-falsify": ("h3", 2, 2),
+    "h4-falsify": ("h4", 2, 2),
+    "generic-scalar": ("tcol:1", 3, 2),
+}
+TRUSTED_RINGS = [ZZ, F7, PrimeField(2**61 - 1), PA]
+
+
+@pytest.mark.parametrize("ring", TRUSTED_RINGS, ids=lambda r: r.label)
+def test_every_generator_builds_canonical_blocks(ring):
+    for kind, (family, n, m) in GENERATOR_CASES.items():
+        g = family_condition(family, n)
+        assert pick_generator(g, m)[0] == kind
+        bm = gen_satisfying(g, m, ring, seed=5)
+        for row in bm.blocks:
+            for blk in row:
+                assert_trusted(blk)
+    rng = random.Random(3)
+    x = _dense(ring, 3, rng)
+    for mat in (x, _scalar(ring, 3, rng), _slot(ring, 4, rng, 1), _poly_in(x, [2, -1, 3, 1], [
+            x.entries, (x * x).entries, (x * x * x).entries])):
+        assert_trusted(mat)
+
+
+@pytest.mark.parametrize("ring", TRUSTED_RINGS, ids=lambda r: r.label)
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_every_kernel_builds_canonical_matrices(ring, n):
+    bm = gen_satisfying(family_condition("f", n), 2 * n, ring, seed=n) if n > 1 else BlockMatrix(
+        ring, 2, 1, [[Matrix(ring, [[3, -1], [2, 5]])]])
+    x, y = bm.block(n - 1, 0), bm.block(0, n - 1)
+    flat = bm.flatten()
+    outputs = [nc_row_det(bm), flat, flat.transpose(), x * y, x + y, x - y, -x, x.scale(ring.from_int(-2)),
+               cofactor_matrix(x), Matrix.identity(ring, 3), Matrix.zeros(ring, 2, 3)]
+    outputs += [blk for row in block_view(flat, 2).blocks for blk in row]
+    outputs += [blk for row in bm.transpose().blocks for blk in row]
+    if n > 1:
+        outputs += nc_first_row_cofactors(bm) + [nc_cofactor(bm, 1, 2), nc_minor_det(bm, 2, 1)]
+    for mat in outputs:
+        assert_trusted(mat)
+
+
+def test_the_trace_builds_canonical_matrices():
+    for n, seed in ((2, 4), (3, 8)):
+        trace = bourbaki_trace(gen_satisfying(family_condition("f", n), 2 * n, ZZ, seed=seed))
+        assert trace.checks.all_pass
+        assert_trusted(trace.shifted_det)
+        for bm in (trace.shifted, trace.eliminator, trace.tail):
+            for row in bm.blocks:
+                for blk in row:
+                    assert_trusted(blk)

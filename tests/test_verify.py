@@ -138,7 +138,7 @@ class TestGenerators:
 
     def test_polynomial_in_a_block_takes_d_minus_1_products(self):
         # c_0 + c_1 x + ... + c_d x^d from the payload rows of x, ..., x^d.
-        x = Matrix.from_rows(ZZ, [[1, 2], [3, 4]])
+        x = Matrix(ZZ, [[1, 2], [3, 4]])
         for d in range(0, 5):
             coeffs = [3 - i for i in range(d + 1)]
             want, power, powers = Matrix.zeros(ZZ, 2, 2), Matrix.identity(ZZ, 2), []
@@ -356,8 +356,8 @@ class TestCounterexamples:
 
     def test_m3_block_values(self):
         bm = builtin_matrix("m3")
-        assert bm.block(0, 0) == Matrix.from_rows(ZZ, [[1, 0, 0], [0, 1, 0], [0, 0, 2]])
-        assert bm.block(1, 1) == Matrix.from_rows(ZZ, [[1, 1, 0], [0, 1, 0], [0, 0, 1]])
+        assert bm.block(0, 0) == Matrix(ZZ, [[1, 0, 0], [0, 1, 0], [0, 0, 2]])
+        assert bm.block(1, 1) == Matrix(ZZ, [[1, 1, 0], [0, 1, 0], [0, 0, 1]])
 
     def test_unknown_names(self):
         with pytest.raises(ValueError):
@@ -427,7 +427,7 @@ class TestOptimalityWitnesses:
     def test_same_row_small_case(self):
         pa = PolynomialRing("a")
         w = optimality_counterexample("same_row", 2)
-        assert nc_row_det(w.matrix) == Matrix.from_rows(pa, [[pa.zero, pa.one], [-pa.gen, pa.zero]])
+        assert nc_row_det(w.matrix) == Matrix(pa, [[pa.zero, pa.one], [-pa.gen, pa.zero]])
         assert w.det_of_ncdet == pa.gen
         assert w.det_flat == pa.zero
         assert poly_degree(w.det_flat) <= 0
@@ -435,7 +435,7 @@ class TestOptimalityWitnesses:
     def test_diff_row_small_case(self):
         pa = PolynomialRing("a")
         w = optimality_counterexample("diff_row", 3)
-        assert nc_row_det(w.matrix) == Matrix.from_rows(pa, [[pa.zero, -pa.one], [-pa.gen, pa.zero]])
+        assert nc_row_det(w.matrix) == Matrix(pa, [[pa.zero, -pa.one], [-pa.gen, pa.zero]])
         assert w.det_of_ncdet == -pa.gen
         assert poly_degree(w.det_flat) <= 0
 
