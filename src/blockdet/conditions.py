@@ -8,14 +8,18 @@ checks every edge; the builders and transforms, whose edges are in order
 and in range by construction, build through the trusted ``Condition._of``.
 
 ``matrix_satisfies`` proves satisfaction exactly; its docstring states the
-centralizer certificate that settles some edges without testing them.
+centralizer and support certificates that settle some edges without
+testing them.  The family builders ``cond_f``, ``cond_kappa``,
+``cond_t_col``, ``cond_f_side`` and ``cond_f_down`` are pure functions of
+small ints, so each caches the frozen condition it returns.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from itertools import combinations
+from functools import cache
+from itertools import combinations, compress
 
 from .matrix import BlockMatrix, Matrix, _det_gauss_mod_p, shifted, shifted_commute
 from .ncdet import check_row_det_size
@@ -89,6 +93,7 @@ def _from_predicate(n: int, pred) -> Condition:
     return Condition._of(n, frozenset((u, v) for u, v in combinations(vertices(n), 2) if pred(u, v)))
 
 
+@cache
 def cond_f(n: int) -> Condition:
     """Edges between positions outside row 1 that sit in different columns."""
     return _from_predicate(n, lambda u, v: u[0] != 1 and v[0] != 1 and u[1] != v[1])
@@ -99,6 +104,7 @@ def kappa_pair(u: Vertex, v: Vertex) -> bool:
     return u != v and u[0] != 1 and v[0] != 1
 
 
+@cache
 def cond_kappa(n: int) -> Condition:
     """Complete graph on all positions outside row 1."""
     return _from_predicate(n, kappa_pair)
@@ -117,6 +123,7 @@ def t_col_pair(c: int):
     return pair
 
 
+@cache
 def cond_t_col(c: int, n: int) -> Condition:
     """Column-c transpose-compatibility graph.
 
@@ -177,6 +184,7 @@ def cond_minus_edge(g: Condition, edge: Edge) -> Condition:
     return Condition._of(g.n, g.edges - {_edge(*edge)})
 
 
+@cache
 def cond_f_side(j: int, n: int) -> Condition:
     """Column-j variant of the row-one-free family."""
     if not 1 <= j <= n:
@@ -186,6 +194,7 @@ def cond_f_side(j: int, n: int) -> Condition:
     return cond_col_permute(base, swap)
 
 
+@cache
 def cond_f_down(i: int, n: int) -> Condition:
     """Row-i variant of the row-one-free family."""
     if not 1 <= i <= n:
@@ -288,6 +297,18 @@ def _is_cyclic(ring: Ring, x: Matrix) -> bool:
     return _det_gauss_mod_p(q, krylov) != 0
 
 
+def _support(form: dict[int, tuple], bits: list[int]) -> tuple[int, int]:
+    """(R, C) for the shifted rows ``form`` of an m x m block, as bit masks:
+    R has bit i for each shifted row i, C bit j for each column j where one
+    of them is nonzero; ``bits`` is [1 << j for j in range(m)]."""
+    cols = 0
+    for row in form.values():
+        # compress yields the bit of each nonzero column once, so the sum
+        # is their OR.
+        cols |= sum(compress(bits, row))
+    return sum(map(bits.__getitem__, form)), cols
+
+
 def matrix_satisfies(bm: BlockMatrix, g: Condition) -> bool:
     """True when every edge of g joins commuting blocks of bm.
 
@@ -295,26 +316,40 @@ def matrix_satisfies(bm: BlockMatrix, g: Condition) -> bool:
     examines the edges of g.  Each block on an edge is shifted once
     (``matrix.shifted``).  An edge at a scalar block, which has no shifted
     rows, holds with no product; the others are tested by
-    ``shifted_commute`` up to the first that fails, except those that a
-    centralizer certificate settles.
+    ``shifted_commute`` up to the first that fails, except those that one
+    of two certificates settles.  Both are read off the sample itself, not
+    from the generator that drew it.
 
-    The certificate: if a block X is cyclic, every block that commutes with
-    X is a polynomial in X (Horn and Johnson, Matrix Analysis, Thm
-    3.2.4.2), so once X commutes with each of its neighbours in g, every
-    edge of g among those neighbours holds.  X is taken among the blocks of
-    highest degree in g, and it is tested (``_is_cyclic``) only when some
-    edge lies among its neighbours.  A cyclic X has rank(X - cI) >= m - 1
-    for every c, so a block with fewer than m - 1 shifted rows cannot be
-    one; when no block on an edge has that many, as in slot and scalar
-    samples, or over poly:, the edges are tested pair by pair with no
-    further bookkeeping.
+    The centralizer certificate: if a block X is cyclic, every block that
+    commutes with X is a polynomial in X (Horn and Johnson, Matrix
+    Analysis, Thm 3.2.4.2), so once X commutes with each of its neighbours
+    in g, every edge of g among those neighbours holds.  X is taken among
+    the blocks of highest degree in g, and it is tested (``_is_cyclic``)
+    only when some edge lies among its neighbours.  A cyclic X has
+    rank(X - cI) >= m - 1 for every c, so a block with fewer than m - 1
+    shifted rows cannot be one.
+
+    The support certificate runs when no block on an edge has that many
+    shifted rows, as in slot and scalar samples, or over poly:.  Let R be
+    the set of shifted rows of X' = X - cI and C the set of columns where
+    those rows are nonzero (``_support``).  X'Y' is zero when C(X) misses
+    R(Y), since each term X'[i][k] Y'[k] then has a zero factor.  So an
+    edge with C(X) disjoint from R(Y) and C(Y) disjoint from R(X) holds
+    with no product, X'Y' = 0 = Y'X', as between slot blocks in disjoint
+    slots; the other edges are tested pair by pair.
     """
     if bm.n != g.n:
         raise ValueError(f"size mismatch: matrix n={bm.n}, condition n={g.n}")
     ring, m, blocks, edges = bm.ring, bm.m, bm.blocks, g.edges
     forms = {v: shifted(blocks[v[0] - 1][v[1] - 1]) for v in {w for e in edges for w in e}}
     if isinstance(ring, PolynomialRing) or all(len(s) < m - 1 for s in forms.values()):
-        return all(shifted_commute(ring, forms[u], forms[v]) for u, v in edges)
+        bits = [1 << j for j in range(m)]
+        support = {v: _support(s, bits) for v, s in forms.items()}
+        return all(
+            shifted_commute(ring, forms[u], forms[v])
+            for u, v in edges
+            if support[u][1] & support[v][0] or support[v][1] & support[u][0]
+        )
     live = [(u, v) for u, v in edges if forms[u] and forms[v]]
     neighbours = {}
     for u, v in live:

@@ -23,9 +23,11 @@ Commutation is tested on shifted blocks: XY = YX exactly when
 (X - cI)(Y - dI) = (Y - dI)(X - cI), for any scalars c and d.  ``shifted``
 subtracts a block's most common diagonal entry and keeps only the nonzero
 rows, so a scalar block keeps none and c*I plus a 2x2 perturbation keeps at
-most two.  ``shifted_commute`` compares the two products only on rows that
-are nonzero in either factor and stops at the first row that differs;
-``commutes`` runs it on two freshly shifted blocks.
+most two.  A matrix is shifted once, on first use, and keeps its shifted
+rows, so a sample's satisfaction check and its witness test share them.
+``shifted_commute`` compares the two products only on rows that are nonzero
+in either factor and stops at the first row that differs; ``commutes`` runs
+it on the shifted rows of both blocks.
 
 Determinants are exact: Bareiss's fraction-free O(k^3) elimination over
 ``int`` and ``poly:`` (every division it makes is exact, by Sylvester's
@@ -211,7 +213,19 @@ def _product_rows(ring: Ring, arows, brows):
 def shifted(x: Matrix) -> dict[int, tuple]:
     """The nonzero rows of x - cI by row index, for square x and c the most
     common diagonal entry of x; on a tie, the one met first down the
-    diagonal."""
+    diagonal.  Computed once per matrix and kept on it, so every caller
+    shares the dict: read it, never change it."""
+    # Kept in the instance dict, past the frozen __setattr__, as _fill
+    # does; functools.cached_property would take a lock on every first
+    # access under CPython 3.11.
+    kept = x.__dict__
+    form = kept.get("_shifted")
+    if form is None:
+        form = kept["_shifted"] = _shift(x)
+    return form
+
+
+def _shift(x: Matrix) -> dict[int, tuple]:
     rows = x.entries
     counts = {}
     for i, row in enumerate(rows):
@@ -268,8 +282,8 @@ def shifted_commute(ring: Ring, xs: dict[int, tuple], ys: dict[int, tuple]) -> b
 
 
 def commutes(x: Matrix, y: Matrix) -> bool:
-    """Exact test that x*y == y*x: ``shifted_commute`` on both blocks
-    shifted."""
+    """Exact test that x*y == y*x: ``shifted_commute`` on the shifted rows
+    of both blocks."""
     x._check_ring(y)
     if not (x.is_square and y.is_square and x.rows == y.rows):
         raise ValueError("commutation test requires equal square shapes")

@@ -106,7 +106,10 @@ class Ring:
         raise NotImplementedError
 
     def parse_payload(self, token: str):
-        raise NotImplementedError
+        """The payload a text token spells, an int here, not yet canonical:
+        the matrix it goes into canonicalises it (``canonical``); raises
+        ``ValueError`` on a malformed token."""
+        return int(token)
 
 
 @dataclass(frozen=True)
@@ -141,9 +144,6 @@ class IntegerRing(Ring):
 
     def format_payload(self, a) -> str:
         return str(a)
-
-    def parse_payload(self, token: str) -> int:
-        return int(token)
 
 
 @dataclass(frozen=True)
@@ -187,9 +187,6 @@ class PrimeField(Ring):
 
     def format_payload(self, a) -> str:
         return str(a)
-
-    def parse_payload(self, token: str) -> int:
-        return int(token) % self.p
 
 
 @dataclass(frozen=True)
@@ -271,7 +268,7 @@ class PolynomialRing(Ring):
         return ",".join(str(c) for c in a)
 
     def parse_payload(self, token: str) -> tuple[int, ...]:
-        return _poly_trim(int(part) for part in token.split(","))
+        return tuple(int(part) for part in token.split(","))
 
 
 @dataclass(frozen=True)

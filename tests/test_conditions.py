@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from blockdet.conditions import (
+    _support,
     Condition,
     commutativity_graph,
     complete_condition,
@@ -30,7 +31,7 @@ from blockdet.conditions import (
     vertices,
 )
 import blockdet.conditions
-from blockdet.matrix import BlockMatrix, Matrix
+from blockdet.matrix import BlockMatrix, Matrix, commutes, shifted
 from blockdet.ring import ZZ, PolynomialRing, PrimeField
 from blockdet.verify import builtin_matrix, gen_satisfying, optimality_scan
 from oracles import pairwise_satisfies
@@ -571,8 +572,10 @@ def test_kappa_sample_is_certified_with_one_test_per_neighbour(monkeypatch, n, m
         bm = gen_satisfying(cond_kappa(n), m, ring, seed)
         tests = _counting(monkeypatch, "shifted_commute")
         assert matrix_satisfies(bm, cond_kappa(n))
-        # The hub's n(n-1) - 1 neighbours, and no product among them.
-        assert len(tests) == n * (n - 1) - 1
+        # The hub's n(n-1) - 1 neighbours, and no product among them.  At
+        # n = 2, kappa is f and its sample has slot blocks; its one edge
+        # joins two slots, which the support certificate settles.
+        assert len(tests) == (0 if n == 2 else n * (n - 1) - 1)
         monkeypatch.undo()
 
 
@@ -629,3 +632,111 @@ def test_edges_away_from_the_hub_are_still_tested(monkeypatch, ring):
     assert matrix_satisfies(bm, row_one)
     assert not matrix_satisfies(bm, cond_union(row_one, cond(3, ((2, 1), (2, 2)))))
     assert len(cyclic) == 2
+
+
+def test_family_builders_build_each_condition_once():
+    for build, args in ((cond_f, (4,)), (cond_kappa, (4,)), (cond_t_col, (2, 4)), (cond_f_side, (3, 4)),
+                        (cond_f_down, (2, 4))):
+        assert build(*args) is build(*args)
+        assert_trusted(build(*args))
+    # A rejected size is rejected on every call, not cached.
+    for _ in range(2):
+        with pytest.raises(ValueError, match="condition size must be at least 1"):
+            cond_f(0)
+        with pytest.raises(ValueError, match="column 5 out of range"):
+            cond_t_col(5, 4)
+
+
+# --- the support certificate in matrix_satisfies -----------------------------
+#
+# An edge whose blocks X, Y have shifted rows R and nonzero columns C with
+# C(X) & R(Y) = C(Y) & R(X) = 0 holds with no product.  Blocks are small
+# integer blocks read into the ring, mostly with fewer than m - 1 shifted
+# rows, so that the certificate's branch runs; small entries make pairs
+# that commute, and pairs that nearly do, common.
+
+SUPPORT_RINGS = [ZZ, PrimeField(3), PrimeField(10007), PolynomialRing("x")]
+SUPPORT_KINDS = ("slot", "slot", "sparse", "sparse", "sparse", "scalar", "dense")
+
+
+def _support_block(rng, m, kind):
+    """c I alone (scalar), plus a 2x2 block on the diagonal (slot), plus up
+    to three entries anywhere (sparse), or a dense block."""
+    if kind == "dense":
+        return _entries(rng, m)
+    c = rng.randint(-2, 2)
+    rows = [[c if i == j else 0 for j in range(m)] for i in range(m)]
+    if kind == "slot":
+        k = rng.randrange(m - 1)
+        for i in (k, k + 1):
+            for j in (k, k + 1):
+                rows[i][j] += rng.randint(-2, 2)
+    elif kind == "sparse":
+        for _ in range(rng.randint(1, 3)):
+            rows[rng.randrange(m)][rng.randrange(m)] = rng.randint(-2, 2)
+    return rows
+
+
+@st.composite
+def support_cases(draw):
+    ring = draw(st.sampled_from(SUPPORT_RINGS), label="ring")
+    n = draw(st.integers(2, 3), label="n")
+    m = draw(st.integers(2, 6), label="m")
+    rng = random.Random(draw(st.integers(0, 2**32 - 1), label="seed"))
+    bm = BlockMatrix(ring, m, n, [[Matrix(ring, _support_block(rng, m, rng.choice(SUPPORT_KINDS)))
+                                   for _ in range(n)] for _ in range(n)])
+    pairs = list(combinations(vertices(n), 2))
+    commuting = [(u, v) for u, v in pairs if pairwise_satisfies(bm, cond(n, (u, v)))]
+    # Random edges mostly fail; the commuting pairs, alone or with one more
+    # pair, make satisfied samples and samples that fail on one edge.
+    edges = draw(st.one_of(
+        st.sets(st.sampled_from(pairs)),
+        st.just(set(commuting)),
+        st.sampled_from(pairs).map(lambda e: {*commuting, e}),
+    ), label="edges")
+    return bm, Condition(n, frozenset(edges))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=support_cases())
+def test_support_certificate_matches_the_product_oracle(case):
+    bm, g = case
+    assert matrix_satisfies(bm, g) == pairwise_satisfies(bm, g)
+    bits = [1 << j for j in range(bm.m)]
+    blocks = {v: bm.block(v[0] - 1, v[1] - 1) for v in vertices(bm.n)}
+    support = {v: _support(shifted(x), bits) for v, x in blocks.items()}
+    for u, v in combinations(vertices(bm.n), 2):
+        (rows_u, cols_u), (rows_v, cols_v) = support[u], support[v]
+        if not (cols_u & rows_v or cols_v & rows_u):
+            x, y = blocks[u], blocks[v]
+            assert x * y == y * x
+
+
+def test_support_masks_are_the_shifted_rows_and_their_nonzero_columns():
+    bits = [1 << j for j in range(4)]
+    x = Matrix(ZZ, [[5, 0, 0, 0], [0, 5, 0, 0], [0, 1, 7, 2], [0, 0, 0, 5]])
+    assert shifted(x) == {2: (0, 1, 2, 2)}
+    assert _support(shifted(x), bits) == (0b0100, 0b1110)
+    assert _support({}, bits) == (0, 0)
+    poly = Matrix(PolynomialRing("x"), [[0, 0], [(0, 1), 0]])
+    assert _support(shifted(poly), bits[:2]) == (0b10, 0b01)
+
+
+def test_f_slot_sample_tests_only_edges_that_share_a_slot(monkeypatch):
+    # f puts each column's blocks below row 1 in one slot, and every edge
+    # of f joins two columns, so no edge of an f sample needs a product.
+    # A same-column edge shares a slot: it is the one edge tested.
+    ring, g = PrimeField(10007), cond_f(4)
+    wider = cond_union(g, cond(4, ((2, 1), (3, 1))))
+    for seed in range(3):
+        bm = gen_satisfying(g, 8, ring, seed)
+        where = {id(shifted(bm.block(i, j))): (i + 1, j + 1) for i in range(4) for j in range(4)}
+        tests = _counting(monkeypatch, "shifted_commute")
+        assert matrix_satisfies(bm, g)
+        assert tests == []
+        holds = commutes(bm.block(1, 0), bm.block(2, 0))
+        assert matrix_satisfies(bm, wider) == holds
+        tested = [{where[id(xs)], where[id(ys)]} for _, xs, ys in tests]
+        assert tested == [{(2, 1), (3, 1)}]
+        assert {*shifted(bm.block(1, 0)), *shifted(bm.block(2, 0))} <= {0, 1}
+        monkeypatch.undo()

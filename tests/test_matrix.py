@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from itertools import combinations, permutations
 
@@ -201,6 +203,24 @@ def test_diagonal_ties_shift_by_the_first_tied_entry():
                 assert commutes(x, y) == (oracle_product(x, y) == oracle_product(y, x))
 
 
+def test_a_matrix_is_shifted_once(monkeypatch):
+    import blockdet.matrix
+
+    computed = []
+    real = blockdet.matrix._shift
+    monkeypatch.setattr(blockdet.matrix, "_shift", lambda x: computed.append(x) or real(x))
+    x, twin = Matrix(ZZ, [[1, 2], [3, 4]]), Matrix(ZZ, [[1, 2], [3, 4]])
+    assert shifted(x) is shifted(x) == {0: (0, 2), 1: (3, 3)}
+    assert commutes(x, x) and commutes(x, twin)
+    assert [id(m) for m in computed] == [id(x), id(twin)]
+    # The kept rows are no field: equality, hashing and repr do not see them.
+    assert x == twin and hash(x) == hash(twin) and repr(x) == repr(Matrix(ZZ, [[1, 2], [3, 4]]))
+    with pytest.raises(AttributeError):
+        x._shifted = {}
+    # A shifted matrix still pickles and copies.
+    assert pickle.loads(pickle.dumps(x)) == copy.deepcopy(x) == twin
+
+
 def test_block_flatten_single():
     a = Matrix(ZZ, [[1, 2], [3, 4]])
     bm = BlockMatrix(ZZ, 2, 1, [[a]])
@@ -379,6 +399,15 @@ def test_from_rows_rejects_a_float_polynomial_entry():
 
 def test_parsed_polynomial_entries_are_canonical():
     assert format_matrix(parse_matrix("1 2 poly:z\n1,2,0 0,0\n")) == "1 2 poly:z\n1,2 0\n"
+
+
+def test_parse_payload_leaves_canonicalising_to_the_matrix():
+    # A token parses to the payload it spells; Matrix(ring, rows) alone
+    # brings it to canonical form.
+    assert (F7.parse_payload("13"), F7.parse_payload("-1")) == (13, -1)
+    assert (PZ.parse_payload("1,2,0"), PZ.parse_payload("0")) == ((1, 2, 0), (0,))
+    assert parse_matrix("1 3 mod:7\n13 -1 4611686018427387904\n").entries == ((6, 6, 4),)
+    assert parse_matrix("1 2 poly:z\n1,2,0 0\n").entries == (((1, 2), ()),)
 
 
 @pytest.mark.parametrize(

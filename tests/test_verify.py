@@ -273,6 +273,23 @@ class TestGeneratorChoice:
         assert names == {"commutative", "f-slots", "side-slots", "down-slots", "kappa-poly", "g5-overlap",
                          "h1-falsify", "h2-falsify", "h3-falsify", "h4-falsify", "generic-scalar"}
 
+    @pytest.mark.parametrize("family", ["f", "kappa"])
+    def test_a_draw_shifts_each_block_once(self, monkeypatch, family):
+        # matrix_satisfies shifts the six blocks on the edges, below row 1,
+        # and the witness test reuses them; only the first witness pair's
+        # block in row 1 is new, and the pair does not commute.
+        import blockdet.matrix
+
+        shifts = []
+        real = blockdet.matrix._shift
+        monkeypatch.setattr(blockdet.matrix, "_shift", lambda x: shifts.append(x) or real(x))
+        for seed in range(3):
+            shifts.clear()
+            bm = gen_satisfying(family_condition(family, 3), 6, F10007, seed)
+            assert len({id(x) for x in shifts}) == len(shifts) == 7
+            row_one = [x for x in shifts if any(x is b for b in bm.blocks[0])]
+            assert len(row_one) == 1 and row_one[0] is bm.block(0, 0)
+
     def test_the_special_non_edge_is_picked_once_per_campaign(self, monkeypatch):
         import blockdet.verify
 
