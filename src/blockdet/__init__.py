@@ -27,7 +27,6 @@ from .matrix import (
     Matrix,
     MatrixFormatError,
     block_view,
-    cofactor_matrix,
     commutes,
     det_commutative,
     format_block_matrix,
@@ -56,7 +55,6 @@ from .ring import (
     ZZ,
     parse_ring,
     poly_degree,
-    poly_eval_at_zero,
     poly_is_monic,
 )
 from .traces import (
@@ -69,14 +67,12 @@ from .traces import (
 from .verify import (
     IdentityCheck,
     OptimalityScanReport,
-    OptimalityWitness,
     Size2Classification,
     VerificationReport,
     builtin_matrix,
     check_identity,
     classify_size2,
     gen_satisfying,
-    optimality_counterexample,
     optimality_scan,
     run_campaign,
     silvester_check,

@@ -48,6 +48,8 @@ def _read_text(path: str) -> str:
 
 
 def _load_block_matrix(args):
+    if args.file is not None and (args.builtin or args.n is not None):
+        raise ValueError("a block matrix file takes neither --builtin nor --n")
     if args.builtin:
         return builtin_matrix(args.builtin, n=args.n)
     if not args.file:

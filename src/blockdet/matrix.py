@@ -384,28 +384,6 @@ def det_commutative(mat: Matrix) -> RingValue:
     return RingValue(mat.ring, _det_payload(mat.ring, mat.entries))
 
 
-def cofactor_matrix(mat: Matrix) -> Matrix:
-    """Matrix of signed minors; satisfies X (Cof X)^t = (det X) I."""
-    if not mat.is_square:
-        raise ValueError("cofactor matrix of a non-square matrix")
-    k = mat.rows
-    ring = mat.ring
-    if k == 0:
-        return mat
-    if k == 1:
-        return Matrix.identity(ring, 1)
-    rows = mat.entries
-    out = []
-    for i in range(k):
-        out_row = []
-        for j in range(k):
-            sub = [[rows[r][c] for c in range(k) if c != j] for r in range(k) if r != i]
-            minor = _det_payload(ring, sub)
-            out_row.append(minor if (i + j) % 2 == 0 else ring.pneg(minor))
-        out.append(tuple(out_row))
-    return Matrix._of(ring, tuple(out))
-
-
 @dataclass(frozen=True, init=False, repr=False)
 class BlockMatrix:
     """An n x n array of m x m matrices over a common base ring."""

@@ -320,13 +320,6 @@ def poly_degree(x: RingValue) -> int:
     return len(x.payload) - 1
 
 
-def poly_eval_at_zero(x: RingValue) -> RingValue:
-    """Constant coefficient of a polynomial, as an integer ring value."""
-    if not isinstance(x.ring, PolynomialRing):
-        raise ValueError("poly_eval_at_zero requires a polynomial ring value")
-    return RingValue(ZZ, x.payload[0] if x.payload else 0)
-
-
 def poly_is_monic(x: RingValue) -> bool:
     """True when the leading coefficient is 1.
 

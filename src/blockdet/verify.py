@@ -25,8 +25,6 @@ from .conditions import (
     cond_kappa,
     cond_minus_edge,
     cond_named,
-    cond_col_permute,
-    cond_row_permute,
     is_subgraph,
     matrix_satisfies,
     size2_condition,
@@ -406,16 +404,38 @@ _BLOCKS = {
 _FIXED_BUILTINS = {"m1": ("ab", "ba"), "m2": ("ab", "ab"), "m3": ("cd", "ef"), "m3swapped": ("dc", "fe")}
 # classify_size2 offers the falsifiers in this order.
 _H_TO_MATRIX = {"h1": "m1", "h4": "m2", "h2": "m3", "h3": "m3swapped"}
-_WITNESS_DEFAULT_N = {"same_row": 2, "diff_row": 3}
+# The optimality witnesses over Z[a]: the 2x2 blocks of each by 0-based
+# position; the least n is the number of block rows they fill, and I fills
+# the rest of the diagonal.  same_row satisfies kappa less ((2,1),(2,2)),
+# diff_row kappa less ((2,1),(3,2)); in both the flattened determinant is
+# constant in a while the determinant of the block determinant is not.
+_WITNESS_PLACEMENTS = {
+    "same_row": (2, {(0, 0): "k", (0, 1): "l", (1, 0): "a", (1, 1): "b"}),
+    "diff_row": (3, {(0, 0): "k", (0, 1): "l", (1, 0): "a", (1, 2): "I", (2, 1): "b", (2, 2): "I"}),
+}
+
+
+def _witness_matrix(case: str, n: int) -> BlockMatrix:
+    check_row_det_size(n)
+    least, placed = _WITNESS_PLACEMENTS[case]
+    if n < least:
+        raise ValueError(f"{case} witness needs n >= {least}")
+    ring = PolynomialRing("a")
+    named = {"k": [[1, 0], [0, 0]], "l": [[0, 0], [1, 0]], "a": [[ring.gen, 0], [0, 0]],
+             "b": [[0, 1], [0, 0]], "I": [[1, 0], [0, 1]], "0": [[0, 0], [0, 0]]}
+    blocks = {name: Matrix(ring, rows) for name, rows in named.items()}
+    return BlockMatrix(ring, 2, n, [
+        [blocks[placed.get((i, j), "I" if i == j >= least else "0")] for j in range(n)] for i in range(n)
+    ])
 
 
 def builtin_matrix(name: str, n: int | None = None) -> BlockMatrix:
     """Built-in matrices by name: m1, m2, m3, m3swapped, h1..h4,
-    same_row (optionality witness, default n=2), diff_row (default n=3)."""
+    same_row (optimality witness, default n=2), diff_row (default n=3)."""
     key = name.lower().replace("-", "_")
     key = _H_TO_MATRIX.get(key, key)
-    if key in _WITNESS_DEFAULT_N:
-        return _witness_matrix(key, _WITNESS_DEFAULT_N[key] if n is None else n)
+    if key in _WITNESS_PLACEMENTS:
+        return _witness_matrix(key, _WITNESS_PLACEMENTS[key][0] if n is None else n)
     if key not in _FIXED_BUILTINS:
         raise ValueError(f"unknown built-in matrix {name!r}")
     if n is not None:
@@ -424,7 +444,7 @@ def builtin_matrix(name: str, n: int | None = None) -> BlockMatrix:
     return BlockMatrix(ZZ, blocks[0][0].rows, len(blocks), blocks)
 
 
-BUILTIN_NAMES = (*_FIXED_BUILTINS, *sorted(_H_TO_MATRIX), *_WITNESS_DEFAULT_N)
+BUILTIN_NAMES = (*_FIXED_BUILTINS, *sorted(_H_TO_MATRIX), *_WITNESS_PLACEMENTS)
 
 
 # --- classification of all size-2 conditions ----------------------------------
@@ -552,52 +572,6 @@ def silvester_check(
 
 # --- optimality of the row-one-free family ------------------------------------
 
-class OptimalityWitness(NamedTuple):
-    matrix: BlockMatrix
-    det_flat: RingValue
-    det_of_ncdet: RingValue
-
-
-# The 2x2 blocks of each witness by 0-based position; the least n is the
-# number of block rows they fill, and I fills the rest of the diagonal.
-_WITNESS_PLACEMENTS = {
-    "same_row": (2, {(0, 0): "k", (0, 1): "l", (1, 0): "a", (1, 1): "b"}),
-    "diff_row": (3, {(0, 0): "k", (0, 1): "l", (1, 0): "a", (1, 2): "I", (2, 1): "b", (2, 2): "I"}),
-}
-
-
-def _witness_matrix(case: str, n: int) -> BlockMatrix:
-    check_row_det_size(n)
-    if case not in _WITNESS_PLACEMENTS:
-        raise ValueError(f"case must be same_row or diff_row, got {case!r}")
-    least, placed = _WITNESS_PLACEMENTS[case]
-    if n < least:
-        raise ValueError(f"{case} witness needs n >= {least}")
-    ring = PolynomialRing("a")
-    named = {"k": [[1, 0], [0, 0]], "l": [[0, 0], [1, 0]], "a": [[ring.gen, 0], [0, 0]],
-             "b": [[0, 1], [0, 0]], "I": [[1, 0], [0, 1]], "0": [[0, 0], [0, 0]]}
-    blocks = {name: Matrix(ring, rows) for name, rows in named.items()}
-    return BlockMatrix(ring, 2, n, [
-        [blocks[placed.get((i, j), "I" if i == j >= least else "0")] for j in range(n)] for i in range(n)
-    ])
-
-
-def optimality_counterexample(case: str, n: int) -> OptimalityWitness:
-    """Witness that dropping one edge from the row-one-free family breaks
-    sufficiency.
-
-    Over Z[a] with 2x2 blocks: the flattened determinant is constant in a
-    while the determinant of the block determinant is not.  ``same_row``
-    withholds the edge ((2,1),(2,2)); ``diff_row`` withholds ((2,1),(3,2)).
-    """
-    bm = _witness_matrix(case, n)
-    return OptimalityWitness(
-        matrix=bm,
-        det_flat=det_commutative(bm.flatten()),
-        det_of_ncdet=det_commutative(nc_row_det(bm)),
-    )
-
-
 @dataclass(frozen=True)
 class EdgeCaseRecord:
     edge: tuple[tuple[int, int], tuple[int, int]]
@@ -644,66 +618,72 @@ def _from_mapping(n: int, mapping: dict[int, int]) -> tuple[int, ...]:
     return tuple(mapping[i] if i in mapping else next(free) for i in range(1, n + 1))
 
 
+def _edge_maps(n: int, edge):
+    """The witness case of an edge of the row-one-free family, its canonical
+    edge, and the row and column maps, as tuples of 1-based images, that
+    send the edge onto the canonical one.  A diff_row edge joins two rows
+    below row 1, so n >= 3 there."""
+    (r1, c1), (r2, c2) = edge
+    col_map = _from_mapping(n, {c1: 1, c2: 2})
+    if r1 == r2:
+        return "same_row", CANONICAL_SAME_ROW, _from_mapping(n, {r1: 2}), col_map
+    return "diff_row", CANONICAL_DIFF_ROW, _from_mapping(n, {r1: 2, r2: 3}), col_map
+
+
+def _maps_onto(edge, canonical, row_map, col_map) -> bool:
+    """Whether the maps send kappa less edge onto kappa less canonical.
+
+    kappa is the complete graph on the positions outside row 1, so a row
+    map that fixes row 1 sends kappa onto itself, and so does every column
+    map; kappa less edge then goes onto kappa less canonical exactly when
+    edge goes onto canonical.
+    """
+    image = tuple(sorted((row_map[r - 1], col_map[c - 1]) for r, c in edge))
+    return row_map[0] == 1 and image == canonical
+
+
 def optimality_scan(
     n: int,
     campaign_trials: int = 60,
     seed: int = 20161004,
 ) -> OptimalityScanReport:
-    """Check minimality of the row-one-free family at size n.
+    """Check minimality of the row-one-free family at size n, for
+    2 <= n <= ROW_DET_CAP.
 
     Every edge of the family, once removed from the ambient complete graph
     on rows 2..n, maps by row/column relabeling onto one of two canonical
-    withheld edges, and the corresponding explicit witness breaks the
+    withheld edges, and the corresponding built-in witness breaks the
     identity there.  Sampled supergraphs of the family pass campaigns.
     """
-    if not 2 <= n <= 4:
-        raise ValueError("scan supported for 2 <= n <= 4")
+    if n < 2:
+        raise ValueError(f"the optimality scan needs n >= 2, got n={n}")
+    check_row_det_size(n)
     ring = PrimeField(10007)
     kappa = cond_kappa(n)
     fam = cond_f(n)
 
-    # Per case: kappa without the canonical edge, and the witness's three
-    # verdicts on it.  A diff_row edge joins rows 2 and 3, so n >= 3 there.
+    # Per case, the witness's three verdicts, in the record's field order:
+    # it satisfies kappa less the canonical edge, det(Det M) has degree >= 1
+    # in a while det M is constant, and so the identity fails.
     verdicts = {}
     records = []
     for edge in sorted(fam.edges):
-        (r1, c1), (r2, c2) = edge
-        col_map = _from_mapping(n, {c1: 1, c2: 2})
-        if r1 == r2:
-            case, canonical = "same_row", CANONICAL_SAME_ROW
-            row_map = _from_mapping(n, {r1: 2})
-        else:
-            case, canonical = "diff_row", CANONICAL_DIFF_ROW
-            row_map = _from_mapping(n, {r1: 2, r2: 3})
+        case, canonical, row_map, col_map = _edge_maps(n, edge)
         if case not in verdicts:
-            target = cond_minus_edge(kappa, canonical)
-            witness = optimality_counterexample(case, n)
+            witness = builtin_matrix(case, n)
+            result = check_identity(witness)
             verdicts[case] = (
-                target,
-                matrix_satisfies(witness.matrix, target),
-                poly_degree(witness.det_of_ncdet) >= 1 and poly_degree(witness.det_flat) <= 0,
-                witness.det_flat != witness.det_of_ncdet,
+                matrix_satisfies(witness, cond_minus_edge(kappa, canonical)),
+                poly_degree(result.lhs) >= 1 and poly_degree(result.rhs) <= 0,
+                not result.equal,
             )
-        target, satisfies, dichotomy, fails = verdicts[case]
-        mapped = cond_row_permute(cond_col_permute(cond_minus_edge(kappa, edge), col_map), row_map)
-        records.append(
-            EdgeCaseRecord(
-                edge=edge,
-                case=case,
-                mapped_matches_canonical=mapped == target,
-                witness_satisfies=satisfies,
-                degree_dichotomy=dichotomy,
-                identity_fails=fails,
-            )
-        )
+        mapped = _maps_onto(edge, canonical, row_map, col_map)
+        records.append(EdgeCaseRecord(edge, case, mapped, *verdicts[case]))
 
-    campaigns = []
-    campaigns.append(
-        run_campaign(fam, 2 * n, ring, campaign_trials, trial_seed(seed, 1), condition_id="f")
-    )
-    campaigns.append(
-        run_campaign(kappa, 4, ring, campaign_trials, trial_seed(seed, 2), condition_id="kappa")
-    )
+    campaigns = [
+        run_campaign(fam, 2 * n, ring, campaign_trials, trial_seed(seed, 1), condition_id="f"),
+        run_campaign(kappa, 4, ring, campaign_trials, trial_seed(seed, 2), condition_id="kappa"),
+    ]
     extra = sorted(kappa.edges - fam.edges)
     rng = random.Random(_mix64(seed))
     for idx in range(2):

@@ -12,13 +12,18 @@ None of this runs in ``blockdet`` itself:
   lemma;
 - ``pairwise_satisfies`` multiplies out both products of every edge's
   blocks, with no shift and no centralizer certificate, and checks
-  ``blockdet.conditions.matrix_satisfies``.
+  ``blockdet.conditions.matrix_satisfies``;
+- ``cofactor_matrix``, every signed minor by ``det_commutative``, checks
+  ``blockdet.ncdet.nc_cofactor`` on 1 x 1 blocks;
+- ``maps_onto_by_relabelling`` relabels the whole of kappa less one edge
+  and compares it with kappa less the canonical edge, and checks the
+  optimality scan's image test, ``blockdet.verify._maps_onto``.
 """
 
 from __future__ import annotations
 
-from blockdet.conditions import Condition
-from blockdet.matrix import BlockMatrix, Matrix, signed_permutations
+from blockdet.conditions import Condition, cond_col_permute, cond_kappa, cond_minus_edge, cond_row_permute
+from blockdet.matrix import BlockMatrix, Matrix, det_commutative, signed_permutations
 from blockdet.ring import Ring, RingValue
 from blockdet.traces import Word, _check_word, word_normal_form
 
@@ -124,3 +129,27 @@ def pairwise_satisfies(bm: BlockMatrix, g: Condition) -> bool:
         if x * y != y * x:
             return False
     return True
+
+
+def cofactor_matrix(mat: Matrix) -> Matrix:
+    """Matrix of signed minors; satisfies X (Cof X)^t = (det X) I."""
+    if not mat.is_square:
+        raise ValueError("cofactor matrix of a non-square matrix")
+    k, ring, rows = mat.rows, mat.ring, mat.entries
+    if k == 0:
+        return mat
+    if k == 1:
+        return Matrix.identity(ring, 1)
+
+    def minor(i, j):
+        return det_commutative(Matrix(ring, [[rows[r][c] for c in range(k) if c != j] for r in range(k) if r != i]))
+
+    return Matrix(ring, [[minor(i, j) if (i + j) % 2 == 0 else -minor(i, j) for j in range(k)] for i in range(k)])
+
+
+def maps_onto_by_relabelling(n: int, edge, canonical, row_map, col_map) -> bool:
+    """Whether relabelling columns by col_map and then rows by row_map sends
+    kappa less edge onto kappa less canonical, graph against graph."""
+    kappa = cond_kappa(n)
+    mapped = cond_row_permute(cond_col_permute(cond_minus_edge(kappa, edge), col_map), row_map)
+    return mapped == cond_minus_edge(kappa, canonical)

@@ -28,7 +28,6 @@ from blockdet.verify import (
     check_identity,
     classify_size2,
     gen_satisfying,
-    optimality_counterexample,
     run_campaign,
     silvester_check,
     trial_seed,
@@ -60,19 +59,21 @@ def test_criterion_1_counterexample_values():
 
 def test_criterion_2_optimality_dichotomy():
     t0 = time.perf_counter()
-    same = optimality_counterexample("same_row", 2)
-    assert nc_row_det(same.matrix) == Matrix(
+    same = builtin_matrix("same_row", 2)
+    same_result = check_identity(same)
+    assert nc_row_det(same) == Matrix(
         PA, [[PA.zero, PA.one], [-PA.gen, PA.zero]]
     )
-    assert same.det_of_ncdet == PA.gen
-    assert poly_degree(same.det_flat) <= 0
+    assert same_result.lhs == PA.gen
+    assert poly_degree(same_result.rhs) <= 0
 
-    diff = optimality_counterexample("diff_row", 3)
-    assert nc_row_det(diff.matrix) == Matrix(
+    diff = builtin_matrix("diff_row", 3)
+    diff_result = check_identity(diff)
+    assert nc_row_det(diff) == Matrix(
         PA, [[PA.zero, -PA.one], [-PA.gen, PA.zero]]
     )
-    assert diff.det_of_ncdet == -PA.gen
-    assert poly_degree(diff.det_flat) <= 0
+    assert diff_result.lhs == -PA.gen
+    assert poly_degree(diff_result.rhs) <= 0
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0
     _report(2, f"withheld-edge witnesses: det depends on a, flat det does not ({elapsed:.3f}s)")

@@ -178,6 +178,27 @@ def test_optimality(capsys):
     assert "case=same_row" in out
 
 
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_optimality_up_to_the_cap(capsys, n):
+    code, out, err = run(capsys, "optimality", "--n", str(n), "--trials", "1")
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[-1] == f"optimality n={n} OK"
+    assert sum(line.startswith("edge=") and line.endswith(" OK") for line in lines) == len(cond_f(n).edges)
+
+
+@pytest.mark.parametrize("command", ["check", "ncdet"])
+@pytest.mark.parametrize("flags", [("--builtin", "m1"), ("--n", "3"), ("--builtin", "same_row", "--n", "3")])
+def test_a_file_takes_neither_builtin_nor_n(tmp_path, capsys, command, flags):
+    path = tmp_path / "ident.txt"
+    path.write_text(format_block_matrix(block_view(Matrix.identity(ZZ, 4), 2)))
+    for argv in ((command, str(path), *flags), (command, *flags, str(path)), (command, "-", *flags)):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: a block matrix file takes neither --builtin nor --n\n"
+    assert run(capsys, command, str(path))[0] == 0
+
+
 def test_usage_error_exit_code(capsys):
     assert run(capsys, "not-a-command")[0] == 2
     assert run(capsys, "check")[0] == 2  # neither file nor builtin
@@ -198,6 +219,8 @@ def test_usage_error_exit_code(capsys):
         ("symbolic", "--check", "rowswap", "--n", "3", "--i", "2", "--j", "3", "--missing", ""),
         ("counterexample", "--name", "diff_row", "--n", "9"),
         ("campaign", "--family", "f", "--n", "2", "--m", "65", "--trials", "1"),
+        ("optimality", "--n", "1"),
+        ("optimality", "--n", "9"),
     ],
 )
 def test_bad_size_or_trials_is_usage_error(capsys, argv):

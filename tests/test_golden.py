@@ -185,11 +185,12 @@ def test_side_and_down_families(capsys):
 
 def test_optimality_reports(capsys):
     # The edge relabelling onto the two canonical withheld edges, and the
-    # campaigns, at every supported size.
+    # campaigns, for n = 2..5.
     digests = {
         2: "26ecf95f9f66b463d34d924c68b730fb0a45141e3bd3d382ce9d5544ba6f9398",
         3: "b21ec7fe030ca7891e40a6f5a4b2a353c4d0517667c3ad6223ef9ead49c48dd3",
         4: "4b830cf4ea3d8342b04ccb7fdde2c5fff4fc77c599b173e5a8eb8633394da3a7",
+        5: "28a412b35d563d4ebe54bb28cc6553342883ab6d5878148680c421ee020c5df0",
     }
     for n, digest in digests.items():
         assert _sha(_cli(capsys, "optimality", "--n", str(n), "--trials", "5")) == digest

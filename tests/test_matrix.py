@@ -21,7 +21,6 @@ from blockdet.matrix import (
     _det_bareiss,
     _det_gauss_mod_p,
     block_view,
-    cofactor_matrix,
     commutes,
     det_commutative,
     format_block_matrix,
@@ -34,7 +33,7 @@ from blockdet.matrix import (
 )
 from blockdet.ring import PolynomialRing, PrimeField, RingMismatchError, RingValue, ZZ
 from blockdet.verify import _slot, gen_satisfying
-from oracles import EXPANSION_CAP, _det_bird, det_expansion_oracle
+from oracles import EXPANSION_CAP, _det_bird, cofactor_matrix, det_expansion_oracle
 
 F7 = PrimeField(7)
 F10007 = PrimeField(10007)

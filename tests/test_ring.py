@@ -11,7 +11,6 @@ from blockdet.ring import (
     ZZ,
     parse_ring,
     poly_degree,
-    poly_eval_at_zero,
     poly_is_monic,
 )
 
@@ -80,14 +79,6 @@ def test_poly_rejects_non_integer_coefficients():
             RingValue(PZ, payload)
 
 
-def test_eval_at_zero():
-    assert poly_eval_at_zero(RingValue(PZ, (5, 3, 1))) == ZZ.from_int(5)
-    assert poly_eval_at_zero(PZ.zero) == ZZ.from_int(0)
-    assert poly_eval_at_zero(PA.gen) == ZZ.from_int(0)
-    with pytest.raises(ValueError):
-        poly_eval_at_zero(ZZ.from_int(1))
-
-
 def test_monic():
     assert poly_is_monic(RingValue(PZ, (3, 0, 1)))
     assert not poly_is_monic(RingValue(PZ, (1, 2)))
@@ -139,13 +130,6 @@ def test_prime_field_always_reduced(ring):
 
 
 coeffs = st.lists(st.integers(min_value=-50, max_value=50), max_size=6)
-
-
-@given(coeffs, coeffs)
-def test_eval_at_zero_is_a_homomorphism(ca, cb):
-    x, y = RingValue(PZ, tuple(ca)), RingValue(PZ, tuple(cb))
-    assert poly_eval_at_zero(x + y) == poly_eval_at_zero(x) + poly_eval_at_zero(y)
-    assert poly_eval_at_zero(x * y) == poly_eval_at_zero(x) * poly_eval_at_zero(y)
 
 
 @given(coeffs, coeffs, coeffs)

@@ -12,7 +12,6 @@ from blockdet.matrix import (
     BlockMatrix,
     Matrix,
     block_view,
-    cofactor_matrix,
     format_matrix,
     parse_block_matrix,
     parse_matrix,
@@ -229,7 +228,7 @@ def test_every_kernel_builds_canonical_matrices(ring, n):
     x, y = bm.block(n - 1, 0), bm.block(0, n - 1)
     flat = bm.flatten()
     outputs = [nc_row_det(bm), flat, flat.transpose(), x * y, x + y, x - y, -x, x.scale(ring.from_int(-2)),
-               cofactor_matrix(x), Matrix.identity(ring, 3), Matrix.zeros(ring, 2, 3)]
+               Matrix.identity(ring, 3), Matrix.zeros(ring, 2, 3)]
     outputs += [blk for row in block_view(flat, 2).blocks for blk in row]
     outputs += [blk for row in bm.transpose().blocks for blk in row]
     if n > 1:

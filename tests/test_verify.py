@@ -23,21 +23,25 @@ from blockdet.matrix import Matrix, block_view, commutes
 from blockdet.ncdet import nc_row_det
 from blockdet.ring import PolynomialRing, PrimeField, ZZ, poly_degree
 from blockdet.verify import (
+    CANONICAL_DIFF_ROW,
+    CANONICAL_SAME_ROW,
     _draws,
+    _edge_maps,
     _is_kappa,
+    _maps_onto,
     _poly_in,
     _special_non_edge,
     builtin_matrix,
     check_identity,
     classify_size2,
     gen_satisfying,
-    optimality_counterexample,
     optimality_scan,
     pick_generator,
     run_campaign,
     silvester_check,
     trial_seed,
 )
+from oracles import maps_onto_by_relabelling
 
 F10007 = PrimeField(10007)
 
@@ -443,37 +447,40 @@ class TestSilvester:
 class TestOptimalityWitnesses:
     def test_same_row_small_case(self):
         pa = PolynomialRing("a")
-        w = optimality_counterexample("same_row", 2)
-        assert nc_row_det(w.matrix) == Matrix(pa, [[pa.zero, pa.one], [-pa.gen, pa.zero]])
-        assert w.det_of_ncdet == pa.gen
-        assert w.det_flat == pa.zero
-        assert poly_degree(w.det_flat) <= 0
+        w = builtin_matrix("same_row", 2)
+        result = check_identity(w)
+        assert nc_row_det(w) == Matrix(pa, [[pa.zero, pa.one], [-pa.gen, pa.zero]])
+        assert result.lhs == pa.gen
+        assert result.rhs == pa.zero
+        assert poly_degree(result.rhs) <= 0
 
     def test_diff_row_small_case(self):
         pa = PolynomialRing("a")
-        w = optimality_counterexample("diff_row", 3)
-        assert nc_row_det(w.matrix) == Matrix(pa, [[pa.zero, -pa.one], [-pa.gen, pa.zero]])
-        assert w.det_of_ncdet == -pa.gen
-        assert poly_degree(w.det_flat) <= 0
+        w = builtin_matrix("diff_row", 3)
+        result = check_identity(w)
+        assert nc_row_det(w) == Matrix(pa, [[pa.zero, -pa.one], [-pa.gen, pa.zero]])
+        assert result.lhs == -pa.gen
+        assert poly_degree(result.rhs) <= 0
 
     @pytest.mark.parametrize("case,n", [("same_row", 2), ("same_row", 3), ("diff_row", 3), ("diff_row", 4)])
     def test_degree_dichotomy(self, case, n):
-        w = optimality_counterexample(case, n)
-        assert poly_degree(w.det_of_ncdet) >= 1
-        assert poly_degree(w.det_flat) <= 0
-        assert w.det_flat != w.det_of_ncdet
+        result = check_identity(builtin_matrix(case, n))
+        assert poly_degree(result.lhs) >= 1
+        assert poly_degree(result.rhs) <= 0
+        assert result.rhs != result.lhs
+        assert not result.equal
 
     def test_witness_satisfies_its_graph(self):
         kap = cond_kappa(2)
         target = Condition(2, kap.edges - {((2, 1), (2, 2))})
-        assert matrix_satisfies(optimality_counterexample("same_row", 2).matrix, target)
+        assert matrix_satisfies(builtin_matrix("same_row", 2), target)
         kap3 = cond_kappa(3)
         target3 = Condition(3, kap3.edges - {((2, 1), (3, 2))})
-        assert matrix_satisfies(optimality_counterexample("diff_row", 3).matrix, target3)
+        assert matrix_satisfies(builtin_matrix("diff_row", 3), target3)
 
     def test_flattened_same_row_structure(self):
         pa = PolynomialRing("a")
-        flat = optimality_counterexample("same_row", 2).matrix.flatten()
+        flat = builtin_matrix("same_row", 2).flatten()
         assert flat.row_list(0) == [pa.one, pa.zero, pa.zero, pa.zero]
         assert flat.row_list(1) == [pa.zero, pa.zero, pa.one, pa.zero]
         assert flat.row_list(2) == [pa.gen, pa.zero, pa.zero, pa.one]
@@ -481,15 +488,26 @@ class TestOptimalityWitnesses:
 
     @pytest.mark.parametrize("case,n", [("same_row", 2), ("same_row", 4), ("diff_row", 3), ("diff_row", 5)])
     def test_builtin_is_the_witness_matrix(self, case, n):
-        assert builtin_matrix(case, n=n) == optimality_counterexample(case, n).matrix
+        # The witness at n is the one at its least size, the default, with
+        # identity blocks down the rest of the diagonal and zero blocks
+        # elsewhere.
+        least = builtin_matrix(case)
+        w = builtin_matrix(case, n=n)
+        one, zero = Matrix.identity(w.ring, 2), Matrix.zeros(w.ring, 2, 2)
+        for i in range(n):
+            for j in range(n):
+                if i < least.n and j < least.n:
+                    assert w.block(i, j) == least.block(i, j)
+                else:
+                    assert w.block(i, j) == (one if i == j else zero)
 
     def test_size_guards(self):
         with pytest.raises(ValueError):
-            optimality_counterexample("same_row", 1)
+            builtin_matrix("same_row", 1)
         with pytest.raises(ValueError):
-            optimality_counterexample("diff_row", 2)
+            builtin_matrix("diff_row", 2)
         with pytest.raises(ValueError):
-            optimality_counterexample("other", 3)
+            builtin_matrix("other", 3)
 
 
 class TestOptimalityScan:
@@ -507,6 +525,39 @@ class TestOptimalityScan:
         cases = {rec.case for rec in report.edge_cases}
         assert cases == {"same_row", "diff_row"}
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_image_test_matches_the_relabelled_graphs(self, n):
+        report = optimality_scan(n, campaign_trials=0)
+        assert len(report.edge_cases) == len(cond_f(n).edges)
+        for rec in report.edge_cases:
+            case, canonical, row_map, col_map = _edge_maps(n, rec.edge)
+            assert rec.case == case
+            assert rec.mapped_matches_canonical == maps_onto_by_relabelling(n, rec.edge, canonical, row_map,
+                                                                            col_map)
+            assert rec.mapped_matches_canonical
+            if n >= 3:
+                # The same maps do not send the edge onto the other case's canonical edge.
+                other = CANONICAL_DIFF_ROW if case == "same_row" else CANONICAL_SAME_ROW
+                assert not _maps_onto(rec.edge, other, row_map, col_map)
+                assert not maps_onto_by_relabelling(n, rec.edge, other, row_map, col_map)
+
+    @pytest.mark.parametrize("n,edge,mutant", [
+        (3, ((2, 1), (2, 2)), (3, 2, 1)),
+        (4, ((2, 1), (3, 2)), (4, 2, 3, 1)),
+        (5, ((3, 2), (5, 4)), (4, 1, 2, 5, 3)),
+    ])
+    def test_a_row_map_that_moves_row_one_matches_under_neither(self, n, edge, mutant):
+        case, canonical, row_map, col_map = _edge_maps(n, edge)
+        assert _maps_onto(edge, canonical, row_map, col_map)
+        assert maps_onto_by_relabelling(n, edge, canonical, row_map, col_map)
+        # The mutant still sends the edge onto the canonical one; only
+        # moving row 1 tells it apart.
+        assert sorted((mutant[r - 1], col_map[c - 1]) for r, c in edge) == list(canonical)
+        assert not _maps_onto(edge, canonical, mutant, col_map)
+        assert not maps_onto_by_relabelling(n, edge, canonical, mutant, col_map)
+
     def test_scan_guard(self):
-        with pytest.raises(ValueError):
-            optimality_scan(5)
+        with pytest.raises(ValueError, match="n >= 2"):
+            optimality_scan(1)
+        with pytest.raises(ValueError, match="^size n=9 exceeds the row-determinant cap 8$"):
+            optimality_scan(9)
