@@ -12,7 +12,7 @@ import sys
 import time
 
 from blockdet.conditions import cond_f, cond_f_down, cond_f_side, cond_named
-from blockdet.ncdet import bourbaki_trace
+from blockdet.ncdet import bourbaki_trace, cofactor_column_check
 from blockdet.ring import PrimeField, ZZ
 from blockdet.traces import (
     check_colswap_identity,
@@ -114,6 +114,9 @@ def main() -> int:
                 ok = False
                 break
         expect(ok, f"n={n}: 20 integer samples, all five checks")
+    expect(cofactor_column_check(bm), "first-column cofactor identity on an f n=3 sample")
+    expect(not cofactor_column_check(builtin_matrix("same_row", n=2)),
+           "first-column cofactor identity off-hypothesis (same_row) is honestly false")
 
     print(f"\n{'ALL CHECKS PASSED' if failures == 0 else f'{failures} CHECKS FAILED'} "
           f"in {time.perf_counter() - t_start:.1f}s")

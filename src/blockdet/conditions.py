@@ -180,8 +180,12 @@ def cond_union(g: Condition, h: Condition) -> Condition:
 
 
 def cond_minus_edge(g: Condition, edge: Edge) -> Condition:
-    """g with the pair of positions ``edge``, in either order, withheld."""
-    return Condition._of(g.n, g.edges - {_edge(*edge)})
+    """g with the pair of positions ``edge``, in either order, withheld;
+    ``ValueError`` when the pair is not an edge of g."""
+    pair = _edge(*edge)
+    if pair not in g.edges:
+        raise ValueError(f"{pair} is not an edge of the condition")
+    return Condition._of(g.n, g.edges - {pair})
 
 
 @cache

@@ -255,16 +255,15 @@ class BourbakiChecks:
 class BourbakiTrace:
     """Intermediate objects of the inductive determinant argument.
 
-    ``shifted`` is the input with the polynomial variable added to each
-    diagonal entry of each diagonal block; ``eliminator`` is the identity
-    with its first block column replaced by the first-row cofactors of the
-    shifted matrix, so the first column of shifted times eliminator must
-    collapse to (Det, 0, ..., 0)^t; ``tail`` is the shifted matrix without
-    its first block row and column.
+    ``shifted`` is the input with z added to each diagonal entry of each
+    diagonal block; ``tail`` is it without its first block row and column.
+    The proof multiplies ``shifted`` by E, the identity with its first block
+    column replaced by the first-row cofactors C0..C(n-1), to collapse that
+    column to (Det, 0, ..., 0)^t.  E is block lower-triangular with C0 and
+    then identity blocks down its diagonal, so det E = det C0: E is not built.
     """
 
     shifted: BlockMatrix
-    eliminator: BlockMatrix
     tail: BlockMatrix
     shifted_det: Matrix
     checks: BourbakiChecks
@@ -276,7 +275,8 @@ def bourbaki_trace(bm: BlockMatrix) -> BourbakiTrace:
     Requires an integer base ring (the construction works over its
     polynomial extension).  With blocks satisfying the row-one-free
     commutation family all checks pass; for other inputs the failures are
-    reported in the checks record rather than raised.
+    reported in the checks record rather than raised.  It takes four
+    determinants over Z[z]: of ``tail``, ``shifted``, ``shifted_det`` and C0.
     """
     if not isinstance(bm.ring, IntegerRing):
         raise ValueError("trace construction requires the integer base ring")
@@ -297,16 +297,6 @@ def bourbaki_trace(bm: BlockMatrix) -> BourbakiTrace:
     )
 
     cof_rows = _cofactor_rows(shifted)
-    cofs = [Matrix._of(rz, rows) for rows in cof_rows]
-    ident = Matrix.identity(rz, m)
-    zero = Matrix.zeros(rz, m, m)
-    eliminator = BlockMatrix(
-        rz, m, n,
-        [
-            [cofs[i] if j == 0 else (ident if i == j else zero) for j in range(n)]
-            for i in range(n)
-        ],
-    )
     shifted_det = Matrix._of(rz, _row_times(rz, [blk.entries for blk in shifted.blocks[0]], cof_rows))
     first_column_collapse = _column_collapses(shifted, cof_rows)
 
@@ -319,16 +309,18 @@ def bourbaki_trace(bm: BlockMatrix) -> BourbakiTrace:
     lower_det_monic = poly_is_monic(det_tail) and len(det_tail.payload) - 1 == m * (n - 1)
 
     det_shifted_flat = det_commutative(shifted.flatten())
-    det_eliminator = det_commutative(eliminator.flatten())
     det_of_block_det = det_commutative(shifted_det)
-    det_product_identity = det_shifted_flat * det_eliminator == det_of_block_det * det_tail
-    induction_step = det_tail == det_commutative(cofs[0]) and det_tail == det_eliminator
+    det_c0 = det_commutative(Matrix._of(rz, cof_rows[0]))
+    det_product_identity = det_shifted_flat * det_c0 == det_of_block_det * det_tail
+    induction_step = det_tail == det_c0
 
-    identity_at_zero = det_commutative(nc_row_det(bm)) == det_commutative(bm.flatten())
+    # Setting z = 0 is a ring map that sends ``shifted`` back to bm, so these
+    # constant terms are det(Det M) and det M.
+    lhs, rhs = (p[0] if p else 0 for p in (det_of_block_det.payload, det_shifted_flat.payload))
+    identity_at_zero = lhs == rhs
 
     return BourbakiTrace(
         shifted=shifted,
-        eliminator=eliminator,
         tail=tail,
         shifted_det=shifted_det,
         checks=BourbakiChecks(

@@ -219,15 +219,6 @@ def _special_non_edge(g: Condition) -> Pair:
     return next((u, v) for u, v in pairs if not g.commutes(u, v))
 
 
-def _is_kappa(g: Condition) -> bool:
-    # Condition orders and range-checks its edges, so a condition with no
-    # edge through row 1 has at most C(n(n-1), 2) of them, and only kappa
-    # has that many.  An edge (u, v) has u < v, so it touches row 1 exactly
-    # when u does.
-    outside = g.n * (g.n - 1)
-    return len(g.edges) == outside * (outside - 1) // 2 and all(u[0] != 1 for u, _ in g.edges)
-
-
 def pick_generator(g: Condition, m: int) -> tuple[str, GenFn]:
     """Choose the most specific sound generator for a condition."""
     n = g.n
@@ -252,7 +243,7 @@ def pick_generator(g: Condition, m: int) -> tuple[str, GenFn]:
             if g == cond_f_down(r, n):
                 witnesses = [((i, j), (i + 1, j)) for j in span for i in span[:-1]]
                 return f"down-slots:{r}", _gen_layout(n, m, lambda i, j: 2 * j - 2, witnesses)
-    if _is_kappa(g):
+    if g == cond_kappa(n):
         return "kappa-poly", _gen_poly(n, m, True, [((1, 1), (2, 1))])
     if n == 2:
         cd = [((2, 1), (2, 2))]

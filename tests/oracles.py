@@ -17,15 +17,32 @@ None of this runs in ``blockdet`` itself:
   ``blockdet.ncdet.nc_cofactor`` on 1 x 1 blocks;
 - ``maps_onto_by_relabelling`` relabels the whole of kappa less one edge
   and compares it with kappa less the canonical edge, and checks the
-  optimality scan's image test, ``blockdet.verify._maps_onto``.
+  optimality scan's image test, ``blockdet.verify._maps_onto``;
+- ``eliminator_det`` flattens the induction's eliminator E and takes its
+  determinant, and ``identity_at_zero`` runs ``check_identity`` on the
+  input itself: they check ``blockdet.ncdet.bourbaki_trace``'s det E =
+  det C0 and its z = 0 identity read from constant terms, on the
+  ``trace_inputs`` that the trace's golden pin also hashes.
 """
 
 from __future__ import annotations
 
-from blockdet.conditions import Condition, cond_col_permute, cond_kappa, cond_minus_edge, cond_row_permute
+from functools import cache
+
+from blockdet.conditions import (
+    Condition,
+    cond_col_permute,
+    cond_f,
+    cond_kappa,
+    cond_minus_edge,
+    cond_named,
+    cond_row_permute,
+)
 from blockdet.matrix import BlockMatrix, Matrix, det_commutative, signed_permutations
-from blockdet.ring import Ring, RingValue
+from blockdet.ncdet import nc_first_row_cofactors
+from blockdet.ring import ZZ, Ring, RingValue
 from blockdet.traces import Word, _check_word, word_normal_form
+from blockdet.verify import builtin_matrix, check_identity, gen_satisfying, trial_seed
 
 EXPANSION_CAP = 8
 
@@ -153,3 +170,36 @@ def maps_onto_by_relabelling(n: int, edge, canonical, row_map, col_map) -> bool:
     kappa = cond_kappa(n)
     mapped = cond_row_permute(cond_col_permute(cond_minus_edge(kappa, edge), col_map), row_map)
     return mapped == cond_minus_edge(kappa, canonical)
+
+
+def eliminator_det(shifted: BlockMatrix) -> RingValue:
+    """det E by flattening E: the identity with its first block column
+    replaced by the first-row cofactors C0..C(n-1) of ``shifted``."""
+    ring, m, n = shifted.ring, shifted.m, shifted.n
+    cofs = nc_first_row_cofactors(shifted)
+    ident, zero = Matrix.identity(ring, m), Matrix.zeros(ring, m, m)
+    rows = [[cofs[i] if j == 0 else (ident if i == j else zero) for j in range(n)] for i in range(n)]
+    return det_commutative(BlockMatrix(ring, m, n, rows).flatten())
+
+
+def identity_at_zero(bm: BlockMatrix) -> bool:
+    """det(Det M) = det M, computed on M itself rather than on the shifted
+    matrix at z = 0."""
+    return check_identity(bm).equal
+
+
+@cache
+def trace_inputs() -> tuple[BlockMatrix, ...]:
+    """64 integer block matrices for the induction trace: the 40 samples of
+    ``scripts/run_verification.py`` at its default seed, the four fixed
+    counterexamples, and seeds 0-4 of h1, h4, kappa (n = 3) and g5, which
+    fail some of the trace's checks."""
+    out = [
+        gen_satisfying(cond_f(n), 2 * n, ZZ, trial_seed(20161004, 300 + 50 * n + i))
+        for n in (2, 3)
+        for i in range(20)
+    ]
+    out += [builtin_matrix(name) for name in ("m1", "m2", "m3", "m3swapped")]
+    conditions = [(cond_named("h1"), 3), (cond_named("h4"), 3), (cond_kappa(3), 3), (cond_named("g5"), 4)]
+    out += [gen_satisfying(g, m, ZZ, seed) for g, m in conditions for seed in range(5)]
+    return tuple(out)

@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import combinations, permutations as iter_perms
 
 import pytest
@@ -176,6 +177,14 @@ class TestTransforms:
         assert cond_union(cond_transpose(cond_f(2)), cond_t_col(1, 2)) == cond_named("g2")
         with pytest.raises(ValueError):
             cond_union(cond_f(2), cond_f(3))
+
+    def test_minus_edge_withholds_only_an_edge(self):
+        g = cond_kappa(3)
+        assert len(cond_minus_edge(g, ((3, 2), (2, 1)))) == len(g) - 1
+        # Out of range, and in range but through row 1: neither is an edge.
+        for h, pair in ((cond_kappa(2), ((2, 1), (3, 2))), (g, ((1, 1), (2, 2)))):
+            with pytest.raises(ValueError, match=re.escape(f"{pair} is not an edge")):
+                cond_minus_edge(h, pair)
 
 
 class TestDerivedFamilies:

@@ -24,8 +24,10 @@ from blockdet.conditions import (
     matrix_satisfies,
 )
 from blockdet.matrix import det_commutative, format_block_matrix, format_matrix
+from blockdet.ncdet import bourbaki_trace
 from blockdet.ring import ZZ, PolynomialRing, PrimeField
 from blockdet.verify import check_identity, gen_satisfying, pick_generator, silvester_check, trial_seed
+from oracles import trace_inputs
 
 F10007 = PrimeField(10007)
 ROOT = Path(__file__).resolve().parent.parent
@@ -181,6 +183,20 @@ def test_side_and_down_families(capsys):
         for k in range(1, n + 1)
     )
     assert _sha(text) == "cc443c0752fd2a92e00fe96cb72f261b6e9350b4e83ec5be225ffd223356f503"
+
+
+def test_induction_trace_objects():
+    # The checks, the shifted matrix and its tail, the block determinant
+    # and its determinant, on the 40 samples of run_verification.py and on
+    # 24 inputs that fail some check.
+    text = ""
+    for bm in trace_inputs():
+        trace = bourbaki_trace(bm)
+        text += (
+            f"{trace.checks}\n{format_block_matrix(trace.shifted)}{format_block_matrix(trace.tail)}"
+            f"{format_matrix(trace.shifted_det)}{det_commutative(trace.shifted_det)}\n"
+        )
+    assert _sha(text) == "1d2d2f3165053d53b01a453cecd95887ef054bd9eee63433fe238af063bc90b6"
 
 
 def test_optimality_reports(capsys):

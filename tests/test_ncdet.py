@@ -24,7 +24,7 @@ from blockdet.ncdet import (
 )
 from blockdet.ring import PolynomialRing, PrimeField, RingValue, ZZ, _is_prime, parse_ring
 from blockdet.verify import _from_mapping, builtin_matrix, gen_satisfying
-from oracles import cofactor_matrix
+from oracles import cofactor_matrix, eliminator_det, identity_at_zero, trace_inputs
 
 F10007 = PrimeField(10007)
 
@@ -425,6 +425,38 @@ class TestBourbakiTrace:
                         if i == j and r == c:
                             want.append(1)
                         assert blk.entry(r, c) == RingValue(z.ring, want)
+
+    def test_eliminator_and_identity_oracles(self):
+        # det E by flattening E against det C0, and the identity computed
+        # on the input against its constant terms at z = 0.
+        for bm in trace_inputs():
+            trace = bourbaki_trace(bm)
+            assert eliminator_det(trace.shifted) == det_commutative(nc_first_row_cofactors(trace.shifted)[0])
+            assert trace.checks.identity_at_zero == identity_at_zero(bm)
+
+    def test_zero_first_block_row(self):
+        # det M = 0 = det(Det M), so both polynomial determinants are
+        # multiples of z, and neither is zero.
+        sample = gen_satisfying(cond_f(2), 4, ZZ, seed=21)
+        zero = Matrix.zeros(ZZ, 4, 4)
+        bm = BlockMatrix(ZZ, 4, 2, [[zero, zero], list(sample.blocks[1])])
+        trace = bourbaki_trace(bm)
+        assert det_commutative(bm.flatten()) == ZZ.zero
+        for det in (det_commutative(trace.shifted.flatten()), det_commutative(trace.shifted_det)):
+            assert len(det.payload) > 1 and det.payload[0] == 0
+        assert trace.checks.identity_at_zero and identity_at_zero(bm)
+
+    def test_four_determinants_and_two_flattenings(self, monkeypatch):
+        dets, flattened, row_dets = [], [], []
+        real_det, real_flatten, real_row_det = ncdet.det_commutative, BlockMatrix.flatten, ncdet.nc_row_det
+        monkeypatch.setattr(ncdet, "det_commutative", lambda mat: dets.append(mat) or real_det(mat))
+        monkeypatch.setattr(BlockMatrix, "flatten", lambda bm: flattened.append(bm) or real_flatten(bm))
+        monkeypatch.setattr(ncdet, "nc_row_det", lambda bm: row_dets.append(bm) or real_row_det(bm))
+        trace = bourbaki_trace(gen_satisfying(cond_f(3), 6, ZZ, seed=23))
+        assert trace.checks.all_pass
+        assert len(dets) == 4
+        assert sorted(map(id, flattened)) == sorted(map(id, (trace.shifted, trace.tail)))
+        assert row_dets == []
 
     def test_requires_integer_ring(self):
         bm = BlockMatrix(F10007, 2, 2, [[Matrix.identity(F10007, 2)] * 2] * 2)

@@ -242,7 +242,7 @@ def test_the_trace_builds_canonical_matrices():
         trace = bourbaki_trace(gen_satisfying(family_condition("f", n), 2 * n, ZZ, seed=seed))
         assert trace.checks.all_pass
         assert_trusted(trace.shifted_det)
-        for bm in (trace.shifted, trace.eliminator, trace.tail):
+        for bm in (trace.shifted, trace.tail):
             for row in bm.blocks:
                 for blk in row:
                     assert_trusted(blk)

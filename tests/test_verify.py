@@ -27,7 +27,6 @@ from blockdet.verify import (
     CANONICAL_SAME_ROW,
     _draws,
     _edge_maps,
-    _is_kappa,
     _maps_onto,
     _poly_in,
     _special_non_edge,
@@ -237,20 +236,22 @@ def random_conditions(draw):
 
 class TestGeneratorChoice:
     def test_kappa_is_recognised_for_every_family(self):
-        for n in range(1, 9):
+        # At n = 1 kappa has no edge, so it is the complete graph and takes
+        # the commutative generator; m < 2n skips the slot layouts.
+        for n in range(2, 9):
             for fid in family_ids(n):
                 g = family_condition(fid, n)
-                assert _is_kappa(g) == (g == cond_kappa(n)), (fid, n)
+                assert (pick_generator(g, 2 * n - 1)[0] == "kappa-poly") == (g == cond_kappa(n)), (fid, n)
 
     @settings(max_examples=300, deadline=None)
     @given(g=random_conditions())
     def test_choices_match_the_built_kappa_and_the_sorted_non_edge(self, g):
-        assert _is_kappa(g) == (g == cond_kappa(g.n))
         if len(g) == g.n * g.n * (g.n * g.n - 1) // 2:
             return
         special = sorted_non_edge(g)
         assert _special_non_edge(g) == special
         name, fn = pick_generator(g, 2)
+        assert (name == "kappa-poly") == (g == cond_kappa(g.n))
         if name == "generic-scalar":
             assert fn(F10007, random.Random(0))[1] == [special]
 
