@@ -11,37 +11,41 @@ polynomial-extension induction each take one run of it.
 
 Each entry of the program is a sum of block products: the blocks of the
 row side by side times the entries they multiply stacked in one column.
-One predicate, ``_packs``, picks how it is computed from the ring and n m:
+Over every ring it runs on packed rows (Kronecker substitution):
 
-- Over ``mod:p`` with n m (p - 1) p < 2^64, each entry is held as m Python
-  ints, one per payload row, with each entry of the row in its own 64-bit
-  slot.  A row is packed as ``int.from_bytes(array("Q", row).tobytes(),
-  sys.byteorder)`` and unpacked by ``to_bytes`` in the same byte order,
-  cast to ``"Q"``, so the slots come back in order on either endianness.
-  Row i of an entry is ``sum(map(mul, ...))`` of row i of the left blocks
-  against the packed rows stacked, one C-level multiply-add per term; the
-  sign of a term goes on its packed factor as P - E, P the all-p row, so
-  every slot stays in [0, p].  A slot then sums at most n m terms of at
-  most (p - 1) p, so the bound keeps it from carrying into its neighbour.
-  Each entry's slots are reduced mod p once and repacked, and only the
-  level the program returns is unpacked.
-- Over ``int``, ``poly:`` and larger primes, each entry is one
-  ``matrix._product_rows`` call on payload row tuples, reduced once.
+- With k = n - top block rows, d the largest entry degree (0 over ``int``
+  and ``mod:p``) and C the largest |coefficient| (p - 1 over ``mod:p``,
+  with no scan), each row of an entry is one Python int holding its m
+  entries in D = k d + 1 slots each, V = bit_length(k! (m (d + 1))^(k-1)
+  C^k) + 1 bits a slot.  A ``poly:`` entry goes in as its value at 2^V.
+  An entry of the returned level is a signed sum of k! products of k
+  blocks, each entry of which has degree at most k d and coefficients at
+  most (m (d + 1))^(k-1) C^k in size.  So every coefficient fits a signed
+  slot and no entry runs into the next; the levels between are never
+  read, and all arithmetic on the packed ints is exact.
+- Row i of an entry is one ``sum(map(mul, ...))`` of row i of the left
+  blocks against the packed rows of the factors stacked, one C-level
+  multiply-add per term, with a sign put on its packed factor as -E.
+  Nothing is reduced inside the program: over ``mod:p`` it runs on the
+  entries lifted to Z.
+- Only the returned level is decoded, once per row: adding 2^(V-1) to
+  every slot makes each a nonnegative V-bit digit, read off by shift and
+  mask.  The coefficients are then reduced mod p over ``mod:p``, and cut
+  into runs of D and trimmed over ``poly:``.
 
-Either way the program builds a ``Matrix``, through the trusted
-``Matrix._of``, only for what it returns.
+The program builds a ``Matrix``, through the trusted ``Matrix._of``, only
+for what it returns.
 """
 
 from __future__ import annotations
 
-import sys
-from array import array
 from dataclasses import dataclass
 from itertools import chain, combinations
-from operator import mul
+from math import factorial
+from operator import lshift, mul, neg
 
 from .matrix import BlockMatrix, Matrix, _product_rows, det_commutative
-from .ring import IntegerRing, PolynomialRing, PrimeField, Ring, poly_is_monic
+from .ring import IntegerRing, PolynomialRing, PrimeField, Ring, _poly_trim, poly_is_monic
 
 ROW_DET_CAP = 8
 # Largest block size m a campaign draws: its cost grows as m^3.
@@ -67,55 +71,12 @@ def _negated(ring: Ring, rows) -> tuple:
     return tuple(tuple(map(pneg, row)) for row in rows)
 
 
-def _packs(ring: Ring, n: int, m: int) -> bool:
-    """Whether the subset DP runs on packed rows: over ``mod:p``, when a
-    slot's largest sum, n m terms of at most (p - 1) p, fits in 64 bits."""
-    return isinstance(ring, PrimeField) and n * m * (ring.p - 1) * ring.p < 2**64
-
-
-def _pack(row) -> int:
-    # One 64-bit slot per entry.  Packing and unpacking both use the native
-    # byte order, so the slots come back in row order on either endianness.
-    return int.from_bytes(array("Q", row).tobytes(), sys.byteorder)
-
-
-def _unpack(packed: int, m: int) -> tuple:
-    return tuple(memoryview(packed.to_bytes(8 * m, sys.byteorder)).cast("Q"))
-
-
-def _packed_entry(p: int, left, column) -> list[int]:
-    """Packed rows of one DP entry mod p: row i is the sum of left[i][t]
-    times column[t], with ``left`` the payload rows of a block row's blocks
-    side by side and ``column`` the packed rows of the factors stacked.
-    Each term is one multiply-add on whole rows, and the entry's slots are
-    reduced and repacked in one pass."""
-    width = 8 * len(left)
-    order = sys.byteorder
-    sums = b"".join([sum(map(mul, row, column)).to_bytes(width, order) for row in left])
-    reduced = array("Q", [v % p for v in memoryview(sums).cast("Q")]).tobytes()
-    return [int.from_bytes(reduced[i : i + width], order) for i in range(0, len(reduced), width)]
-
-
-def _subset_dp_packed(bm: BlockMatrix, top: int) -> dict[int, tuple]:
-    # ``_subset_dp`` with each E[S] as m packed rows; a sign goes on the
-    # factor E[S - {c}] as P - E, P the packed all-p row.
-    n, m, p = bm.n, bm.m, bm.ring.p
-    blocks = bm.blocks
-    full = _pack([p] * m)
-    level = {1 << c: [_pack(row) for row in blk.entries] for c, blk in enumerate(blocks[n - 1])}
-    for r in range(n - 2, top - 1, -1):
-        signed = {mask: (rows, [full - x for x in rows]) for mask, rows in level.items()}
-        brows = [blk.entries for blk in blocks[r]]
-        nxt = {}
-        for cols in combinations(range(n), n - r):
-            mask = sum(1 << c for c in cols)
-            nxt[mask] = _packed_entry(
-                p,
-                [list(chain.from_iterable(rows)) for rows in zip(*[brows[c] for c in cols])],
-                list(chain.from_iterable(signed[mask ^ (1 << c)][idx % 2] for idx, c in enumerate(cols))),
-            )
-        level = nxt
-    return {mask: tuple(_unpack(x, m) for x in rows) for mask, rows in level.items()}
+def _dp_entry(left, column) -> list[int]:
+    """Packed rows of one DP entry: row i is the sum of left[i][t] times
+    column[t], ``left`` iterators over the rows of a block row's blocks
+    side by side and ``column`` the packed rows of the signed factors
+    stacked.  Each term is one C-level multiply-add on whole rows."""
+    return [sum(map(mul, row, column)) for row in left]
 
 
 def _subset_dp(bm: BlockMatrix, top: int) -> dict[int, tuple]:
@@ -125,29 +86,58 @@ def _subset_dp(bm: BlockMatrix, top: int) -> dict[int, tuple]:
 
     It starts from the last row, E[{c}] = B[n-1][c], and grows one row r
     at a time: E[S] = sum over c in S of (-1)^#{c' in S : c' < c}
-    B[r][c] E[S - {c}], keeping the factors in row order.  On payload rows
-    each B[r][c] is negated once, and each E[S] is one product; over
-    ``mod:p`` within the slot bound, ``_subset_dp_packed`` runs instead.
+    B[r][c] E[S - {c}], keeping the factors in row order.  Each E[S] is m
+    packed rows, a sign goes on its packed factor as -E, and only the
+    level returned is decoded (see the module docstring).
     """
-    n = bm.n
+    n, m, ring = bm.n, bm.m, bm.ring
     check_row_det_size(n)
-    ring = bm.ring
-    if _packs(ring, n, bm.m):
-        return _subset_dp_packed(bm, top)
-    blocks = bm.blocks
-    level = {1 << c: blk.entries for c, blk in enumerate(blocks[n - 1])}
-    for r in range(n - 2, top - 1, -1):
-        signed = [(blk.entries, _negated(ring, blk.entries)) for blk in blocks[r]]
+    k = n - top
+    rows = [[blk.entries for blk in row] for row in bm.blocks[top:]]
+    poly = isinstance(ring, PolynomialRing)
+    p = ring.p if isinstance(ring, PrimeField) else 0
+    if p:
+        d, c = 0, p - 1
+    else:
+        payloads = list(chain.from_iterable(chain.from_iterable(chain.from_iterable(rows))))
+        d = 0
+        if poly:
+            d = max(max(map(len, payloads)) - 1, 0)
+            payloads = list(chain.from_iterable(payloads))
+        c = max(map(abs, payloads), default=0)
+    v = (factorial(k) * (m * (d + 1)) ** (k - 1) * c**k).bit_length() + 1
+    slots = k * d + 1
+    width = m * slots * v
+    if poly:
+        powers = range(0, (d + 1) * v, v)
+        rows = [[tuple(tuple(sum(map(lshift, x, powers)) for x in erow) for erow in blk) for blk in row] for row in rows]
+    shifts = range(0, width, slots * v)
+    level = {1 << col: [sum(map(lshift, erow, shifts)) for erow in blk] for col, blk in enumerate(rows[-1])}
+    for r in range(k - 2, -1, -1):
+        signed = {mask: (packed, list(map(neg, packed))) for mask, packed in level.items()}
+        brows = rows[r]
         nxt = {}
-        for cols in combinations(range(n), n - r):
-            mask = sum(1 << c for c in cols)
-            nxt[mask] = _row_times(
-                ring,
-                [signed[c][idx % 2] for idx, c in enumerate(cols)],
-                [level[mask ^ (1 << c)] for c in cols],
+        for cols in combinations(range(n), k - r):
+            mask = sum(1 << col for col in cols)
+            nxt[mask] = _dp_entry(
+                [chain.from_iterable(erows) for erows in zip(*[brows[col] for col in cols])],
+                list(chain.from_iterable(signed[mask ^ (1 << col)][idx % 2] for idx, col in enumerate(cols))),
             )
         level = nxt
-    return level
+    low, half = (1 << v) - 1, 1 << (v - 1)
+    offset = ((1 << width) - 1) // low * half
+    starts = range(0, width, v)
+
+    def decode(x: int) -> tuple:
+        x += offset
+        digits = [(x >> s & low) - half for s in starts]
+        if poly:
+            return tuple(_poly_trim(digits[j : j + slots]) for j in range(0, m * slots, slots))
+        if p:
+            return tuple([y % p for y in digits])
+        return tuple(digits)
+
+    return {mask: tuple(map(decode, packed)) for mask, packed in level.items()}
 
 
 def _cofactor_rows(bm: BlockMatrix) -> list[tuple]:

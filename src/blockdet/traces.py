@@ -105,13 +105,21 @@ def _identity_holds(n: int, commutes, letter_map, reverse: bool, sign: int) -> b
 
     So the identity holds iff the sign agrees and every such pair (p, q)
     whose image is out of row order commutes.  Those pairs form the least
-    relation under which the identity holds.
+    relation under which the identity holds.  Two rows of letters can hold
+    such a pair only when the highest image row of the one that must come
+    first passes the lowest of the other, so the rest are skipped.
     """
     grid = [[letter_map((r, c)) for c in range(1, n + 1)] for r in range(1, n + 1)]
     if permutation_sign([c - 1 for _, c in sorted(grid[r][r] for r in range(n))]) != sign:
         return False
+    lo = [min(row)[0] for row in grid]
+    hi = [max(row)[0] for row in grid]
     for r, upper in enumerate(grid):
-        for lower in grid[r + 1 :]:
+        for s in range(r + 1, n):
+            first, second = (s, r) if reverse else (r, s)
+            if hi[first] <= lo[second]:
+                continue
+            lower = grid[s]
             for x, p in enumerate(upper):
                 for y, q in enumerate(lower):
                     a, b = (q, p) if reverse else (p, q)

@@ -9,7 +9,8 @@ None of this runs in ``blockdet`` itself:
 - ``trace_equal`` compares normal forms, and ``trace_equal_by_projection``
   decides trace equality by the projection lemma, independently of
   ``word_normal_form``; ``blockdet.traces._identity_holds`` rests on that
-  lemma;
+  lemma, and ``identity_holds_on_every_pair`` is it without its skip of
+  row pairs that cannot leave row order;
 - ``pairwise_satisfies`` multiplies out both products of every edge's
   blocks, with no shift and no centralizer certificate, and checks
   ``blockdet.conditions.matrix_satisfies``;
@@ -38,7 +39,7 @@ from blockdet.conditions import (
     cond_named,
     cond_row_permute,
 )
-from blockdet.matrix import BlockMatrix, Matrix, det_commutative, signed_permutations
+from blockdet.matrix import BlockMatrix, Matrix, det_commutative, permutation_sign, signed_permutations
 from blockdet.ncdet import nc_first_row_cofactors
 from blockdet.ring import ZZ, Ring, RingValue
 from blockdet.traces import Word, _check_word, word_normal_form
@@ -135,6 +136,22 @@ def trace_equal_by_projection(u: Word, v: Word, rel: Condition) -> bool:
             pv = tuple(lt for lt in v if lt == a or lt == b)
             if pu != pv:
                 return False
+    return True
+
+
+def identity_holds_on_every_pair(n: int, commutes, letter_map, reverse: bool, sign: int) -> bool:
+    """``blockdet.traces._identity_holds`` testing every pair of letters in
+    different rows and columns, with no pair of rows skipped."""
+    grid = [[letter_map((r, c)) for c in range(1, n + 1)] for r in range(1, n + 1)]
+    if permutation_sign([c - 1 for _, c in sorted(grid[r][r] for r in range(n))]) != sign:
+        return False
+    for r, upper in enumerate(grid):
+        for lower in grid[r + 1 :]:
+            for x, p in enumerate(upper):
+                for y, q in enumerate(lower):
+                    a, b = (q, p) if reverse else (p, q)
+                    if x != y and a[0] > b[0] and not commutes(a, b):
+                        return False
     return True
 
 

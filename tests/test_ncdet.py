@@ -103,31 +103,22 @@ def test_subset_dp_matches_permutation_sum(bm):
         assert nc_first_row_cofactors(bm) == perm_sum_first_row_cofactors(bm)
 
 
-# The function that computes one DP entry on each path, and the number of
-# block products in that entry from its arguments.  Each entry, a sum of k
-# block products, is one fused product of a 1 x k block row by a k x 1
-# block column: over int one ``_product_rows`` call on payload rows, over
-# mod:p one ``_packed_entry`` call on packed rows.
-PRODUCT_SEAMS = {
-    "int": ("_product_rows", lambda ring, arows, brows: len(arows[0]) // len(brows[0])),
-    "mod:10007": ("_packed_entry", lambda p, left, column: len(column) // len(left)),
-}
-
-
-@pytest.mark.parametrize("label", PRODUCT_SEAMS)
+# Each DP entry, a sum of k block products, is one ``_dp_entry`` call: a
+# fused product of a 1 x k block row, m rows of k m entries, by the k m
+# packed rows of the k x 1 block column under it.
+@pytest.mark.parametrize("label", ["int", "mod:10007", "poly:a"])
 def test_block_product_counts(monkeypatch, label):
     # The subset DP takes n 2^(n-1) - n block products for the determinant
     # and n fewer for the cofactors alone; the permutation sum takes (n-1) n!.
-    name, count = PRODUCT_SEAMS[label]
-    seam = getattr(ncdet, name)
+    seam = ncdet._dp_entry
     terms = 0
 
-    def counting(*args):
+    def counting(left, column):
         nonlocal terms
-        terms += count(*args)
-        return seam(*args)
+        terms += len(column) // len(left)
+        return seam(left, column)
 
-    monkeypatch.setattr(ncdet, name, counting)
+    monkeypatch.setattr(ncdet, "_dp_entry", counting)
     ring = parse_ring(label)
     rng = random.Random(11)
     for n in range(2, 9):
@@ -142,8 +133,9 @@ def test_block_product_counts(monkeypatch, label):
 
 
 def packed_boundary(k):
-    """The largest prime p with k (p - 1) p < 2^64, the worst slot sum of
-    the packed DP at n m = k, and the next prime above it."""
+    """The largest prime p with k (p - 1) p < 2^64 and the next prime above
+    it: where a DP on fixed 64-bit slots, n m = k terms of at most
+    (p - 1) p to a slot, would have to stop packing."""
     p = isqrt(2**64 // k) + 1
     while k * (p - 1) * p >= 2**64 or not _is_prime(p):
         p -= 1
@@ -151,14 +143,6 @@ def packed_boundary(k):
     while not _is_prime(q):
         q += 1
     return p, q
-
-
-def test_packed_boundary_primes():
-    assert packed_boundary(16) == (1073741789, 1073741827)
-    assert packed_boundary(128) == (379625047, 379625083)
-    for n, m in ((2, 8), (4, 4), (8, 2), (8, 16)):
-        p, q = packed_boundary(n * m)
-        assert ncdet._packs(PrimeField(p), n, m) and not ncdet._packs(PrimeField(q), n, m)
 
 
 def assert_row_det_commutes_with_reduction(bm):
@@ -176,8 +160,8 @@ def assert_row_det_commutes_with_reduction(bm):
 
 @st.composite
 def boundary_block_matrices(draw):
-    # At the largest prime the packed path takes and the next one, which
-    # takes the tuple path; entries are mostly 0, 1 and p - 1.
+    # On either side of the 64-bit slot bound, which the DP's slot width,
+    # sized from p, must not notice; entries are mostly 0, 1 and p - 1.
     n = draw(st.integers(1, 8))
     m = draw(st.integers(1, 8))
     p = packed_boundary(n * m)[draw(st.integers(0, 1))]
@@ -197,10 +181,9 @@ def test_packed_row_det_matches_int_reduced_at_the_slot_bound(bm):
 
 
 def test_packed_row_det_at_the_largest_slot_sums():
-    # At the largest prime the packed path takes and at the next one, with
-    # every entry p - 1.  With n = 2 and B[1][0] = 0 instead, each slot of
-    # the last level sums m (p - 1)^2 + m (p - 1) p, within m (p - 1) of
-    # the bound; at the next prime that sum no longer fits in 64 bits.
+    # On either side of the 64-bit slot bound, with every entry p - 1.
+    # With n = 2 and B[1][0] = 0 instead, each entry of the result is
+    # m (p - 1)^2, signed, half the DP's slot bound 2! m (p - 1)^2.
     for n, m in ((8, 8), (3, 8), (8, 1), (2, 8), (2, 1)):
         for p in packed_boundary(n * m):
             ring = PrimeField(p)
@@ -212,22 +195,21 @@ def test_packed_row_det_at_the_largest_slot_sums():
 
 
 def test_packed_row_det_of_a_block_built_from_a_payload_of_at_least_2_to_the_62():
-    # 2**62 is 4 mod 7.  The packed kernel adds whole 64-bit slots, so a
-    # payload kept as given would carry into its neighbour: this sample
-    # once gave [3 1; 3 1].
+    # 2**62 is 4 mod 7.  The DP sizes its slots from p - 1, so a payload
+    # kept as given would carry into its neighbour: on 64-bit slots this
+    # sample once gave [3 1; 3 1].
     f7 = PrimeField(7)
     a = Matrix(f7, [[2**62, 0], [0, 1]])
     b = Matrix(f7, [[5, 3], [6, 6]])
     bm = BlockMatrix(f7, 2, 2, [[a, b], [b, b]])
     assert a == Matrix(f7, [[4, 0], [0, 1]])
-    assert ncdet._packs(f7, 2, 2)
     assert nc_row_det(bm) == Matrix(f7, [[5, 0], [3, 1]])
     assert det_commutative(nc_row_det(bm)) == det_commutative(bm.flatten())
 
 
 def test_packed_row_det_of_a_block_built_from_negative_payloads():
-    # A payload of -1 kept as given once raised OverflowError from
-    # array("Q") in the packed kernel.
+    # A payload of -1 kept as given once raised OverflowError from the
+    # 64-bit slot packer, array("Q").
     f7 = PrimeField(7)
     neg = Matrix(f7, [[-1, 6], [13, -8]])
     assert neg.entries == ((6, 6), (6, 6))
@@ -235,6 +217,68 @@ def test_packed_row_det_of_a_block_built_from_negative_payloads():
     # Det = N N - I N = N^2 - N; N is -J for J the all-ones block, J^2 = 2J.
     assert nc_row_det(bm) == Matrix(f7, [[3, 3], [3, 3]])
     assert_row_det_commutes_with_reduction(bm)
+
+
+# Each sizes the DP's slots its own way: int from its widest entry, mod:p
+# from p - 1 (primes from 2 to one above 2^64), and poly: from its degree
+# and widest coefficient, with several slots to an entry.
+SLOT_RINGS = ("int", "mod:2", "mod:10007", f"mod:{2**61 - 1}", f"mod:{2**64 + 13}", "poly:a")
+
+
+@st.composite
+def slot_bound_block_matrices(draw):
+    """Blocks at the DP's slot bound: int entries up to 2^70 in size,
+    mod:p entries in {0, 1, p - 1}, poly: entries of degree up to 4 with
+    coefficients up to 2^40 in size; a block is zero, all one extreme
+    value of either sign, or drawn entry by entry."""
+    ring = parse_ring(draw(st.sampled_from(SLOT_RINGS)))
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 3))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    if isinstance(ring, PrimeField):
+        extremes = (ring.p - 1,)
+        entry = lambda: rng.choice((0, 1, ring.p - 1))
+    elif isinstance(ring, PolynomialRing):
+        extremes = ((2**40,) * 5, (-(2**40),) * 5)
+        coeff = lambda: rng.choice((0, 2**40, -(2**40), rng.randint(-(2**40), 2**40)))
+        entry = lambda: tuple(coeff() for _ in range(rng.randrange(6)))
+    else:
+        extremes = (2**70, -(2**70))
+        entry = lambda: rng.choice((0, 2**70, -(2**70), rng.randint(-(2**70), 2**70)))
+
+    def block():
+        kind = rng.randrange(3)
+        if kind == 0:
+            return Matrix.zeros(ring, m, m)
+        if kind == 1:
+            return Matrix(ring, [[rng.choice(extremes)] * m] * m)
+        return Matrix(ring, [[entry() for _ in range(m)] for _ in range(m)])
+
+    return BlockMatrix(ring, m, n, [[block() for _ in range(n)] for _ in range(n)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(slot_bound_block_matrices())
+def test_subset_dp_at_the_slot_bound_matches_permutation_sum(bm):
+    assert nc_row_det(bm) == perm_sum_row_det(bm)
+    if bm.n >= 2:
+        assert nc_first_row_cofactors(bm) == perm_sum_first_row_cofactors(bm)
+    if isinstance(bm.ring, PrimeField):
+        assert_row_det_commutes_with_reduction(bm)
+
+
+def test_subset_dp_attains_its_slot_bound():
+    # n = 1 returns an extreme entry itself, and at n = 2 blocks all t, all
+    # t, all -t and all t give AD - BC = 2 m t^2 in every entry: both equal
+    # the bound k! (m (d + 1))^(k-1) C^k that sizes the slots.
+    for label, t in (("int", 2**70), ("int", -(2**70)), ("mod:10007", 10006), ("poly:a", (2**40,) * 5)):
+        ring = parse_ring(label)
+        for m in (1, 2, 3):
+            a = Matrix(ring, [[t] * m] * m)
+            c = Matrix(ring, [[ring.pneg(ring.canonical(t))] * m] * m)
+            assert nc_row_det(BlockMatrix(ring, m, 1, [[a]])) == a
+            bm = BlockMatrix(ring, m, 2, [[a, a], [c, a]])
+            assert nc_row_det(bm) == perm_sum_row_det(bm) == a * a + a * a
 
 
 def test_dp_size_guards():

@@ -28,7 +28,7 @@ from blockdet.traces import (
     word_normal_form,
 )
 from blockdet.verify import _dense, _scalar, _slot
-from oracles import trace_equal, trace_equal_by_projection
+from oracles import identity_holds_on_every_pair, trace_equal, trace_equal_by_projection
 
 F10007 = PrimeField(10007)
 
@@ -375,6 +375,27 @@ def test_pairwise_criterion_matches_expansion(data):
         for s in (sign, -sign):
             got = _identity_holds(n, rel.commutes, letter_map, reverse, s)
             assert got == _expansion_verdict(n, rel, word_map, s), (name, s)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.data())
+def test_row_pair_skip_matches_every_pair(data):
+    # Random row and column permutations, with and without the transpose,
+    # under random relations, many of which the identity fails: both
+    # reverse values and both signs, against the loop over every pair.
+    rel = data.draw(relations(max_n=6))
+    n = rel.n
+    sigma = data.draw(st.permutations(range(1, n + 1)))
+    tau = data.draw(st.permutations(range(1, n + 1)))
+    for transpose in (False, True):
+        def letter_map(lt, transpose=transpose):
+            r, c = sigma[lt[0] - 1], tau[lt[1] - 1]
+            return (c, r) if transpose else (r, c)
+
+        for reverse in (False, True):
+            for sign in (1, -1):
+                got = _identity_holds(n, rel.commutes, letter_map, reverse, sign)
+                assert got == identity_holds_on_every_pair(n, rel.commutes, letter_map, reverse, sign)
 
 
 @settings(max_examples=60, deadline=None)
