@@ -101,7 +101,7 @@ def main() -> int:
            "rowswap order-reversing case is honestly false")
 
     section("optimality of the row-one-free family")
-    for n in (2, 3, 4):
+    for n in (2, 3, 4, 5):
         rep = optimality_scan(n, campaign_trials=min(trials, 60), seed=seed)
         expect(rep.all_ok, f"scan n={n}: {len(rep.edge_cases)} withheld edges all falsified")
 

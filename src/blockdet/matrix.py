@@ -29,16 +29,30 @@ rows, so a sample's satisfaction check and its witness test share them.
 in either factor and stops at the first row that differs; ``commutes`` runs
 it on the shifted rows of both blocks.
 
-Determinants are exact: Bareiss's fraction-free O(k^3) elimination over
-``int`` and ``poly:`` (every division it makes is exact, by Sylvester's
-identity), and Gaussian elimination over prime fields.  The latter takes
-the rows sparsest first (Markowitz 1957): a stable sort on the zero count,
-whose parity goes into the sign, and a pivot row at most half full updates
-only its nonzero columns.  A flattened block sample is mostly rows with a
-scalar and one 2x2 slot per block, so they are eliminated before the dense
-first block row and fill in little.  The slow oracles the tests hold these
-kernels to, the signed permutation sum and Bird's division-free O(k^4)
-method, live in ``tests/oracles.py``.
+Determinants are exact.  Over ``int``, Bareiss's fraction-free O(k^3)
+elimination on Python ints: each update is pivot * x - f * y divided
+exactly by the previous pivot (Sylvester's identity).  Over ``poly:``, that
+one elimination on the entries' values at z = 2^V (Kronecker substitution):
+
+- Let N_ij be the sum of the |coefficients| of a_ij.  That sum is
+  submultiplicative, so each coefficient of the term of a permutation s in
+  det A is at most N_1s(1) ... N_ks(k), and each coefficient of det A at
+  most the permanent of N.  That is at most B = prod_i sum_j N_ij, whose
+  expansion has a nonnegative term for every map from rows to columns.  A
+  zero row makes B = 0 and det A = 0.
+- Each term has degree sum_i deg a_is(i), at most sum_i max_j deg a_ij.
+- z -> 2^V is a ring map to Z, so det(A(2^V)) = (det A)(2^V).  With V =
+  bit_length(B) + 1 each coefficient has |c| <= B < 2^(V-1) and fills one
+  signed V-bit slot, read back as ``ncdet``'s subset DP reads its own.
+
+Over prime fields it is Gaussian elimination, taking the rows sparsest
+first (Markowitz 1957): a stable sort on the zero count, whose parity goes
+into the sign, and a pivot row at most half full updates only its nonzero
+columns.  A flattened block sample is mostly rows with a scalar and one 2x2
+slot per block, so they are eliminated before the dense first block row and
+fill in little.  The slow oracles the tests hold these kernels to, the
+signed permutation sum, Bird's division-free O(k^4) method and Bareiss's
+elimination on each ring's own operations, live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -47,7 +61,7 @@ import operator
 from dataclasses import dataclass, field
 from itertools import chain, permutations, repeat
 
-from .ring import PolynomialRing, PrimeField, Ring, RingMismatchError, RingValue, parse_ring
+from .ring import PolynomialRing, PrimeField, Ring, RingMismatchError, RingValue, _poly_trim, parse_ring
 
 
 class MatrixFormatError(ValueError):
@@ -290,39 +304,69 @@ def commutes(x: Matrix, y: Matrix) -> bool:
     return shifted_commute(x.ring, shifted(x), shifted(y))
 
 
-def _det_bareiss(ring: Ring, rows) -> object:
+def _pack(seqs, v: int, count: int) -> list[int]:
+    """Each sequence of at most ``count`` signed ints in ``seqs`` as one
+    int, the sum of s[i] 2^(i v): its values in v-bit slots, the first
+    lowest.  A sequence of one value is that value."""
+    shifts = range(0, count * v, v)
+    lshift = operator.lshift
+    return [(sum(map(lshift, s, shifts)) if len(s) > 1 else s[0]) if s else 0 for s in seqs]
+
+
+def _unpacker(v: int, count: int):
+    """The inverse of ``_pack`` on ints of ``count`` slots whose values all
+    have |y| < 2^(v-1): adding 2^(v-1) to every slot makes each a
+    nonnegative v-bit digit, read off by shift and mask."""
+    low, half = (1 << v) - 1, 1 << (v - 1)
+    offset = ((1 << count * v) - 1) // low * half
+    starts = range(0, count * v, v)
+
+    def unpack(x: int) -> list[int]:
+        x += offset
+        return [(x >> s & low) - half for s in starts]
+
+    return unpack
+
+
+def _det_int(rows) -> int:
     # Bareiss's fraction-free elimination: after step c every entry below
     # row c is the (c+2)-rowed leading minor through it, so dividing by the
     # previous pivot is exact (Sylvester's identity).  A zero pivot swaps
     # in a lower row with a nonzero entry and flips the sign.
     m = [list(row) for row in rows]
     k = len(m)
-    if k == 0:
-        return ring.int_payload(1)
-    pmul, psub, pexquo = ring.pmul, ring.psub, ring.pexquo
-    one = ring.int_payload(1)
-    prev = one
-    negate = False
+    prev, sign = 1, 1
     for c in range(k - 1):
         piv = next((r for r in range(c, k) if m[r][c]), None)
         if piv is None:
-            return ring.int_payload(0)
+            return 0
         if piv != c:
             m[c], m[piv] = m[piv], m[c]
-            negate = not negate
+            sign = -sign
         pivot = m[c][c]
         tail = m[c][c + 1 :]
-        for r in range(c + 1, k):
-            row = m[r]
+        for row in m[c + 1 :]:
             f = row[c]
             if f:
-                new = [psub(pmul(pivot, x), pmul(f, y)) for x, y in zip(row[c + 1 :], tail)]
-            else:
-                new = [pmul(pivot, x) for x in row[c + 1 :]]
-            row[c + 1 :] = new if prev == one else [pexquo(x, prev) for x in new]
+                row[c + 1 :] = [(pivot * x - f * y) // prev for x, y in zip(row[c + 1 :], tail)]
+            elif pivot != prev:
+                row[c + 1 :] = [pivot * x // prev for x in row[c + 1 :]]
         prev = pivot
-    det = m[k - 1][k - 1]
-    return ring.pneg(det) if negate else det
+    return sign * m[-1][-1] if k else 1
+
+
+def _det_poly(rows) -> tuple:
+    """det A over Z[z] as ``_det_int`` of A(2^V), by the module docstring."""
+    bound, deg = 1, 0
+    for row in rows:
+        size = sum(map(abs, chain.from_iterable(row)))
+        if not size:
+            return ()
+        bound *= size
+        deg += max(map(len, row)) - 1
+    v, k = bound.bit_length() + 1, len(rows)
+    packed = _pack(list(chain.from_iterable(rows)), v, deg + 1)
+    return _poly_trim(_unpacker(v, deg + 1)(_det_int([packed[i : i + k] for i in range(0, k * k, k)])))
 
 
 def _det_gauss_mod_p(p: int, rows) -> int:
@@ -374,7 +418,9 @@ def _det_gauss_mod_p(p: int, rows) -> int:
 def _det_payload(ring: Ring, rows) -> object:
     if isinstance(ring, PrimeField):
         return _det_gauss_mod_p(ring.p, rows)
-    return _det_bareiss(ring, rows)
+    if isinstance(ring, PolynomialRing):
+        return _det_poly(rows)
+    return _det_int(rows)
 
 
 def det_commutative(mat: Matrix) -> RingValue:

@@ -28,10 +28,10 @@ Over every ring it runs on packed rows (Kronecker substitution):
   multiply-add per term, with a sign put on its packed factor as -E.
   Nothing is reduced inside the program: over ``mod:p`` it runs on the
   entries lifted to Z.
-- Only the returned level is decoded, once per row: adding 2^(V-1) to
-  every slot makes each a nonnegative V-bit digit, read off by shift and
-  mask.  The coefficients are then reduced mod p over ``mod:p``, and cut
-  into runs of D and trimmed over ``poly:``.
+- Only the returned level is decoded, once per row, by the slot codec the
+  determinant over ``poly:`` uses too (``matrix._unpacker``).  The
+  coefficients are then reduced mod p over ``mod:p``, and cut into runs of
+  D and trimmed over ``poly:``.
 
 The program builds a ``Matrix``, through the trusted ``Matrix._of``, only
 for what it returns.
@@ -40,11 +40,11 @@ for what it returns.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import chain, combinations, islice
 from math import factorial
-from operator import lshift, mul, neg
+from operator import mul, neg
 
-from .matrix import BlockMatrix, Matrix, _product_rows, det_commutative
+from .matrix import BlockMatrix, Matrix, _pack, _product_rows, _unpacker, det_commutative
 from .ring import IntegerRing, PolynomialRing, PrimeField, Ring, _poly_trim, poly_is_monic
 
 ROW_DET_CAP = 8
@@ -100,19 +100,17 @@ def _subset_dp(bm: BlockMatrix, top: int) -> dict[int, tuple]:
         d, c = 0, p - 1
     else:
         payloads = list(chain.from_iterable(chain.from_iterable(chain.from_iterable(rows))))
-        d = 0
+        d, coeffs = 0, payloads
         if poly:
             d = max(max(map(len, payloads)) - 1, 0)
-            payloads = list(chain.from_iterable(payloads))
-        c = max(map(abs, payloads), default=0)
+            coeffs = chain.from_iterable(payloads)
+        c = max(map(abs, coeffs), default=0)
     v = (factorial(k) * (m * (d + 1)) ** (k - 1) * c**k).bit_length() + 1
     slots = k * d + 1
-    width = m * slots * v
     if poly:
-        powers = range(0, (d + 1) * v, v)
-        rows = [[tuple(tuple(sum(map(lshift, x, powers)) for x in erow) for erow in blk) for blk in row] for row in rows]
-    shifts = range(0, width, slots * v)
-    level = {1 << col: [sum(map(lshift, erow, shifts)) for erow in blk] for col, blk in enumerate(rows[-1])}
+        values = iter(_pack(payloads, v, d + 1))
+        rows = [[tuple(tuple(islice(values, m)) for _ in blk) for blk in row] for row in rows]
+    level = {1 << col: _pack(blk, slots * v, m) for col, blk in enumerate(rows[-1])}
     for r in range(k - 2, -1, -1):
         signed = {mask: (packed, list(map(neg, packed))) for mask, packed in level.items()}
         brows = rows[r]
@@ -124,13 +122,10 @@ def _subset_dp(bm: BlockMatrix, top: int) -> dict[int, tuple]:
                 list(chain.from_iterable(signed[mask ^ (1 << col)][idx % 2] for idx, col in enumerate(cols))),
             )
         level = nxt
-    low, half = (1 << v) - 1, 1 << (v - 1)
-    offset = ((1 << width) - 1) // low * half
-    starts = range(0, width, v)
+    unpack = _unpacker(v, m * slots)
 
     def decode(x: int) -> tuple:
-        x += offset
-        digits = [(x >> s & low) - half for s in starts]
+        digits = unpack(x)
         if poly:
             return tuple(_poly_trim(digits[j : j + slots]) for j in range(0, m * slots, slots))
         if p:

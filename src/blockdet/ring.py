@@ -7,9 +7,7 @@ raises ``dataclasses.FrozenInstanceError``, an ``AttributeError``.  Every
 payload is canonical, as ``ring.canonical`` makes it: a plain ``int`` over
 ``int``, one in ``[0, p)`` over ``mod:p``, and an int tuple with no trailing
 zeros over ``poly:``.  So zero is the one falsy payload of each ring, and
-kernels test it by truthiness.  Each ring also has an exact quotient,
-``pexquo``, which raises ``ArithmeticError`` rather than round when the
-divisor does not divide.
+kernels test it by truthiness.
 """
 
 from __future__ import annotations
@@ -97,11 +95,6 @@ class Ring:
     def psub(self, a, b):
         return self.padd(a, self.pneg(b))
 
-    def pexquo(self, a, b):
-        """The exact quotient a / b; raises ``ArithmeticError`` when b does
-        not divide a."""
-        raise NotImplementedError
-
     def format_payload(self, a) -> str:
         raise NotImplementedError
 
@@ -135,12 +128,6 @@ class IntegerRing(Ring):
 
     def psub(self, a, b):
         return a - b
-
-    def pexquo(self, a, b):
-        q, r = divmod(a, b)
-        if r:
-            raise ArithmeticError(f"{b} does not divide {a}")
-        return q
 
     def format_payload(self, a) -> str:
         return str(a)
@@ -179,11 +166,6 @@ class PrimeField(Ring):
 
     def psub(self, a, b):
         return (a - b) % self.p
-
-    def pexquo(self, a, b):
-        if not b:
-            raise ZeroDivisionError("division by zero in a prime field")
-        return a * pow(b, -1, self.p) % self.p
 
     def format_payload(self, a) -> str:
         return str(a)
@@ -237,30 +219,6 @@ class PolynomialRing(Ring):
 
     def pneg(self, a):
         return tuple(-c for c in a)
-
-    def pexquo(self, a, b):
-        """Exact quotient a / b in Z[z] by long division.
-
-        Raises ``ArithmeticError`` when b does not divide a, rather than
-        rounding; a zero b raises ``ZeroDivisionError``, one of its kind.
-        """
-        if not b:
-            raise ZeroDivisionError("polynomial division by zero")
-        lead = b[-1]
-        db = len(b) - 1
-        rem = list(a)
-        out = [0] * max(len(a) - db, 0)
-        for i in range(len(out) - 1, -1, -1):
-            c, r = divmod(rem[i + db], lead)
-            if r:
-                raise ArithmeticError("inexact polynomial division")
-            if c:
-                out[i] = c
-                for j, y in enumerate(b):
-                    rem[i + j] -= c * y
-        if any(rem[:db]):
-            raise ArithmeticError("inexact polynomial division")
-        return tuple(out)
 
     def format_payload(self, a) -> str:
         if not a:

@@ -3,8 +3,10 @@
 None of this runs in ``blockdet`` itself:
 
 - ``det_expansion_oracle``, the determinant as the signed permutation sum,
-  and ``_det_bird``, Bird's division-free O(k^4) determinant, check
-  Bareiss's elimination and sparsest-first Gaussian elimination
+  ``_det_bird``, Bird's division-free O(k^4) determinant, and
+  ``_det_bareiss``, Bareiss's elimination on the ring's own operations
+  with the exact quotient ``exquo``, check the integer elimination, its
+  Kronecker-packed form over Z[z] and sparsest-first Gaussian elimination
   (``blockdet.matrix``);
 - ``trace_equal`` compares normal forms, and ``trace_equal_by_projection``
   decides trace equality by the projection lemma, independently of
@@ -41,7 +43,7 @@ from blockdet.conditions import (
 )
 from blockdet.matrix import BlockMatrix, Matrix, det_commutative, permutation_sign, signed_permutations
 from blockdet.ncdet import nc_first_row_cofactors
-from blockdet.ring import ZZ, Ring, RingValue
+from blockdet.ring import ZZ, PolynomialRing, PrimeField, Ring, RingValue
 from blockdet.traces import Word, _check_word, word_normal_form
 from blockdet.verify import builtin_matrix, check_identity, gen_satisfying, trial_seed
 
@@ -113,6 +115,77 @@ def _det_bird(ring: Ring, rows) -> object:
             g.append(grow)
         f = g
     return f[0][0] if k % 2 else ring.pneg(f[0][0])
+
+
+def exquo(ring: Ring, a, b):
+    """The exact quotient a / b of two payloads of ``ring``: ``divmod``
+    over Z, a field inverse over ``mod:p`` and long division over Z[z].
+
+    Raises ``ArithmeticError`` when b does not divide a, rather than
+    rounding; a zero b raises ``ZeroDivisionError``, one of its kind.
+    """
+    if isinstance(ring, PrimeField):
+        if not b:
+            raise ZeroDivisionError("division by zero in a prime field")
+        return a * pow(b, -1, ring.p) % ring.p
+    if not isinstance(ring, PolynomialRing):
+        q, r = divmod(a, b)
+        if r:
+            raise ArithmeticError(f"{b} does not divide {a}")
+        return q
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    lead = b[-1]
+    db = len(b) - 1
+    rem = list(a)
+    out = [0] * max(len(a) - db, 0)
+    for i in range(len(out) - 1, -1, -1):
+        c, r = divmod(rem[i + db], lead)
+        if r:
+            raise ArithmeticError("inexact polynomial division")
+        if c:
+            out[i] = c
+            for j, y in enumerate(b):
+                rem[i + j] -= c * y
+    if any(rem[:db]):
+        raise ArithmeticError("inexact polynomial division")
+    return tuple(out)
+
+
+def _det_bareiss(ring: Ring, rows) -> object:
+    # Bareiss's fraction-free elimination on the ring's own payload
+    # operations: after step c every entry below row c is the (c+2)-rowed
+    # leading minor through it, so dividing by the previous pivot is exact
+    # (Sylvester's identity).  A zero pivot swaps in a lower row with a
+    # nonzero entry and flips the sign.
+    m = [list(row) for row in rows]
+    k = len(m)
+    if k == 0:
+        return ring.int_payload(1)
+    pmul, psub = ring.pmul, ring.psub
+    one = ring.int_payload(1)
+    prev = one
+    negate = False
+    for c in range(k - 1):
+        piv = next((r for r in range(c, k) if m[r][c]), None)
+        if piv is None:
+            return ring.int_payload(0)
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
+            negate = not negate
+        pivot = m[c][c]
+        tail = m[c][c + 1 :]
+        for r in range(c + 1, k):
+            row = m[r]
+            f = row[c]
+            if f:
+                new = [psub(pmul(pivot, x), pmul(f, y)) for x, y in zip(row[c + 1 :], tail)]
+            else:
+                new = [pmul(pivot, x) for x in row[c + 1 :]]
+            row[c + 1 :] = new if prev == one else [exquo(ring, x, prev) for x in new]
+        prev = pivot
+    det = m[k - 1][k - 1]
+    return ring.pneg(det) if negate else det
 
 
 def trace_equal(u: Word, v: Word, rel: Condition) -> bool:
