@@ -111,10 +111,12 @@ def _cmd_counterexample(args) -> int:
 
 
 def _parse_missing(text: str):
-    parts = [int(p) for p in text.split(",")]
-    if len(parts) != 4:
-        raise ValueError("--missing expects four integers r1,c1,r2,c2")
-    return ((parts[0], parts[1]), (parts[2], parts[3]))
+    try:
+        r1, c1, r2, c2 = map(int, text.split(","))
+    except ValueError:
+        # a part that is not an integer, or not four parts
+        raise ValueError("--missing expects four integers r1,c1,r2,c2") from None
+    return ((r1, c1), (r2, c2))
 
 
 def _cmd_symbolic(args) -> int:
@@ -223,6 +225,20 @@ def _shared_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # An exact answer may run past the interpreter's limit on the digits of
+    # an int converted to or from text (4300 by default), so the limit is
+    # lifted while main runs and restored for an in-process caller.
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return _main(argv)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _main(argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _main(argv: list[str] | None) -> int:
     try:
         args = _shared_parser().parse_args(argv)
     except SystemExit as exc:

@@ -17,13 +17,12 @@ small ints, so each caches the frozen condition it returns.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, compress
 
 from .matrix import BlockMatrix, Matrix, _det_gauss_mod_p, shifted, shifted_commute
 from .ncdet import check_row_det_size
-from .ring import PolynomialRing, PrimeField, Ring
+from .ring import Frozen, PolynomialRing, PrimeField, Ring
 
 Vertex = tuple[int, int]
 Edge = tuple[Vertex, Vertex]
@@ -39,20 +38,19 @@ def vertices(n: int) -> list[Vertex]:
     return [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
 
 
-@dataclass(frozen=True)
-class Condition:
-    n: int
-    edges: frozenset[Edge]
+class Condition(Frozen):
+    _fields = ("n", "edges")
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"condition size must be at least 1, got n={self.n}")
+    def __init__(self, n: int, edges):
+        if n < 1:
+            raise ValueError(f"condition size must be at least 1, got n={n}")
         canon = set()
-        for u, v in self.edges:
+        for u, v in edges:
             for i, j in (u, v):
-                if not (1 <= i <= self.n and 1 <= j <= self.n):
-                    raise ValueError(f"vertex {(i, j)} out of range for size {self.n}")
+                if not (1 <= i <= n and 1 <= j <= n):
+                    raise ValueError(f"vertex {(i, j)} out of range for size {n}")
             canon.add(_edge(u, v))
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", frozenset(canon))
 
     @classmethod

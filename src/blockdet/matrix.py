@@ -5,11 +5,11 @@ payloads, and every kernel computes on those rows directly.  Values are
 checked where they enter: ``Matrix(ring, rows)`` takes ints, payloads or
 ``RingValue``s and canonicalises each entry, while the kernels build through
 the trusted ``Matrix._of``.  ``entry``, ``row_list`` and the determinants
-return ``RingValue``s.  ``Matrix`` and ``BlockMatrix`` are frozen
-dataclasses, like ``RingValue``, with their own validating ``__init__``
-and ``__repr__``: a matrix compares and hashes on ``(ring, entries)``, a
-block matrix on all four fields, and assigning or deleting any attribute
-raises ``dataclasses.FrozenInstanceError``, an ``AttributeError``.
+return ``RingValue``s.  ``Matrix`` and ``BlockMatrix`` are immutable
+values on ``ring.Frozen``, like ``RingValue``, with their own validating
+``__init__`` and ``__repr__``: a matrix compares and hashes on
+``(ring, entries)``, a block matrix on ``(ring, m, n, blocks)``, and
+assigning or deleting any attribute raises ``AttributeError``.
 
 Products are built one row at a time: row i of A*B is the sum of
 a[i][k] * (row k of B) over the nonzero a[i][k] only, so zero entries of A
@@ -58,10 +58,9 @@ elimination on each ring's own operations, live in ``tests/oracles.py``.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
 from itertools import chain, permutations, repeat
 
-from .ring import PolynomialRing, PrimeField, Ring, RingMismatchError, RingValue, _poly_trim, parse_ring
+from .ring import Frozen, PolynomialRing, PrimeField, Ring, RingMismatchError, RingValue, _poly_trim, parse_ring
 
 
 class MatrixFormatError(ValueError):
@@ -89,8 +88,7 @@ def signed_permutations(n: int):
         yield perm, permutation_sign(perm)
 
 
-@dataclass(frozen=True, init=False, repr=False)
-class Matrix:
+class Matrix(Frozen):
     """A rows x cols matrix over ``ring``.
 
     ``entries`` is a tuple of row tuples of canonical payloads of ``ring``
@@ -100,10 +98,7 @@ class Matrix:
     or ``TypeError``, and ragged rows raise ``ValueError``.
     """
 
-    ring: Ring
-    rows: int = field(compare=False)
-    cols: int = field(compare=False)
-    entries: tuple
+    _fields = ("ring", "entries")
 
     def __init__(self, ring: Ring, rows):
         def payload(e):
@@ -430,14 +425,10 @@ def det_commutative(mat: Matrix) -> RingValue:
     return RingValue(mat.ring, _det_payload(mat.ring, mat.entries))
 
 
-@dataclass(frozen=True, init=False, repr=False)
-class BlockMatrix:
+class BlockMatrix(Frozen):
     """An n x n array of m x m matrices over a common base ring."""
 
-    ring: Ring
-    m: int
-    n: int
-    blocks: tuple
+    _fields = ("ring", "m", "n", "blocks")
 
     def __init__(self, ring: Ring, m: int, n: int, blocks):
         blocks = tuple(tuple(row) for row in blocks)
@@ -532,7 +523,8 @@ def _parse_header(text: str, names: str, sizes: str):
 
 def _parse_grid(lines, nrows: int, ncols: int, ring: Ring):
     # lines[1:] are the entry rows; a missing row is reported on the line
-    # after the last nonblank one.
+    # after the last nonblank one, and a nonblank line past the last row on
+    # that line.
     rows = []
     for k in range(1, nrows + 1):
         if k >= len(lines):
@@ -547,6 +539,8 @@ def _parse_grid(lines, nrows: int, ncols: int, ring: Ring):
             except ValueError:
                 raise MatrixFormatError(f"line {at}, column {c + 1}: bad entry {tok!r}") from None
         rows.append(row)
+    if len(lines) > nrows + 1:
+        raise MatrixFormatError(f"line {lines[nrows + 1][0]}: expected {nrows} entry rows, found more")
     return rows
 
 

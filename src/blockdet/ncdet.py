@@ -39,10 +39,10 @@ for what it returns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, combinations, islice
 from math import factorial
 from operator import mul, neg
+from typing import NamedTuple
 
 from .matrix import BlockMatrix, Matrix, _pack, _product_rows, _unpacker, det_commutative
 from .ring import IntegerRing, PolynomialRing, PrimeField, Ring, _poly_trim, poly_is_monic
@@ -215,8 +215,7 @@ def cofactor_column_check(bm: BlockMatrix) -> bool:
     return _column_collapses(bm, _cofactor_rows(bm))
 
 
-@dataclass(frozen=True)
-class BourbakiChecks:
+class BourbakiChecks(NamedTuple):
     """Outcomes of the polynomial-extension induction checks."""
 
     first_column_collapse: bool
@@ -236,8 +235,7 @@ class BourbakiChecks:
         )
 
 
-@dataclass(frozen=True)
-class BourbakiTrace:
+class BourbakiTrace(NamedTuple):
     """Intermediate objects of the inductive determinant argument.
 
     ``shifted`` is the input with z added to each diagonal entry of each

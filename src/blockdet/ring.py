@@ -1,18 +1,71 @@
 """Exact commutative base rings: integers, prime fields, and univariate
 integer polynomials.
 
-The rings and their elements, ``RingValue``, are frozen dataclasses: they
-compare and hash by their fields, and assigning or deleting any attribute
-raises ``dataclasses.FrozenInstanceError``, an ``AttributeError``.  Every
-payload is canonical, as ``ring.canonical`` makes it: a plain ``int`` over
-``int``, one in ``[0, p)`` over ``mod:p``, and an int tuple with no trailing
-zeros over ``poly:``.  So zero is the one falsy payload of each ring, and
-kernels test it by truthiness.
+The rings and their elements, ``RingValue``, are immutable values on the
+``Frozen`` base, as are ``Matrix``, ``BlockMatrix`` and ``Condition``: each
+is equal only to an instance of its own class with equal fields, hashes as
+the tuple of those fields, and raises ``AttributeError`` on assigning or
+deleting any attribute.  Every payload is canonical, as ``ring.canonical``
+makes it: a plain ``int`` over ``int``, one in ``[0, p)`` over ``mod:p``,
+and an int tuple with no trailing zeros over ``poly:``.  So zero is the one
+falsy payload of each ring, and kernels test it by truthiness.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+# The comparison methods of one value class, made for each class from its
+# fields as ``dataclasses`` makes them: a code object of its own keeps every
+# attribute read in it specialised to that one class.  One __eq__ shared by
+# every class, reading the fields through a method, took about 40 % longer
+# to compare two distinct values on CPython 3.11.
+_METHODS = """\
+def __eq__(self, other):
+    if self is other:
+        return True
+    if other.__class__ is self.__class__:
+        return ({mine}) == ({theirs})
+    return NotImplemented
+
+
+def __hash__(self):
+    return hash(({mine}))
+"""
+
+
+class Frozen:
+    """Base of the immutable value types.
+
+    A subclass names its compared fields in ``_fields`` and sets its
+    attributes in ``__init__`` with ``object.__setattr__`` (a trusted
+    constructor may fill ``__dict__`` directly).  It is then equal only to
+    an instance of its own class with equal fields, hashes as the tuple of
+    those fields, prints as ``Name(field=value, ...)`` unless it says
+    otherwise, and raises ``AttributeError`` on assigning or deleting any
+    attribute.  Instances keep a ``__dict__``, so a value may cache
+    what it derives from its fields there; pickling and ``copy.deepcopy``
+    restore that dict directly.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        if "_fields" in cls.__dict__:
+            code = _METHODS.format(mine="".join(f"self.{f}, " for f in cls._fields),
+                                   theirs="".join(f"other.{f}, " for f in cls._fields))
+            methods = {}
+            exec(code, {}, methods)
+            cls.__eq__, cls.__hash__ = methods["__eq__"], methods["__hash__"]
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class RingMismatchError(ValueError):
@@ -55,7 +108,7 @@ def _poly_trim(coeffs) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
-class Ring:
+class Ring(Frozen):
     """Base class for ring descriptors.
 
     Subclasses implement payload-level arithmetic (used directly by the
@@ -105,9 +158,9 @@ class Ring:
         return int(token)
 
 
-@dataclass(frozen=True)
 class IntegerRing(Ring):
     label = "int"
+    _fields = ()
 
     def canonical(self, payload):
         if not isinstance(payload, int):
@@ -133,15 +186,15 @@ class IntegerRing(Ring):
         return str(a)
 
 
-@dataclass(frozen=True)
 class PrimeField(Ring):
-    p: int
+    _fields = ("p",)
 
-    def __post_init__(self):
-        if self.p >= _MILLER_RABIN_BOUND:
-            raise ValueError(f"modulus {self.p} is too large to certify as prime")
-        if not _is_prime(self.p):
-            raise ValueError(f"modulus {self.p} is not prime")
+    def __init__(self, p: int):
+        if p >= _MILLER_RABIN_BOUND:
+            raise ValueError(f"modulus {p} is too large to certify as prime")
+        if not _is_prime(p):
+            raise ValueError(f"modulus {p} is not prime")
+        object.__setattr__(self, "p", p)
 
     @property
     def label(self) -> str:
@@ -171,7 +224,6 @@ class PrimeField(Ring):
         return str(a)
 
 
-@dataclass(frozen=True)
 class PolynomialRing(Ring):
     """Univariate polynomials with integer coefficients.
 
@@ -179,7 +231,10 @@ class PolynomialRing(Ring):
     zeros; the zero polynomial is the empty tuple.
     """
 
-    variable: str = "z"
+    _fields = ("variable",)
+
+    def __init__(self, variable: str = "z"):
+        object.__setattr__(self, "variable", variable)
 
     @property
     def label(self) -> str:
@@ -229,16 +284,15 @@ class PolynomialRing(Ring):
         return tuple(int(part) for part in token.split(","))
 
 
-@dataclass(frozen=True)
-class RingValue:
+class RingValue(Frozen):
     """Immutable element of one of the rings above: ``payload`` is brought
     to its canonical form by ``ring.canonical``."""
 
-    ring: Ring
-    payload: object
+    _fields = ("ring", "payload")
 
-    def __post_init__(self):
-        object.__setattr__(self, "payload", self.ring.canonical(self.payload))
+    def __init__(self, ring: Ring, payload):
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "payload", ring.canonical(payload))
 
     def _check(self, other: RingValue) -> None:
         if not isinstance(other, RingValue):

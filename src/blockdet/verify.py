@@ -12,7 +12,6 @@ reproducible bit for bit.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import partial
 from itertools import chain, combinations, repeat
 from typing import Callable, NamedTuple
@@ -314,16 +313,14 @@ def check_identity(bm: BlockMatrix) -> IdentityCheck:
     return IdentityCheck(lhs, rhs, lhs == rhs)
 
 
-@dataclass(frozen=True)
-class FailureCase:
+class FailureCase(NamedTuple):
     trial: int
     matrix: BlockMatrix
     lhs: RingValue
     rhs: RingValue
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     condition_id: str
     condition: Condition
     m: int
@@ -443,8 +440,7 @@ BUILTIN_NAMES = (*_FIXED_BUILTINS, *sorted(_H_TO_MATRIX), *_WITNESS_PLACEMENTS)
 _EDGE_ORDER = ("AB", "AC", "AD", "BC", "BD", "CD")
 
 
-@dataclass(frozen=True)
-class GraphRecord:
+class GraphRecord(NamedTuple):
     labels: tuple[str, ...]
     condition: Condition
     is_scc: bool
@@ -463,8 +459,7 @@ class GraphRecord:
         )
 
 
-@dataclass(frozen=True)
-class Size2Classification:
+class Size2Classification(NamedTuple):
     records: tuple[GraphRecord, ...]
 
     def lines(self) -> list[str]:
@@ -563,8 +558,7 @@ def silvester_check(
 
 # --- optimality of the row-one-free family ------------------------------------
 
-@dataclass(frozen=True)
-class EdgeCaseRecord:
+class EdgeCaseRecord(NamedTuple):
     edge: tuple[tuple[int, int], tuple[int, int]]
     case: str
     mapped_matches_canonical: bool
@@ -587,8 +581,7 @@ class EdgeCaseRecord:
         return f"edge=({i},{j})-({k},{l}) case={self.case} {status}"
 
 
-@dataclass(frozen=True)
-class OptimalityScanReport:
+class OptimalityScanReport(NamedTuple):
     n: int
     edge_cases: tuple[EdgeCaseRecord, ...]
     campaigns: tuple[VerificationReport, ...]

@@ -1,10 +1,14 @@
 import contextlib
 import io
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import blockdet
 from blockdet.cli import main
 from blockdet.conditions import complete_condition, cond_f, parse_condition
 from blockdet.matrix import format_block_matrix, format_matrix, Matrix, block_view, parse_block_matrix
@@ -61,6 +65,48 @@ def test_input_errors_name_the_line_of_the_file(tmp_path, capsys):
     assert run(capsys, "det", str(path)) == (2, "", "input error: line 4, column 2: bad entry 'x'\n")
     path.write_text("2 2 int\n\n1 2\n")
     assert run(capsys, "det", str(path)) == (2, "", "input error: line 4: expected 2 entry rows, file ended early\n")
+    path.write_text("1 1 int\n1\n2\n")
+    assert run(capsys, "det", str(path)) == (2, "", "input error: line 3: expected 1 entry rows, found more\n")
+
+
+@contextlib.contextmanager
+def int_digit_limit(digits):
+    """Set the interpreter's limit on the digits of an int converted to or
+    from text, where it has one, for the body of the block."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(digits)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
+def test_an_exact_answer_past_the_digit_limit_is_printed(tmp_path, capsys):
+    nines = 10**3000 - 1
+    with int_digit_limit(0):
+        det = str(nines * nines - 1)
+    assert len(det) > 4300
+    path = tmp_path / "m.txt"
+    with int_digit_limit(4300):
+        path.write_text(f"2 2 int\n{nines} 1\n1 {nines}\n")
+        assert run(capsys, "det", str(path)) == (0, f"det={det}\n", "")
+        path.write_text(f"1 2 int\n{nines} 1\n1 {nines}\n")
+        assert run(capsys, "check", str(path)) == (0, f"lhs={det} rhs={det} EQUAL\n", "")
+        assert run(capsys, "ncdet", str(path)) == (0, f"1 1 int\n{det}\n", "")
+        # main restores the caller's limit.
+        if hasattr(sys, "get_int_max_str_digits"):
+            assert sys.get_int_max_str_digits() == 4300
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(blockdet.__file__)))
+    code = (f"import sys; sys.path.insert(0, {src!r}); import blockdet.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
 def test_det_rejects_uncertified_modulus(tmp_path, capsys):
@@ -157,6 +203,13 @@ def test_symbolic_honest_failure(capsys):
     )
     assert code == 1
     assert "FAIL" in out
+
+
+@pytest.mark.parametrize("missing", ["a,b", "a,b,c,d", "2,1,3,x", "2,1,3,2.0", "", "2,1,3", "2,1,3,2,1"])
+def test_a_malformed_missing_pair_names_the_format(capsys, missing):
+    code, out, err = run(capsys, "symbolic", "--check", "rowswap", "--n", "3", "--i", "2", "--j", "3",
+                         "--missing", missing)
+    assert (code, out, err) == (2, "", "error: --missing expects four integers r1,c1,r2,c2\n")
 
 
 def test_symbolic_cap_exceeded(capsys):

@@ -334,6 +334,9 @@ BLANK_LINE_ERRORS = {
     "bad-entry": ("2 2 int\n1 2\n3 x\n", "line 3, column 2: bad entry 'x'"),
     "ended-early": ("2 2 int\n1 2\n", "line 3: expected 2 entry rows, file ended early"),
     "ended-early-trailing-blank": ("2 2 int\n1 2\n\n\n", "line 3: expected 2 entry rows, file ended early"),
+    # A nonblank line past the last row is named, blank lines counted.
+    "row-past-the-last": ("1 1 int\n1\n2\n", "line 3: expected 1 entry rows, found more"),
+    "row-past-the-last-after-blanks": ("2 2 int\n1 2\n3 4\n\n \n5 6\n", "line 6: expected 2 entry rows, found more"),
 }
 
 
@@ -342,6 +345,15 @@ def test_errors_name_the_line_of_the_file(text, error):
     with pytest.raises(MatrixFormatError) as exc:
         parse_matrix(text)
     assert str(exc.value) == error
+
+
+def test_a_block_file_with_a_line_past_its_rows_is_an_error():
+    text = "1 2 int\n1 0\n0 1\n"
+    with pytest.raises(MatrixFormatError) as exc:
+        parse_block_matrix(text + "\nlhs=1 rhs=1 EQUAL\n")
+    assert str(exc.value) == "line 5: expected 2 entry rows, found more"
+    # Blank lines after the last row are still allowed.
+    assert parse_block_matrix(text + "\n \n\t\n") == parse_block_matrix(text)
 
 
 def inversion_sign(perm):

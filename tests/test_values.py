@@ -1,13 +1,17 @@
-"""The value types `Matrix`, `BlockMatrix` and `RingValue`: immutable,
-equal and hashed by their contents whatever path built them, and printed
-the same way."""
+"""The value types `Matrix`, `BlockMatrix`, `RingValue`, the rings and
+`Condition`: immutable, equal and hashed by their contents whatever path
+built them, and printed the same way.  The records of `verify` and `ncdet`
+are named tuples: immutable too, and equal to the tuple of their fields."""
 
+import copy
+import functools
+import pickle
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from blockdet.conditions import family_condition
+from blockdet.conditions import Condition, cond_f, family_condition
 from blockdet.matrix import (
     BlockMatrix,
     Matrix,
@@ -15,10 +19,22 @@ from blockdet.matrix import (
     format_matrix,
     parse_block_matrix,
     parse_matrix,
+    shifted,
 )
 from blockdet.ncdet import bourbaki_trace, nc_cofactor, nc_first_row_cofactors, nc_minor_det, nc_row_det
-from blockdet.ring import ZZ, PolynomialRing, PrimeField, RingValue
-from blockdet.verify import _dense, _poly_in, _scalar, _slot, gen_satisfying, pick_generator
+from blockdet.ring import ZZ, IntegerRing, PolynomialRing, PrimeField, RingValue
+from blockdet.verify import (
+    _dense,
+    _poly_in,
+    _scalar,
+    _slot,
+    builtin_matrix,
+    classify_size2,
+    gen_satisfying,
+    optimality_scan,
+    pick_generator,
+    run_campaign,
+)
 
 F7 = PrimeField(7)
 PA = PolynomialRing("a")
@@ -40,15 +56,37 @@ def _values():
     return mat, block_view(mat, 2), mat.entry(1, 0)
 
 
+EDGE = ((1, 1), (2, 2))
+COND = Condition(2, [EDGE[::-1]])
+
+
+def _with_fields(mat, bm, v):
+    """Every value type with the names of its fields: the rings, a
+    condition from the checked and from the trusted constructor, and the
+    three ``_values()``."""
+    return ((ZZ, ()), (F7, ("p",)), (PA, ("variable",)), (COND, ("n", "edges")), (cond_f(3), ("n", "edges")),
+            (mat, ("ring", "rows", "cols", "entries")), (bm, ("ring", "m", "n", "blocks")), (v, ("ring", "payload")))
+
+
+@functools.cache
+def _records():
+    """One instance of every record type of ``verify`` and ``ncdet``."""
+    report = run_campaign(family_condition("h1", 2), 2, F7, 2, 0, condition_id="h1")
+    trace = bourbaki_trace(builtin_matrix("m1"))
+    scan = optimality_scan(2, campaign_trials=1)
+    graphs = classify_size2()
+    return (report, report.first_failure, trace, trace.checks, scan, scan.edge_cases[0], graphs, graphs.records[-1])
+
+
 def test_assigning_a_field_or_a_new_attribute_raises():
     mat, bm, v = _values()
-    for obj, fields in ((mat, ("ring", "rows", "cols", "entries")), (bm, ("ring", "m", "n", "blocks")),
-                        (v, ("ring", "payload"))):
+    for obj, fields in _with_fields(mat, bm, v) + tuple((rec, rec._fields) for rec in _records()):
         for name in (*fields, "extra"):
             with pytest.raises(AttributeError):
                 setattr(obj, name, None)
         assert not hasattr(obj, "extra")
     assert mat == Matrix(ZZ, ROWS) and bm == block_view(mat, 2) and v == ZZ.from_int(3)
+    assert F7 == PrimeField(7) and PA == PolynomialRing("a") and COND == Condition(2, [EDGE])
 
 
 def test_values_built_by_different_paths_are_equal():
@@ -72,6 +110,14 @@ def test_hash_is_the_hash_of_the_compared_fields():
     p = RingValue(PA, (1, 0, 2))
     assert hash(p) == hash((PA, (1, 0, 2)))
     assert len({mat, parse_matrix(TEXT), bm, block_view(mat, 2), v, ZZ.from_int(3)}) == 3
+    assert hash(ZZ) == hash(IntegerRing()) == hash(())
+    assert hash(F7) == hash(PrimeField(7)) == hash((7,))
+    assert hash(PA) == hash(PolynomialRing("a")) == hash(("a",))
+    assert hash(PolynomialRing()) == hash(("z",))
+    assert hash(COND) == hash((2, frozenset([EDGE])))
+    assert hash(cond_f(3)) == hash(Condition(3, cond_f(3).edges)) == hash((3, cond_f(3).edges))
+    for rec in _records():
+        assert hash(rec) == hash(tuple(rec))
 
 
 def test_values_differ_from_tuples_other_classes_and_other_rings():
@@ -87,6 +133,14 @@ def test_values_differ_from_tuples_other_classes_and_other_rings():
     assert bm != BlockMatrix(F7, 2, 2, _blocks(F7))
     assert v != F7.from_int(3) and F7.from_int(3) != PrimeField(11).from_int(3)
     assert ZZ.from_int(0) != PA.zero
+    assert ZZ != () and F7 != (7,) and F7 != 7 and PA != ("a",) and PA != "a"
+    assert ZZ != F7 and F7 != ZZ and ZZ != PA and PA != ZZ and F7 != PA
+    assert F7 != PrimeField(11) and PA != PolynomialRing() and PolynomialRing() == PolynomialRing("z")
+    assert COND != (2, COND.edges) and COND != COND.edges and COND != Condition(3, [EDGE])
+    assert COND != Condition(2, []) and Condition(2, []) != ZZ
+    # The records are named tuples: equal to the tuple of their fields.
+    for rec in _records():
+        assert rec == tuple(rec) and rec != tuple(rec)[:-1]
 
 
 def test_exact_repr_and_str():
@@ -100,17 +154,34 @@ def test_exact_repr_and_str():
     assert (repr(F7.from_int(-1)), str(F7.from_int(-1))) == ("<mod:7: 6>", "6")
     assert (repr(RingValue(PA, (1, 0, 2))), str(RingValue(PA, (1, 0, 2)))) == ("<poly:a: 1,0,2>", "1,0,2")
     assert (repr(PA.zero), str(PA.zero)) == ("<poly:a: 0>", "0")
+    assert (repr(ZZ), repr(F7), repr(PA)) == ("IntegerRing()", "PrimeField(p=7)", "PolynomialRing(variable='a')")
+    assert repr(PolynomialRing()) == "PolynomialRing(variable='z')"
+    assert repr(COND) == str(COND) == "Condition(n=2, edges=[((1, 1), (2, 2))])"
+    assert repr(_records()[3]) == ("BourbakiChecks(first_column_collapse=False, lower_det_monic=True, "
+                                   "det_product_identity=False, induction_step=True, identity_at_zero=False)")
 
 
 def test_deleting_a_field_raises():
-    mat, bm, v = _values()
-    for obj, fields in ((mat, ("ring", "rows", "cols", "entries")), (bm, ("ring", "m", "n", "blocks")),
-                        (v, ("ring", "payload"))):
+    for obj, fields in _with_fields(*_values()) + tuple((rec, rec._fields) for rec in _records()):
         for name in fields:
             with pytest.raises(AttributeError):
                 delattr(obj, name)
             getattr(obj, name)
         hash(obj)
+
+
+def test_values_and_records_survive_pickle_and_deepcopy():
+    mat, bm, v = _values()
+    shifted(mat)  # a cached derivation travels with its matrix
+    for obj, _ in _with_fields(mat, bm, v):
+        for twin in (pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj)):
+            assert type(twin) is type(obj) and twin == obj and hash(twin) == hash(obj)
+            assert vars(twin) == vars(obj)
+            with pytest.raises(AttributeError):
+                twin.extra = None
+    for rec in _records():
+        for twin in (pickle.loads(pickle.dumps(rec)), copy.deepcopy(rec)):
+            assert type(twin) is type(rec) and twin == rec and hash(twin) == hash(rec)
 
 
 def test_ring_values_are_canonical_whatever_payload_built_them():
