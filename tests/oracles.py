@@ -25,13 +25,18 @@ None of this runs in ``blockdet`` itself:
   determinant, and ``identity_at_zero`` runs ``check_identity`` on the
   input itself: they check ``blockdet.ncdet.bourbaki_trace``'s det E =
   det C0 and its z = 0 identity read from constant terms, on the
-  ``trace_inputs`` that the trace's golden pin also hashes.
+  ``trace_inputs`` that the trace's golden pin also hashes;
+- ``main_by_full_parser`` parses every argv with the full parser alone and
+  checks ``blockdet.cli.main``'s dispatch of a named command straight to
+  that command's parser.
 """
 
 from __future__ import annotations
 
+import sys
 from functools import cache
 
+from blockdet.cli import build_parser
 from blockdet.conditions import (
     Condition,
     cond_col_permute,
@@ -41,7 +46,14 @@ from blockdet.conditions import (
     cond_named,
     cond_row_permute,
 )
-from blockdet.matrix import BlockMatrix, Matrix, det_commutative, permutation_sign, signed_permutations
+from blockdet.matrix import (
+    BlockMatrix,
+    Matrix,
+    MatrixFormatError,
+    det_commutative,
+    permutation_sign,
+    signed_permutations,
+)
 from blockdet.ncdet import nc_first_row_cofactors
 from blockdet.ring import ZZ, PolynomialRing, PrimeField, Ring, RingValue
 from blockdet.traces import Word, _check_word, word_normal_form
@@ -293,3 +305,27 @@ def trace_inputs() -> tuple[BlockMatrix, ...]:
     conditions = [(cond_named("h1"), 3), (cond_named("h4"), 3), (cond_kappa(3), 3), (cond_named("g5"), 4)]
     out += [gen_satisfying(g, m, ZZ, seed) for g, m in conditions for seed in range(5)]
     return tuple(out)
+
+
+@cache
+def _full_parser():
+    return build_parser()
+
+
+def main_by_full_parser(argv: list[str]) -> int:
+    """``blockdet.cli.main`` as one pass of the full parser,
+    ``build_parser().parse_args(argv)``, then ``args.fn(args)`` under
+    main's error handling: the exit code, with the same stdout and stderr."""
+    try:
+        args = _full_parser().parse_args(argv)
+    except SystemExit as exc:
+        return 0 if exc.code == 0 else 2
+    try:
+        return args.fn(args)
+    except MatrixFormatError as exc:
+        print(f"input error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, RuntimeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+    return 2

@@ -15,6 +15,7 @@ from blockdet.matrix import format_block_matrix, format_matrix, Matrix, block_vi
 from blockdet.ring import ZZ
 from blockdet.traces import IDENTITY_CHECK_CAP
 from blockdet.verify import BUILTIN_NAMES, pick_generator
+from oracles import main_by_full_parser
 
 
 def run(capsys, *argv):
@@ -274,6 +275,13 @@ def test_usage_error_exit_code(capsys):
         ("campaign", "--family", "f", "--n", "2", "--m", "65", "--trials", "1"),
         ("optimality", "--n", "1"),
         ("optimality", "--n", "9"),
+        # a flag of another symbolic check
+        ("symbolic", "--check", "colswap", "--n", "3", "--k", "1", "--missing", "2,1,3,2", "--i", "9"),
+        ("symbolic", "--check", "colswap", "--n", "3", "--k", "1", "--c", "1"),
+        ("symbolic", "--check", "transpose", "--n", "3", "--c", "1", "--k", "1"),
+        ("symbolic", "--check", "transpose", "--n", "3", "--c", "1", "--j", "3"),
+        ("symbolic", "--check", "rowswap", "--n", "3", "--i", "2", "--j", "3", "--c", "2"),
+        ("symbolic", "--check", "rowswap", "--n", "3", "--i", "2", "--j", "3", "--k", "1"),
     ],
 )
 def test_bad_size_or_trials_is_usage_error(capsys, argv):
@@ -306,7 +314,7 @@ def test_generator_failure_is_usage_error(capsys, monkeypatch):
 
 
 def _failing_command(monkeypatch, exc):
-    # classify2 raises exc; the parser is rebuilt so that it binds the
+    # classify2 raises exc; the parsers are rebuilt so that they bind the
     # replaced command.
     import blockdet.cli
 
@@ -314,7 +322,7 @@ def _failing_command(monkeypatch, exc):
         raise exc
 
     monkeypatch.setattr(blockdet.cli, "_cmd_classify2", failing)
-    monkeypatch.setattr(blockdet.cli, "_shared_parser", blockdet.cli.build_parser)
+    monkeypatch.setattr(blockdet.cli, "_shared_parser", blockdet.cli._parser_and_commands)
 
 
 @pytest.mark.parametrize("exc", [ZeroDivisionError("modular inverse of 0"), KeyError((2, 1))])
@@ -381,11 +389,13 @@ _COMMANDS = {
     "campaign": ("--family", "--n", "--m", "--ring", "--seed"),
     "classify2": (),
     "counterexample": ("--name", "--n"),
-    "symbolic": ("--check", "--n", "--k", "--c", "--i", "--j", "--missing"),
+    "symbolic": ("--check", "--n"),
     "optimality": ("--n", "--seed"),
     "frobnicate": (),
 }
 _FILES = ("no-such-dir/no-such-file.txt", ".")
+# symbolic's per-check flags, by the check they belong to
+_CHECK_FLAGS = {"colswap": ("--k",), "transpose": ("--c",), "rowswap": ("--i", "--j", "--missing")}
 
 
 @st.composite
@@ -398,12 +408,19 @@ def cli_argv(draw):
     if rng.random() < 0.1:
         argv.append(rng.choice(_FILES))
     flags = [f for f in _COMMANDS[command] if rng.random() < 0.9]
+    # symbolic takes mostly the flags of the check that --check names, and
+    # now and then another check's, which is a usage error
+    check = rng.choice(_VALUES["--check"][0])
+    if command == "symbolic":
+        flags += [f for c, own in _CHECK_FLAGS.items() for f in own if rng.random() < (0.9 if c == check else 0.05)]
     if rng.random() < 0.05:
         flags.append(rng.choice(sorted(_VALUES)))
     rng.shuffle(flags)
     for flag in flags:
         argv.append(flag)
         good, bad = _VALUES[flag]
+        if flag == "--check":
+            good = (check,)
         if rng.random() < 0.97:
             argv.append(rng.choice(good if good and rng.random() < 0.85 else bad))
     if command in ("campaign", "optimality"):
@@ -412,20 +429,54 @@ def cli_argv(draw):
     return argv
 
 
-def _quiet_main(argv):
+def _quiet_main(argv, entry=main):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(list(argv))
+        code = entry(list(argv))
     return code, out.getvalue(), err.getvalue()
+
+
+def _keeps_the_contract_and_matches_the_full_parser(argv):
+    code, out, err = _quiet_main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    assert _quiet_main(argv)[:2] == (code, out)
+    assert _quiet_main(argv, main_by_full_parser) == (code, out, err)
 
 
 @settings(max_examples=300, deadline=None)
 @given(cli_argv())
 def test_fuzzed_argv_keeps_the_exit_code_contract(argv):
-    code, out, err = _quiet_main(argv)
-    assert code in (0, 1, 2)
-    assert "Traceback" not in err
-    assert _quiet_main(argv)[:2] == (code, out)
+    _keeps_the_contract_and_matches_the_full_parser(argv)
+
+
+_CAMPAIGN = ["campaign", "--family", "f", "--n", "2", "--m", "2", "--trials", "1"]
+
+
+# Argv on each side of the dispatch to a command's own parser: help, no or
+# an unknown command, options before the command, leftover arguments,
+# abbreviated and --flag=value options, negative values and "--".
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["-h"],
+        ["det", "-h"],
+        ["symbolic", "--help"],
+        ["frobnicate"],
+        ["--n", "3", "det", "x"],
+        _CAMPAIGN + ["extra"],
+        _CAMPAIGN[:-2] + ["--tri", "1"],
+        ["family", "--name", "f", "--n=2"],
+        _CAMPAIGN + ["--seed", "-5"],
+        ["det", "--", "no-such-dir/no-such-file.txt"],
+        ["symbolic", "--check", "colswap", "--n", "3", "--k", "1", "--", "extra"],
+        ["classify2", "--"],
+    ],
+    ids=lambda argv: " ".join(argv) or "no-arguments",
+)
+def test_edge_argv_keep_the_contract_and_match_the_full_parser(argv):
+    _keeps_the_contract_and_matches_the_full_parser(argv)
 
 
 # File-content vocabulary for the fuzz property below: headers of 0-4
