@@ -166,7 +166,8 @@ def _cmd_optimality(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    return _parser_and_commands()[0]
+    """The full parser, the one ``main`` uses: built once per process."""
+    return _shared_parser()[0]
 
 
 def _parser_and_commands() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
@@ -238,8 +239,8 @@ def _parser_and_commands() -> tuple[argparse.ArgumentParser, dict[str, argparse.
 def _shared_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     # Built once per process; parsing leaves no state in the parsers.  A
     # one-shot `blockdet` builds it once either way, and callers that run
-    # main() many times in one process (the tests, the benchmark worker)
-    # build it once, not once per call.
+    # main() many times in one process, or call build_parser() and then
+    # main(), build it once, not once per call.
     return _parser_and_commands()
 
 

@@ -6,10 +6,12 @@ checked where they enter: ``Matrix(ring, rows)`` takes ints, payloads or
 ``RingValue``s and canonicalises each entry, while the kernels build through
 the trusted ``Matrix._of``.  ``entry``, ``row_list`` and the determinants
 return ``RingValue``s.  ``Matrix`` and ``BlockMatrix`` are immutable
-values on ``ring.Frozen``, like ``RingValue``, with their own validating
-``__init__`` and ``__repr__``: a matrix compares and hashes on
-``(ring, entries)``, a block matrix on ``(ring, m, n, blocks)``, and
-assigning or deleting any attribute raises ``AttributeError``.
+values on ``ring.Frozen``, like ``RingValue``, each with a validating
+``__init__``, a trusted ``_of`` and its own ``__repr__``: a matrix compares
+and hashes on ``(ring, entries)``, a block matrix on ``(ring, m, n,
+blocks)``, and assigning or deleting any attribute raises
+``AttributeError``.  Generators and kernels build block matrices through
+``BlockMatrix._of`` too.
 
 Products are built one row at a time: row i of A*B is the sum of
 a[i][k] * (row k of B) over the nonzero a[i][k] only, so zero entries of A
@@ -440,10 +442,19 @@ class BlockMatrix(Frozen):
                     raise RingMismatchError("blocks over different rings")
                 if (b.rows, b.cols) != (m, m):
                     raise ValueError(f"every block must be {m}x{m}")
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "blocks", blocks)
+        self._fill(ring, m, n, blocks)
+
+    @classmethod
+    def _of(cls, ring: Ring, m: int, n: int, blocks: tuple) -> BlockMatrix:
+        """The trusted constructor: ``blocks`` is a tuple of n tuples of n
+        m x m matrices over ``ring``, taken as it is."""
+        bm = object.__new__(cls)
+        bm._fill(ring, m, n, blocks)
+        return bm
+
+    def _fill(self, ring: Ring, m: int, n: int, blocks: tuple) -> None:
+        # Straight into the instance dict, past the frozen __setattr__.
+        self.__dict__.update(ring=ring, m=m, n=n, blocks=blocks)
 
     def block(self, i: int, j: int) -> Matrix:
         """Block at 0-based position (i, j)."""
@@ -477,11 +488,11 @@ def block_view(mat: Matrix, m: int) -> BlockMatrix:
         raise ValueError(f"dimension {mat.rows} not divisible by block size {m}")
     n = mat.rows // m
     bands = [mat.entries[bi * m : (bi + 1) * m] for bi in range(n)]
-    blocks = [
-        [Matrix._of(mat.ring, tuple(row[bj * m : (bj + 1) * m] for row in band)) for bj in range(n)]
+    blocks = tuple(
+        tuple([Matrix._of(mat.ring, tuple(row[bj * m : (bj + 1) * m] for row in band)) for bj in range(n)])
         for band in bands
-    ]
-    return BlockMatrix(mat.ring, m, n, blocks)
+    )
+    return BlockMatrix._of(mat.ring, m, n, blocks)
 
 
 # --- text formats -----------------------------------------------------------

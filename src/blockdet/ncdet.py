@@ -28,6 +28,14 @@ Over every ring it runs on packed rows (Kronecker substitution):
   multiply-add per term, with a sign put on its packed factor as -E.
   Nothing is reduced inside the program: over ``mod:p`` it runs on the
   entries lifted to Z.
+- Which blocks and factors an entry takes, and with which signs, depend
+  only on the shape (n, k), so ``_dp_plan`` builds it once per shape: one
+  ``itemgetter`` per column set S for its blocks, and one for its factors
+  from the previous level's store [E0, -E0, E1, -E1, ...], in which
+  2 i + (position of c in S) mod 2 is E[S - {c}] with its sign, i the
+  index of S - {c}.  Each level is then a flat list in ``combinations``
+  order, and an entry is two ``itemgetter`` calls and one
+  ``sum(map(mul, ...))`` per row.
 - Only the returned level is decoded, once per row, by the slot codec the
   determinant over ``poly:`` uses too (``matrix._unpacker``).  The
   coefficients are then reduced mod p over ``mod:p``, and cut into runs of
@@ -39,9 +47,10 @@ for what it returns.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import chain, combinations, islice
 from math import factorial
-from operator import mul, neg
+from operator import itemgetter, mul, neg
 from typing import NamedTuple
 
 from .matrix import BlockMatrix, Matrix, _pack, _product_rows, _unpacker, det_commutative
@@ -79,6 +88,31 @@ def _dp_entry(left, column) -> list[int]:
     return [sum(map(mul, row, column)) for row in left]
 
 
+@cache
+def _dp_plan(n: int, k: int) -> tuple[tuple, tuple]:
+    """The index plan of the subset DP over n columns up to sets of k, for
+    every block matrix of that shape: ``(levels, masks)``.
+
+    ``levels`` holds, for each set size 2..k, one pair ``(cols, keys)``
+    per column set S, in ``combinations`` order.  ``cols`` is
+    ``itemgetter`` over S, picking its blocks from a block row; ``keys``
+    picks from the previous level's signed store ``[E0, -E0, E1, -E1,
+    ...]``, key 2 i + (position of c in S) mod 2 for each c in S, where i
+    is the index of S - {c} in that level.  ``masks`` pairs each column
+    mask of the last level with its index there.  With n <= ``ROW_DET_CAP``
+    there are at most 36 plans.
+    """
+    index = {(c,): c for c in range(n)}
+    levels = []
+    for size in range(2, k + 1):
+        sets = list(combinations(range(n), size))
+        keys = [[2 * index[cols[:at] + cols[at + 1 :]] + at % 2 for at in range(size)] for cols in sets]
+        levels.append(tuple((itemgetter(*cols), itemgetter(*key)) for cols, key in zip(sets, keys)))
+        index = {cols: i for i, cols in enumerate(sets)}
+    masks = tuple((sum(1 << c for c in cols), i) for cols, i in index.items())
+    return tuple(levels), masks
+
+
 def _subset_dp(bm: BlockMatrix, top: int) -> dict[int, tuple]:
     """E[S] by column mask, as payload rows, for every set S of n - top
     columns: the row-determinant of block rows top..n-1 (0-based)
@@ -86,13 +120,16 @@ def _subset_dp(bm: BlockMatrix, top: int) -> dict[int, tuple]:
 
     It starts from the last row, E[{c}] = B[n-1][c], and grows one row r
     at a time: E[S] = sum over c in S of (-1)^#{c' in S : c' < c}
-    B[r][c] E[S - {c}], keeping the factors in row order.  Each E[S] is m
-    packed rows, a sign goes on its packed factor as -E, and only the
-    level returned is decoded (see the module docstring).
+    B[r][c] E[S - {c}], keeping the factors in row order.  Each level is a
+    flat list in the order of ``_dp_plan(n, n - top)``, whose index plan is
+    built once per shape; each E[S] is m packed rows, a sign goes on its
+    packed factor as -E, and only the level returned is decoded (see the
+    module docstring).
     """
     n, m, ring = bm.n, bm.m, bm.ring
     check_row_det_size(n)
     k = n - top
+    levels, masks = _dp_plan(n, k)
     rows = [[blk.entries for blk in row] for row in bm.blocks[top:]]
     poly = isinstance(ring, PolynomialRing)
     p = ring.p if isinstance(ring, PrimeField) else 0
@@ -110,18 +147,15 @@ def _subset_dp(bm: BlockMatrix, top: int) -> dict[int, tuple]:
     if poly:
         values = iter(_pack(payloads, v, d + 1))
         rows = [[tuple(tuple(islice(values, m)) for _ in blk) for blk in row] for row in rows]
-    level = {1 << col: _pack(blk, slots * v, m) for col, blk in enumerate(rows[-1])}
-    for r in range(k - 2, -1, -1):
-        signed = {mask: (packed, list(map(neg, packed))) for mask, packed in level.items()}
-        brows = rows[r]
-        nxt = {}
-        for cols in combinations(range(n), k - r):
-            mask = sum(1 << col for col in cols)
-            nxt[mask] = _dp_entry(
-                [chain.from_iterable(erows) for erows in zip(*[brows[col] for col in cols])],
-                list(chain.from_iterable(signed[mask ^ (1 << col)][idx % 2] for idx, col in enumerate(cols))),
-            )
-        level = nxt
+    level = [_pack(blk, slots * v, m) for blk in rows[-1]]
+    for brows, plan in zip(rows[-2::-1], levels):
+        store = []
+        for packed in level:
+            store += packed, list(map(neg, packed))
+        level = [
+            _dp_entry([*map(chain.from_iterable, zip(*cols(brows)))], list(chain.from_iterable(keys(store))))
+            for cols, keys in plan
+        ]
     unpack = _unpacker(v, m * slots)
 
     def decode(x: int) -> tuple:
@@ -132,7 +166,7 @@ def _subset_dp(bm: BlockMatrix, top: int) -> dict[int, tuple]:
             return tuple([y % p for y in digits])
         return tuple(digits)
 
-    return {mask: tuple(map(decode, packed)) for mask, packed in level.items()}
+    return {mask: tuple(map(decode, level[i])) for mask, i in masks}
 
 
 def _cofactor_rows(bm: BlockMatrix) -> list[tuple]:
@@ -178,12 +212,12 @@ def nc_minor_det(bm: BlockMatrix, i: int, j: int) -> Matrix:
         raise ValueError("minors need n >= 2")
     if not (1 <= i <= n and 1 <= j <= n):
         raise ValueError(f"minor index ({i},{j}) out of range for n={n}")
-    rows = [
-        [bm.blocks[r][c] for c in range(n) if c != j - 1]
+    rows = tuple(
+        tuple([bm.blocks[r][c] for c in range(n) if c != j - 1])
         for r in range(n)
         if r != i - 1
-    ]
-    return nc_row_det(BlockMatrix(bm.ring, bm.m, n - 1, rows))
+    )
+    return nc_row_det(BlockMatrix._of(bm.ring, bm.m, n - 1, rows))
 
 
 def nc_cofactor(bm: BlockMatrix, i: int, j: int) -> Matrix:
@@ -274,19 +308,16 @@ def bourbaki_trace(bm: BlockMatrix) -> BourbakiTrace:
             for i, row in enumerate(block.entries)
         ))
 
-    shifted = BlockMatrix(
+    shifted = BlockMatrix._of(
         rz, m, n,
-        [[lift(bm.blocks[i][j], i == j) for j in range(n)] for i in range(n)],
+        tuple(tuple([lift(bm.blocks[i][j], i == j) for j in range(n)]) for i in range(n)),
     )
 
     cof_rows = _cofactor_rows(shifted)
     shifted_det = Matrix._of(rz, _row_times(rz, [blk.entries for blk in shifted.blocks[0]], cof_rows))
     first_column_collapse = _column_collapses(shifted, cof_rows)
 
-    tail = BlockMatrix(
-        rz, m, n - 1,
-        [[shifted.blocks[i][j] for j in range(1, n)] for i in range(1, n)],
-    )
+    tail = BlockMatrix._of(rz, m, n - 1, tuple(row[1:] for row in shifted.blocks[1:]))
 
     det_tail = det_commutative(tail.flatten())
     lower_det_monic = poly_is_monic(det_tail) and len(det_tail.payload) - 1 == m * (n - 1)

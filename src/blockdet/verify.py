@@ -167,7 +167,8 @@ def _gen_layout(n: int, m: int, kind, witnesses: list[Pair]) -> GenFn:
     grid = [[draws.get(k) or partial(_slot, corner=k) for k in row] for row in kinds]
 
     def fn(ring: Ring, rng: random.Random):
-        return BlockMatrix(ring, m, n, [[draw(ring, m, rng) for draw in row] for row in grid]), witnesses
+        blocks = tuple(tuple([draw(ring, m, rng) for draw in row]) for row in grid)
+        return BlockMatrix._of(ring, m, n, blocks), witnesses
 
     return fn
 
@@ -180,9 +181,9 @@ def _gen_poly(n: int, m: int, dense_first_row: bool, witnesses: list[Pair]) -> G
     def fn(ring: Ring, rng: random.Random):
         x = _dense(ring, m, rng)
         x2 = x * x
-        blocks = [[_dense(ring, m, rng) if dense_first_row and i == 0 else _rand_poly_in(x, x2, rng)
-                   for _ in range(n)] for i in range(n)]
-        return BlockMatrix(ring, m, n, blocks), witnesses
+        blocks = tuple(tuple([_dense(ring, m, rng) if dense_first_row and i == 0 else _rand_poly_in(x, x2, rng)
+                              for _ in range(n)]) for i in range(n))
+        return BlockMatrix._of(ring, m, n, blocks), witnesses
 
     return fn
 
@@ -197,7 +198,7 @@ def _gen_g5(m: int, ring: Ring, rng: random.Random) -> BlockMatrix:
     b = Matrix._of(ring, tuple(_diag_rows(ring, [b1, b23, b23, *brest])))
     c = _slot(ring, m, rng, 0)
     d = _slot(ring, m, rng, 1)
-    return BlockMatrix(ring, m, 2, [[a, b], [c, d]])
+    return BlockMatrix._of(ring, m, 2, ((a, b), (c, d)))
 
 
 def _gen_h(crossed: bool, m: int, ring: Ring, rng: random.Random) -> BlockMatrix:
@@ -206,7 +207,7 @@ def _gen_h(crossed: bool, m: int, ring: Ring, rng: random.Random) -> BlockMatrix
     a = _dense(ring, m, rng)
     b = _dense(ring, m, rng)
     x, y = (b, a) if crossed else (a, b)
-    return BlockMatrix(ring, m, 2, [[a, b], [_rand_poly_in(x, x * x, rng), _rand_poly_in(y, y * y, rng)]])
+    return BlockMatrix._of(ring, m, 2, ((a, b), (_rand_poly_in(x, x * x, rng), _rand_poly_in(y, y * y, rng))))
 
 
 def _special_non_edge(g: Condition) -> Pair:

@@ -18,6 +18,9 @@ None of this runs in ``blockdet`` itself:
   ``blockdet.conditions.matrix_satisfies``;
 - ``cofactor_matrix``, every signed minor by ``det_commutative``, checks
   ``blockdet.ncdet.nc_cofactor`` on 1 x 1 blocks;
+- ``subset_dp_by_mask`` is the subset DP keyed by column mask, which looks
+  up S - {c} and its sign for every term of every entry; it checks the DP
+  on ``blockdet.ncdet._dp_plan``'s flat levels up to ``ROW_DET_CAP``;
 - ``maps_onto_by_relabelling`` relabels the whole of kappa less one edge
   and compares it with kappa less the canonical edge, and checks the
   optimality scan's image test, ``blockdet.verify._maps_onto``;
@@ -35,6 +38,9 @@ from __future__ import annotations
 
 import sys
 from functools import cache
+from itertools import chain, combinations, islice
+from math import factorial
+from operator import mul, neg
 
 from blockdet.cli import build_parser
 from blockdet.conditions import (
@@ -50,12 +56,14 @@ from blockdet.matrix import (
     BlockMatrix,
     Matrix,
     MatrixFormatError,
+    _pack,
+    _unpacker,
     det_commutative,
     permutation_sign,
     signed_permutations,
 )
 from blockdet.ncdet import nc_first_row_cofactors
-from blockdet.ring import ZZ, PolynomialRing, PrimeField, Ring, RingValue
+from blockdet.ring import ZZ, PolynomialRing, PrimeField, Ring, RingValue, _poly_trim
 from blockdet.traces import Word, _check_word, word_normal_form
 from blockdet.verify import builtin_matrix, check_identity, gen_satisfying, trial_seed
 
@@ -264,6 +272,54 @@ def cofactor_matrix(mat: Matrix) -> Matrix:
         return det_commutative(Matrix(ring, [[rows[r][c] for c in range(k) if c != j] for r in range(k) if r != i]))
 
     return Matrix(ring, [[minor(i, j) if (i + j) % 2 == 0 else -minor(i, j) for j in range(k)] for i in range(k)])
+
+
+def subset_dp_by_mask(bm: BlockMatrix, top: int) -> dict[int, tuple]:
+    """E[S] by column mask, as payload rows, for every set S of n - top
+    columns: the subset DP with each level a dict by mask, each term's
+    factor looked up as E[S - {c}] and its sign chosen per term.  The
+    slots are sized as in ``blockdet.ncdet._subset_dp``."""
+    n, m, ring = bm.n, bm.m, bm.ring
+    k = n - top
+    rows = [[blk.entries for blk in row] for row in bm.blocks[top:]]
+    poly = isinstance(ring, PolynomialRing)
+    p = ring.p if isinstance(ring, PrimeField) else 0
+    if p:
+        d, c = 0, p - 1
+    else:
+        payloads = list(chain.from_iterable(chain.from_iterable(chain.from_iterable(rows))))
+        d, coeffs = 0, payloads
+        if poly:
+            d = max(max(map(len, payloads)) - 1, 0)
+            coeffs = chain.from_iterable(payloads)
+        c = max(map(abs, coeffs), default=0)
+    v = (factorial(k) * (m * (d + 1)) ** (k - 1) * c**k).bit_length() + 1
+    slots = k * d + 1
+    if poly:
+        values = iter(_pack(payloads, v, d + 1))
+        rows = [[tuple(tuple(islice(values, m)) for _ in blk) for blk in row] for row in rows]
+    level = {1 << col: _pack(blk, slots * v, m) for col, blk in enumerate(rows[-1])}
+    for r in range(k - 2, -1, -1):
+        signed = {mask: (packed, list(map(neg, packed))) for mask, packed in level.items()}
+        brows = rows[r]
+        nxt = {}
+        for cols in combinations(range(n), k - r):
+            mask = sum(1 << col for col in cols)
+            left = [list(chain.from_iterable(erows)) for erows in zip(*[brows[col] for col in cols])]
+            column = list(chain.from_iterable(signed[mask ^ (1 << col)][idx % 2] for idx, col in enumerate(cols)))
+            nxt[mask] = [sum(map(mul, row, column)) for row in left]
+        level = nxt
+    unpack = _unpacker(v, m * slots)
+
+    def decode(x: int) -> tuple:
+        digits = unpack(x)
+        if poly:
+            return tuple(_poly_trim(digits[j : j + slots]) for j in range(0, m * slots, slots))
+        if p:
+            return tuple([y % p for y in digits])
+        return tuple(digits)
+
+    return {mask: tuple(map(decode, packed)) for mask, packed in level.items()}
 
 
 def maps_onto_by_relabelling(n: int, edge, canonical, row_map, col_map) -> bool:

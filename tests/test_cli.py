@@ -340,6 +340,28 @@ def test_keyboard_interrupt_is_not_caught(monkeypatch):
         main(["classify2"])
 
 
+def test_the_parsers_are_built_once_per_process(capsys, monkeypatch):
+    # build_parser() and then main() share one build of the nine command
+    # parsers, and _failing_command's rebinding still reaches main.
+    import blockdet.cli
+
+    builds = []
+    real = blockdet.cli._parser_and_commands
+    monkeypatch.setattr(blockdet.cli, "_parser_and_commands", lambda: builds.append(1) or real())
+    blockdet.cli._shared_parser.cache_clear()
+    try:
+        parser = blockdet.cli.build_parser()
+        for k in ("1", "2"):
+            assert run(capsys, "symbolic", "--check", "colswap", "--n", "3", "--k", k)[0] == 0
+        assert len(builds) == 1
+        assert blockdet.cli._shared_parser()[0] is parser
+    finally:
+        blockdet.cli._shared_parser.cache_clear()
+    _failing_command(monkeypatch, KeyError(1))
+    assert blockdet.cli._shared_parser()[1]["classify2"].get_default("fn") is blockdet.cli._cmd_classify2
+    assert run(capsys, "classify2") == (2, "", "internal error: KeyError: 1\n")
+
+
 @pytest.mark.parametrize(
     "argv, line",
     [

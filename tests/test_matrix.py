@@ -240,7 +240,10 @@ def test_block_roundtrip():
     rng = random.Random(11)
     flat = rand_matrix(ZZ, 6, 6, rng)
     for m in (1, 2, 3, 6):
-        assert block_view(flat, m).flatten() == flat
+        view = block_view(flat, m)
+        assert view.flatten() == flat
+        # Built through the trusted constructor, it passes the checked one.
+        assert BlockMatrix(ZZ, m, 6 // m, view.blocks) == view
     bm = block_view(flat, 2)
     assert block_view(bm.flatten(), 2) == bm
 

@@ -1,5 +1,6 @@
 import random
-from math import isqrt
+from itertools import combinations
+from math import comb, isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,7 +25,7 @@ from blockdet.ncdet import (
 )
 from blockdet.ring import PolynomialRing, PrimeField, RingValue, ZZ, _is_prime, parse_ring
 from blockdet.verify import _from_mapping, builtin_matrix, gen_satisfying
-from oracles import cofactor_matrix, eliminator_det, identity_at_zero, trace_inputs
+from oracles import cofactor_matrix, eliminator_det, identity_at_zero, subset_dp_by_mask, trace_inputs
 
 F10007 = PrimeField(10007)
 
@@ -101,6 +102,44 @@ def test_subset_dp_matches_permutation_sum(bm):
     assert nc_row_det(bm) == perm_sum_row_det(bm)
     if bm.n >= 2:
         assert nc_first_row_cofactors(bm) == perm_sum_first_row_cofactors(bm)
+
+
+# The Hypothesis strategies stop at n = 6; at the cap the plan's deepest
+# levels and their signs are held to the DP keyed by column mask.
+@pytest.mark.parametrize("label", [ring.label for ring in DP_RINGS])
+@pytest.mark.parametrize("n", [7, 8])
+def test_subset_dp_at_the_cap_matches_the_mask_keyed_dp(n, label):
+    ring = parse_ring(label)
+    rng = random.Random(n)
+    full = (1 << n) - 1
+    for m in (1, 2):
+        bm = rand_block_matrix(ring, m, n, rng)
+        assert nc_row_det(bm) == Matrix(ring, subset_dp_by_mask(bm, 0)[full])
+        minors = subset_dp_by_mask(bm, 1)
+        cofactors = [Matrix(ring, minors[full ^ (1 << j)]) for j in range(n)]
+        assert nc_first_row_cofactors(bm) == [x if j % 2 == 0 else -x for j, x in enumerate(cofactors)]
+
+
+def test_dp_plan_lists_every_column_set_once_and_keys_its_signed_minors():
+    for n in range(1, 9):
+        for k in range(1, n + 1):
+            levels, masks = ncdet._dp_plan(n, k)
+            assert len(levels) == k - 1
+            previous = [(c,) for c in range(n)]
+            for size, plan in enumerate(levels, 2):
+                sets = [cols(range(n)) for cols, _ in plan]
+                assert sets == list(combinations(range(n), size)), (n, k, size)
+                assert len(set(sets)) == comb(n, size)
+                # The store holds E and -E of each set of the previous level.
+                store = range(2 * len(previous))
+                for (_, keys), cols in zip(plan, sets):
+                    picked = keys(store)
+                    assert len(picked) == size
+                    for at, key in enumerate(picked):
+                        assert previous[key // 2] == cols[:at] + cols[at + 1 :], (n, k, cols, at)
+                        assert key % 2 == at % 2, (n, k, cols, at)
+                previous = sets
+            assert sorted(masks) == sorted((sum(1 << c for c in cols), i) for i, cols in enumerate(previous))
 
 
 # Each DP entry, a sum of k block products, is one ``_dp_entry`` call: a
@@ -458,6 +497,9 @@ class TestBourbakiTrace:
     def test_shifted_matrix_structure(self):
         bm = gen_satisfying(cond_f(2), 4, ZZ, seed=31)
         trace = bourbaki_trace(bm)
+        # Built through the trusted constructor, both pass the checked one.
+        assert BlockMatrix(trace.shifted.ring, 4, 2, trace.shifted.blocks) == trace.shifted
+        assert BlockMatrix(trace.tail.ring, 4, 1, trace.tail.blocks) == trace.tail
         z = PolynomialRing("z").gen
         for i in range(2):
             for j in range(2):

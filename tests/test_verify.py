@@ -19,7 +19,7 @@ from blockdet.conditions import (
     matrix_satisfies,
     vertices,
 )
-from blockdet.matrix import Matrix, block_view, commutes
+from blockdet.matrix import BlockMatrix, Matrix, block_view, commutes
 from blockdet.ncdet import nc_row_det
 from blockdet.ring import PolynomialRing, PrimeField, ZZ, poly_degree
 from blockdet.verify import (
@@ -277,6 +277,18 @@ class TestGeneratorChoice:
                 assert not all(graph.commutes(u, v) for u, v in witnesses), (fid, n, m, ring.label)
         assert names == {"commutative", "f-slots", "side-slots", "down-slots", "kappa-poly", "g5-overlap",
                          "h1-falsify", "h2-falsify", "h3-falsify", "h4-falsify", "generic-scalar"}
+
+    def test_trusted_samples_pass_the_checked_constructor(self):
+        # The generators build through the trusted BlockMatrix._of: every
+        # family's sample at n <= 4, with and without room for slots, on
+        # every ring, is one the checked constructor accepts and rebuilds.
+        for n in range(1, 5):
+            for fid in family_ids(n):
+                g = family_condition(fid, n)
+                for m in sorted({2, 3, 4, 2 * n}):
+                    for ring in (ZZ, F10007, PrimeField(2), PolynomialRing("x")):
+                        bm = gen_satisfying(g, m, ring, n + m)
+                        assert BlockMatrix(ring, m, n, bm.blocks) == bm, (fid, n, m, ring.label)
 
     @pytest.mark.parametrize("family", ["f", "kappa"])
     def test_a_draw_shifts_each_block_once(self, monkeypatch, family):
