@@ -74,6 +74,15 @@ class Condition(Frozen):
     def sorted_edges(self) -> list[Edge]:
         return sorted(self.edges)
 
+    def edge_vertices(self) -> tuple[Vertex, ...]:
+        """The positions on an edge, in order.  Computed once per condition
+        and kept on it, as ``matrix.shifted`` keeps a block's rows."""
+        kept = self.__dict__
+        ends = kept.get("_edge_vertices")
+        if ends is None:
+            ends = kept["_edge_vertices"] = tuple(sorted({w for e in self.edges for w in e}))
+        return ends
+
     def __repr__(self):
         return f"Condition(n={self.n}, edges={self.sorted_edges()})"
 
@@ -315,9 +324,12 @@ def matrix_satisfies(bm: BlockMatrix, g: Condition) -> bool:
     """True when every edge of g joins commuting blocks of bm.
 
     Equivalent to ``is_subgraph(g, commutativity_graph(bm))`` but only
-    examines the edges of g.  Each block on an edge is shifted once
-    (``matrix.shifted``).  An edge at a scalar block, which has no shifted
-    rows, holds with no product; the others are tested by
+    examines the live edges of g, those between two blocks with shifted
+    rows.  Each block on an edge is shifted once (``matrix.shifted``).  An
+    edge at a scalar block, which has no shifted rows, holds with no
+    product; when the blocks with shifted rows are few, so that fewer pairs
+    of them than edges of g exist, the live edges are found among those
+    pairs instead of by a scan of every edge.  The live edges are tested by
     ``shifted_commute`` up to the first that fails, except those that one
     of two certificates settles.  Both are read off the sample itself, not
     from the generator that drew it.
@@ -343,16 +355,20 @@ def matrix_satisfies(bm: BlockMatrix, g: Condition) -> bool:
     if bm.n != g.n:
         raise ValueError(f"size mismatch: matrix n={bm.n}, condition n={g.n}")
     ring, m, blocks, edges = bm.ring, bm.m, bm.blocks, g.edges
-    forms = {v: shifted(blocks[v[0] - 1][v[1] - 1]) for v in {w for e in edges for w in e}}
+    # The blocks on an edge that have shifted rows, in vertex order.
+    forms = {v: form for v in g.edge_vertices() if (form := shifted(blocks[v[0] - 1][v[1] - 1]))}
+    if len(forms) * (len(forms) - 1) // 2 < len(edges):
+        live = [e for e in combinations(forms, 2) if e in edges]
+    else:
+        live = [(u, v) for u, v in edges if u in forms and v in forms]
     if isinstance(ring, PolynomialRing) or all(len(s) < m - 1 for s in forms.values()):
         bits = [1 << j for j in range(m)]
         support = {v: _support(s, bits) for v, s in forms.items()}
         return all(
             shifted_commute(ring, forms[u], forms[v])
-            for u, v in edges
+            for u, v in live
             if support[u][1] & support[v][0] or support[v][1] & support[u][0]
         )
-    live = [(u, v) for u, v in edges if forms[u] and forms[v]]
     neighbours = {}
     for u, v in live:
         neighbours.setdefault(u, set()).add(v)

@@ -11,7 +11,11 @@ values on ``ring.Frozen``, like ``RingValue``, each with a validating
 and hashes on ``(ring, entries)``, a block matrix on ``(ring, m, n,
 blocks)``, and assigning or deleting any attribute raises
 ``AttributeError``.  Generators and kernels build block matrices through
-``BlockMatrix._of`` too.
+``BlockMatrix._of`` too.  A block matrix builds its flat rows, the payload
+rows of the mn x mn matrix, on first use and keeps them (``_flat_rows``),
+as a matrix keeps its shifted rows, so ``flatten`` and the row
+determinant's subset DP in ``ncdet`` flatten a sample once between them;
+``block_view`` keeps the viewed matrix's rows as them.
 
 Products are built one row at a time: row i of A*B is the sum of
 a[i][k] * (row k of B) over the nonzero a[i][k] only, so zero entries of A
@@ -461,11 +465,8 @@ class BlockMatrix(Frozen):
         return self.blocks[i][j]
 
     def flatten(self) -> Matrix:
-        # Row r of block row bi joins row r of each block in that block row.
-        return Matrix._of(
-            self.ring,
-            tuple(tuple(chain.from_iterable(rows)) for brow in self.blocks for rows in zip(*(b.entries for b in brow))),
-        )
+        """The mn x mn matrix of the entries, on the kept flat rows."""
+        return Matrix._of(self.ring, _flat_rows(self))
 
     def transpose(self) -> BlockMatrix:
         # Block (i, j) of the transpose is the transpose of block (j, i).
@@ -480,6 +481,23 @@ class BlockMatrix(Frozen):
         return f"BlockMatrix(n={self.n}, m={self.m}, ring={self.ring.label})"
 
 
+def _flat_rows(bm: BlockMatrix) -> tuple:
+    """The payload rows of the flattened matrix: row r of block row i is
+    row r of each block in that block row, side by side.  Built once per
+    block matrix and kept on it, as ``shifted`` keeps a matrix's shifted
+    rows, so its flat determinant and the row determinant's subset DP share
+    them: read them, never change them."""
+    kept = bm.__dict__
+    rows = kept.get("_flat")
+    if rows is None:
+        rows = kept["_flat"] = _flatten(bm)
+    return rows
+
+
+def _flatten(bm: BlockMatrix) -> tuple:
+    return tuple(tuple(chain.from_iterable(rows)) for brow in bm.blocks for rows in zip(*(b.entries for b in brow)))
+
+
 def block_view(mat: Matrix, m: int) -> BlockMatrix:
     """View a square matrix as an n x n array of m x m blocks."""
     if not mat.is_square:
@@ -492,7 +510,10 @@ def block_view(mat: Matrix, m: int) -> BlockMatrix:
         tuple([Matrix._of(mat.ring, tuple(row[bj * m : (bj + 1) * m] for row in band)) for bj in range(n)])
         for band in bands
     )
-    return BlockMatrix._of(mat.ring, m, n, blocks)
+    bm = BlockMatrix._of(mat.ring, m, n, blocks)
+    # The matrix's own rows are the block matrix's flat rows.
+    bm.__dict__["_flat"] = mat.entries
+    return bm
 
 
 # --- text formats -----------------------------------------------------------

@@ -28,14 +28,18 @@ Over every ring it runs on packed rows (Kronecker substitution):
   multiply-add per term, with a sign put on its packed factor as -E.
   Nothing is reduced inside the program: over ``mod:p`` it runs on the
   entries lifted to Z.
-- Which blocks and factors an entry takes, and with which signs, depend
-  only on the shape (n, k), so ``_dp_plan`` builds it once per shape: one
-  ``itemgetter`` per column set S for its blocks, and one for its factors
-  from the previous level's store [E0, -E0, E1, -E1, ...], in which
-  2 i + (position of c in S) mod 2 is E[S - {c}] with its sign, i the
-  index of S - {c}.  Each level is then a flat list in ``combinations``
-  order, and an entry is two ``itemgetter`` calls and one
-  ``sum(map(mul, ...))`` per row.
+- The program reads the flattened rows that the block matrix keeps
+  (``matrix._flat_rows``), so the flat determinant of the same sample
+  reuses them; over ``poly:`` it packs them at 2^V once.  Which entries
+  and factors an entry takes, and with which signs, depend only on the
+  shape (n, k, m), so ``_dp_plan`` builds it once per shape.  Per column
+  set S it holds one ``itemgetter`` over the flat columns c m + t, for c
+  in S and t < m, which picks S's blocks side by side from a flat row,
+  and one over the previous level's store: the m packed rows of E0, then
+  of -E0, E1, -E1, ..., from which it picks those of E[S - {c}] with the
+  sign (-1)^(position of c in S), for each c in S.  Each level is then a
+  flat list in ``combinations`` order, and an entry is m + 1 ``itemgetter``
+  calls and one ``sum(map(mul, ...))`` per row.
 - Only the returned level is decoded, once per row, by the slot codec the
   determinant over ``poly:`` uses too (``matrix._unpacker``).  The
   coefficients are then reduced mod p over ``mod:p``, and cut into runs of
@@ -47,13 +51,13 @@ for what it returns.
 
 from __future__ import annotations
 
-from functools import cache
-from itertools import chain, combinations, islice
+from functools import lru_cache
+from itertools import chain, combinations
 from math import factorial
 from operator import itemgetter, mul, neg
 from typing import NamedTuple
 
-from .matrix import BlockMatrix, Matrix, _pack, _product_rows, _unpacker, det_commutative
+from .matrix import BlockMatrix, Matrix, _flat_rows, _pack, _product_rows, _unpacker, det_commutative
 from .ring import IntegerRing, PolynomialRing, PrimeField, Ring, _poly_trim, poly_is_monic
 
 ROW_DET_CAP = 8
@@ -67,12 +71,12 @@ def check_row_det_size(n: int) -> None:
         raise ValueError(f"size n={n} exceeds the row-determinant cap {ROW_DET_CAP}")
 
 
-def _row_times(ring: Ring, row, column) -> tuple:
-    """Rows of the sum of row[t] * column[t], as one product: the blocks of
-    ``row`` side by side times those of ``column`` stacked.  Both hold
-    blocks as payload row tuples."""
-    left = [list(chain.from_iterable(rows)) for rows in zip(*row)]
-    return tuple(_product_rows(ring, left, list(chain.from_iterable(column))))
+def _row_times(bm: BlockMatrix, r: int, column) -> tuple:
+    """Rows of the sum of B[r][t] * column[t], as one product: block row r
+    side by side, its flat rows, times the blocks of ``column``, payload
+    row tuples, stacked."""
+    m = bm.m
+    return tuple(_product_rows(bm.ring, _flat_rows(bm)[r * m : (r + 1) * m], list(chain.from_iterable(column))))
 
 
 def _negated(ring: Ring, rows) -> tuple:
@@ -82,32 +86,48 @@ def _negated(ring: Ring, rows) -> tuple:
 
 def _dp_entry(left, column) -> list[int]:
     """Packed rows of one DP entry: row i is the sum of left[i][t] times
-    column[t], ``left`` iterators over the rows of a block row's blocks
-    side by side and ``column`` the packed rows of the signed factors
-    stacked.  Each term is one C-level multiply-add on whole rows."""
+    column[t], ``left`` the rows of a block row's blocks side by side and
+    ``column`` the packed rows of the signed factors stacked.  Each term is
+    one C-level multiply-add on whole rows."""
     return [sum(map(mul, row, column)) for row in left]
 
 
-@cache
-def _dp_plan(n: int, k: int) -> tuple[tuple, tuple]:
-    """The index plan of the subset DP over n columns up to sets of k, for
-    every block matrix of that shape: ``(levels, masks)``.
+@lru_cache(maxsize=8)
+def _dp_plan(n: int, k: int, m: int) -> tuple[tuple, tuple]:
+    """The index plan of the subset DP over n columns of m x m blocks up to
+    sets of k, for every block matrix of that shape: ``(levels, masks)``.
 
     ``levels`` holds, for each set size 2..k, one pair ``(cols, keys)``
     per column set S, in ``combinations`` order.  ``cols`` is
-    ``itemgetter`` over S, picking its blocks from a block row; ``keys``
-    picks from the previous level's signed store ``[E0, -E0, E1, -E1,
-    ...]``, key 2 i + (position of c in S) mod 2 for each c in S, where i
-    is the index of S - {c} in that level.  ``masks`` pairs each column
-    mask of the last level with its index there.  With n <= ``ROW_DET_CAP``
-    there are at most 36 plans.
+    ``itemgetter`` over the flat columns c m + t, for c in S and t < m in
+    that order: it picks S's blocks side by side from a flat row.
+    ``keys`` picks from the previous level's signed store, which holds the
+    m packed rows of E0, then those of -E0, E1, -E1, ...: for each c in S,
+    the rows K m .. K m + m - 1 of K = 2 i + (position of c in S) mod 2,
+    i the index of S - {c} in that level.  ``masks`` pairs each column mask
+    of the last level with its index there.
+
+    The gathers of a plan hold 2 m sum_s s C(n, s) <= 2032 m indices,
+    about 2 MB at n = k = 8 and m = 64, the campaigns' largest block.
+    Block files have no cap on m, so the cache keeps the 8 plans used
+    last; a sample takes at most two, (n, n, m) for ``nc_row_det`` and
+    (n, n - 1, m) for its first-row cofactors.
     """
+    # Index lists sliced from one list, so that the gathers share its ints.
+    flat = list(range(n * m))
+    block_cols = [flat[c * m : (c + 1) * m] for c in range(n)]
     index = {(c,): c for c in range(n)}
     levels = []
     for size in range(2, k + 1):
         sets = list(combinations(range(n), size))
         keys = [[2 * index[cols[:at] + cols[at + 1 :]] + at % 2 for at in range(size)] for cols in sets]
-        levels.append(tuple((itemgetter(*cols), itemgetter(*key)) for cols, key in zip(sets, keys)))
+        store = list(range(2 * len(index) * m))
+        key_rows = [store[key * m : key * m + m] for key in range(2 * len(index))]
+        levels.append(tuple(
+            (itemgetter(*chain.from_iterable(map(block_cols.__getitem__, cols))),
+             itemgetter(*chain.from_iterable(map(key_rows.__getitem__, key))))
+            for cols, key in zip(sets, keys)
+        ))
         index = {cols: i for i, cols in enumerate(sets)}
     masks = tuple((sum(1 << c for c in cols), i) for cols, i in index.items())
     return tuple(levels), masks
@@ -120,23 +140,25 @@ def _subset_dp(bm: BlockMatrix, top: int) -> dict[int, tuple]:
 
     It starts from the last row, E[{c}] = B[n-1][c], and grows one row r
     at a time: E[S] = sum over c in S of (-1)^#{c' in S : c' < c}
-    B[r][c] E[S - {c}], keeping the factors in row order.  Each level is a
-    flat list in the order of ``_dp_plan(n, n - top)``, whose index plan is
-    built once per shape; each E[S] is m packed rows, a sign goes on its
-    packed factor as -E, and only the level returned is decoded (see the
-    module docstring).
+    B[r][c] E[S - {c}], keeping the factors in row order.  It reads the
+    block matrix's kept flat rows (``matrix._flat_rows``), packed once at
+    2^V over ``poly:``.  Each level is a flat list in the order of
+    ``_dp_plan(n, n - top, m)``, whose index plan is built once per shape;
+    the left rows of E[S] are its plan's gather on block row r's m flat
+    rows, each E[S] is m packed rows, a sign goes on its packed factor as
+    -E, and only the level returned is decoded (see the module docstring).
     """
     n, m, ring = bm.n, bm.m, bm.ring
     check_row_det_size(n)
     k = n - top
-    levels, masks = _dp_plan(n, k)
-    rows = [[blk.entries for blk in row] for row in bm.blocks[top:]]
+    levels, masks = _dp_plan(n, k, m)
+    rows = _flat_rows(bm)[top * m :]
     poly = isinstance(ring, PolynomialRing)
     p = ring.p if isinstance(ring, PrimeField) else 0
     if p:
         d, c = 0, p - 1
     else:
-        payloads = list(chain.from_iterable(chain.from_iterable(chain.from_iterable(rows))))
+        payloads = list(chain.from_iterable(rows))
         d, coeffs = 0, payloads
         if poly:
             d = max(max(map(len, payloads)) - 1, 0)
@@ -144,18 +166,20 @@ def _subset_dp(bm: BlockMatrix, top: int) -> dict[int, tuple]:
         c = max(map(abs, coeffs), default=0)
     v = (factorial(k) * (m * (d + 1)) ** (k - 1) * c**k).bit_length() + 1
     slots = k * d + 1
+    width = n * m
     if poly:
-        values = iter(_pack(payloads, v, d + 1))
-        rows = [[tuple(tuple(islice(values, m)) for _ in blk) for blk in row] for row in rows]
-    level = [_pack(blk, slots * v, m) for blk in rows[-1]]
-    for brows, plan in zip(rows[-2::-1], levels):
+        values = _pack(payloads, v, d + 1)
+        rows = [values[i : i + width] for i in range(0, k * m * width, width)]
+    # E[{c}] is B[n-1][c]: columns c m .. c m + m - 1 of the last m rows.
+    level = [_pack([row[j : j + m] for row in rows[-m:]], slots * v, m) for j in range(0, width, m)]
+    # Block rows n-2 up to top, each as its m flat rows.
+    for at, plan in zip(range((k - 2) * m, -1, -m), levels):
+        band = rows[at : at + m]
         store = []
         for packed in level:
-            store += packed, list(map(neg, packed))
-        level = [
-            _dp_entry([*map(chain.from_iterable, zip(*cols(brows)))], list(chain.from_iterable(keys(store))))
-            for cols, keys in plan
-        ]
+            store += packed
+            store += map(neg, packed)
+        level = [_dp_entry([*map(cols, band)], keys(store)) for cols, keys in plan]
     unpack = _unpacker(v, m * slots)
 
     def decode(x: int) -> tuple:
@@ -229,8 +253,8 @@ def nc_cofactor(bm: BlockMatrix, i: int, j: int) -> Matrix:
 def _column_collapses(bm: BlockMatrix, cofs) -> bool:
     # Every block row below the first times the cofactor column is zero.
     return not any(
-        any(map(any, _row_times(bm.ring, [blk.entries for blk in row], cofs)))
-        for row in bm.blocks[1:]
+        any(map(any, _row_times(bm, r, cofs)))
+        for r in range(1, bm.n)
     )
 
 
@@ -314,7 +338,7 @@ def bourbaki_trace(bm: BlockMatrix) -> BourbakiTrace:
     )
 
     cof_rows = _cofactor_rows(shifted)
-    shifted_det = Matrix._of(rz, _row_times(rz, [blk.entries for blk in shifted.blocks[0]], cof_rows))
+    shifted_det = Matrix._of(rz, _row_times(shifted, 0, cof_rows))
     first_column_collapse = _column_collapses(shifted, cof_rows)
 
     tail = BlockMatrix._of(rz, m, n - 1, tuple(row[1:] for row in shifted.blocks[1:]))

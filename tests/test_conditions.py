@@ -749,3 +749,50 @@ def test_f_slot_sample_tests_only_edges_that_share_a_slot(monkeypatch):
         assert tested == [{(2, 1), (3, 1)}]
         assert {*shifted(bm.block(1, 0)), *shifted(bm.block(2, 0))} <= {0, 1}
         monkeypatch.undo()
+
+
+# --- live edges in matrix_satisfies ------------------------------------------
+#
+# When few blocks have shifted rows, matrix_satisfies finds the live edges
+# among the pairs of those blocks rather than by a scan of every edge.  On
+# scalar samples with their two slot blocks, and with one more block
+# perturbed, it must still agree with the whole commutativity graph.
+
+@pytest.mark.parametrize("ring", [ZZ, PrimeField(10007)], ids=lambda r: r.label)
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+@pytest.mark.parametrize("m", [2, 4])
+def test_live_edge_satisfaction_matches_the_commutativity_graph(m, n, ring):
+    rng = random.Random(100 * n + m)
+    verdicts = set()
+    for family in ("f", "tcol:1", "side:2", "down:1"):
+        g = family_condition(family, n)
+        for seed in range(2):
+            bm = gen_satisfying(g, m, ring, seed)
+            samples = [bm]
+            # One block perturbed: a dense block, which commutes with almost
+            # no block, or a slot block at either end of the diagonal,
+            # which commutes with blocks in the other slot.
+            for kind in ("dense", 0, m - 2, "dense"):
+                if kind == "dense":
+                    rows = _entries(rng, m)
+                else:
+                    rows = [[int(i == j) for j in range(m)] for i in range(m)]
+                    for i in (kind, kind + 1):
+                        for j in (kind, kind + 1):
+                            rows[i][j] += rng.randint(-2, 2)
+                blocks = [list(row) for row in bm.blocks]
+                blocks[rng.randrange(n)][rng.randrange(n)] = Matrix(ring, rows)
+                samples.append(BlockMatrix(ring, m, n, blocks))
+            for x in samples:
+                verdict = matrix_satisfies(x, g)
+                assert verdict == is_subgraph(g, commutativity_graph(x)), (family, seed)
+                verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def test_edge_vertices_are_the_ends_of_the_edges_in_order():
+    g = cond(3, ((2, 3), (1, 1)), ((1, 1), (3, 2)))
+    assert g.edge_vertices() == ((1, 1), (2, 3), (3, 2))
+    assert g.edge_vertices() is g.edge_vertices()
+    assert empty_condition(4).edge_vertices() == ()
+    assert cond_f(3).edge_vertices() == tuple(v for v in vertices(3) if v[0] != 1)

@@ -225,6 +225,25 @@ def test_block_flatten_single():
     assert bm.flatten() == a
 
 
+def test_block_matrix_keeps_its_flat_rows(monkeypatch):
+    import blockdet.matrix
+
+    built = []
+    real = blockdet.matrix._flatten
+    monkeypatch.setattr(blockdet.matrix, "_flatten", lambda bm: built.append(bm) or real(bm))
+    rng = random.Random(13)
+    bm = BlockMatrix(ZZ, 2, 3, [[rand_matrix(ZZ, 2, 2, rng) for _ in range(3)] for _ in range(3)])
+    first = bm.flatten()
+    assert bm.flatten().entries is first.entries and built == [bm]
+    # Kept rows do not take part in equality, and survive a pickle.
+    twin = BlockMatrix(ZZ, 2, 3, bm.blocks)
+    assert twin == bm and hash(twin) == hash(bm)
+    assert pickle.loads(pickle.dumps(bm)).flatten() == first == twin.flatten()
+    # A block view keeps the rows of the matrix it views.
+    assert block_view(first, 2).flatten().entries is first.entries
+    assert len(built) == 2
+
+
 def test_block_view_identity():
     v = block_view(Matrix.identity(ZZ, 6), 2)
     assert v.n == 3 and v.m == 2
@@ -242,8 +261,10 @@ def test_block_roundtrip():
     for m in (1, 2, 3, 6):
         view = block_view(flat, m)
         assert view.flatten() == flat
-        # Built through the trusted constructor, it passes the checked one.
-        assert BlockMatrix(ZZ, m, 6 // m, view.blocks) == view
+        # Built through the trusted constructor, it passes the checked one,
+        # and built from its blocks alone it flattens to the same rows.
+        rebuilt = BlockMatrix(ZZ, m, 6 // m, view.blocks)
+        assert rebuilt == view and rebuilt.flatten() == flat
     bm = block_view(flat, 2)
     assert block_view(bm.flatten(), 2) == bm
 

@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, product
 from math import comb, isqrt
 
 import pytest
@@ -104,15 +104,16 @@ def test_subset_dp_matches_permutation_sum(bm):
         assert nc_first_row_cofactors(bm) == perm_sum_first_row_cofactors(bm)
 
 
-# The Hypothesis strategies stop at n = 6; at the cap the plan's deepest
-# levels and their signs are held to the DP keyed by column mask.
+# The Hypothesis strategies stop at n = 6 and m = 3; at the cap the plan's
+# deepest levels, their signs and their flat gathers are held to the DP
+# keyed by column mask.
 @pytest.mark.parametrize("label", [ring.label for ring in DP_RINGS])
 @pytest.mark.parametrize("n", [7, 8])
 def test_subset_dp_at_the_cap_matches_the_mask_keyed_dp(n, label):
     ring = parse_ring(label)
     rng = random.Random(n)
     full = (1 << n) - 1
-    for m in (1, 2):
+    for m in (1, 2, 3):
         bm = rand_block_matrix(ring, m, n, rng)
         assert nc_row_det(bm) == Matrix(ring, subset_dp_by_mask(bm, 0)[full])
         minors = subset_dp_by_mask(bm, 1)
@@ -121,23 +122,29 @@ def test_subset_dp_at_the_cap_matches_the_mask_keyed_dp(n, label):
 
 
 def test_dp_plan_lists_every_column_set_once_and_keys_its_signed_minors():
-    for n in range(1, 9):
+    for n, m in product(range(1, 9), (1, 2, 3)):
+        flat = range(n * m)
         for k in range(1, n + 1):
-            levels, masks = ncdet._dp_plan(n, k)
+            levels, masks = ncdet._dp_plan(n, k, m)
             assert len(levels) == k - 1
             previous = [(c,) for c in range(n)]
             for size, plan in enumerate(levels, 2):
-                sets = [cols(range(n)) for cols, _ in plan]
-                assert sets == list(combinations(range(n), size)), (n, k, size)
-                assert len(set(sets)) == comb(n, size)
-                # The store holds E and -E of each set of the previous level.
-                store = range(2 * len(previous))
-                for (_, keys), cols in zip(plan, sets):
-                    picked = keys(store)
-                    assert len(picked) == size
-                    for at, key in enumerate(picked):
-                        assert previous[key // 2] == cols[:at] + cols[at + 1 :], (n, k, cols, at)
-                        assert key % 2 == at % 2, (n, k, cols, at)
+                sets = list(combinations(range(n), size))
+                assert len(plan) == len(sets) == comb(n, size)
+                # The store holds the m packed rows of E and then of -E for
+                # each set of the previous level: row t of signed entry key
+                # is at key m + t.
+                store = range(2 * len(previous) * m)
+                index = {cols: i for i, cols in enumerate(previous)}
+                for (cols, keys), columns in zip(plan, sets):
+                    # The blocks of S side by side: flat columns c m + t, c in
+                    # S and t < m, in that order.
+                    assert cols(flat) == tuple(c * m + t for c in columns for t in range(m)), (n, k, m, columns)
+                    # Then the factors stacked: E[S - {c}] with the sign
+                    # (-1)^(position of c in S), for each c in S in order.
+                    keys_wanted = [2 * index[columns[:at] + columns[at + 1 :]] + at % 2 for at in range(size)]
+                    wanted = tuple(key * m + t for key in keys_wanted for t in range(m))
+                    assert keys(store) == wanted, (n, k, m, columns)
                 previous = sets
             assert sorted(masks) == sorted((sum(1 << c for c in cols), i) for i, cols in enumerate(previous))
 
@@ -543,6 +550,18 @@ class TestBourbakiTrace:
         assert len(dets) == 4
         assert sorted(map(id, flattened)) == sorted(map(id, (trace.shifted, trace.tail)))
         assert row_dets == []
+
+    def test_the_shifted_matrix_is_flattened_once(self, monkeypatch):
+        # Its cofactors' subset DP and its flat determinant share the flat
+        # rows it keeps; the tail is flattened once for its own determinant.
+        import blockdet.matrix
+
+        built = []
+        real = blockdet.matrix._flatten
+        monkeypatch.setattr(blockdet.matrix, "_flatten", lambda bm: built.append(bm) or real(bm))
+        trace = bourbaki_trace(gen_satisfying(cond_f(3), 6, ZZ, seed=23))
+        assert trace.checks.all_pass
+        assert sorted(map(id, built)) == sorted(map(id, (trace.shifted, trace.tail)))
 
     def test_requires_integer_ring(self):
         bm = BlockMatrix(F10007, 2, 2, [[Matrix.identity(F10007, 2)] * 2] * 2)

@@ -19,7 +19,7 @@ from blockdet.conditions import (
     matrix_satisfies,
     vertices,
 )
-from blockdet.matrix import BlockMatrix, Matrix, block_view, commutes
+from blockdet.matrix import BlockMatrix, Matrix, block_view, commutes, det_commutative
 from blockdet.ncdet import nc_row_det
 from blockdet.ring import PolynomialRing, PrimeField, ZZ, poly_degree
 from blockdet.verify import (
@@ -97,6 +97,23 @@ class TestCheckIdentity:
         bm = block_view(Matrix.identity(ZZ, 4), 2)
         result = check_identity(bm)
         assert result.equal and result.lhs == ZZ.one
+
+    @pytest.mark.parametrize("ring", [ZZ, F10007, PolynomialRing("x")], ids=lambda r: r.label)
+    def test_a_sample_is_flattened_once(self, monkeypatch, ring):
+        # The row determinant's subset DP and the flat determinant share the
+        # flat rows the sample keeps.
+        import blockdet.matrix
+
+        flattened = []
+        real = blockdet.matrix._flatten
+        monkeypatch.setattr(blockdet.matrix, "_flatten", lambda bm: flattened.append(bm) or real(bm))
+        for n, m in ((2, 4), (3, 3), (5, 2)):
+            bm = gen_satisfying(cond_f(n), m, ring, n + m)
+            flattened.clear()
+            result = check_identity(bm)
+            assert flattened == [bm]
+            assert result.rhs == det_commutative(Matrix(ring, real(bm)))
+            assert result.lhs == det_commutative(nc_row_det(BlockMatrix(ring, m, n, bm.blocks)))
 
 
 SAMPLE_CASES = [
