@@ -229,7 +229,9 @@ def shifted(x: Matrix) -> dict[int, tuple]:
     """The nonzero rows of x - cI by row index, for square x and c the most
     common diagonal entry of x; on a tie, the one met first down the
     diagonal.  Computed once per matrix and kept on it, so every caller
-    shares the dict: read it, never change it."""
+    shares the dict: read it, never change it.  A block that several
+    samples hold, such as an interned scalar block, keeps rows that serve
+    every one of them."""
     # Kept in the instance dict, past the frozen __setattr__, as _fill
     # does; functools.cached_property would take a lock on every first
     # access under CPython 3.11.

@@ -12,7 +12,7 @@ reproducible bit for bit.
 from __future__ import annotations
 
 import random
-from functools import partial
+from functools import lru_cache
 from itertools import chain, combinations, repeat
 from typing import Callable, NamedTuple
 
@@ -57,13 +57,18 @@ def trial_seed(seed: int, index: int) -> int:
 # Every random entry comes from ``_draws``: over mod:p the values of
 # rng.randrange(p), otherwise those of rng.randrange(-3, 4), in the same
 # order and from the same generator state, so the samples are the ones
-# those calls gave.  A block takes one call for all its entries and builds
-# its payload rows directly, with no ``RingValue`` and no matrix
-# arithmetic: a dense block is its draws row-major; a slot block draws its
-# scalar and then the four slot entries, row-major.  A polynomial
-# c0 I + c1 x + c2 x^2 in a block x is built in one pass over the payload
-# rows of x and x^2, reduced once per entry as ``matrix._product_rows``
-# does; every caller computes x^2 = x * x itself, once per drawn x.
+# those calls gave.  A generator knows how many values a sample takes (m^2
+# for a dense block, 1 for a scalar block, 5 for a slot block and 3 for
+# each polynomial's coefficients), draws them in one call per sample and
+# hands each block builder its consecutive values.  The builders make
+# payload rows directly, with no ``RingValue`` and no matrix arithmetic: a
+# dense block is its values row-major; a slot block takes its scalar and
+# then the four slot entries, row-major.  A scalar block is interned by
+# value (``_scalar_block``), so the blocks a draw repeats are one object,
+# built and shifted once.  A polynomial c0 I + c1 x + c2 x^2 in a block x
+# is built in one pass over the payload rows of x and x^2, reduced once per
+# entry as ``matrix._product_rows`` does; every caller computes x^2 = x * x
+# itself, once per drawn x.
 
 def _draws(ring: Ring, rng: random.Random, count: int) -> list[int]:
     """count draws: what count calls of rng.randrange(p) give over mod:p,
@@ -85,8 +90,8 @@ def _draws(ring: Ring, rng: random.Random, count: int) -> list[int]:
     return out
 
 
-def _dense(ring: Ring, m: int, rng: random.Random) -> Matrix:
-    values = _draws(ring, rng, m * m)
+def _dense(ring: Ring, m: int, values) -> Matrix:
+    """The m x m block whose entries are the m^2 drawn values, row-major."""
     # A draw over mod:p or int is its own payload.
     if isinstance(ring, PolynomialRing):
         values = list(map(ring.int_payload, values))
@@ -99,18 +104,37 @@ def _diag_rows(ring: Ring, values) -> list[tuple]:
     return [zero_row[:i] + (ring.int_payload(v),) + zero_row[i + 1 :] for i, v in enumerate(values)]
 
 
-def _scalar(ring: Ring, m: int, rng: random.Random) -> Matrix:
-    return Matrix._of(ring, tuple(_diag_rows(ring, _draws(ring, rng, 1) * m)))
+def _scalar(ring: Ring, m: int, c: int) -> Matrix:
+    """The m x m block c I for the drawn value c, interned by value: see
+    ``_scalar_block``."""
+    return _scalar_block(ring, m, c)
 
 
-def _slot(ring: Ring, m: int, rng: random.Random, corner: int) -> Matrix:
-    """Scalar plus a random 2x2 perturbation on the diagonal at 0-based
-    indices corner and corner + 1.
+@lru_cache(maxsize=64)
+def _scalar_block(ring: Ring, m: int, c: int) -> Matrix:
+    """c I over ring, one object per (ring, m, c) while it stays cached.
+
+    Sharing is sound because a ``Matrix`` is immutable and what it keeps
+    in its instance dict, its shifted rows, derives from its entries; what
+    belongs to one sample, its flat rows, stays on the ``BlockMatrix``.  So
+    ``matrix_satisfies`` and the witness test shift each cached scalar once
+    per process, not once per sample.  Over ``int`` and ``poly:`` a draw
+    takes 7 values, so 64 entries hold them for several (ring, m) pairs.
+    At worst, over a large p at m = 64, where the cache rarely hits, the 64
+    blocks hold about 2.5 MB of row tuples (``tracemalloc``).
+    """
+    return Matrix._of(ring, tuple(_diag_rows(ring, [c] * m)))
+
+
+def _slot(ring: Ring, m: int, values, corner: int) -> Matrix:
+    """Scalar plus a 2x2 perturbation on the diagonal at 0-based indices
+    corner and corner + 1, from the five drawn values c, a, b, d, e: the
+    scalar c, then the perturbation [[a, b], [d, e]] row-major.
 
     Perturbations in disjoint slots multiply to zero both ways, so such
     blocks commute across slots; blocks sharing a slot generically do not.
     """
-    c, a, b, d, e = _draws(ring, rng, 5)
+    c, a, b, d, e = values
     payload = ring.int_payload
     rows = _diag_rows(ring, [c] * m)
     left, right = rows[corner][:corner], rows[corner][corner + 2 :]
@@ -137,9 +161,9 @@ def _poly_in(x: Matrix, coeffs, powers) -> Matrix:
     return Matrix._of(ring, tuple(rows))
 
 
-def _rand_poly_in(x: Matrix, x2: Matrix, rng: random.Random) -> Matrix:
-    """c0 I + c1 x + c2 x^2 with three drawn coefficients, for x2 = x * x."""
-    return _poly_in(x, _draws(x.ring, rng, 3), (x.entries, x2.entries))
+def _rand_poly_in(x: Matrix, x2: Matrix, coeffs) -> Matrix:
+    """c0 I + c1 x + c2 x^2 for the three drawn coeffs, for x2 = x * x."""
+    return _poly_in(x, coeffs, (x.entries, x2.entries))
 
 
 # --- generators ----------------------------------------------------------------
@@ -152,7 +176,9 @@ def _rand_poly_in(x: Matrix, x2: Matrix, rng: random.Random) -> Matrix:
 # factories: ``_gen_layout``, where each block is dense, scalar or a slot
 # block in a fixed slot, and ``_gen_poly``, where the blocks are
 # polynomials in one drawn block.  Only g5 (its diagonal draws) and h1, h4
-# (polynomials in two drawn blocks) have generators of their own.
+# (polynomials in two drawn blocks) have generators of their own.  Each
+# draws a sample's values in one ``_draws`` call and slices them block by
+# block, in row-major block order.
 
 Pair = tuple[tuple[int, int], tuple[int, int]]
 GenFn = Callable[[Ring, random.Random], tuple[BlockMatrix, list[Pair]]]
@@ -160,14 +186,35 @@ GenFn = Callable[[Ring, random.Random], tuple[BlockMatrix, list[Pair]]]
 
 def _gen_layout(n: int, m: int, kind, witnesses: list[Pair]) -> GenFn:
     """Samples whose block at 1-based (i, j) is dense, scalar or a slot
-    block at 0-based corner k, as kind(i, j) is "dense", "scalar" or k;
-    blocks are drawn in row-major order."""
-    draws = {"dense": _dense, "scalar": _scalar}
-    kinds = [[kind(i, j) for j in range(1, n + 1)] for i in range(1, n + 1)]
-    grid = [[draws.get(k) or partial(_slot, corner=k) for k in row] for row in kinds]
+    block at 0-based corner k, as kind(i, j) is "dense", "scalar" or k.
+
+    The blocks' offsets into a sample's values, and so the count of values
+    one ``_draws`` call takes per sample, are fixed once per campaign; the
+    blocks take consecutive values in row-major order.
+    """
+    mm = m * m
+    sizes = {"dense": mm, "scalar": 1}
+    grid = []
+    count = 0
+    for i in range(1, n + 1):
+        row = []
+        for j in range(1, n + 1):
+            k = kind(i, j)
+            row.append((k, count))
+            count += sizes.get(k, 5)
+        grid.append(row)
 
     def fn(ring: Ring, rng: random.Random):
-        blocks = tuple(tuple([draw(ring, m, rng) for draw in row]) for row in grid)
+        values = _draws(ring, rng, count)
+
+        def block(k, at):
+            if k == "scalar":
+                return _scalar(ring, m, values[at])
+            if k == "dense":
+                return _dense(ring, m, values[at : at + mm])
+            return _slot(ring, m, values[at : at + 5], k)
+
+        blocks = tuple(tuple([block(k, at) for k, at in row]) for row in grid)
         return BlockMatrix._of(ring, m, n, blocks), witnesses
 
     return fn
@@ -176,13 +223,23 @@ def _gen_layout(n: int, m: int, kind, witnesses: list[Pair]) -> GenFn:
 def _gen_poly(n: int, m: int, dense_first_row: bool, witnesses: list[Pair]) -> GenFn:
     """Samples whose blocks, after one drawn block x, are c0 I + c1 x +
     c2 x^2 with drawn coefficients, except a dense first block row when
-    dense_first_row; blocks are drawn in row-major order."""
+    dense_first_row; one ``_draws`` call per sample, x's values first and
+    then the blocks' in row-major order."""
+    mm = m * m
+    first = mm if dense_first_row else 3
+    count = mm + n * first + (n - 1) * n * 3
 
     def fn(ring: Ring, rng: random.Random):
-        x = _dense(ring, m, rng)
+        values = _draws(ring, rng, count)
+        x = _dense(ring, m, values[:mm])
         x2 = x * x
-        blocks = tuple(tuple([_dense(ring, m, rng) if dense_first_row and i == 0 else _rand_poly_in(x, x2, rng)
-                              for _ in range(n)]) for i in range(n))
+        at = mm + n * first
+        if dense_first_row:
+            head = [_dense(ring, m, values[s : s + mm]) for s in range(mm, at, mm)]
+        else:
+            head = [_rand_poly_in(x, x2, values[s : s + 3]) for s in range(mm, at, 3)]
+        rest = [_rand_poly_in(x, x2, values[s : s + 3]) for s in range(at, count, 3)]
+        blocks = (tuple(head), *(tuple(rest[s : s + n]) for s in range(0, len(rest), n)))
         return BlockMatrix._of(ring, m, n, blocks), witnesses
 
     return fn
@@ -192,22 +249,27 @@ def _gen_g5(m: int, ring: Ring, rng: random.Random) -> BlockMatrix:
     # A scalar on indices {1,2}, B scalar on {2,3}; C and D carry
     # perturbations supported there, overlapping at index 2, so AB, AC and
     # BD commute while C and D generically do not.
-    a2, *arest = _draws(ring, rng, m - 1)
-    b23, b1, *brest = _draws(ring, rng, m - 1)
+    values = _draws(ring, rng, 2 * m + 8)
+    a2, *arest = values[: m - 1]
+    b23, b1, *brest = values[m - 1 : 2 * m - 2]
     a = Matrix._of(ring, tuple(_diag_rows(ring, [a2, a2, *arest])))
     b = Matrix._of(ring, tuple(_diag_rows(ring, [b1, b23, b23, *brest])))
-    c = _slot(ring, m, rng, 0)
-    d = _slot(ring, m, rng, 1)
+    c = _slot(ring, m, values[2 * m - 2 : 2 * m + 3], 0)
+    d = _slot(ring, m, values[2 * m + 3 :], 1)
     return BlockMatrix._of(ring, m, 2, ((a, b), (c, d)))
 
 
 def _gen_h(crossed: bool, m: int, ring: Ring, rng: random.Random) -> BlockMatrix:
     # A and B dense; C and D polynomials in B and A (h1, crossed) or in A
     # and B (h4).
-    a = _dense(ring, m, rng)
-    b = _dense(ring, m, rng)
+    mm = m * m
+    values = _draws(ring, rng, 2 * mm + 6)
+    a = _dense(ring, m, values[:mm])
+    b = _dense(ring, m, values[mm : 2 * mm])
     x, y = (b, a) if crossed else (a, b)
-    return BlockMatrix._of(ring, m, 2, ((a, b), (_rand_poly_in(x, x * x, rng), _rand_poly_in(y, y * y, rng))))
+    c = _rand_poly_in(x, x * x, values[2 * mm : 2 * mm + 3])
+    d = _rand_poly_in(y, y * y, values[2 * mm + 3 :])
+    return BlockMatrix._of(ring, m, 2, ((a, b), (c, d)))
 
 
 def _special_non_edge(g: Condition) -> Pair:
@@ -539,11 +601,12 @@ def silvester_check(
     cond = size2_condition((edge,))
 
     def trial(sub_seed: int):
-        rng = random.Random(_mix64(sub_seed))
-        blocks = [_dense(ring, m, rng) for _ in range(4)]
+        mm = m * m
+        values = _draws(ring, random.Random(_mix64(sub_seed)), 4 * mm + 3 * enforce_hypothesis)
+        blocks = [_dense(ring, m, values[s : s + mm]) for s in range(0, 4 * mm, mm)]
         if enforce_hypothesis:
             x = blocks[source]
-            blocks[target] = _rand_poly_in(x, x * x, rng)
+            blocks[target] = _rand_poly_in(x, x * x, values[4 * mm :])
         bm = BlockMatrix(ring, m, 2, [blocks[:2], blocks[2:]])
         if enforce_hypothesis and not matrix_satisfies(bm, cond):
             raise RuntimeError("hypothesis generator broke its own constraint")

@@ -31,11 +31,17 @@ None of this runs in ``blockdet`` itself:
   ``trace_inputs`` that the trace's golden pin also hashes;
 - ``main_by_full_parser`` parses every argv with the full parser alone and
   checks ``blockdet.cli.main``'s dispatch of a named command straight to
-  that command's parser.
+  that command's parser;
+- ``sample_by_randrange`` draws each entry of a sample by its own
+  ``rng.randrange`` call, in block order, and builds the blocks by matrix
+  arithmetic: it checks that ``blockdet.verify``'s generators, which draw a
+  sample's values in one call and slice them, give the same samples, retry
+  the same draws and leave the ``Random`` in the same state.
 """
 
 from __future__ import annotations
 
+import random
 import sys
 from functools import cache
 from itertools import chain, combinations, islice
@@ -65,7 +71,7 @@ from blockdet.matrix import (
 from blockdet.ncdet import nc_first_row_cofactors
 from blockdet.ring import ZZ, PolynomialRing, PrimeField, Ring, RingValue, _poly_trim
 from blockdet.traces import Word, _check_word, word_normal_form
-from blockdet.verify import builtin_matrix, check_identity, gen_satisfying, trial_seed
+from blockdet.verify import _mix64, builtin_matrix, check_identity, gen_satisfying, pick_generator, trial_seed
 
 EXPANSION_CAP = 8
 
@@ -385,3 +391,76 @@ def main_by_full_parser(argv: list[str]) -> int:
     except Exception as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
     return 2
+
+
+def sample_by_randrange(g: Condition, m: int, ring: Ring, seed: int) -> tuple[BlockMatrix, random.Random, int]:
+    """``gen_satisfying(g, m, ring, seed)`` with one ``rng.randrange`` call
+    per drawn value: the sample, the ``Random`` after it and the number of
+    samples drawn, retries included.
+
+    The generator's name and witness pairs come from ``pick_generator``;
+    the layout of each generator is restated here.  A sample is redrawn
+    while every witness pair commutes, by both full products.
+    """
+    name, fn = pick_generator(g, m)
+    witnesses = fn(ring, random.Random(0))[1]
+    head, _, arg = name.partition(":")
+    n = g.n
+    rng = random.Random(_mix64(seed))
+
+    def draw():
+        return rng.randrange(ring.p) if isinstance(ring, PrimeField) else rng.randrange(-3, 4)
+
+    def diagonal(values):
+        return Matrix(ring, [[v if i == j else 0 for j in range(m)] for i, v in enumerate(values)])
+
+    def dense():
+        return Matrix(ring, [[draw() for _ in range(m)] for _ in range(m)])
+
+    def slot(corner):
+        # c I, then the 2 x 2 perturbation at (corner, corner), row-major.
+        c = draw()
+        rows = [[c if i == j else 0 for j in range(m)] for i in range(m)]
+        for i, j in ((corner, corner), (corner, corner + 1), (corner + 1, corner), (corner + 1, corner + 1)):
+            rows[i][j] += draw()
+        return Matrix(ring, rows)
+
+    def poly(x):
+        c0, c1, c2 = (ring.from_int(draw()) for _ in range(3))
+        return Matrix.identity(ring, m).scale(c0) + x.scale(c1) + (x * x).scale(c2)
+
+    def block(kind):
+        return dense() if kind == "dense" else diagonal([draw()] * m) if kind == "scalar" else slot(kind)
+
+    layouts = {
+        "f-slots": lambda i, j: "dense" if i == 1 else 2 * j - 2,
+        "side-slots": lambda i, j: "dense" if (i, j) == (n, int(arg)) else 2 * i - 2,
+        "down-slots": lambda i, j: 2 * j - 2,
+        "h2-falsify": lambda i, j: "scalar" if (i, j) == (1, 1) else "dense",
+        "h3-falsify": lambda i, j: "scalar" if (i, j) == (1, 2) else "dense",
+        "generic-scalar": lambda i, j: 0 if (i, j) in witnesses[0] else "scalar",
+    }
+
+    def sample():
+        if head in layouts:
+            return [[block(layouts[head](i, j)) for j in range(1, n + 1)] for i in range(1, n + 1)]
+        if head in ("commutative", "kappa-poly"):
+            x = dense()
+            return [[dense() if head == "kappa-poly" and i == 0 else poly(x) for _ in range(n)] for i in range(n)]
+        if head == "g5-overlap":
+            a2 = draw()
+            a = diagonal([a2, a2] + [draw() for _ in range(m - 2)])
+            b23, b1 = draw(), draw()
+            b = diagonal([b1, b23, b23] + [draw() for _ in range(m - 3)])
+            return [[a, b], [slot(0), slot(1)]]
+        a, b = dense(), dense()
+        x, y = (b, a) if head == "h1-falsify" else (a, b)
+        return [[a, b], [poly(x), poly(y)]]
+
+    for attempt in range(1, 33):
+        bm = BlockMatrix(ring, m, n, sample())
+        if not witnesses or not all(
+            (x := bm.block(i - 1, j - 1)) * (y := bm.block(k - 1, l - 1)) == y * x for (i, j), (k, l) in witnesses
+        ):
+            return bm, rng, attempt
+    raise RuntimeError(f"generator {name!r} failed to produce a non-vacuous sample")

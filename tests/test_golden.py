@@ -95,6 +95,27 @@ def test_witness_retries_and_other_rings():
         assert _sha(format_block_matrix(gen_satisfying(g, m, ring, seed))) == digest, (g, m, ring.label, seed)
 
 
+def test_samples_with_repeated_scalar_blocks():
+    # generic-scalar samples, almost every block c I, and h2, h3 with one
+    # scalar block: the samples in which one interned scalar block serves
+    # several positions.  A slip in slicing a sample's values, such as a
+    # slot's c, a, b, d, e rotated or a block's count one short, fails here.
+    cases = [
+        (cond_f(5), 2, ZZ, "generic-scalar", "7c904fe34d61e58891ed79af6eb548611ecab20bb092139dd80a277421733e62"),
+        (cond_f(5), 2, PolynomialRing("x"), "generic-scalar",
+         "3162e7dc9fee4ac3af053761cd754a194644069ab9e4ea7388e544697c7ab7ab"),
+        (cond_f(5), 2, PrimeField(3), "generic-scalar",
+         "ae652a9d257fb6495f49e31a166b9fa4ff02a30258cb1d24595f665542cedc7d"),
+        (cond_f(6), 3, ZZ, "generic-scalar", "d49d2001baf77d36a35afa015fca187a00c632ce7270b24257a723e785196275"),
+        (cond_named("h2"), 3, ZZ, "h2-falsify", "1077f4e17b1b8c418e1ed6ade9f2e006fee24204dd21f40b392460cac8e7dea6"),
+        (cond_named("h3"), 3, ZZ, "h3-falsify", "3bc58d051971c3af8e00af76bf6c34222691b1380d5c3773cc0b4c17a1566f60"),
+    ]
+    for g, m, ring, name, digest in cases:
+        assert pick_generator(g, m)[0] == name
+        text = "".join(format_block_matrix(gen_satisfying(g, m, ring, seed)) for seed in range(5))
+        assert _sha(text) == digest, (g, m, ring.label)
+
+
 def test_commutative_samples():
     # Every block a polynomial in one drawn block, on each ring.
     g = complete_condition(2)

@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+from functools import partial
 from itertools import combinations, permutations
 
 import pytest
@@ -31,7 +32,7 @@ from blockdet.matrix import (
     signed_permutations,
 )
 from blockdet.ring import PolynomialRing, PrimeField, RingMismatchError, RingValue, ZZ
-from blockdet.verify import _slot, gen_satisfying
+from blockdet.verify import _draws, _slot, gen_satisfying
 from oracles import EXPANSION_CAP, _det_bareiss, _det_bird, cofactor_matrix, det_expansion_oracle
 
 F7 = PrimeField(7)
@@ -194,7 +195,7 @@ def test_diagonal_ties_shift_by_the_first_tied_entry():
     rng = random.Random(4)
     for ring in (ZZ, F7, PZ):
         tied = Matrix(ring, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]])
-        blocks = [tied, _slot(ring, 4, rng, 0), _slot(ring, 4, rng, 1), _slot(ring, 4, rng, 2),
+        blocks = [tied, *(_slot(ring, 4, _draws(ring, rng, 5), corner) for corner in range(3)),
                   rand_matrix(ring, 4, 4, rng), Matrix.identity(ring, 4)]
         for x in blocks:
             for y in blocks:
@@ -519,8 +520,8 @@ def test_unboxed_kernel_matches_ring_value_arithmetic(data):
     # with its last row perturbed, so the first differing row comes late.
     d = data.draw(st.integers(1, 8), label="d")
     slots = (
-        st.builds(_slot, st.just(ring), st.just(d), st.randoms(use_true_random=False),
-                  st.integers(0, d - 2))
+        st.builds(_slot, st.just(ring), st.just(d),
+                  st.randoms(use_true_random=False).map(partial(_draws, ring, count=5)), st.integers(0, d - 2))
         if d >= 2
         else st.nothing()
     )

@@ -27,7 +27,7 @@ from blockdet.traces import (
     symbolic_row_det,
     word_normal_form,
 )
-from blockdet.verify import _dense, _scalar, _slot
+from blockdet.verify import _dense, _draws, _scalar, _slot
 from oracles import identity_holds_on_every_pair, trace_equal, trace_equal_by_projection
 
 F10007 = PrimeField(10007)
@@ -298,11 +298,11 @@ class TestRowswap:
             row = []
             for c in range(1, n + 1):
                 if r == 1:
-                    row.append(_dense(F10007, 4, rng))
+                    row.append(_dense(F10007, 4, _draws(F10007, rng, 16)))
                 elif missing is not None and (r, c) in missing:
-                    row.append(_slot(F10007, 4, rng, 0))
+                    row.append(_slot(F10007, 4, _draws(F10007, rng, 5), 0))
                 else:
-                    row.append(_scalar(F10007, 4, rng))
+                    row.append(_scalar(F10007, 4, *_draws(F10007, rng, 1)))
             blocks.append(row)
         bm = BlockMatrix(F10007, 4, n, blocks)
         order = [1] + [j if r == i else i if r == j else r for r in range(2, n + 1)]
@@ -449,9 +449,9 @@ class TestEvaluationHomomorphism:
         out = {}
         for lt in letters_of(n):
             if special and lt in special:
-                out[lt] = _slot(F10007, m, rng, 0)
+                out[lt] = _slot(F10007, m, _draws(F10007, rng, 5), 0)
             else:
-                out[lt] = _scalar(F10007, m, rng)
+                out[lt] = _scalar(F10007, m, *_draws(F10007, rng, 1))
         return out
 
     def evaluate(self, poly, assignment, m=4):

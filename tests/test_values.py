@@ -25,6 +25,7 @@ from blockdet.ncdet import bourbaki_trace, nc_cofactor, nc_first_row_cofactors, 
 from blockdet.ring import ZZ, IntegerRing, PolynomialRing, PrimeField, RingValue
 from blockdet.verify import (
     _dense,
+    _draws,
     _poly_in,
     _scalar,
     _slot,
@@ -285,8 +286,8 @@ def test_every_generator_builds_canonical_blocks(ring):
             for blk in row:
                 assert_trusted(blk)
     rng = random.Random(3)
-    x = _dense(ring, 3, rng)
-    for mat in (x, _scalar(ring, 3, rng), _slot(ring, 4, rng, 1), _poly_in(x, [2, -1, 3, 1], [
+    x = _dense(ring, 3, _draws(ring, rng, 9))
+    for mat in (x, _scalar(ring, 3, *_draws(ring, rng, 1)), _slot(ring, 4, _draws(ring, rng, 5), 1), _poly_in(x, [2, -1, 3, 1], [
             x.entries, (x * x).entries, (x * x * x).entries])):
         assert_trusted(mat)
 

@@ -1,5 +1,6 @@
 import random
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,6 +30,8 @@ from blockdet.verify import (
     _edge_maps,
     _maps_onto,
     _poly_in,
+    _scalar,
+    _scalar_block,
     _special_non_edge,
     builtin_matrix,
     check_identity,
@@ -40,7 +43,7 @@ from blockdet.verify import (
     silvester_check,
     trial_seed,
 )
-from oracles import maps_onto_by_relabelling
+from oracles import maps_onto_by_relabelling, sample_by_randrange
 
 F10007 = PrimeField(10007)
 
@@ -337,6 +340,79 @@ class TestGeneratorChoice:
         g = family_condition("tcol:1", 3)
         assert run_campaign(g, 3, F10007, 4, seed=1).generator == "generic-scalar"
         assert calls == [g]
+
+    # Every generator that pick_generator dispatches to, with the mod:2
+    # samples of kappa at m = 2, tcol:1 at m = 3 and g5 that need retries.
+    DRAW_CASES = [("complete", 2, 3), ("f", 2, 4), ("side:1", 2, 4), ("side:3", 3, 6), ("down:2", 2, 4),
+                  ("kappa", 2, 2), ("kappa", 3, 3), ("g5", 2, 4), ("g5", 2, 5), ("h1", 2, 3), ("h2", 2, 3),
+                  ("h3", 2, 3), ("h4", 2, 3), ("f", 3, 2), ("tcol:1", 3, 3)]
+
+    @pytest.mark.parametrize("ring", [ZZ, F10007, PrimeField(2), PolynomialRing("x")], ids=lambda r: r.label)
+    def test_samples_are_the_per_entry_randrange_draws(self, monkeypatch, ring):
+        # Each sample's values come from one _draws call, sliced block by
+        # block; the oracle draws them one randrange call at a time and
+        # builds the blocks by matrix arithmetic.  The samples, the retries
+        # and the Random's state after them are the same.
+        import blockdet.verify
+
+        made = []
+
+        class Recording(random.Random):
+            def __init__(self, seed):
+                super().__init__(seed)
+                made.append(self)
+
+        monkeypatch.setattr(blockdet.verify, "random", SimpleNamespace(Random=Recording))
+        names, retries = set(), 0
+        for fid, n, m in self.DRAW_CASES:
+            g = family_condition(fid, n)
+            names.add(pick_generator(g, m)[0].partition(":")[0])
+            for seed in range(4):
+                made.clear()
+                bm = gen_satisfying(g, m, ring, seed)
+                want, rng, attempts = sample_by_randrange(g, m, ring, seed)
+                assert bm == want, (fid, n, m, seed)
+                assert len(made) == 1 and made[0].getstate() == rng.getstate(), (fid, n, m, seed)
+                retries += attempts - 1
+        assert names == {"commutative", "f-slots", "side-slots", "down-slots", "kappa-poly", "g5-overlap",
+                         "h1-falsify", "h2-falsify", "h3-falsify", "h4-falsify", "generic-scalar"}
+        if ring == PrimeField(2):
+            assert retries > 0
+
+
+class TestScalarInterning:
+    def test_a_value_gives_one_block(self):
+        assert _scalar(ZZ, 2, 3) is _scalar(ZZ, 2, 3)
+        # Equal rings share the block.
+        assert _scalar(PrimeField(10007), 4, 5) is _scalar(PrimeField(10007), 4, 5)
+
+    def test_the_ring_and_the_size_are_part_of_the_key(self):
+        px = PolynomialRing("x")
+        blocks = {(ring.label, m): _scalar(ring, m, 3) for ring in (ZZ, px) for m in (2, 3)}
+        assert len({id(b) for b in blocks.values()}) == 4
+        assert blocks["int", 2].ring == ZZ and blocks["int", 2].entries == ((3, 0), (0, 3))
+        assert blocks["int", 3].entries == ((3, 0, 0), (0, 3, 0), (0, 0, 3))
+        assert blocks["poly:x", 2].ring == px and blocks["poly:x", 2].entries == (((3,), ()), ((), (3,)))
+        assert blocks["poly:x", 3].entries == (((3,), (), ()), ((), (3,), ()), ((), (), (3,)))
+
+    def test_the_cache_is_bounded(self):
+        assert _scalar_block.cache_info().maxsize == 64
+
+    def test_a_campaign_shifts_each_distinct_scalar_once(self, monkeypatch):
+        # f at n = 5, m = 2 over int: 23 scalar blocks and 2 slot blocks a
+        # sample, the scalars from 7 values.  Each block is shifted once,
+        # and at most 7 of them are scalar: the interned ones.
+        import blockdet.matrix
+
+        shifts = []
+        real = blockdet.matrix._shift
+        monkeypatch.setattr(blockdet.matrix, "_shift", lambda x: shifts.append(x) or real(x))
+        _scalar_block.cache_clear()
+        assert run_campaign(cond_f(5), 2, ZZ, 20, seed=4).failures == 0
+        assert len({id(x) for x in shifts}) == len(shifts)
+        scalars = [x for x in shifts if not real(x)]
+        assert 0 < len(scalars) <= 7
+        assert len(shifts) - len(scalars) == 2 * 20
 
 
 class TestCampaigns:
