@@ -2,7 +2,6 @@
 
 from .conditions import (
     Condition,
-    commutativity_graph,
     complete_condition,
     cond_col_permute,
     cond_f,
@@ -10,7 +9,6 @@ from .conditions import (
     cond_f_side,
     cond_kappa,
     cond_named,
-    cond_row_permute,
     cond_t_col,
     cond_t_row,
     cond_transpose,
@@ -20,7 +18,6 @@ from .conditions import (
     format_condition,
     is_subgraph,
     matrix_satisfies,
-    parse_condition,
 )
 from .matrix import (
     BlockMatrix,

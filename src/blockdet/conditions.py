@@ -2,7 +2,7 @@
 
 A block matrix satisfies a condition when every edge of the condition joins
 a pair of commuting blocks (labeled containment on the fixed vertex set,
-not isomorphism).  All the named families, the column/row permutation and
+not isomorphism).  All the named families, the column permutation and
 transpose transforms, and edge-union live here.  ``Condition(n, edges)``
 checks every edge; the builders and transforms, whose edges are in order
 and in range by construction, build through the trusted ``Condition._of``.
@@ -156,24 +156,12 @@ def _relabel(g: Condition, vertex_map) -> Condition:
     return Condition._of(g.n, frozenset((a, b) if a < b else (b, a) for a, b in mapped))
 
 
-def _relabelling(images: tuple[int, ...], n: int) -> tuple[int, ...]:
-    if sorted(images) != list(range(1, n + 1)):
-        raise ValueError(f"{images} is not a permutation of 1..{n}")
-    return images
-
-
 def cond_col_permute(g: Condition, images: tuple[int, ...]) -> Condition:
     """Relabel columns: column x becomes column images[x-1], where ``images``
     is a permutation of 1..n."""
-    ap = _relabelling(images, g.n)
-    return _relabel(g, lambda v: (v[0], ap[v[1] - 1]))
-
-
-def cond_row_permute(g: Condition, images: tuple[int, ...]) -> Condition:
-    """Relabel rows: row x becomes row images[x-1], where ``images`` is a
-    permutation of 1..n."""
-    ap = _relabelling(images, g.n)
-    return _relabel(g, lambda v: (ap[v[0] - 1], v[1]))
+    if sorted(images) != list(range(1, g.n + 1)):
+        raise ValueError(f"{images} is not a permutation of 1..{g.n}")
+    return _relabel(g, lambda v: (v[0], images[v[1] - 1]))
 
 
 def cond_transpose(g: Condition) -> Condition:
@@ -281,13 +269,6 @@ def is_subgraph(g: Condition, h: Condition) -> bool:
     return g.edges <= h.edges
 
 
-def commutativity_graph(bm: BlockMatrix) -> Condition:
-    """Edge wherever two blocks commute exactly; each block is shifted
-    (``matrix.shifted``) once."""
-    forms = {v: shifted(bm.blocks[v[0] - 1][v[1] - 1]) for v in vertices(bm.n)}
-    return _from_predicate(bm.n, lambda u, v: shifted_commute(bm.ring, forms[u], forms[v]))
-
-
 # Over int, cyclicity is proven mod this prime: a Krylov matrix of full
 # rank mod q has full rank over Q.
 _KRYLOV_PRIME = (1 << 31) - 1
@@ -323,13 +304,14 @@ def _support(form: dict[int, tuple], bits: list[int]) -> tuple[int, int]:
 def matrix_satisfies(bm: BlockMatrix, g: Condition) -> bool:
     """True when every edge of g joins commuting blocks of bm.
 
-    Equivalent to ``is_subgraph(g, commutativity_graph(bm))`` but only
-    examines the live edges of g, those between two blocks with shifted
-    rows.  Each block on an edge is shifted once (``matrix.shifted``).  An
-    edge at a scalar block, which has no shifted rows, holds with no
-    product; when the blocks with shifted rows are few, so that fewer pairs
-    of them than edges of g exist, the live edges are found among those
-    pairs instead of by a scan of every edge.  The live edges are tested by
+    The tests hold it to ``pairwise_satisfies`` in ``tests/oracles.py``,
+    which multiplies out both products of every edge; this examines only
+    the live edges of g, those between two blocks with shifted rows.  Each
+    block on an edge is shifted once (``matrix.shifted``).  An edge at a
+    scalar block, which has no shifted rows, holds with no product; when
+    the blocks with shifted rows are few, so that fewer pairs of them than
+    edges of g exist, the live edges are found among those pairs instead of
+    by a scan of every edge.  The live edges are tested by
     ``shifted_commute`` up to the first that fails, except those that one
     of two certificates settles.  Both are read off the sample itself, not
     from the generator that drew it.
@@ -395,17 +377,3 @@ def format_condition(g: Condition) -> str:
         lines.append(f"{i} {j} {k} {l}")
     return "\n".join(lines) + "\n"
 
-
-def parse_condition(text: str) -> Condition:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError("empty condition text")
-    n = int(lines[0])
-    edges = set()
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 4:
-            raise ValueError(f"bad edge line {ln!r}")
-        i, j, k, l = (int(p) for p in parts)
-        edges.add(((i, j), (k, l)))
-    return Condition(n, frozenset(edges))

@@ -4,18 +4,18 @@ A matrix stores its entries as a tuple of row tuples of the ring's canonical
 payloads, and every kernel computes on those rows directly.  Values are
 checked where they enter: ``Matrix(ring, rows)`` takes ints, payloads or
 ``RingValue``s and canonicalises each entry, while the kernels build through
-the trusted ``Matrix._of``.  ``entry``, ``row_list`` and the determinants
-return ``RingValue``s.  ``Matrix`` and ``BlockMatrix`` are immutable
-values on ``ring.Frozen``, like ``RingValue``, each with a validating
-``__init__``, a trusted ``_of`` and its own ``__repr__``: a matrix compares
-and hashes on ``(ring, entries)``, a block matrix on ``(ring, m, n,
-blocks)``, and assigning or deleting any attribute raises
-``AttributeError``.  Generators and kernels build block matrices through
-``BlockMatrix._of`` too.  A block matrix builds its flat rows, the payload
-rows of the mn x mn matrix, on first use and keeps them (``_flat_rows``),
-as a matrix keeps its shifted rows, so ``flatten`` and the row
-determinant's subset DP in ``ncdet`` flatten a sample once between them;
-``block_view`` keeps the viewed matrix's rows as them.
+the trusted ``Matrix._of``.  The determinants return ``RingValue``s.
+``Matrix`` and ``BlockMatrix`` are immutable values on ``ring.Frozen``,
+like ``RingValue``, each with a validating ``__init__``, a trusted ``_of``
+and its own ``__repr__``: a matrix compares and hashes on ``(ring,
+entries)``, a block matrix on ``(ring, m, n, blocks)``, and assigning or
+deleting any attribute raises ``AttributeError``.  Generators and kernels
+build block matrices through ``BlockMatrix._of`` too.  A block matrix
+builds its flat rows, the payload rows of the mn x mn matrix, on first use
+and keeps them (``_flat_rows``), as a matrix keeps its shifted rows, so
+``flatten`` and the row determinant's subset DP in ``ncdet`` flatten a
+sample once between them; ``block_view`` keeps the viewed matrix's rows as
+them.
 
 Products are built one row at a time: row i of A*B is the sum of
 a[i][k] * (row k of B) over the nonzero a[i][k] only, so zero entries of A
@@ -131,24 +131,9 @@ class Matrix(Frozen):
         # Straight into the instance dict, past the frozen __setattr__.
         self.__dict__.update(ring=ring, rows=len(entries), cols=len(entries[0]) if entries else 0, entries=entries)
 
-    @classmethod
-    def identity(cls, ring: Ring, k: int) -> Matrix:
-        one, zero = ring.int_payload(1), ring.int_payload(0)
-        return cls._of(ring, tuple(tuple(one if i == j else zero for j in range(k)) for i in range(k)))
-
-    @classmethod
-    def zeros(cls, ring: Ring, rows: int, cols: int) -> Matrix:
-        return cls._of(ring, ((ring.int_payload(0),) * cols,) * rows)
-
     @property
     def is_square(self) -> bool:
         return self.rows == self.cols
-
-    def entry(self, i: int, j: int) -> RingValue:
-        return RingValue(self.ring, self.entries[i][j])
-
-    def row_list(self, i: int) -> list[RingValue]:
-        return [RingValue(self.ring, p) for p in self.entries[i]]
 
     def _check_ring(self, other: Matrix) -> None:
         if self.ring != other.ring:
@@ -182,9 +167,6 @@ class Matrix(Frozen):
         pmul = self.ring.pmul
         sp = s.payload
         return Matrix._of(self.ring, tuple(tuple(map(pmul, repeat(sp), row)) for row in self.entries))
-
-    def transpose(self) -> Matrix:
-        return Matrix._of(self.ring, tuple(zip(*self.entries)))
 
     def __repr__(self):
         body = "; ".join(" ".join(map(self.ring.format_payload, row)) for row in self.entries)
@@ -469,15 +451,6 @@ class BlockMatrix(Frozen):
     def flatten(self) -> Matrix:
         """The mn x mn matrix of the entries, on the kept flat rows."""
         return Matrix._of(self.ring, _flat_rows(self))
-
-    def transpose(self) -> BlockMatrix:
-        # Block (i, j) of the transpose is the transpose of block (j, i).
-        return BlockMatrix(
-            self.ring,
-            self.m,
-            self.n,
-            [[self.blocks[j][i].transpose() for j in range(self.n)] for i in range(self.n)],
-        )
 
     def __repr__(self):
         return f"BlockMatrix(n={self.n}, m={self.m}, ring={self.ring.label})"

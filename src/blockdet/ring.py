@@ -118,17 +118,6 @@ class Ring(Frozen):
 
     label: str
 
-    def from_int(self, k: int) -> RingValue:
-        return RingValue(self, self.int_payload(k))
-
-    @property
-    def zero(self) -> RingValue:
-        return self.from_int(0)
-
-    @property
-    def one(self) -> RingValue:
-        return self.from_int(1)
-
     # payload protocol
     def canonical(self, payload):
         raise NotImplementedError
@@ -300,20 +289,9 @@ class RingValue(Frozen):
         if self.ring != other.ring:
             raise RingMismatchError(f"ring mismatch: {self.ring.label} vs {other.ring.label}")
 
-    def __add__(self, other: RingValue) -> RingValue:
-        self._check(other)
-        return RingValue(self.ring, self.ring.padd(self.payload, other.payload))
-
-    def __sub__(self, other: RingValue) -> RingValue:
-        self._check(other)
-        return RingValue(self.ring, self.ring.psub(self.payload, other.payload))
-
     def __mul__(self, other: RingValue) -> RingValue:
         self._check(other)
         return RingValue(self.ring, self.ring.pmul(self.payload, other.payload))
-
-    def __neg__(self) -> RingValue:
-        return RingValue(self.ring, self.ring.pneg(self.payload))
 
     def __repr__(self):
         return f"<{self.ring.label}: {self.ring.format_payload(self.payload)}>"

@@ -104,15 +104,10 @@ def _diag_rows(ring: Ring, values) -> list[tuple]:
     return [zero_row[:i] + (ring.int_payload(v),) + zero_row[i + 1 :] for i, v in enumerate(values)]
 
 
-def _scalar(ring: Ring, m: int, c: int) -> Matrix:
-    """The m x m block c I for the drawn value c, interned by value: see
-    ``_scalar_block``."""
-    return _scalar_block(ring, m, c)
-
-
 @lru_cache(maxsize=64)
 def _scalar_block(ring: Ring, m: int, c: int) -> Matrix:
-    """c I over ring, one object per (ring, m, c) while it stays cached.
+    """The m x m block c I over ring for the drawn value c, interned by
+    value: one object per (ring, m, c) while it stays cached.
 
     Sharing is sound because a ``Matrix`` is immutable and what it keeps
     in its instance dict, its shifted rows, derives from its entries; what
@@ -209,7 +204,7 @@ def _gen_layout(n: int, m: int, kind, witnesses: list[Pair]) -> GenFn:
 
         def block(k, at):
             if k == "scalar":
-                return _scalar(ring, m, values[at])
+                return _scalar_block(ring, m, values[at])
             if k == "dense":
                 return _dense(ring, m, values[at : at + mm])
             return _slot(ring, m, values[at : at + 5], k)

@@ -15,7 +15,9 @@ None of this runs in ``blockdet`` itself:
   row pairs that cannot leave row order;
 - ``pairwise_satisfies`` multiplies out both products of every edge's
   blocks, with no shift and no centralizer certificate, and checks
-  ``blockdet.conditions.matrix_satisfies``;
+  ``blockdet.conditions.matrix_satisfies``; ``commutation_graph`` joins
+  every pair of positions whose blocks ``commutes`` says commute, for the
+  tests that need every edge of a sample;
 - ``cofactor_matrix``, every signed minor by ``det_commutative``, checks
   ``blockdet.ncdet.nc_cofactor`` on 1 x 1 blocks;
 - ``subset_dp_by_mask`` is the subset DP keyed by column mask, which looks
@@ -23,7 +25,9 @@ None of this runs in ``blockdet`` itself:
   on ``blockdet.ncdet._dp_plan``'s flat levels up to ``ROW_DET_CAP``;
 - ``maps_onto_by_relabelling`` relabels the whole of kappa less one edge
   and compares it with kappa less the canonical edge, and checks the
-  optimality scan's image test, ``blockdet.verify._maps_onto``;
+  optimality scan's image test, ``blockdet.verify._maps_onto``; it
+  relabels rows by ``cond_row_permute``, the column relabelling between
+  two transposes;
 - ``eliminator_det`` flattens the induction's eliminator E and takes its
   determinant, and ``identity_at_zero`` runs ``check_identity`` on the
   input itself: they check ``blockdet.ncdet.bourbaki_trace``'s det E =
@@ -37,6 +41,8 @@ None of this runs in ``blockdet`` itself:
   arithmetic: it checks that ``blockdet.verify``'s generators, which draw a
   sample's values in one call and slice them, give the same samples, retry
   the same draws and leave the ``Random`` in the same state.
+
+``scalar`` builds c I, the one scalar-matrix builder the tests share.
 """
 
 from __future__ import annotations
@@ -56,7 +62,8 @@ from blockdet.conditions import (
     cond_kappa,
     cond_minus_edge,
     cond_named,
-    cond_row_permute,
+    cond_transpose,
+    vertices,
 )
 from blockdet.matrix import (
     BlockMatrix,
@@ -64,6 +71,7 @@ from blockdet.matrix import (
     MatrixFormatError,
     _pack,
     _unpacker,
+    commutes,
     det_commutative,
     permutation_sign,
     signed_permutations,
@@ -74,6 +82,11 @@ from blockdet.traces import Word, _check_word, word_normal_form
 from blockdet.verify import _mix64, builtin_matrix, check_identity, gen_satisfying, pick_generator, trial_seed
 
 EXPANSION_CAP = 8
+
+
+def scalar(ring: Ring, k: int, c=1) -> Matrix:
+    """c I, k x k, for an int or a value c of ring."""
+    return Matrix(ring, [[c if i == j else 0 for j in range(k)] for i in range(k)])
 
 
 def det_expansion_oracle(mat: Matrix) -> RingValue:
@@ -264,6 +277,13 @@ def pairwise_satisfies(bm: BlockMatrix, g: Condition) -> bool:
     return True
 
 
+def commutation_graph(bm: BlockMatrix) -> Condition:
+    """The condition joining every two positions of bm whose blocks
+    commute, each pair tested by ``commutes``."""
+    blocks = {v: bm.block(v[0] - 1, v[1] - 1) for v in vertices(bm.n)}
+    return Condition(bm.n, [(u, v) for u, v in combinations(blocks, 2) if commutes(blocks[u], blocks[v])])
+
+
 def cofactor_matrix(mat: Matrix) -> Matrix:
     """Matrix of signed minors; satisfies X (Cof X)^t = (det X) I."""
     if not mat.is_square:
@@ -272,12 +292,13 @@ def cofactor_matrix(mat: Matrix) -> Matrix:
     if k == 0:
         return mat
     if k == 1:
-        return Matrix.identity(ring, 1)
+        return Matrix(ring, [[1]])
 
-    def minor(i, j):
-        return det_commutative(Matrix(ring, [[rows[r][c] for c in range(k) if c != j] for r in range(k) if r != i]))
+    def cofactor(i, j):
+        minor = det_commutative(Matrix(ring, [[rows[r][c] for c in range(k) if c != j] for r in range(k) if r != i]))
+        return minor.payload if (i + j) % 2 == 0 else ring.pneg(minor.payload)
 
-    return Matrix(ring, [[minor(i, j) if (i + j) % 2 == 0 else -minor(i, j) for j in range(k)] for i in range(k)])
+    return Matrix(ring, [[cofactor(i, j) for j in range(k)] for i in range(k)])
 
 
 def subset_dp_by_mask(bm: BlockMatrix, top: int) -> dict[int, tuple]:
@@ -328,6 +349,13 @@ def subset_dp_by_mask(bm: BlockMatrix, top: int) -> dict[int, tuple]:
     return {mask: tuple(map(decode, packed)) for mask, packed in level.items()}
 
 
+def cond_row_permute(g: Condition, images: tuple[int, ...]) -> Condition:
+    """Relabel rows: row x becomes row images[x-1], where ``images`` is a
+    permutation of 1..n; the column relabelling of the transpose, transposed
+    back."""
+    return cond_transpose(cond_col_permute(cond_transpose(g), images))
+
+
 def maps_onto_by_relabelling(n: int, edge, canonical, row_map, col_map) -> bool:
     """Whether relabelling columns by col_map and then rows by row_map sends
     kappa less edge onto kappa less canonical, graph against graph."""
@@ -341,7 +369,7 @@ def eliminator_det(shifted: BlockMatrix) -> RingValue:
     replaced by the first-row cofactors C0..C(n-1) of ``shifted``."""
     ring, m, n = shifted.ring, shifted.m, shifted.n
     cofs = nc_first_row_cofactors(shifted)
-    ident, zero = Matrix.identity(ring, m), Matrix.zeros(ring, m, m)
+    ident, zero = scalar(ring, m), scalar(ring, m, 0)
     rows = [[cofs[i] if j == 0 else (ident if i == j else zero) for j in range(n)] for i in range(n)]
     return det_commutative(BlockMatrix(ring, m, n, rows).flatten())
 
@@ -426,11 +454,11 @@ def sample_by_randrange(g: Condition, m: int, ring: Ring, seed: int) -> tuple[Bl
         return Matrix(ring, rows)
 
     def poly(x):
-        c0, c1, c2 = (ring.from_int(draw()) for _ in range(3))
-        return Matrix.identity(ring, m).scale(c0) + x.scale(c1) + (x * x).scale(c2)
+        c0, c1, c2 = (draw() for _ in range(3))
+        return scalar(ring, m, c0) + x.scale(RingValue(ring, c1)) + (x * x).scale(RingValue(ring, c2))
 
     def block(kind):
-        return dense() if kind == "dense" else diagonal([draw()] * m) if kind == "scalar" else slot(kind)
+        return dense() if kind == "dense" else scalar(ring, m, draw()) if kind == "scalar" else slot(kind)
 
     layouts = {
         "f-slots": lambda i, j: "dense" if i == 1 else 2 * j - 2,

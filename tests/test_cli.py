@@ -10,12 +10,20 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import blockdet
 from blockdet.cli import main
-from blockdet.conditions import complete_condition, cond_f, parse_condition
+from blockdet.conditions import (
+    _FAMILIES,
+    _NAMED_SIZE2,
+    _PARAMETER_FAMILIES,
+    complete_condition,
+    cond_f,
+    family_condition,
+    format_condition,
+)
 from blockdet.matrix import format_block_matrix, format_matrix, Matrix, block_view, parse_block_matrix
 from blockdet.ring import ZZ
 from blockdet.traces import IDENTITY_CHECK_CAP
 from blockdet.verify import BUILTIN_NAMES, pick_generator
-from oracles import main_by_full_parser
+from oracles import main_by_full_parser, scalar
 
 
 def run(capsys, *argv):
@@ -38,7 +46,7 @@ def test_check_builtin_m3(capsys):
 
 def test_check_equal_matrix(tmp_path, capsys):
     path = tmp_path / "ident.txt"
-    path.write_text(format_block_matrix(block_view(Matrix.identity(ZZ, 4), 2)))
+    path.write_text(format_block_matrix(block_view(scalar(ZZ, 4), 2)))
     code, out, _ = run(capsys, "check", str(path))
     assert code == 0
     assert out.endswith("EQUAL\n")
@@ -127,10 +135,15 @@ def test_ncdet_builtin(capsys):
     assert "-60 -68" in out
 
 
-def test_family_output_parses_back(capsys):
-    code, out, _ = run(capsys, "family", "--name", "f", "--n", "3")
-    assert code == 0
-    assert parse_condition(out) == cond_f(3)
+def test_family_prints_exactly_the_condition_text(capsys):
+    # Every id that family_condition accepts: the plain families, each
+    # parameter family at every k, and the size-2 names at n = 2.
+    for n in (2, 3, 4):
+        ids = [*_FAMILIES, *(f"{head}:{k}" for head in _PARAMETER_FAMILIES for k in range(1, n + 1))]
+        ids += list(_NAMED_SIZE2) if n == 2 else []
+        for fid in ids:
+            assert run(capsys, "family", "--name", fid, "--n", str(n)) == (
+                0, format_condition(family_condition(fid, n)), ""), (fid, n)
 
 
 def test_family_bad_args(capsys):
@@ -245,7 +258,7 @@ def test_optimality_up_to_the_cap(capsys, n):
 @pytest.mark.parametrize("flags", [("--builtin", "m1"), ("--n", "3"), ("--builtin", "same_row", "--n", "3")])
 def test_a_file_takes_neither_builtin_nor_n(tmp_path, capsys, command, flags):
     path = tmp_path / "ident.txt"
-    path.write_text(format_block_matrix(block_view(Matrix.identity(ZZ, 4), 2)))
+    path.write_text(format_block_matrix(block_view(scalar(ZZ, 4), 2)))
     for argv in ((command, str(path), *flags), (command, *flags, str(path)), (command, "-", *flags)):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from blockdet.conditions import (
     _support,
     Condition,
-    commutativity_graph,
     complete_condition,
     cond_col_permute,
     cond_f,
@@ -17,7 +16,6 @@ from blockdet.conditions import (
     cond_kappa,
     cond_minus_edge,
     cond_named,
-    cond_row_permute,
     cond_t_col,
     cond_t_row,
     cond_transpose,
@@ -27,15 +25,14 @@ from blockdet.conditions import (
     format_condition,
     is_subgraph,
     matrix_satisfies,
-    parse_condition,
     size2_condition,
     vertices,
 )
 import blockdet.conditions
 from blockdet.matrix import BlockMatrix, Matrix, commutes, shifted
-from blockdet.ring import ZZ, PolynomialRing, PrimeField
+from blockdet.ring import ZZ, PolynomialRing, PrimeField, RingValue
 from blockdet.verify import builtin_matrix, gen_satisfying, optimality_scan
-from oracles import pairwise_satisfies
+from oracles import commutation_graph, cond_row_permute, pairwise_satisfies
 
 A, B, C, D = (1, 1), (1, 2), (2, 1), (2, 2)
 
@@ -137,7 +134,6 @@ class TestTransforms:
         g = cond_f_side(2, 3)
         ident = (1, 2, 3)
         assert cond_col_permute(g, ident) == g
-        assert cond_row_permute(g, ident) == g
 
     def test_group_action(self):
         rng = random.Random(0)
@@ -145,7 +141,6 @@ class TestTransforms:
         for _ in range(25):
             p, q = rand_perm(4, rng), rand_perm(4, rng)
             assert cond_col_permute(cond_col_permute(g, q), p) == cond_col_permute(g, compose(p, q))
-            assert cond_row_permute(cond_row_permute(g, q), p) == cond_row_permute(g, compose(p, q))
 
     def test_involution_and_exchange(self):
         rng = random.Random(1)
@@ -159,7 +154,11 @@ class TestTransforms:
             g = Condition(n, frozenset(edges))
             assert cond_transpose(cond_transpose(g)) == g
             p = rand_perm(n, rng)
-            assert cond_transpose(cond_col_permute(g, p)) == cond_row_permute(cond_transpose(g), p)
+            # Column relabelling, and the row relabelling of the tests (the
+            # column relabelling between two transposes), against the
+            # vertex map itself.
+            assert cond_col_permute(g, p) == Condition(n, [((i, p[j - 1]), (k, p[l - 1])) for (i, j), (k, l) in g.edges])
+            assert cond_row_permute(g, p) == Condition(n, [((p[i - 1], j), (p[k - 1], l)) for (i, j), (k, l) in g.edges])
 
     def test_edge_count_preserved(self):
         g = cond_f(3)
@@ -272,17 +271,19 @@ class TestSubgraph:
 
 class TestCommutativityGraph:
     def test_identity_blocks_complete(self):
-        ident = Matrix.identity(ZZ, 2)
+        ident = Matrix(ZZ, [[1, 0], [0, 1]])
         bm = BlockMatrix(ZZ, 2, 2, [[ident, ident], [ident, ident]])
-        assert commutativity_graph(bm) == complete_condition(2)
+        assert commutation_graph(bm) == complete_condition(2)
+        assert matrix_satisfies(bm, complete_condition(2))
 
     def test_optimality_witness_missing_edge(self):
         bm = builtin_matrix("same_row", n=2)
-        graph = commutativity_graph(bm)
+        graph = commutation_graph(bm)
         assert not graph.commutes(C, D)
+        assert not matrix_satisfies(bm, cond(2, (C, D)))
 
     def test_m1_has_cross_edges(self):
-        graph = commutativity_graph(builtin_matrix("m1"))
+        graph = commutation_graph(builtin_matrix("m1"))
         assert graph.commutes(A, D) and graph.commutes(B, C)
 
 
@@ -300,7 +301,7 @@ class TestSatisfies:
     def test_monotone_in_the_condition(self):
         rng = random.Random(2)
         bm = builtin_matrix("m1")
-        graph = commutativity_graph(bm)
+        graph = commutation_graph(bm)
         for _ in range(50):
             sub = Condition(2, frozenset(e for e in graph.edges if rng.random() < 0.5))
             assert matrix_satisfies(bm, sub)
@@ -331,14 +332,13 @@ class TestFamilyIds:
 
 
 def test_condition_text_roundtrip():
-    for g in (cond_f(3), cond_kappa(2), empty_condition(2), cond_f_side(2, 4)):
-        assert parse_condition(format_condition(g)) == g
-    # Lines written higher vertex first, or more than once, name the same edges.
-    for g in (cond_f(3), cond_t_col(2, 3), cond_named("g4")):
-        lines = [f"{k} {l} {i} {j}" for (i, j), (k, l) in g.sorted_edges()]
-        text = format_condition(g) + "\n".join(lines + lines[:2]) + "\n"
-        assert parse_condition(text) == g
-        assert format_condition(parse_condition(text)) == format_condition(g)
+    # The size, then each edge once as "i j k l", lower vertex first, in order.
+    assert format_condition(empty_condition(2)) == "2\n"
+    assert format_condition(cond_named("g4")) == "2\n1 1 1 2\n1 1 2 2\n1 2 2 1\n"
+    assert format_condition(cond_f(3)) == "3\n2 1 2 2\n2 1 2 3\n2 1 3 2\n2 1 3 3\n2 2 2 3\n2 2 3 1\n2 2 3 3\n" \
+        "2 3 3 1\n2 3 3 2\n3 1 3 2\n3 1 3 3\n3 2 3 3\n"
+    assert format_condition(cond_t_col(2, 3)) == "3\n1 1 2 2\n1 1 2 3\n1 1 3 2\n1 1 3 3\n1 2 2 3\n1 2 3 3\n" \
+        "1 3 2 1\n1 3 3 1\n2 1 3 2\n2 1 3 3\n2 2 3 3\n2 3 3 1\n"
 
 
 @st.composite
@@ -352,12 +352,15 @@ def conditions(draw):
 @settings(max_examples=150, deadline=None)
 @given(g=conditions())
 def test_condition_text_round_trips(g):
-    assert parse_condition(format_condition(g)) == g
+    size, *lines = format_condition(g).splitlines()
+    edges = [tuple(map(int, line.split())) for line in lines]
+    assert size == str(g.n) and edges == sorted(set(edges))
+    assert all((i, j) < (k, l) for i, j, k, l in edges)
+    assert Condition(g.n, [((i, j), (k, l)) for i, j, k, l in edges]) == g
 
 
 def test_condition_rejects_sizes_below_one():
-    for make in (lambda: parse_condition("0"), lambda: parse_condition("-3"),
-                 lambda: Condition(0, frozenset()), lambda: cond_f(-2)):
+    for make in (lambda: Condition(0, frozenset()), lambda: cond_f(-2)):
         with pytest.raises(ValueError):
             make()
 
@@ -400,13 +403,10 @@ def test_every_builder_and_transform_builds_checked_conditions(n):
         assert_trusted(cond_transpose(g))
         for perm in images:
             assert_trusted(cond_col_permute(g, perm))
-            assert_trusted(cond_row_permute(g, perm))
         assert_trusted(cond_union(g, cond_transpose(g)))
         for u, v in sorted(g.edges)[:6]:
             assert_trusted(cond_minus_edge(g, (u, v)))
             assert cond_minus_edge(g, (v, u)) == cond_minus_edge(g, (u, v))
-    if n <= 3:
-        assert_trusted(commutativity_graph(gen_satisfying(cond_f(n), 2 * n, ZZ, seed=n)))
 
 
 def test_trusted_conditions_still_check_their_size():
@@ -446,7 +446,7 @@ def _unitriangular(rng, m, upper):
     """A unitriangular matrix over Z and its inverse."""
     strict = _z([[rng.randint(-2, 2) if (j > i if upper else j < i) else 0 for j in range(m)]
                  for i in range(m)])
-    ident = Matrix.identity(ZZ, m)
+    ident = _diag([1] * m)
     inverse, power = ident, ident
     for k in range(1, m):
         power = power * strict
@@ -502,8 +502,8 @@ def _hub(kind, m, rng):
 
 def _poly_in_z(x, rng):
     m = x.rows
-    return (_diag([rng.randint(-3, 3)] * m) + x.scale(ZZ.from_int(rng.randint(-3, 3)))
-            + (x * x).scale(ZZ.from_int(rng.randint(-3, 3))))
+    return (_diag([rng.randint(-3, 3)] * m) + x.scale(RingValue(ZZ, rng.randint(-3, 3)))
+            + (x * x).scale(RingValue(ZZ, rng.randint(-3, 3))))
 
 
 @st.composite
@@ -785,7 +785,7 @@ def test_live_edge_satisfaction_matches_the_commutativity_graph(m, n, ring):
                 samples.append(BlockMatrix(ring, m, n, blocks))
             for x in samples:
                 verdict = matrix_satisfies(x, g)
-                assert verdict == is_subgraph(g, commutativity_graph(x)), (family, seed)
+                assert verdict == pairwise_satisfies(x, g), (family, seed)
                 verdicts.add(verdict)
     assert verdicts == {True, False}
 

@@ -13,9 +13,9 @@ from blockdet.conditions import (
     empty_condition,
     t_col_pair,
 )
-from blockdet.matrix import BlockMatrix, Matrix
+from blockdet.matrix import BlockMatrix
 from blockdet.ncdet import nc_row_det
-from blockdet.ring import PrimeField
+from blockdet.ring import PrimeField, RingValue
 from blockdet.traces import (
     IDENTITY_CHECK_CAP,
     _identity_holds,
@@ -27,8 +27,8 @@ from blockdet.traces import (
     symbolic_row_det,
     word_normal_form,
 )
-from blockdet.verify import _dense, _draws, _scalar, _slot
-from oracles import identity_holds_on_every_pair, trace_equal, trace_equal_by_projection
+from blockdet.verify import _dense, _draws, _scalar_block, _slot
+from oracles import identity_holds_on_every_pair, scalar, trace_equal, trace_equal_by_projection
 
 F10007 = PrimeField(10007)
 
@@ -302,7 +302,7 @@ class TestRowswap:
                 elif missing is not None and (r, c) in missing:
                     row.append(_slot(F10007, 4, _draws(F10007, rng, 5), 0))
                 else:
-                    row.append(_scalar(F10007, 4, *_draws(F10007, rng, 1)))
+                    row.append(_scalar_block(F10007, 4, *_draws(F10007, rng, 1)))
             blocks.append(row)
         bm = BlockMatrix(F10007, 4, n, blocks)
         order = [1] + [j if r == i else i if r == j else r for r in range(2, n + 1)]
@@ -451,17 +451,16 @@ class TestEvaluationHomomorphism:
             if special and lt in special:
                 out[lt] = _slot(F10007, m, _draws(F10007, rng, 5), 0)
             else:
-                out[lt] = _scalar(F10007, m, *_draws(F10007, rng, 1))
+                out[lt] = _scalar_block(F10007, m, *_draws(F10007, rng, 1))
         return out
 
     def evaluate(self, poly, assignment, m=4):
-        total = Matrix.zeros(F10007, m, m)
-        ident = Matrix.identity(F10007, m)
+        total, ident = scalar(F10007, m, 0), scalar(F10007, m)
         for word, coeff in poly.items():
             prod = ident
             for lt in word:
                 prod = prod * assignment[lt]
-            total = total + prod.scale(F10007.from_int(coeff))
+            total = total + prod.scale(RingValue(F10007, coeff))
         return total
 
     @pytest.mark.parametrize("n", [2, 3])
