@@ -4,25 +4,25 @@ The determinant of a block matrix over the (noncommutative) ring of m x m
 blocks is the signed permutation sum with each product's factors ordered by
 row index.  It is evaluated by a dynamic program over column subsets that
 takes n 2^(n-1) - n block products instead of the sum's (n-1) n!; that size
-is optimal for the noncommutative determinant (Nisan, STOC 1991).  The
-program's last level holds every first-row minor, so the determinant, the
-first-column cofactor identity and a checkable trace of the
-polynomial-extension induction each take one run of it.
+is optimal for the noncommutative determinant (Nisan, STOC 1991).  One run
+over all n block rows gives the determinant and, one level below it, every
+first-row minor, so the determinant, the first-column cofactor identity and
+a checkable trace of the polynomial-extension induction each take one run.
 
 Each entry of the program is a sum of block products: the blocks of the
 row side by side times the entries they multiply stacked in one column.
 Over every ring it runs on packed rows (Kronecker substitution):
 
-- With k = n - top block rows, d the largest entry degree (0 over ``int``
-  and ``mod:p``) and C the largest |coefficient| (p - 1 over ``mod:p``,
-  with no scan), each row of an entry is one Python int holding its m
-  entries in D = k d + 1 slots each, V = bit_length(k! (m (d + 1))^(k-1)
-  C^k) + 1 bits a slot.  A ``poly:`` entry goes in as its value at 2^V.
-  An entry of the returned level is a signed sum of k! products of k
-  blocks, each entry of which has degree at most k d and coefficients at
-  most (m (d + 1))^(k-1) C^k in size.  So every coefficient fits a signed
-  slot and no entry runs into the next; the levels between are never
-  read, and all arithmetic on the packed ints is exact.
+- With d the largest entry degree (0 over ``int`` and ``mod:p``) and C the
+  largest |coefficient| (p - 1 over ``mod:p``, with no scan), each row of
+  an entry is one Python int holding its m entries in D = n d + 1 slots
+  each, V = bit_length(n! (m (d + 1))^(n-1) C^n) + 1 bits a slot.  A
+  ``poly:`` entry goes in as its value at 2^V.  An entry of level k is a
+  signed sum of k! products of k blocks, each entry of which has degree at
+  most k d and coefficients at most (m (d + 1))^(k-1) C^k in size.  So
+  for k = n - 1 and k = n, the two levels read, every coefficient fits a
+  signed slot and no entry runs into the next, and all arithmetic on the
+  packed ints is exact.
 - Row i of an entry is one ``sum(map(mul, ...))`` of row i of the left
   blocks against the packed rows of the factors stacked, one C-level
   multiply-add per term, with a sign put on its packed factor as -E.
@@ -32,7 +32,7 @@ Over every ring it runs on packed rows (Kronecker substitution):
   (``matrix._flat_rows``), so the flat determinant of the same sample
   reuses them; over ``poly:`` it packs them at 2^V once.  Which entries
   and factors an entry takes, and with which signs, depend only on the
-  shape (n, k, m), so ``_dp_plan`` builds it once per shape.  Per column
+  shape (n, m), so ``_dp_plan`` builds it once per shape.  Per column
   set S it holds one ``itemgetter`` over the flat columns c m + t, for c
   in S and t < m, which picks S's blocks side by side from a flat row,
   and one over the previous level's store: the m packed rows of E0, then
@@ -40,10 +40,11 @@ Over every ring it runs on packed rows (Kronecker substitution):
   sign (-1)^(position of c in S), for each c in S.  Each level is then a
   flat list in ``combinations`` order, and an entry is m + 1 ``itemgetter``
   calls and one ``sum(map(mul, ...))`` per row.
-- Only the returned level is decoded, once per row, by the slot codec the
-  determinant over ``poly:`` uses too (``matrix._unpacker``).  The
-  coefficients are then reduced mod p over ``mod:p``, and cut into runs of
-  D and trimmed over ``poly:``.
+- Only what a caller returns is decoded, once per row, by the slot codec
+  the determinant over ``poly:`` uses too (``matrix._unpacker``): the
+  determinant, and for the cofactors the minors, each sign put on the
+  packed rows first.  The coefficients are then reduced mod p over
+  ``mod:p``, and cut into runs of D and trimmed over ``poly:``.
 
 The program builds a ``Matrix``, through the trusted ``Matrix._of``, only
 for what it returns.
@@ -58,7 +59,7 @@ from operator import itemgetter, mul, neg
 from typing import NamedTuple
 
 from .matrix import BlockMatrix, Matrix, _flat_rows, _pack, _product_rows, _unpacker, det_commutative
-from .ring import IntegerRing, PolynomialRing, PrimeField, Ring, _poly_trim, poly_is_monic
+from .ring import IntegerRing, PolynomialRing, PrimeField, _poly_trim, poly_is_monic
 
 ROW_DET_CAP = 8
 # Largest block size m a campaign draws: its cost grows as m^3.
@@ -71,19 +72,6 @@ def check_row_det_size(n: int) -> None:
         raise ValueError(f"size n={n} exceeds the row-determinant cap {ROW_DET_CAP}")
 
 
-def _row_times(bm: BlockMatrix, r: int, column) -> tuple:
-    """Rows of the sum of B[r][t] * column[t], as one product: block row r
-    side by side, its flat rows, times the blocks of ``column``, payload
-    row tuples, stacked."""
-    m = bm.m
-    return tuple(_product_rows(bm.ring, _flat_rows(bm)[r * m : (r + 1) * m], list(chain.from_iterable(column))))
-
-
-def _negated(ring: Ring, rows) -> tuple:
-    pneg = ring.pneg
-    return tuple(tuple(map(pneg, row)) for row in rows)
-
-
 def _dp_entry(left, column) -> list[int]:
     """Packed rows of one DP entry: row i is the sum of left[i][t] times
     column[t], ``left`` the rows of a block row's blocks side by side and
@@ -93,32 +81,29 @@ def _dp_entry(left, column) -> list[int]:
 
 
 @lru_cache(maxsize=8)
-def _dp_plan(n: int, k: int, m: int) -> tuple[tuple, tuple]:
-    """The index plan of the subset DP over n columns of m x m blocks up to
-    sets of k, for every block matrix of that shape: ``(levels, masks)``.
+def _dp_plan(n: int, m: int) -> tuple:
+    """The index plan of the subset DP over n columns of m x m blocks, for
+    every block matrix of that shape.
 
-    ``levels`` holds, for each set size 2..k, one pair ``(cols, keys)``
-    per column set S, in ``combinations`` order.  ``cols`` is
-    ``itemgetter`` over the flat columns c m + t, for c in S and t < m in
-    that order: it picks S's blocks side by side from a flat row.
-    ``keys`` picks from the previous level's signed store, which holds the
-    m packed rows of E0, then those of -E0, E1, -E1, ...: for each c in S,
-    the rows K m .. K m + m - 1 of K = 2 i + (position of c in S) mod 2,
-    i the index of S - {c} in that level.  ``masks`` pairs each column mask
-    of the last level with its index there.
+    It holds, for each set size 2..n, one pair ``(cols, keys)`` per column
+    set S, in ``combinations`` order.  ``cols`` is ``itemgetter`` over the
+    flat columns c m + t, for c in S and t < m in that order: it picks S's
+    blocks side by side from a flat row.  ``keys`` picks from the previous
+    level's signed store, which holds the m packed rows of E0, then those
+    of -E0, E1, -E1, ...: for each c in S, the rows K m .. K m + m - 1 of
+    K = 2 i + (position of c in S) mod 2, i the index of S - {c} in that
+    level.
 
     The gathers of a plan hold 2 m sum_s s C(n, s) <= 2032 m indices,
-    about 2 MB at n = k = 8 and m = 64, the campaigns' largest block.
-    Block files have no cap on m, so the cache keeps the 8 plans used
-    last; a sample takes at most two, (n, n, m) for ``nc_row_det`` and
-    (n, n - 1, m) for its first-row cofactors.
+    about 2 MB at n = 8 and m = 64, the campaigns' largest block.  Block
+    files have no cap on m, so the cache keeps the 8 plans used last.
     """
     # Index lists sliced from one list, so that the gathers share its ints.
     flat = list(range(n * m))
     block_cols = [flat[c * m : (c + 1) * m] for c in range(n)]
     index = {(c,): c for c in range(n)}
     levels = []
-    for size in range(2, k + 1):
+    for size in range(2, n + 1):
         sets = list(combinations(range(n), size))
         keys = [[2 * index[cols[:at] + cols[at + 1 :]] + at % 2 for at in range(size)] for cols in sets]
         store = list(range(2 * len(index) * m))
@@ -129,30 +114,23 @@ def _dp_plan(n: int, k: int, m: int) -> tuple[tuple, tuple]:
             for cols, key in zip(sets, keys)
         ))
         index = {cols: i for i, cols in enumerate(sets)}
-    masks = tuple((sum(1 << c for c in cols), i) for cols, i in index.items())
-    return tuple(levels), masks
+    return tuple(levels)
 
 
-def _subset_dp(bm: BlockMatrix, top: int) -> dict[int, tuple]:
-    """E[S] by column mask, as payload rows, for every set S of n - top
-    columns: the row-determinant of block rows top..n-1 (0-based)
-    restricted to the columns in S.
+def _subset_dp(bm: BlockMatrix) -> tuple:
+    """One run of the subset DP over all n block rows: ``(det, minors,
+    decode)``, the packed rows of the row-determinant E[all], those of the
+    level below it, the n first-row minors E[all - {j}] in ``combinations``
+    order (j = n - 1 first), and the decoder of one packed row.
 
     It starts from the last row, E[{c}] = B[n-1][c], and grows one row r
     at a time: E[S] = sum over c in S of (-1)^#{c' in S : c' < c}
-    B[r][c] E[S - {c}], keeping the factors in row order.  It reads the
-    block matrix's kept flat rows (``matrix._flat_rows``), packed once at
-    2^V over ``poly:``.  Each level is a flat list in the order of
-    ``_dp_plan(n, n - top, m)``, whose index plan is built once per shape;
-    the left rows of E[S] are its plan's gather on block row r's m flat
-    rows, each E[S] is m packed rows, a sign goes on its packed factor as
-    -E, and only the level returned is decoded (see the module docstring).
+    B[r][c] E[S - {c}], keeping the factors in row order, on the packed
+    rows and the plan ``_dp_plan(n, m)`` that the module docstring describes.
     """
     n, m, ring = bm.n, bm.m, bm.ring
     check_row_det_size(n)
-    k = n - top
-    levels, masks = _dp_plan(n, k, m)
-    rows = _flat_rows(bm)[top * m :]
+    rows = _flat_rows(bm)
     poly = isinstance(ring, PolynomialRing)
     p = ring.p if isinstance(ring, PrimeField) else 0
     if p:
@@ -164,22 +142,22 @@ def _subset_dp(bm: BlockMatrix, top: int) -> dict[int, tuple]:
             d = max(max(map(len, payloads)) - 1, 0)
             coeffs = chain.from_iterable(payloads)
         c = max(map(abs, coeffs), default=0)
-    v = (factorial(k) * (m * (d + 1)) ** (k - 1) * c**k).bit_length() + 1
-    slots = k * d + 1
+    v = (factorial(n) * (m * (d + 1)) ** (n - 1) * c**n).bit_length() + 1
+    slots = n * d + 1
     width = n * m
     if poly:
         values = _pack(payloads, v, d + 1)
-        rows = [values[i : i + width] for i in range(0, k * m * width, width)]
+        rows = [values[i : i + width] for i in range(0, n * m * width, width)]
     # E[{c}] is B[n-1][c]: columns c m .. c m + m - 1 of the last m rows.
-    level = [_pack([row[j : j + m] for row in rows[-m:]], slots * v, m) for j in range(0, width, m)]
-    # Block rows n-2 up to top, each as its m flat rows.
-    for at, plan in zip(range((k - 2) * m, -1, -m), levels):
+    minors = level = [_pack([row[j : j + m] for row in rows[-m:]], slots * v, m) for j in range(0, width, m)]
+    # Block rows n-2 up to 0, each as its m flat rows.
+    for at, plan in zip(range((n - 2) * m, -1, -m), _dp_plan(n, m)):
         band = rows[at : at + m]
         store = []
         for packed in level:
             store += packed
             store += map(neg, packed)
-        level = [_dp_entry([*map(cols, band)], keys(store)) for cols, keys in plan]
+        minors, level = level, [_dp_entry([*map(cols, band)], keys(store)) for cols, keys in plan]
     unpack = _unpacker(v, m * slots)
 
     def decode(x: int) -> tuple:
@@ -190,30 +168,28 @@ def _subset_dp(bm: BlockMatrix, top: int) -> dict[int, tuple]:
             return tuple([y % p for y in digits])
         return tuple(digits)
 
-    return {mask: tuple(map(decode, level[i])) for mask, i in masks}
+    return level[0], minors, decode
 
 
-def _cofactor_rows(bm: BlockMatrix) -> list[tuple]:
-    # The first-row cofactors as payload rows: (-1)^j E[all - {j}] over
-    # block rows 1..n-1.
-    minors = _subset_dp(bm, 1)
-    full = (1 << bm.n) - 1
-    return [
-        minors[full ^ (1 << c)] if c % 2 == 0 else _negated(bm.ring, minors[full ^ (1 << c)])
-        for c in range(bm.n)
+def _det_and_cofactors(bm: BlockMatrix) -> tuple[tuple, list[tuple]]:
+    # The row-determinant and the first-row cofactors (-1)^j E[all - {j}],
+    # as payload rows, from one run; a sign goes on the packed rows.
+    det, minors, decode = _subset_dp(bm)
+    return tuple(map(decode, det)), [
+        tuple(decode(-x if j % 2 else x) for x in packed) for j, packed in enumerate(reversed(minors))
     ]
 
 
 def nc_first_row_cofactors(bm: BlockMatrix) -> list[Matrix]:
     """All n first-row cofactors, (-1)^(1+j) times the (1, j) minor, from
-    one dynamic program over column subsets.
+    the run of the subset DP that gives the row-determinant.
 
-    The (1, j) minor is the program's E[all - {j}] over block rows 2..n.
-    Stopping below row 1 takes n 2^(n-1) - 2n block products.
+    The (1, j) minor is E[all - {j}] over block rows 2..n, which the run
+    holds one level below the determinant: n 2^(n-1) - n block products.
     """
     if bm.n < 2:
         raise ValueError("cofactors need n >= 2")
-    return [Matrix._of(bm.ring, rows) for rows in _cofactor_rows(bm)]
+    return [Matrix._of(bm.ring, rows) for rows in _det_and_cofactors(bm)[1]]
 
 
 def nc_row_det(bm: BlockMatrix) -> Matrix:
@@ -223,10 +199,10 @@ def nc_row_det(bm: BlockMatrix) -> Matrix:
     last step is the first-row expansion: n 2^(n-1) - n block products, not
     the (n-1) n! of the sum written out.
     """
-    n = bm.n
-    if n < 1:
+    if bm.n < 1:
         raise ValueError("row-determinant needs n >= 1")
-    return Matrix._of(bm.ring, _subset_dp(bm, 0)[(1 << n) - 1])
+    det, _, decode = _subset_dp(bm)
+    return Matrix._of(bm.ring, tuple(map(decode, det)))
 
 
 def nc_minor_det(bm: BlockMatrix, i: int, j: int) -> Matrix:
@@ -251,9 +227,11 @@ def nc_cofactor(bm: BlockMatrix, i: int, j: int) -> Matrix:
 
 
 def _column_collapses(bm: BlockMatrix, cofs) -> bool:
-    # Every block row below the first times the cofactor column is zero.
+    # Every block row below the first times the cofactor column is zero:
+    # one product each, of the row's flat rows by the cofactors stacked.
+    m, rows, column = bm.m, _flat_rows(bm), list(chain.from_iterable(cofs))
     return not any(
-        any(map(any, _row_times(bm, r, cofs)))
+        any(map(any, _product_rows(bm.ring, rows[r * m : (r + 1) * m], column)))
         for r in range(1, bm.n)
     )
 
@@ -270,7 +248,7 @@ def cofactor_column_check(bm: BlockMatrix) -> bool:
     """
     if bm.n == 1:
         return True
-    return _column_collapses(bm, _cofactor_rows(bm))
+    return _column_collapses(bm, _det_and_cofactors(bm)[1])
 
 
 class BourbakiChecks(NamedTuple):
@@ -284,13 +262,7 @@ class BourbakiChecks(NamedTuple):
 
     @property
     def all_pass(self) -> bool:
-        return (
-            self.first_column_collapse
-            and self.lower_det_monic
-            and self.det_product_identity
-            and self.induction_step
-            and self.identity_at_zero
-        )
+        return all(self)
 
 
 class BourbakiTrace(NamedTuple):
@@ -337,8 +309,8 @@ def bourbaki_trace(bm: BlockMatrix) -> BourbakiTrace:
         tuple(tuple([lift(bm.blocks[i][j], i == j) for j in range(n)]) for i in range(n)),
     )
 
-    cof_rows = _cofactor_rows(shifted)
-    shifted_det = Matrix._of(rz, _row_times(shifted, 0, cof_rows))
+    det_rows, cof_rows = _det_and_cofactors(shifted)
+    shifted_det = Matrix._of(rz, det_rows)
     first_column_collapse = _column_collapses(shifted, cof_rows)
 
     tail = BlockMatrix._of(rz, m, n - 1, tuple(row[1:] for row in shifted.blocks[1:]))

@@ -589,6 +589,9 @@ def silvester_check(
     ``enforce_hypothesis=False`` all blocks are independent, which is the
     negative control: failures are expected.
     """
+    if trials < 0:
+        raise ValueError(f"trials must be non-negative, got {trials}")
+    _check_block_size(m)
     v = variant.lower()
     if v not in _SILVESTER:
         raise ValueError(f"variant must be one of a, b, c, got {variant!r}")

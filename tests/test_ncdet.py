@@ -122,29 +122,31 @@ def test_subset_dp_at_the_cap_matches_the_mask_keyed_dp(n, label):
 def test_dp_plan_lists_every_column_set_once_and_keys_its_signed_minors():
     for n, m in product(range(1, 9), (1, 2, 3)):
         flat = range(n * m)
-        for k in range(1, n + 1):
-            levels, masks = ncdet._dp_plan(n, k, m)
-            assert len(levels) == k - 1
-            previous = [(c,) for c in range(n)]
-            for size, plan in enumerate(levels, 2):
-                sets = list(combinations(range(n), size))
-                assert len(plan) == len(sets) == comb(n, size)
-                # The store holds the m packed rows of E and then of -E for
-                # each set of the previous level: row t of signed entry key
-                # is at key m + t.
-                store = range(2 * len(previous) * m)
-                index = {cols: i for i, cols in enumerate(previous)}
-                for (cols, keys), columns in zip(plan, sets):
-                    # The blocks of S side by side: flat columns c m + t, c in
-                    # S and t < m, in that order.
-                    assert cols(flat) == tuple(c * m + t for c in columns for t in range(m)), (n, k, m, columns)
-                    # Then the factors stacked: E[S - {c}] with the sign
-                    # (-1)^(position of c in S), for each c in S in order.
-                    keys_wanted = [2 * index[columns[:at] + columns[at + 1 :]] + at % 2 for at in range(size)]
-                    wanted = tuple(key * m + t for key in keys_wanted for t in range(m))
-                    assert keys(store) == wanted, (n, k, m, columns)
-                previous = sets
-            assert sorted(masks) == sorted((sum(1 << c for c in cols), i) for i, cols in enumerate(previous))
+        levels = ncdet._dp_plan(n, m)
+        assert len(levels) == n - 1
+        below = previous = [(c,) for c in range(n)]
+        for size, plan in enumerate(levels, 2):
+            sets = list(combinations(range(n), size))
+            assert len(plan) == len(sets) == comb(n, size)
+            # The store holds the m packed rows of E and then of -E for
+            # each set of the previous level: row t of signed entry key is
+            # at key m + t.
+            store = range(2 * len(previous) * m)
+            index = {cols: i for i, cols in enumerate(previous)}
+            for (cols, keys), columns in zip(plan, sets):
+                # The blocks of S side by side: flat columns c m + t, c in S
+                # and t < m, in that order.
+                assert cols(flat) == tuple(c * m + t for c in columns for t in range(m)), (n, m, columns)
+                # Then the factors stacked: E[S - {c}] with the sign
+                # (-1)^(position of c in S), for each c in S in order.
+                keys_wanted = [2 * index[columns[:at] + columns[at + 1 :]] + at % 2 for at in range(size)]
+                wanted = tuple(key * m + t for key in keys_wanted for t in range(m))
+                assert keys(store) == wanted, (n, m, columns)
+            below, previous = previous, sets
+        # The level below the last, which the cofactors read, lists the
+        # sets without column n - 1, then n - 2, and so on down to 0.
+        if n >= 2:
+            assert below == [tuple(c for c in range(n) if c != j) for j in reversed(range(n))], n
 
 
 # Each DP entry, a sum of k block products, is one ``_dp_entry`` call: a
@@ -152,8 +154,8 @@ def test_dp_plan_lists_every_column_set_once_and_keys_its_signed_minors():
 # packed rows of the k x 1 block column under it.
 @pytest.mark.parametrize("label", ["int", "mod:10007", "poly:a"])
 def test_block_product_counts(monkeypatch, label):
-    # The subset DP takes n 2^(n-1) - n block products for the determinant
-    # and n fewer for the cofactors alone; the permutation sum takes (n-1) n!.
+    # The subset DP takes n 2^(n-1) - n block products, and its one run gives
+    # the determinant and the cofactors; the permutation sum takes (n-1) n!.
     seam = ncdet._dp_entry
     terms = 0
 
@@ -173,7 +175,33 @@ def test_block_product_counts(monkeypatch, label):
             assert terms == n * 2 ** (n - 1) - n, (n, m)
             terms = 0
             nc_first_row_cofactors(bm)
-            assert terms == n * 2 ** (n - 1) - 2 * n, (n, m)
+            assert terms == n * 2 ** (n - 1) - n, (n, m)
+
+
+# The determinant, the cofactors, the cofactor identity and the trace each
+# take one run of the subset DP, over the one plan of their shape.
+@pytest.mark.parametrize("call", [nc_row_det, nc_first_row_cofactors, cofactor_column_check, bourbaki_trace])
+def test_each_caller_runs_the_subset_dp_once(monkeypatch, call):
+    runs, plans = [], []
+    run, plan = ncdet._subset_dp, ncdet._dp_plan
+
+    def counting_run(bm):
+        runs.append(bm)
+        return run(bm)
+
+    def counting_plan(*shape):
+        plans.append(shape)
+        return plan(*shape)
+
+    monkeypatch.setattr(ncdet, "_subset_dp", counting_run)
+    monkeypatch.setattr(ncdet, "_dp_plan", counting_plan)
+    rng = random.Random(5)
+    for n in range(2, 6):
+        for m in (1, 2):
+            runs.clear()
+            plans.clear()
+            call(rand_block_matrix(ZZ, m, n, rng))
+            assert len(runs) == 1 and plans == [(n, m)], (n, m)
 
 
 def packed_boundary(k):

@@ -20,7 +20,7 @@ from blockdet.conditions import (
     vertices,
 )
 from blockdet.matrix import BlockMatrix, Matrix, block_view, commutes, det_commutative
-from blockdet.ncdet import nc_row_det
+from blockdet.ncdet import BLOCK_SIZE_CAP, nc_row_det
 from blockdet.ring import PolynomialRing, PrimeField, RingValue, ZZ, poly_degree
 from blockdet.verify import (
     CANONICAL_DIFF_ROW,
@@ -543,6 +543,21 @@ class TestSilvester:
     def test_bad_variant(self):
         with pytest.raises(ValueError):
             silvester_check("d", 2, ZZ, 1, seed=0)
+
+    # The same input checks as run_campaign: no report without trials behind
+    # it, and the block size between 2 and the campaigns' cap.
+    @pytest.mark.parametrize(
+        ("m", "trials", "message"),
+        [
+            (2, -3, "trials must be non-negative, got -3"),
+            (0, 1, "block size must be at least 2"),
+            (100, 1, f"block size m=100 exceeds the cap {BLOCK_SIZE_CAP}"),
+        ],
+    )
+    def test_bad_trials_or_block_size(self, m, trials, message):
+        with pytest.raises(ValueError) as info:
+            silvester_check("a", m, F10007, trials, seed=0)
+        assert str(info.value) == message
 
 
 class TestOptimalityWitnesses:
