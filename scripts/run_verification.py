@@ -13,7 +13,7 @@ import time
 
 from blockdet.conditions import cond_f, cond_f_down, cond_f_side, cond_named
 from blockdet.ncdet import bourbaki_trace, cofactor_column_check
-from blockdet.ring import PrimeField, ZZ
+from blockdet.ring import PrimeField, ZZ, parse_int
 from blockdet.traces import (
     check_colswap_identity,
     check_rowswap_identity,
@@ -33,8 +33,8 @@ from blockdet.verify import (
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--trials", type=int, default=200, help="trials per campaign")
-    parser.add_argument("--seed", type=int, default=20161004)
+    parser.add_argument("--trials", type=parse_int, default=200, help="trials per campaign")
+    parser.add_argument("--seed", type=parse_int, default=20161004)
     args = parser.parse_args()
     if args.trials < 0:
         parser.error(f"--trials must be non-negative, got {args.trials}")

@@ -11,7 +11,7 @@ rest goes straight to that command's parser, and leftover arguments are
 reported by the full parser as it would report them.  Anything else (no
 arguments, help, an unknown command, options before the command) goes
 through the full parser.  Usage text, messages and exit codes are the same
-either way.
+either way: the tests hold ``main`` to ``oracles.main_by_full_parser``.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .matrix import (
     parse_matrix,
 )
 from .ncdet import nc_row_det
-from .ring import parse_ring
+from .ring import parse_int, parse_ring
 from .traces import (
     check_colswap_identity,
     check_rowswap_identity,
@@ -119,7 +119,7 @@ def _cmd_counterexample(args) -> int:
 
 def _parse_missing(text: str):
     try:
-        r1, c1, r2, c2 = map(int, text.split(","))
+        r1, c1, r2, c2 = map(parse_int, text.split(","))
     except ValueError:
         # a part that is not an integer, or not four parts
         raise ValueError("--missing expects four integers r1,c1,r2,c2") from None
@@ -185,27 +185,27 @@ def _parser_and_commands() -> tuple[argparse.ArgumentParser, dict[str, argparse.
     p = sub.add_parser("ncdet", help="row-ordered block determinant of a block matrix")
     p.add_argument("file", nargs="?", help="block matrix file, or - for stdin")
     p.add_argument("--builtin", choices=BUILTIN_NAMES, help="use a built-in matrix")
-    p.add_argument("--n", type=int, default=None, help="size for parametric built-ins")
+    p.add_argument("--n", type=parse_int, default=None, help="size for parametric built-ins")
     p.set_defaults(fn=_cmd_ncdet)
 
     p = sub.add_parser("check", help="compare det(Det M) with det M")
     p.add_argument("file", nargs="?", help="block matrix file, or - for stdin")
     p.add_argument("--builtin", choices=BUILTIN_NAMES, help="use a built-in matrix")
-    p.add_argument("--n", type=int, default=None, help="size for parametric built-ins")
+    p.add_argument("--n", type=parse_int, default=None, help="size for parametric built-ins")
     p.set_defaults(fn=_cmd_check)
 
     p = sub.add_parser("family", help="print a named condition family at size n")
     p.add_argument("--name", required=True, help="family id, e.g. f, kappa, side:2, g5")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=parse_int, required=True)
     p.set_defaults(fn=_cmd_family)
 
     p = sub.add_parser("campaign", help="randomized identity-check campaign")
     p.add_argument("--family", required=True, help="family id")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True, help="block size")
+    p.add_argument("--n", type=parse_int, required=True)
+    p.add_argument("--m", type=parse_int, required=True, help="block size")
     p.add_argument("--ring", default="mod:10007", help="int, mod:p or poly:v")
-    p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--trials", type=parse_int, default=200)
+    p.add_argument("--seed", type=parse_int, default=0)
     p.set_defaults(fn=_cmd_campaign)
 
     p = sub.add_parser("classify2", help="classify all 64 size-2 conditions")
@@ -213,23 +213,23 @@ def _parser_and_commands() -> tuple[argparse.ArgumentParser, dict[str, argparse.
 
     p = sub.add_parser("counterexample", help="print a built-in matrix and its determinant pair")
     p.add_argument("--name", required=True, choices=BUILTIN_NAMES)
-    p.add_argument("--n", type=int, default=None, help="size for parametric built-ins")
+    p.add_argument("--n", type=parse_int, default=None, help="size for parametric built-ins")
     p.set_defaults(fn=_cmd_counterexample)
 
     p = sub.add_parser("symbolic", help="symbolic ordering-identity checks")
     p.add_argument("--check", required=True, choices=("colswap", "transpose", "rowswap"))
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, help="column for colswap")
-    p.add_argument("--c", type=int, help="column for transpose")
-    p.add_argument("--i", type=int, help="first row for rowswap")
-    p.add_argument("--j", type=int, help="second row for rowswap")
+    p.add_argument("--n", type=parse_int, required=True)
+    p.add_argument("--k", type=parse_int, help="column for colswap")
+    p.add_argument("--c", type=parse_int, help="column for transpose")
+    p.add_argument("--i", type=parse_int, help="first row for rowswap")
+    p.add_argument("--j", type=parse_int, help="second row for rowswap")
     p.add_argument("--missing", help="withheld pair r1,c1,r2,c2 for rowswap")
     p.set_defaults(fn=_cmd_symbolic)
 
     p = sub.add_parser("optimality", help="minimality scan of the row-one-free family")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--trials", type=int, default=60)
-    p.add_argument("--seed", type=int, default=20161004)
+    p.add_argument("--n", type=parse_int, required=True)
+    p.add_argument("--trials", type=parse_int, default=60)
+    p.add_argument("--seed", type=parse_int, default=20161004)
     p.set_defaults(fn=_cmd_optimality)
 
     return parser, sub.choices
@@ -245,9 +245,9 @@ def _shared_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argume
 
 
 def main(argv: list[str] | None = None) -> int:
-    # An exact answer may run past the interpreter's limit on the digits of
-    # an int converted to or from text (4300 by default), so the limit is
-    # lifted while main runs and restored for an in-process caller.
+    """An exact answer may run past the interpreter's limit on the digits of
+    an int converted to or from text (4300 by default), so the limit is
+    lifted while main runs and restored for an in-process caller."""
     if not hasattr(sys, "set_int_max_str_digits"):
         return _main(argv)
     limit = sys.get_int_max_str_digits()

@@ -22,7 +22,7 @@ from itertools import combinations, compress
 
 from .matrix import BlockMatrix, Matrix, _det_gauss_mod_p, shifted, shifted_commute
 from .ncdet import check_row_det_size
-from .ring import Frozen, PolynomialRing, PrimeField, Ring
+from .ring import Frozen, PolynomialRing, PrimeField, Ring, parse_int
 
 Vertex = tuple[int, int]
 Edge = tuple[Vertex, Vertex]
@@ -254,7 +254,7 @@ def family_condition(family_id: str, n: int) -> Condition:
     head, colon, tail = fid.partition(":")
     if colon:
         try:
-            k = int(tail)
+            k = parse_int(tail.strip())
         except ValueError:
             raise ValueError(f"bad family parameter in {family_id!r}") from None
         if head in _PARAMETER_FAMILIES:

@@ -66,7 +66,7 @@ from __future__ import annotations
 import operator
 from itertools import chain, permutations, repeat
 
-from .ring import Frozen, PolynomialRing, PrimeField, Ring, RingMismatchError, RingValue, _poly_trim, parse_ring
+from .ring import Frozen, PolynomialRing, PrimeField, Ring, RingMismatchError, RingValue, _poly_trim, parse_int, parse_ring
 
 
 class MatrixFormatError(ValueError):
@@ -314,10 +314,10 @@ def _unpacker(v: int, count: int):
 
 
 def _det_int(rows) -> int:
-    # Bareiss's fraction-free elimination: after step c every entry below
-    # row c is the (c+2)-rowed leading minor through it, so dividing by the
-    # previous pivot is exact (Sylvester's identity).  A zero pivot swaps
-    # in a lower row with a nonzero entry and flips the sign.
+    """Bareiss's fraction-free elimination: after step c every entry below
+    row c is the (c+2)-rowed leading minor through it, so dividing by the
+    previous pivot is exact (Sylvester's identity).  A zero pivot swaps in
+    a lower row with a nonzero entry and flips the sign."""
     m = [list(row) for row in rows]
     k = len(m)
     prev, sign = 1, 1
@@ -400,19 +400,14 @@ def _det_gauss_mod_p(p: int, rows) -> int:
     return det * m[-1][-1] % p if k else 1
 
 
-def _det_payload(ring: Ring, rows) -> object:
-    if isinstance(ring, PrimeField):
-        return _det_gauss_mod_p(ring.p, rows)
-    if isinstance(ring, PolynomialRing):
-        return _det_poly(rows)
-    return _det_int(rows)
-
-
 def det_commutative(mat: Matrix) -> RingValue:
     """Exact determinant over the matrix's (commutative) base ring."""
     if not mat.is_square:
         raise ValueError("determinant of a non-square matrix")
-    return RingValue(mat.ring, _det_payload(mat.ring, mat.entries))
+    ring, rows = mat.ring, mat.entries
+    if isinstance(ring, PrimeField):
+        return RingValue(ring, _det_gauss_mod_p(ring.p, rows))
+    return RingValue(ring, _det_poly(rows) if isinstance(ring, PolynomialRing) else _det_int(rows))
 
 
 class BlockMatrix(Frozen):
@@ -519,7 +514,7 @@ def _parse_header(text: str, names: str, sizes: str):
     if len(header) != 3:
         raise MatrixFormatError(f"line {at}: header must be '{names} ring-descriptor'")
     try:
-        a, b = int(header[0]), int(header[1])
+        a, b = parse_int(header[0]), parse_int(header[1])
         ring = parse_ring(header[2])
     except ValueError as exc:
         raise MatrixFormatError(f"line {at}: {exc}") from None

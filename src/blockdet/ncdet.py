@@ -58,7 +58,7 @@ from math import factorial
 from operator import itemgetter, mul, neg
 from typing import NamedTuple
 
-from .matrix import BlockMatrix, Matrix, _flat_rows, _pack, _product_rows, _unpacker, det_commutative
+from .matrix import BlockMatrix, Matrix, _flat_rows, _pack, _product_rows, _unpacker, block_view, det_commutative
 from .ring import IntegerRing, PolynomialRing, PrimeField, _poly_trim, poly_is_monic
 
 ROW_DET_CAP = 8
@@ -221,14 +221,15 @@ def nc_minor_det(bm: BlockMatrix, i: int, j: int) -> Matrix:
 
 
 def nc_cofactor(bm: BlockMatrix, i: int, j: int) -> Matrix:
-    """Signed minor: (-1)^(i+j) times the (i, j) minor determinant."""
+    """Signed minor: (-1)^(i+j) times the (i, j) minor determinant.  On 1x1
+    blocks the tests hold it to ``cofactor_matrix`` in ``tests/oracles.py``."""
     minor = nc_minor_det(bm, i, j)
     return minor if (i + j) % 2 == 0 else -minor
 
 
 def _column_collapses(bm: BlockMatrix, cofs) -> bool:
-    # Every block row below the first times the cofactor column is zero:
-    # one product each, of the row's flat rows by the cofactors stacked.
+    """Every block row below the first times the cofactor column is zero:
+    one product each, of the row's flat rows by the cofactors stacked."""
     m, rows, column = bm.m, _flat_rows(bm), list(chain.from_iterable(cofs))
     return not any(
         any(map(any, _product_rows(bm.ring, rows[r * m : (r + 1) * m], column)))
@@ -289,7 +290,8 @@ def bourbaki_trace(bm: BlockMatrix) -> BourbakiTrace:
     polynomial extension).  With blocks satisfying the row-one-free
     commutation family all checks pass; for other inputs the failures are
     reported in the checks record rather than raised.  It takes four
-    determinants over Z[z]: of ``tail``, ``shifted``, ``shifted_det`` and C0.
+    determinants over Z[z]: of ``tail``, ``shifted``, ``shifted_det`` and C0;
+    the identity at z = 0 compares the constant terms of the middle two.
     """
     if not isinstance(bm.ring, IntegerRing):
         raise ValueError("trace construction requires the integer base ring")
@@ -297,23 +299,17 @@ def bourbaki_trace(bm: BlockMatrix) -> BourbakiTrace:
     if n < 2:
         raise ValueError("trace construction needs n >= 2")
     rz = PolynomialRing("z")
-
-    def lift(block: Matrix, add_z_diag: bool) -> Matrix:
-        return Matrix._of(rz, tuple(
-            tuple((x, 1) if add_z_diag and i == j else rz.int_payload(x) for j, x in enumerate(row))
-            for i, row in enumerate(block.entries)
-        ))
-
-    shifted = BlockMatrix._of(
-        rz, m, n,
-        tuple(tuple([lift(bm.blocks[i][j], i == j) for j in range(n)]) for i in range(n)),
+    # z on the diagonal of each diagonal block is z on the flat diagonal.
+    rows = tuple(
+        tuple((x, 1) if i == j else rz.int_payload(x) for j, x in enumerate(row))
+        for i, row in enumerate(_flat_rows(bm))
     )
+    shifted = block_view(Matrix._of(rz, rows), m)
+    tail = block_view(Matrix._of(rz, tuple(row[m:] for row in rows[m:])), m)
 
     det_rows, cof_rows = _det_and_cofactors(shifted)
     shifted_det = Matrix._of(rz, det_rows)
     first_column_collapse = _column_collapses(shifted, cof_rows)
-
-    tail = BlockMatrix._of(rz, m, n - 1, tuple(row[1:] for row in shifted.blocks[1:]))
 
     det_tail = det_commutative(tail.flatten())
     lower_det_monic = poly_is_monic(det_tail) and len(det_tail.payload) - 1 == m * (n - 1)

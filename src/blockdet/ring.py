@@ -8,7 +8,8 @@ the tuple of those fields, and raises ``AttributeError`` on assigning or
 deleting any attribute.  Every payload is canonical, as ``ring.canonical``
 makes it: a plain ``int`` over ``int``, one in ``[0, p)`` over ``mod:p``,
 and an int tuple with no trailing zeros over ``poly:``.  So zero is the one
-falsy payload of each ring, and kernels test it by truthiness.
+falsy payload of each ring, and kernels test it by truthiness.  The
+records of ``verify`` and ``ncdet`` are ``NamedTuple``s.
 """
 
 from __future__ import annotations
@@ -101,6 +102,14 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def parse_int(text: str) -> int:
+    """``text`` as an int: an optional sign, then ASCII digits 0-9 only, not
+    the ``_``, other digits or spaces ``int`` takes; else ``int``'s error."""
+    if text.isascii() and (text.isdigit() or text[:1] in "+-" and text[1:].isdigit()):
+        return int(text)
+    raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+
+
 def _poly_trim(coeffs) -> tuple[int, ...]:
     coeffs = list(coeffs)
     while coeffs and coeffs[-1] == 0:
@@ -144,7 +153,7 @@ class Ring(Frozen):
         """The payload a text token spells, an int here, not yet canonical:
         the matrix it goes into canonicalises it (``canonical``); raises
         ``ValueError`` on a malformed token."""
-        return int(token)
+        return parse_int(token)
 
 
 class IntegerRing(Ring):
@@ -270,12 +279,13 @@ class PolynomialRing(Ring):
         return ",".join(str(c) for c in a)
 
     def parse_payload(self, token: str) -> tuple[int, ...]:
-        return tuple(int(part) for part in token.split(","))
+        return tuple(map(parse_int, token.split(",")))
 
 
 class RingValue(Frozen):
-    """Immutable element of one of the rings above: ``payload`` is brought
-    to its canonical form by ``ring.canonical``."""
+    """Immutable ring element, and the one way to build one: ``payload`` is
+    made canonical by ``ring.canonical``.  Values multiply (``*``); sums and
+    negations are the payload operations ``ring.padd``, ``psub``, ``pneg``."""
 
     _fields = ("ring", "payload")
 
@@ -327,7 +337,7 @@ def parse_ring(label: str) -> Ring:
         return ZZ
     if label.startswith("mod:"):
         try:
-            p = int(label[4:])
+            p = parse_int(label[4:])
         except ValueError:
             raise ValueError(f"bad prime-field descriptor {label!r}") from None
         return PrimeField(p)

@@ -4,8 +4,8 @@ Words are sequences of grid positions (row, col); a commutation relation,
 the same ``Condition`` graph that matrices satisfy, declares which pairs of
 positions may swap when adjacent.  ``word_normal_form`` gives the
 lexicographically least word of a trace class by a greedy scan.  The
-tests hold it to an independent equality test by the projection lemma,
-``trace_equal_by_projection`` in ``tests/oracles.py``.
+tests hold it to two trace-equality tests in ``tests/oracles.py``, by
+normal forms and, independently, by the projection lemma.
 
 The column-swap, transpose and row-swap ordering identities are decided
 without expanding either side or building a ``Condition``: ``_identity_holds``

@@ -277,7 +277,8 @@ def _special_non_edge(g: Condition) -> Pair:
 
 
 def pick_generator(g: Condition, m: int) -> tuple[str, GenFn]:
-    """Choose the most specific sound generator for a condition."""
+    """The most specific sound generator for a condition: polynomial for
+    complete and kappa, its own for g5, h1 and h4, else the layout one."""
     n = g.n
     span = range(1, n + 1)
     # Condition orders and range-checks its edges, so only the complete
@@ -699,7 +700,9 @@ def optimality_scan(
     Every edge of the family, once removed from the ambient complete graph
     on rows 2..n, maps by row/column relabeling onto one of two canonical
     withheld edges, and the corresponding built-in witness breaks the
-    identity there.  Sampled supergraphs of the family pass campaigns.
+    identity there, by ``check_identity``, once per case.  The maps fix
+    kappa, so each edge is checked by its image alone; the tests relabel
+    the whole graph as the oracle.  Sampled supergraphs pass campaigns.
     """
     if n < 2:
         raise ValueError(f"the optimality scan needs n >= 2, got n={n}")

@@ -118,6 +118,46 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
+# Integers are an optional sign and ASCII digits.  int() alone would read
+# these as 10, 3, mod:10007, seed 10, side:2, column 20 (out of range, so
+# an error either way) and column 2.
+CAMPAIGN = ("campaign", "--family", "f", "--n", "2", "--m", "4", "--trials", "2")
+ROWSWAP = ("symbolic", "--check", "rowswap", "--n", "3", "--i", "2", "--j", "3", "--missing")
+BAD_INTEGERS = {
+    "file-entry-underscore": ("1 1 int\n1_0\n", ("det",)),
+    "file-entry-arabic-indic": ("1 1 int\n\u0663\n", ("det",)),
+    "header-modulus": ("1 1 mod:1_0007\n1\n", ("ncdet",)),
+    "seed": (None, CAMPAIGN + ("--seed", "1_0")),
+    "family-parameter": (None, ("family", "--name", "side:\u0662", "--n", "3")),
+    "missing": (None, ROWSWAP + ("2,1,3,2_0",)),
+    "missing-in-range": (None, ROWSWAP + ("2,1,3,0_2",)),
+}
+
+
+@pytest.mark.parametrize("text, argv", BAD_INTEGERS.values(), ids=BAD_INTEGERS)
+def test_an_integer_outside_sign_and_ascii_digits_is_an_input_error(tmp_path, capsys, text, argv):
+    if text is not None:
+        path = tmp_path / "m.txt"
+        path.write_text(text, encoding="utf-8")
+        argv += (str(path),)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err and "Traceback" not in err
+
+
+def test_signed_and_zero_padded_integers_read_as_before(tmp_path, capsys):
+    path = tmp_path / "m.txt"
+    for text, det in (("1 1 int\n-3\n", "-3"), ("1 1 int\n+3\n", "3"), ("001 +1 mod:0007\n+10\n", "3")):
+        path.write_text(text)
+        assert run(capsys, "det", str(path)) == (0, f"det={det}\n", "")
+    for seed in ("007", "+7"):
+        assert run(capsys, *CAMPAIGN, "--seed", seed) == run(capsys, *CAMPAIGN, "--seed", "7")
+    code, out, _ = run(capsys, *CAMPAIGN, "--seed", "-3")
+    assert code == 0 and " seed=-3 " in out
+    assert run(capsys, "family", "--name", "side:+2", "--n", "003") == run(capsys, "family", "--name", "side:2", "--n", "3")
+    assert run(capsys, *ROWSWAP, "+2,01,3,002") == run(capsys, *ROWSWAP, "2,1,3,2")
+
+
 def test_det_rejects_uncertified_modulus(tmp_path, capsys):
     path = tmp_path / "m.txt"
     path.write_text("2 2 mod:318665857834031151167461\n1 2\n3 4\n")

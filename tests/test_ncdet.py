@@ -572,16 +572,27 @@ class TestBourbakiTrace:
         assert row_dets == []
 
     def test_the_shifted_matrix_is_flattened_once(self, monkeypatch):
-        # Its cofactors' subset DP and its flat determinant share the flat
-        # rows it keeps; the tail is flattened once for its own determinant.
+        # The trace lifts the input's flat rows once; the shifted matrix and
+        # its tail keep their rows, so only the input sample is flattened.
         import blockdet.matrix
 
         built = []
         real = blockdet.matrix._flatten
         monkeypatch.setattr(blockdet.matrix, "_flatten", lambda bm: built.append(bm) or real(bm))
-        trace = bourbaki_trace(gen_satisfying(cond_f(3), 6, ZZ, seed=23))
+        bm = gen_satisfying(cond_f(3), 6, ZZ, seed=23)
+        trace = bourbaki_trace(bm)
         assert trace.checks.all_pass
-        assert sorted(map(id, built)) == sorted(map(id, (trace.shifted, trace.tail)))
+        assert built == [bm]
+        # They equal the per-block lift: z on the diagonal of each diagonal block.
+        rz = PolynomialRing("z")
+
+        def lift(block, diagonal):
+            return Matrix(rz, [[[x, 1] if diagonal and r == c else x for c, x in enumerate(row)]
+                               for r, row in enumerate(block.entries)])
+
+        blocks = [[lift(bm.block(i, j), i == j) for j in range(3)] for i in range(3)]
+        assert trace.shifted == BlockMatrix(rz, 6, 3, blocks)
+        assert trace.tail == BlockMatrix(rz, 6, 2, [row[1:] for row in blocks[1:]])
 
     def test_requires_integer_ring(self):
         bm = BlockMatrix(F10007, 2, 2, [[scalar(F10007, 2)] * 2] * 2)

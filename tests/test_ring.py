@@ -9,6 +9,7 @@ from blockdet.ring import (
     RingMismatchError,
     RingValue,
     ZZ,
+    parse_int,
     parse_ring,
     poly_degree,
     poly_is_monic,
@@ -24,6 +25,28 @@ F10007 = PrimeField(10007)
 def test_integer_examples():
     assert ZZ.padd(3, -5) == -2
     assert RingValue(ZZ, 6) * RingValue(ZZ, 7) == RingValue(ZZ, 42)
+
+
+@pytest.mark.parametrize("text, value", [("0", 0), ("-3", -3), ("+3", 3), ("007", 7), ("-007", -7), ("10007", 10007)])
+def test_parse_int_reads_a_sign_and_ascii_digits(text, value):
+    assert parse_int(text) == value == int(text)
+
+
+# int() itself reads the first five, as 10, 3, 2, 3 and 3.
+@pytest.mark.parametrize("text", ["1_0", "\u0663", "\uff12", " 3", "3\n", "", "+", "-", "--3", "+-3", "0x1", "1.0", "²"])
+def test_parse_int_rejects_all_else_with_the_message_of_int(text):
+    with pytest.raises(ValueError) as exc:
+        parse_int(text)
+    assert str(exc.value) == f"invalid literal for int() with base 10: {text!r}"
+
+
+def test_ring_text_reads_integers_by_parse_int():
+    assert (ZZ.parse_payload("-007"), PA.parse_payload("+1,-0,2"), parse_ring("mod:0007")) == (-7, (1, 0, 2), F7)
+    for ring, token in ((ZZ, "1_0"), (F7, "\u0663"), (PA, "1,1_0"), (PA, "1, 2")):
+        with pytest.raises(ValueError):
+            ring.parse_payload(token)
+    with pytest.raises(ValueError, match="bad prime-field descriptor 'mod:1_0007'"):
+        parse_ring("mod:1_0007")
 
 
 def test_prime_field_examples():
