@@ -11,9 +11,10 @@ import argparse
 import sys
 import time
 
+from blockdet.cli import int_flag
 from blockdet.conditions import cond_f, cond_f_down, cond_f_side, cond_named
 from blockdet.ncdet import bourbaki_trace, cofactor_column_check
-from blockdet.ring import PrimeField, ZZ, parse_int
+from blockdet.ring import PrimeField, ZZ
 from blockdet.traces import (
     check_colswap_identity,
     check_rowswap_identity,
@@ -33,8 +34,8 @@ from blockdet.verify import (
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--trials", type=parse_int, default=200, help="trials per campaign")
-    parser.add_argument("--seed", type=parse_int, default=20161004)
+    parser.add_argument("--trials", type=int_flag, default=200, help="trials per campaign")
+    parser.add_argument("--seed", type=int_flag, default=20161004)
     args = parser.parse_args()
     if args.trials < 0:
         parser.error(f"--trials must be non-negative, got {args.trials}")

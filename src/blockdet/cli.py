@@ -54,6 +54,15 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
+def int_flag(text: str) -> int:
+    """An integer flag's value, read by ``parse_int``; a malformed one is
+    reported as argparse reported ``int``'s: ``invalid int value: 'x'``."""
+    try:
+        return parse_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def _load_block_matrix(args):
     if args.file is not None and (args.builtin or args.n is not None):
         raise ValueError("a block matrix file takes neither --builtin nor --n")
@@ -185,27 +194,27 @@ def _parser_and_commands() -> tuple[argparse.ArgumentParser, dict[str, argparse.
     p = sub.add_parser("ncdet", help="row-ordered block determinant of a block matrix")
     p.add_argument("file", nargs="?", help="block matrix file, or - for stdin")
     p.add_argument("--builtin", choices=BUILTIN_NAMES, help="use a built-in matrix")
-    p.add_argument("--n", type=parse_int, default=None, help="size for parametric built-ins")
+    p.add_argument("--n", type=int_flag, default=None, help="size for parametric built-ins")
     p.set_defaults(fn=_cmd_ncdet)
 
     p = sub.add_parser("check", help="compare det(Det M) with det M")
     p.add_argument("file", nargs="?", help="block matrix file, or - for stdin")
     p.add_argument("--builtin", choices=BUILTIN_NAMES, help="use a built-in matrix")
-    p.add_argument("--n", type=parse_int, default=None, help="size for parametric built-ins")
+    p.add_argument("--n", type=int_flag, default=None, help="size for parametric built-ins")
     p.set_defaults(fn=_cmd_check)
 
     p = sub.add_parser("family", help="print a named condition family at size n")
     p.add_argument("--name", required=True, help="family id, e.g. f, kappa, side:2, g5")
-    p.add_argument("--n", type=parse_int, required=True)
+    p.add_argument("--n", type=int_flag, required=True)
     p.set_defaults(fn=_cmd_family)
 
     p = sub.add_parser("campaign", help="randomized identity-check campaign")
     p.add_argument("--family", required=True, help="family id")
-    p.add_argument("--n", type=parse_int, required=True)
-    p.add_argument("--m", type=parse_int, required=True, help="block size")
+    p.add_argument("--n", type=int_flag, required=True)
+    p.add_argument("--m", type=int_flag, required=True, help="block size")
     p.add_argument("--ring", default="mod:10007", help="int, mod:p or poly:v")
-    p.add_argument("--trials", type=parse_int, default=200)
-    p.add_argument("--seed", type=parse_int, default=0)
+    p.add_argument("--trials", type=int_flag, default=200)
+    p.add_argument("--seed", type=int_flag, default=0)
     p.set_defaults(fn=_cmd_campaign)
 
     p = sub.add_parser("classify2", help="classify all 64 size-2 conditions")
@@ -213,23 +222,23 @@ def _parser_and_commands() -> tuple[argparse.ArgumentParser, dict[str, argparse.
 
     p = sub.add_parser("counterexample", help="print a built-in matrix and its determinant pair")
     p.add_argument("--name", required=True, choices=BUILTIN_NAMES)
-    p.add_argument("--n", type=parse_int, default=None, help="size for parametric built-ins")
+    p.add_argument("--n", type=int_flag, default=None, help="size for parametric built-ins")
     p.set_defaults(fn=_cmd_counterexample)
 
     p = sub.add_parser("symbolic", help="symbolic ordering-identity checks")
     p.add_argument("--check", required=True, choices=("colswap", "transpose", "rowswap"))
-    p.add_argument("--n", type=parse_int, required=True)
-    p.add_argument("--k", type=parse_int, help="column for colswap")
-    p.add_argument("--c", type=parse_int, help="column for transpose")
-    p.add_argument("--i", type=parse_int, help="first row for rowswap")
-    p.add_argument("--j", type=parse_int, help="second row for rowswap")
+    p.add_argument("--n", type=int_flag, required=True)
+    p.add_argument("--k", type=int_flag, help="column for colswap")
+    p.add_argument("--c", type=int_flag, help="column for transpose")
+    p.add_argument("--i", type=int_flag, help="first row for rowswap")
+    p.add_argument("--j", type=int_flag, help="second row for rowswap")
     p.add_argument("--missing", help="withheld pair r1,c1,r2,c2 for rowswap")
     p.set_defaults(fn=_cmd_symbolic)
 
     p = sub.add_parser("optimality", help="minimality scan of the row-one-free family")
-    p.add_argument("--n", type=parse_int, required=True)
-    p.add_argument("--trials", type=parse_int, default=60)
-    p.add_argument("--seed", type=parse_int, default=20161004)
+    p.add_argument("--n", type=int_flag, required=True)
+    p.add_argument("--trials", type=int_flag, default=60)
+    p.add_argument("--seed", type=int_flag, default=20161004)
     p.set_defaults(fn=_cmd_optimality)
 
     return parser, sub.choices

@@ -57,18 +57,13 @@ def trial_seed(seed: int, index: int) -> int:
 # Every random entry comes from ``_draws``: over mod:p the values of
 # rng.randrange(p), otherwise those of rng.randrange(-3, 4), in the same
 # order and from the same generator state, so the samples are the ones
-# those calls gave.  A generator knows how many values a sample takes (m^2
-# for a dense block, 1 for a scalar block, 5 for a slot block and 3 for
-# each polynomial's coefficients), draws them in one call per sample and
-# hands each block builder its consecutive values.  The builders make
-# payload rows directly, with no ``RingValue`` and no matrix arithmetic: a
-# dense block is its values row-major; a slot block takes its scalar and
-# then the four slot entries, row-major.  A scalar block is interned by
-# value (``_scalar_block``), so the blocks a draw repeats are one object,
-# built and shifted once.  A polynomial c0 I + c1 x + c2 x^2 in a block x
-# is built in one pass over the payload rows of x and x^2, reduced once per
-# entry as ``matrix._product_rows`` does; every caller computes x^2 = x * x
-# itself, once per drawn x.
+# those calls gave.  The builders below make payload rows directly from
+# consecutive drawn values, with no ``RingValue`` and no matrix arithmetic
+# except the square of a polynomial's source block.  A scalar block is
+# interned by value (``_scalar_block``), so the blocks a draw repeats are
+# one object, built and shifted once.  A polynomial c0 I + c1 x + c2 x^2 in
+# a block x is built in one pass over the payload rows of x and x^2,
+# reduced once per entry as ``matrix._product_rows`` does.
 
 def _draws(ring: Ring, rng: random.Random, count: int) -> list[int]:
     """count draws: what count calls of rng.randrange(p) give over mod:p,
@@ -156,115 +151,88 @@ def _poly_in(x: Matrix, coeffs, powers) -> Matrix:
     return Matrix._of(ring, tuple(rows))
 
 
-def _rand_poly_in(x: Matrix, x2: Matrix, coeffs) -> Matrix:
-    """c0 I + c1 x + c2 x^2 for the three drawn coeffs, for x2 = x * x."""
-    return _poly_in(x, coeffs, (x.entries, x2.entries))
-
-
 # --- generators ----------------------------------------------------------------
 #
 # A generator maps (ring, rng) to (matrix, witness_pairs), where
 # witness_pairs lists non-edges of the condition that are expected to be
 # genuinely noncommuting; the caller redraws on the rare degenerate draw
 # where all of them commute.  ``pick_generator`` fixes the witness pairs
-# once per condition.  Almost every sample comes from one of two
-# factories: ``_gen_layout``, where each block is dense, scalar or a slot
-# block in a fixed slot, and ``_gen_poly``, where the blocks are
-# polynomials in one drawn block.  Only g5 (its diagonal draws) and h1, h4
-# (polynomials in two drawn blocks) have generators of their own.  Each
-# draws a sample's values in one ``_draws`` call and slices them block by
-# block, in row-major block order.
+# once per condition.  Every generator is a ``_gen_layout``: a kind per
+# block, and one ``_draws`` call per sample whose values the blocks take in
+# row-major block order.
 
 Pair = tuple[tuple[int, int], tuple[int, int]]
 GenFn = Callable[[Ring, random.Random], tuple[BlockMatrix, list[Pair]]]
 
 
 def _gen_layout(n: int, m: int, kind, witnesses: list[Pair]) -> GenFn:
-    """Samples whose block at 1-based (i, j) is dense, scalar or a slot
-    block at 0-based corner k, as kind(i, j) is "dense", "scalar" or k.
+    """Samples whose block at 1-based (i, j) is built as kind(i, j) says:
 
-    The blocks' offsets into a sample's values, and so the count of values
-    one ``_draws`` call takes per sample, are fixed once per campaign; the
-    blocks take consecutive values in row-major order.
+    - ``"dense"``: its m^2 values, row-major;
+    - ``"scalar"``: c I from 1 value (``_scalar_block``);
+    - an int k: a slot block at 0-based corner k from 5 values (``_slot``);
+    - ``("tie", k)``: a diagonal block whose entries k and k + 1 are equal,
+      from m - 1 values: the tied value first, then the other diagonal
+      entries in order;
+    - ``("poly", src)``: c0 I + c1 x + c2 x^2 from 3 values, where x is the
+      block at 1-based src, earlier in row-major order, or, for src None, a
+      dense block the sample does not hold, whose m^2 values come first.
+
+    The blocks take consecutive values in row-major order; their offsets,
+    and so the count of values one ``_draws`` call takes per sample, are
+    fixed once per campaign.  Each sample squares each source block once.
     """
     mm = m * m
-    sizes = {"dense": mm, "scalar": 1}
-    grid = []
-    count = 0
-    for i in range(1, n + 1):
-        row = []
-        for j in range(1, n + 1):
-            k = kind(i, j)
-            row.append((k, count))
-            count += sizes.get(k, 5)
-        grid.append(row)
+    sizes = {"dense": mm, "scalar": 1, "tie": m - 1, "poly": 3}
+    kinds = [kind(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+    count = mm if ("poly", None) in kinds else 0
+    cells = []
+    for k in kinds:
+        cells.append((k, count))
+        count += sizes.get(k[0] if isinstance(k, tuple) else k, 5)
 
     def fn(ring: Ring, rng: random.Random):
         values = _draws(ring, rng, count)
+        built = []
+        sources = {}
 
         def block(k, at):
             if k == "scalar":
                 return _scalar_block(ring, m, values[at])
             if k == "dense":
                 return _dense(ring, m, values[at : at + mm])
-            return _slot(ring, m, values[at : at + 5], k)
+            if isinstance(k, int):
+                return _slot(ring, m, values[at : at + 5], k)
+            tag, arg = k
+            if tag == "tie":
+                tied, *rest = values[at : at + m - 1]
+                return Matrix._of(ring, tuple(_diag_rows(ring, [*rest[:arg], tied, tied, *rest[arg:]])))
+            if arg not in sources:
+                x = _dense(ring, m, values[:mm]) if arg is None else built[(arg[0] - 1) * n + arg[1] - 1]
+                sources[arg] = x, (x.entries, (x * x).entries)
+            x, powers = sources[arg]
+            return _poly_in(x, values[at : at + 3], powers)
 
-        blocks = tuple(tuple([block(k, at) for k, at in row]) for row in grid)
+        for k, at in cells:
+            built.append(block(k, at))
+        blocks = tuple(tuple(built[s : s + n]) for s in range(0, n * n, n))
         return BlockMatrix._of(ring, m, n, blocks), witnesses
 
     return fn
 
 
-def _gen_poly(n: int, m: int, dense_first_row: bool, witnesses: list[Pair]) -> GenFn:
-    """Samples whose blocks, after one drawn block x, are c0 I + c1 x +
-    c2 x^2 with drawn coefficients, except a dense first block row when
-    dense_first_row; one ``_draws`` call per sample, x's values first and
-    then the blocks' in row-major order."""
-    mm = m * m
-    first = mm if dense_first_row else 3
-    count = mm + n * first + (n - 1) * n * 3
-
-    def fn(ring: Ring, rng: random.Random):
-        values = _draws(ring, rng, count)
-        x = _dense(ring, m, values[:mm])
-        x2 = x * x
-        at = mm + n * first
-        if dense_first_row:
-            head = [_dense(ring, m, values[s : s + mm]) for s in range(mm, at, mm)]
-        else:
-            head = [_rand_poly_in(x, x2, values[s : s + 3]) for s in range(mm, at, 3)]
-        rest = [_rand_poly_in(x, x2, values[s : s + 3]) for s in range(at, count, 3)]
-        blocks = (tuple(head), *(tuple(rest[s : s + n]) for s in range(0, len(rest), n)))
-        return BlockMatrix._of(ring, m, n, blocks), witnesses
-
-    return fn
-
-
-def _gen_g5(m: int, ring: Ring, rng: random.Random) -> BlockMatrix:
-    # A scalar on indices {1,2}, B scalar on {2,3}; C and D carry
-    # perturbations supported there, overlapping at index 2, so AB, AC and
-    # BD commute while C and D generically do not.
-    values = _draws(ring, rng, 2 * m + 8)
-    a2, *arest = values[: m - 1]
-    b23, b1, *brest = values[m - 1 : 2 * m - 2]
-    a = Matrix._of(ring, tuple(_diag_rows(ring, [a2, a2, *arest])))
-    b = Matrix._of(ring, tuple(_diag_rows(ring, [b1, b23, b23, *brest])))
-    c = _slot(ring, m, values[2 * m - 2 : 2 * m + 3], 0)
-    d = _slot(ring, m, values[2 * m + 3 :], 1)
-    return BlockMatrix._of(ring, m, 2, ((a, b), (c, d)))
-
-
-def _gen_h(crossed: bool, m: int, ring: Ring, rng: random.Random) -> BlockMatrix:
-    # A and B dense; C and D polynomials in B and A (h1, crossed) or in A
-    # and B (h4).
-    mm = m * m
-    values = _draws(ring, rng, 2 * mm + 6)
-    a = _dense(ring, m, values[:mm])
-    b = _dense(ring, m, values[mm : 2 * mm])
-    x, y = (b, a) if crossed else (a, b)
-    c = _rand_poly_in(x, x * x, values[2 * mm : 2 * mm + 3])
-    d = _rand_poly_in(y, y * y, values[2 * mm + 3 :])
-    return BlockMatrix._of(ring, m, 2, ((a, b), (c, d)))
+# The size-2 generators by condition: a name and the kinds of A, B, C, D.
+# g5: A scalar on indices {1,2}, B scalar on {2,3}; C and D carry
+# perturbations supported there, overlapping at index 2, so AB, AC and BD
+# commute while C and D generically do not.  h1, h4: A and B dense; C and D
+# polynomials in B and A (h1) or in A and B (h4).
+_SIZE2_LAYOUTS = {
+    "g5": ("g5-overlap", (("tie", 0), ("tie", 1), 0, 1)),
+    "h2": ("h2-falsify", ("scalar", "dense", "dense", "dense")),
+    "h3": ("h3-falsify", ("dense", "scalar", "dense", "dense")),
+    "h1": ("h1-falsify", ("dense", "dense", ("poly", (1, 2)), ("poly", (1, 1)))),
+    "h4": ("h4-falsify", ("dense", "dense", ("poly", (1, 1)), ("poly", (1, 2)))),
+}
 
 
 def _special_non_edge(g: Condition) -> Pair:
@@ -277,14 +245,16 @@ def _special_non_edge(g: Condition) -> Pair:
 
 
 def pick_generator(g: Condition, m: int) -> tuple[str, GenFn]:
-    """The most specific sound generator for a condition: polynomial for
-    complete and kappa, its own for g5, h1 and h4, else the layout one."""
+    """The most specific sound generator for a condition, as a name and a
+    ``_gen_layout``: polynomials in one hidden block for complete and
+    kappa, slot blocks for f, side and down at m >= 2n, the size-2 layouts
+    for g5 (m >= 4) and h1..h4, else scalar blocks with one shared slot."""
     n = g.n
     span = range(1, n + 1)
     # Condition orders and range-checks its edges, so only the complete
     # graph has all n^2 (n^2 - 1) / 2 of them.
     if len(g.edges) == n * n * (n * n - 1) // 2:
-        return "commutative", _gen_poly(n, m, False, [])
+        return "commutative", _gen_layout(n, m, lambda i, j: ("poly", None), [])
     if m >= 2 * n:
         # Slot blocks in different slots commute; f and down put each
         # column's blocks in one slot, side each row's.  f's first block
@@ -302,18 +272,12 @@ def pick_generator(g: Condition, m: int) -> tuple[str, GenFn]:
                 witnesses = [((i, j), (i + 1, j)) for j in span for i in span[:-1]]
                 return f"down-slots:{r}", _gen_layout(n, m, lambda i, j: 2 * j - 2, witnesses)
     if g == cond_kappa(n):
-        return "kappa-poly", _gen_poly(n, m, True, [((1, 1), (2, 1))])
+        return "kappa-poly", _gen_layout(
+            n, m, lambda i, j: "dense" if i == 1 else ("poly", None), [((1, 1), (2, 1))])
     if n == 2:
-        cd = [((2, 1), (2, 2))]
-        if m >= 4 and g == cond_named("g5"):
-            return "g5-overlap", lambda ring, rng: (_gen_g5(m, ring, rng), cd)
-        for name, scalar_at in (("h2", (1, 1)), ("h3", (1, 2))):
-            if g == cond_named(name):
-                return f"{name}-falsify", _gen_layout(
-                    2, m, lambda i, j: "scalar" if (i, j) == scalar_at else "dense", cd)
-        for name, crossed in (("h1", True), ("h4", False)):
-            if g == cond_named(name):
-                return f"{name}-falsify", lambda ring, rng: (_gen_h(crossed, m, ring, rng), cd)
+        for name, (label, kinds) in _SIZE2_LAYOUTS.items():
+            if (name != "g5" or m >= 4) and g == cond_named(name):
+                return label, _gen_layout(2, m, lambda i, j: kinds[2 * i + j - 3], [((2, 1), (2, 2))])
     # Scalar blocks commute with everything; the special non-edge pair gets
     # perturbations in a shared slot so the sample is not fully commutative.
     special = _special_non_edge(g)
@@ -605,7 +569,7 @@ def silvester_check(
         blocks = [_dense(ring, m, values[s : s + mm]) for s in range(0, 4 * mm, mm)]
         if enforce_hypothesis:
             x = blocks[source]
-            blocks[target] = _rand_poly_in(x, x * x, values[4 * mm :])
+            blocks[target] = _poly_in(x, values[4 * mm :], (x.entries, (x * x).entries))
         bm = BlockMatrix(ring, m, 2, [blocks[:2], blocks[2:]])
         if enforce_hypothesis and not matrix_satisfies(bm, cond):
             raise RuntimeError("hypothesis generator broke its own constraint")

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import blockdet
-from blockdet.cli import main
+from blockdet.cli import _shared_parser, int_flag, main
 from blockdet.conditions import (
     _FAMILIES,
     _NAMED_SIZE2,
@@ -156,6 +156,22 @@ def test_signed_and_zero_padded_integers_read_as_before(tmp_path, capsys):
     assert code == 0 and " seed=-3 " in out
     assert run(capsys, "family", "--name", "side:+2", "--n", "003") == run(capsys, "family", "--name", "side:2", "--n", "3")
     assert run(capsys, *ROWSWAP, "+2,01,3,002") == run(capsys, *ROWSWAP, "2,1,3,2")
+
+
+def test_a_malformed_integer_flag_reads_as_an_invalid_int(capsys):
+    # argparse names a flag's reader in its message; every integer flag of
+    # the CLI and of scripts/run_verification.py reads by int_flag, which
+    # keeps the wording the flags had when they read by int.
+    code, out, err = run(capsys, "family", "--name", "f", "--n", "x")
+    assert (code, out) == (2, "")
+    assert err.endswith("blockdet family: error: argument --n: invalid int value: 'x'\n")
+    assert {action.type for parser in _shared_parser()[1].values() for action in parser._actions} == {None, int_flag}
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(blockdet.__file__)))
+    proc = subprocess.run([sys.executable, os.path.join(root, "scripts", "run_verification.py"), "--trials", "x"],
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.endswith("run_verification.py: error: argument --trials: invalid int value: 'x'\n")
 
 
 def test_det_rejects_uncertified_modulus(tmp_path, capsys):

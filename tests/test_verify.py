@@ -375,6 +375,23 @@ class TestGeneratorChoice:
             assert retries > 0
 
 
+    @pytest.mark.parametrize("ring", [ZZ, F10007], ids=lambda r: r.label)
+    def test_each_polynomial_source_is_squared_once_per_sample(self, monkeypatch, ring):
+        # A polynomial block takes x and x^2, and the sample squares each
+        # source x once: the hidden block of complete and kappa, A and B of
+        # h1 and h4.  No other generator multiplies blocks.
+        products = {"commutative": 1, "kappa-poly": 1, "h1-falsify": 2, "h4-falsify": 2}
+        real = Matrix.__mul__
+        calls = []
+        monkeypatch.setattr(Matrix, "__mul__", lambda x, y: calls.append(1) or real(x, y))
+        for fid, n, m in self.DRAW_CASES:
+            g = family_condition(fid, n)
+            name = pick_generator(g, m)[0]
+            for seed in range(4):
+                calls.clear()
+                gen_satisfying(g, m, ring, seed)
+                assert len(calls) == products.get(name, 0), (fid, n, m, seed)
+
 class TestScalarInterning:
     def test_a_value_gives_one_block(self):
         assert _scalar_block(ZZ, 2, 3) is _scalar_block(ZZ, 2, 3)
