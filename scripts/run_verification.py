@@ -63,9 +63,9 @@ def main() -> int:
         )
 
     section("size-2 classification")
-    cls = classify_size2()
-    n_scc = sum(1 for r in cls.records if r.is_scc)
-    expect(n_scc == 48 and len(cls.records) == 64, f"{n_scc} sufficient / {64 - n_scc} falsified")
+    records = classify_size2()
+    n_scc = sum(1 for r in records if r.is_scc)
+    expect(n_scc == 48 and len(records) == 64, f"{n_scc} sufficient / {64 - n_scc} falsified")
 
     section("identity campaigns (sufficient families)")
     jobs = [("f", cond_f(2), 4), ("f", cond_f(3), 6), ("f", cond_f(4), 8)]

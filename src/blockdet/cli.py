@@ -112,8 +112,8 @@ def _cmd_campaign(args) -> int:
 
 
 def _cmd_classify2(args) -> int:
-    for line in classify_size2().lines():
-        print(line)
+    for rec in classify_size2():
+        print(rec.line())
     return 0
 
 

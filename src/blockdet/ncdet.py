@@ -8,6 +8,10 @@ is optimal for the noncommutative determinant (Nisan, STOC 1991).  One run
 over all n block rows gives the determinant and, one level below it, every
 first-row minor, so the determinant, the first-column cofactor identity and
 a checkable trace of the polynomial-extension induction each take one run.
+The cofactors are not exported: ``cofactor_column_check`` and
+``bourbaki_trace`` take them from ``_det_and_cofactors``, and
+``nc_minor_det`` and ``nc_cofactor``, one run per minor, are oracles in
+``tests/oracles.py``.
 
 Each entry of the program is a sum of block products: the blocks of the
 row side by side times the entries they multiply stacked in one column.
@@ -180,18 +184,6 @@ def _det_and_cofactors(bm: BlockMatrix) -> tuple[tuple, list[tuple]]:
     ]
 
 
-def nc_first_row_cofactors(bm: BlockMatrix) -> list[Matrix]:
-    """All n first-row cofactors, (-1)^(1+j) times the (1, j) minor, from
-    the run of the subset DP that gives the row-determinant.
-
-    The (1, j) minor is E[all - {j}] over block rows 2..n, which the run
-    holds one level below the determinant: n 2^(n-1) - n block products.
-    """
-    if bm.n < 2:
-        raise ValueError("cofactors need n >= 2")
-    return [Matrix._of(bm.ring, rows) for rows in _det_and_cofactors(bm)[1]]
-
-
 def nc_row_det(bm: BlockMatrix) -> Matrix:
     """Signed permutation sum with factors ordered by block row.
 
@@ -203,28 +195,6 @@ def nc_row_det(bm: BlockMatrix) -> Matrix:
         raise ValueError("row-determinant needs n >= 1")
     det, _, decode = _subset_dp(bm)
     return Matrix._of(bm.ring, tuple(map(decode, det)))
-
-
-def nc_minor_det(bm: BlockMatrix, i: int, j: int) -> Matrix:
-    """Row-determinant after removing block row i and block column j (1-based)."""
-    n = bm.n
-    if n < 2:
-        raise ValueError("minors need n >= 2")
-    if not (1 <= i <= n and 1 <= j <= n):
-        raise ValueError(f"minor index ({i},{j}) out of range for n={n}")
-    rows = tuple(
-        tuple([bm.blocks[r][c] for c in range(n) if c != j - 1])
-        for r in range(n)
-        if r != i - 1
-    )
-    return nc_row_det(BlockMatrix._of(bm.ring, bm.m, n - 1, rows))
-
-
-def nc_cofactor(bm: BlockMatrix, i: int, j: int) -> Matrix:
-    """Signed minor: (-1)^(i+j) times the (i, j) minor determinant.  On 1x1
-    blocks the tests hold it to ``cofactor_matrix`` in ``tests/oracles.py``."""
-    minor = nc_minor_det(bm, i, j)
-    return minor if (i + j) % 2 == 0 else -minor
 
 
 def _column_collapses(bm: BlockMatrix, cofs) -> bool:

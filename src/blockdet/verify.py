@@ -482,15 +482,8 @@ class GraphRecord(NamedTuple):
         )
 
 
-class Size2Classification(NamedTuple):
-    records: tuple[GraphRecord, ...]
-
-    def lines(self) -> list[str]:
-        return [r.line() for r in self.records]
-
-
-def classify_size2() -> Size2Classification:
-    """Label all 64 graphs on the 2x2 grid.
+def classify_size2() -> tuple[GraphRecord, ...]:
+    """Label all 64 graphs on the 2x2 grid, one record each.
 
     A graph is sufficient exactly when it contains one of g1..g5; every
     other graph is certified insufficient by a deterministic matrix that
@@ -524,7 +517,7 @@ def classify_size2() -> Size2Classification:
                 break
         else:
             raise RuntimeError(f"graph {labels} contains no minimal witness and fits no falsifier")
-    return Size2Classification(tuple(records))
+    return tuple(records)
 
 
 # --- two-block determinant identities -----------------------------------------

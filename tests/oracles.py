@@ -18,8 +18,10 @@ None of this runs in ``blockdet`` itself:
   ``blockdet.conditions.matrix_satisfies``; ``commutation_graph`` joins
   every pair of positions whose blocks ``commutes`` says commute, for the
   tests that need every edge of a sample;
-- ``cofactor_matrix``, every signed minor by ``det_commutative``, checks
-  ``blockdet.ncdet.nc_cofactor`` on 1 x 1 blocks;
+- ``nc_minor_det`` and ``nc_cofactor`` take the (i, j) minor of a block
+  matrix and its signed form, by one run of ``blockdet.ncdet.nc_row_det``
+  per minor; ``cofactor_matrix``, every signed minor by
+  ``det_commutative``, checks ``nc_cofactor`` on 1 x 1 blocks;
 - ``subset_dp_by_mask`` is the subset DP keyed by column mask, which looks
   up S - {c} and its sign for every term of every entry; it checks the DP
   on ``blockdet.ncdet._dp_plan``'s flat levels up to ``ROW_DET_CAP``;
@@ -76,7 +78,7 @@ from blockdet.matrix import (
     permutation_sign,
     signed_permutations,
 )
-from blockdet.ncdet import nc_first_row_cofactors
+from blockdet.ncdet import _det_and_cofactors, nc_row_det
 from blockdet.ring import ZZ, PolynomialRing, PrimeField, Ring, RingValue, _poly_trim
 from blockdet.traces import Word, _check_word, word_normal_form
 from blockdet.verify import _mix64, builtin_matrix, check_identity, gen_satisfying, pick_generator, trial_seed
@@ -364,11 +366,33 @@ def maps_onto_by_relabelling(n: int, edge, canonical, row_map, col_map) -> bool:
     return mapped == cond_minus_edge(kappa, canonical)
 
 
+def nc_minor_det(bm: BlockMatrix, i: int, j: int) -> Matrix:
+    """Row-determinant after removing block row i and block column j (1-based)."""
+    n = bm.n
+    if n < 2:
+        raise ValueError("minors need n >= 2")
+    if not (1 <= i <= n and 1 <= j <= n):
+        raise ValueError(f"minor index ({i},{j}) out of range for n={n}")
+    rows = tuple(
+        tuple([bm.blocks[r][c] for c in range(n) if c != j - 1])
+        for r in range(n)
+        if r != i - 1
+    )
+    return nc_row_det(BlockMatrix._of(bm.ring, bm.m, n - 1, rows))
+
+
+def nc_cofactor(bm: BlockMatrix, i: int, j: int) -> Matrix:
+    """Signed minor: (-1)^(i+j) times the (i, j) minor determinant.  On 1x1
+    blocks the tests hold it to ``cofactor_matrix``."""
+    minor = nc_minor_det(bm, i, j)
+    return minor if (i + j) % 2 == 0 else -minor
+
+
 def eliminator_det(shifted: BlockMatrix) -> RingValue:
     """det E by flattening E: the identity with its first block column
     replaced by the first-row cofactors C0..C(n-1) of ``shifted``."""
     ring, m, n = shifted.ring, shifted.m, shifted.n
-    cofs = nc_first_row_cofactors(shifted)
+    cofs = [Matrix._of(ring, rows) for rows in _det_and_cofactors(shifted)[1]]
     ident, zero = scalar(ring, m), scalar(ring, m, 0)
     rows = [[cofs[i] if j == 0 else (ident if i == j else zero) for j in range(n)] for i in range(n)]
     return det_commutative(BlockMatrix(ring, m, n, rows).flatten())

@@ -20,7 +20,7 @@ from blockdet.conditions import (
     matrix_satisfies,
 )
 from blockdet.matrix import BlockMatrix, Matrix, commutes, det_commutative
-from blockdet.ncdet import bourbaki_trace, cofactor_column_check, nc_cofactor, nc_row_det
+from blockdet.ncdet import bourbaki_trace, cofactor_column_check, nc_row_det
 from blockdet.ring import PolynomialRing, PrimeField, RingValue, ZZ, poly_degree
 from blockdet.traces import check_colswap_identity, check_rowswap_identity, check_transpose_identity
 from blockdet.verify import (
@@ -32,7 +32,7 @@ from blockdet.verify import (
     silvester_check,
     trial_seed,
 )
-from oracles import det_expansion_oracle, trace_equal, trace_equal_by_projection
+from oracles import det_expansion_oracle, nc_cofactor, trace_equal, trace_equal_by_projection
 
 F10007 = PrimeField(10007)
 PA = PolynomialRing("a")
@@ -124,9 +124,9 @@ def test_criterion_5_g5_and_two_block_formulas():
 
 def test_criterion_6_size2_classification():
     cls = classify_size2()
-    assert len(cls.records) == 64
+    assert len(cls) == 64
     minimal = [cond_named(f"g{k}") for k in range(1, 6)]
-    for rec in cls.records:
+    for rec in cls:
         in_closure = any(is_subgraph(g, rec.condition) for g in minimal)
         assert rec.is_scc == in_closure
         if not rec.is_scc:
@@ -135,7 +135,7 @@ def test_criterion_6_size2_classification():
             result = check_identity(falsifier)
             assert not result.equal
             assert (result.lhs, result.rhs) == (rec.lhs, rec.rhs)
-    assert sum(r.is_scc for r in cls.records) == 48
+    assert sum(r.is_scc for r in cls) == 48
     _report(6, "all 64 size-2 graphs labeled; 48 sufficient, 16 falsified deterministically")
 
 

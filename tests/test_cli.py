@@ -19,7 +19,7 @@ from blockdet.conditions import (
     family_condition,
     format_condition,
 )
-from blockdet.matrix import format_block_matrix, format_matrix, Matrix, block_view, parse_block_matrix
+from blockdet.matrix import format_block_matrix, block_view, parse_block_matrix
 from blockdet.ring import ZZ
 from blockdet.traces import IDENTITY_CHECK_CAP
 from blockdet.verify import BUILTIN_NAMES, pick_generator
@@ -30,12 +30,6 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
-
-
-def test_check_builtin_m1(capsys):
-    code, out, _ = run(capsys, "check", "--builtin", "m1")
-    assert code == 1
-    assert out == "lhs=-128 rhs=0 UNEQUAL\n"
 
 
 def test_check_builtin_m3(capsys):
@@ -58,24 +52,6 @@ def test_check_malformed_input(tmp_path, capsys):
     code, _, err = run(capsys, "check", str(path))
     assert code == 2
     assert "line 1" in err
-
-
-def test_det_command(tmp_path, capsys):
-    path = tmp_path / "m.txt"
-    path.write_text(format_matrix(Matrix(ZZ, [[1, 2], [3, 4]])))
-    code, out, _ = run(capsys, "det", str(path))
-    assert code == 0
-    assert out == "det=-2\n"
-
-
-def test_input_errors_name_the_line_of_the_file(tmp_path, capsys):
-    path = tmp_path / "m.txt"
-    path.write_text("2 2 int\n\n1 2\n3 x\n")
-    assert run(capsys, "det", str(path)) == (2, "", "input error: line 4, column 2: bad entry 'x'\n")
-    path.write_text("2 2 int\n\n1 2\n")
-    assert run(capsys, "det", str(path)) == (2, "", "input error: line 4: expected 2 entry rows, file ended early\n")
-    path.write_text("1 1 int\n1\n2\n")
-    assert run(capsys, "det", str(path)) == (2, "", "input error: line 3: expected 1 entry rows, found more\n")
 
 
 @contextlib.contextmanager
@@ -275,13 +251,6 @@ def test_symbolic_honest_failure(capsys):
     assert "FAIL" in out
 
 
-@pytest.mark.parametrize("missing", ["a,b", "a,b,c,d", "2,1,3,x", "2,1,3,2.0", "", "2,1,3", "2,1,3,2,1"])
-def test_a_malformed_missing_pair_names_the_format(capsys, missing):
-    code, out, err = run(capsys, "symbolic", "--check", "rowswap", "--n", "3", "--i", "2", "--j", "3",
-                         "--missing", missing)
-    assert (code, out, err) == (2, "", "error: --missing expects four integers r1,c1,r2,c2\n")
-
-
 def test_symbolic_cap_exceeded(capsys):
     n = str(IDENTITY_CHECK_CAP + 1)
     code, _, err = run(capsys, "symbolic", "--check", "colswap", "--n", n, "--k", "1")
@@ -429,23 +398,6 @@ def test_the_parsers_are_built_once_per_process(capsys, monkeypatch):
     _failing_command(monkeypatch, KeyError(1))
     assert blockdet.cli._shared_parser()[1]["classify2"].get_default("fn") is blockdet.cli._cmd_classify2
     assert run(capsys, "classify2") == (2, "", "internal error: KeyError: 1\n")
-
-
-@pytest.mark.parametrize(
-    "argv, line",
-    [
-        (("symbolic", "--check", "colswap", "--n", "4", "--k", "2"),
-         "check=colswap n=4 terms=24 PASS\n"),
-        (("symbolic", "--check", "transpose", "--n", "1", "--c", "1"),
-         "check=transpose n=1 terms=1 PASS\n"),
-        (("symbolic", "--check", "rowswap", "--n", "3", "--i", "2", "--j", "3",
-          "--missing", "2,1,3,2"),
-         "check=rowswap n=3 terms=6 FAIL\n"),
-    ],
-)
-def test_symbolic_output_line(capsys, argv, line):
-    _, out, _ = run(capsys, *argv)
-    assert out == line
 
 
 # Argv vocabulary for the fuzz property: each command's own flags, each

@@ -14,18 +14,19 @@ from blockdet.matrix import (
     det_commutative,
     signed_permutations,
 )
-from blockdet.ncdet import (
-    BourbakiChecks,
-    bourbaki_trace,
-    cofactor_column_check,
-    nc_cofactor,
-    nc_first_row_cofactors,
-    nc_minor_det,
-    nc_row_det,
-)
+from blockdet.ncdet import BourbakiChecks, bourbaki_trace, cofactor_column_check, nc_row_det
 from blockdet.ring import PolynomialRing, PrimeField, RingValue, ZZ, _is_prime, parse_ring
 from blockdet.verify import _from_mapping, builtin_matrix, gen_satisfying
-from oracles import cofactor_matrix, eliminator_det, identity_at_zero, scalar, subset_dp_by_mask, trace_inputs
+from oracles import (
+    cofactor_matrix,
+    eliminator_det,
+    identity_at_zero,
+    nc_cofactor,
+    nc_minor_det,
+    scalar,
+    subset_dp_by_mask,
+    trace_inputs,
+)
 
 F10007 = PrimeField(10007)
 
@@ -71,6 +72,12 @@ def perm_sum_row_det(bm):
     return total
 
 
+def first_row_cofactors(bm):
+    """The n first-row cofactors from the one run of the subset DP that
+    ``cofactor_column_check`` and ``bourbaki_trace`` make."""
+    return [Matrix._of(bm.ring, rows) for rows in ncdet._det_and_cofactors(bm)[1]]
+
+
 def perm_sum_first_row_cofactors(bm):
     """Oracle: (-1)^(1+j) times the permutation-sum (1, j) minor, for each j."""
     n = bm.n
@@ -99,7 +106,7 @@ def block_matrices(draw):
 def test_subset_dp_matches_permutation_sum(bm):
     assert nc_row_det(bm) == perm_sum_row_det(bm)
     if bm.n >= 2:
-        assert nc_first_row_cofactors(bm) == perm_sum_first_row_cofactors(bm)
+        assert first_row_cofactors(bm) == perm_sum_first_row_cofactors(bm)
 
 
 # The Hypothesis strategies stop at n = 6 and m = 3; at the cap the plan's
@@ -116,7 +123,7 @@ def test_subset_dp_at_the_cap_matches_the_mask_keyed_dp(n, label):
         assert nc_row_det(bm) == Matrix(ring, subset_dp_by_mask(bm, 0)[full])
         minors = subset_dp_by_mask(bm, 1)
         cofactors = [Matrix(ring, minors[full ^ (1 << j)]) for j in range(n)]
-        assert nc_first_row_cofactors(bm) == [x if j % 2 == 0 else -x for j, x in enumerate(cofactors)]
+        assert first_row_cofactors(bm) == [x if j % 2 == 0 else -x for j, x in enumerate(cofactors)]
 
 
 def test_dp_plan_lists_every_column_set_once_and_keys_its_signed_minors():
@@ -174,13 +181,13 @@ def test_block_product_counts(monkeypatch, label):
             nc_row_det(bm)
             assert terms == n * 2 ** (n - 1) - n, (n, m)
             terms = 0
-            nc_first_row_cofactors(bm)
+            ncdet._det_and_cofactors(bm)
             assert terms == n * 2 ** (n - 1) - n, (n, m)
 
 
 # The determinant, the cofactors, the cofactor identity and the trace each
 # take one run of the subset DP, over the one plan of their shape.
-@pytest.mark.parametrize("call", [nc_row_det, nc_first_row_cofactors, cofactor_column_check, bourbaki_trace])
+@pytest.mark.parametrize("call", [nc_row_det, cofactor_column_check, bourbaki_trace])
 def test_each_caller_runs_the_subset_dp_once(monkeypatch, call):
     runs, plans = [], []
     run, plan = ncdet._subset_dp, ncdet._dp_plan
@@ -227,7 +234,7 @@ def assert_row_det_commutes_with_reduction(bm):
 
     assert nc_row_det(bm) == reduced(nc_row_det(lifted))
     if bm.n >= 2:
-        assert nc_first_row_cofactors(bm) == list(map(reduced, nc_first_row_cofactors(lifted)))
+        assert first_row_cofactors(bm) == list(map(reduced, first_row_cofactors(lifted)))
 
 
 @st.composite
@@ -334,7 +341,7 @@ def slot_bound_block_matrices(draw):
 def test_subset_dp_at_the_slot_bound_matches_permutation_sum(bm):
     assert nc_row_det(bm) == perm_sum_row_det(bm)
     if bm.n >= 2:
-        assert nc_first_row_cofactors(bm) == perm_sum_first_row_cofactors(bm)
+        assert first_row_cofactors(bm) == perm_sum_first_row_cofactors(bm)
     if isinstance(bm.ring, PrimeField):
         assert_row_det_commutes_with_reduction(bm)
 
@@ -356,8 +363,12 @@ def test_subset_dp_attains_its_slot_bound():
 def test_dp_size_guards():
     with pytest.raises(ValueError):
         nc_row_det(BlockMatrix(ZZ, 2, 0, []))
+    # One block row has no cofactors: the identity holds trivially and the
+    # induction has no step.
+    single = BlockMatrix(ZZ, 2, 1, [[scalar(ZZ, 2)]])
+    assert cofactor_column_check(single)
     with pytest.raises(ValueError):
-        nc_first_row_cofactors(BlockMatrix(ZZ, 2, 1, [[scalar(ZZ, 2)]]))
+        bourbaki_trace(single)
 
 
 def test_nc_row_det_two_blocks_order():
@@ -391,7 +402,7 @@ def test_nc_row_det_cap():
 
 def test_cofactor_users_share_the_cap():
     bm = BlockMatrix(ZZ, 1, 9, [[scalar(ZZ, 1)] * 9 for _ in range(9)])
-    for fn in (nc_first_row_cofactors, cofactor_column_check, bourbaki_trace):
+    for fn in (cofactor_column_check, bourbaki_trace):
         with pytest.raises(ValueError):
             fn(bm)
 
@@ -544,7 +555,7 @@ class TestBourbakiTrace:
         # on the input against its constant terms at z = 0.
         for bm in trace_inputs():
             trace = bourbaki_trace(bm)
-            assert eliminator_det(trace.shifted) == det_commutative(nc_first_row_cofactors(trace.shifted)[0])
+            assert eliminator_det(trace.shifted) == det_commutative(first_row_cofactors(trace.shifted)[0])
             assert trace.checks.identity_at_zero == identity_at_zero(bm)
 
     def test_zero_first_block_row(self):

@@ -22,7 +22,7 @@ from blockdet.matrix import (
     parse_matrix,
     shifted,
 )
-from blockdet.ncdet import bourbaki_trace, nc_cofactor, nc_first_row_cofactors, nc_minor_det, nc_row_det
+from blockdet.ncdet import _det_and_cofactors, bourbaki_trace, nc_row_det
 from blockdet.ring import ZZ, IntegerRing, PolynomialRing, PrimeField, RingValue
 from blockdet.verify import (
     _dense,
@@ -37,6 +37,7 @@ from blockdet.verify import (
     pick_generator,
     run_campaign,
 )
+from oracles import nc_cofactor, nc_minor_det
 
 F7 = PrimeField(7)
 PA = PolynomialRing("a")
@@ -76,8 +77,7 @@ def _records():
     report = run_campaign(family_condition("h1", 2), 2, F7, 2, 0, condition_id="h1")
     trace = bourbaki_trace(builtin_matrix("m1"))
     scan = optimality_scan(2, campaign_trials=1)
-    graphs = classify_size2()
-    return (report, report.first_failure, trace, trace.checks, scan, scan.edge_cases[0], graphs, graphs.records[-1])
+    return (report, report.first_failure, trace, trace.checks, scan, scan.edge_cases[0], classify_size2()[-1])
 
 
 def test_assigning_a_field_or_a_new_attribute_raises():
@@ -306,7 +306,8 @@ def test_every_kernel_builds_canonical_matrices(ring, n):
     outputs = [nc_row_det(bm), flat, x * y, x + y, x - y, -x, x.scale(RingValue(ring, -2))]
     outputs += [blk for row in block_view(flat, 2).blocks for blk in row]
     if n > 1:
-        outputs += nc_first_row_cofactors(bm) + [nc_cofactor(bm, 1, 2), nc_minor_det(bm, 2, 1)]
+        outputs += [Matrix._of(ring, rows) for rows in _det_and_cofactors(bm)[1]]
+        outputs += [nc_cofactor(bm, 1, 2), nc_minor_det(bm, 2, 1)]
     for mat in outputs:
         assert_trusted(mat)
 

@@ -512,21 +512,21 @@ def classification():
 
 class TestClassification:
     def test_covers_all_64_graphs(self, classification):
-        assert len(classification.records) == 64
-        assert len({r.labels for r in classification.records}) == 64
+        assert len(classification) == 64
+        assert len({r.labels for r in classification}) == 64
 
     def test_scc_set_is_upward_closure(self, classification):
         minimal = [cond_named(f"g{k}") for k in range(1, 6)]
-        for rec in classification.records:
+        for rec in classification:
             expected = any(is_subgraph(g, rec.condition) for g in minimal)
             assert rec.is_scc == expected
 
     def test_counts(self, classification):
-        assert sum(1 for r in classification.records if r.is_scc) == 48
-        assert sum(1 for r in classification.records if not r.is_scc) == 16
+        assert sum(1 for r in classification if r.is_scc) == 48
+        assert sum(1 for r in classification if not r.is_scc) == 16
 
     def test_every_falsifier_is_genuine(self, classification):
-        for rec in classification.records:
+        for rec in classification:
             if rec.is_scc:
                 assert rec.witness in {"G1", "G2", "G3", "G4", "G5"}
                 continue
@@ -537,7 +537,7 @@ class TestClassification:
             assert (result.lhs, result.rhs) == (rec.lhs, rec.rhs)
 
     def test_named_lines(self, classification):
-        by_labels = {r.labels: r for r in classification.records}
+        by_labels = {r.labels: r for r in classification}
         assert by_labels[("CD",)].line() == "edges={CD} SCC witness=G1"
         assert by_labels[("AC", "BD")].line() == "edges={AC,BD} NOT-SCC falsifier=M2 lhs=128 rhs=0"
         assert by_labels[()].is_scc is False
