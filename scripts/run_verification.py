@@ -37,8 +37,9 @@ def main() -> int:
     parser.add_argument("--trials", type=int_flag, default=200, help="trials per campaign")
     parser.add_argument("--seed", type=int_flag, default=20161004)
     args = parser.parse_args()
-    if args.trials < 0:
-        parser.error(f"--trials must be non-negative, got {args.trials}")
+    if args.trials < 1:
+        # the falsification campaigns and the negative control need a trial to fail
+        parser.error(f"--trials must be at least 1, got {args.trials}")
 
     ring = PrimeField(10007)
     trials, seed = args.trials, args.seed

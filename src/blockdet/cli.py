@@ -86,12 +86,14 @@ def _cmd_ncdet(args) -> int:
     return 0
 
 
-def _cmd_check(args) -> int:
-    bm = _load_block_matrix(args)
+def _print_verdict(bm) -> bool:
     result = check_identity(bm)
-    verdict = "EQUAL" if result.equal else "UNEQUAL"
-    print(f"lhs={result.lhs} rhs={result.rhs} {verdict}")
-    return 0 if result.equal else 1
+    print(f"lhs={result.lhs} rhs={result.rhs} {'EQUAL' if result.equal else 'UNEQUAL'}")
+    return result.equal
+
+
+def _cmd_check(args) -> int:
+    return 0 if _print_verdict(_load_block_matrix(args)) else 1
 
 
 def _cmd_family(args) -> int:
@@ -120,9 +122,7 @@ def _cmd_classify2(args) -> int:
 def _cmd_counterexample(args) -> int:
     bm = builtin_matrix(args.name, n=args.n)
     sys.stdout.write(format_block_matrix(bm))
-    result = check_identity(bm)
-    verdict = "EQUAL" if result.equal else "UNEQUAL"
-    print(f"lhs={result.lhs} rhs={result.rhs} {verdict}")
+    _print_verdict(bm)
     return 0
 
 

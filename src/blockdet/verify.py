@@ -153,19 +153,19 @@ def _poly_in(x: Matrix, coeffs, powers) -> Matrix:
 
 # --- generators ----------------------------------------------------------------
 #
-# A generator maps (ring, rng) to (matrix, witness_pairs), where
-# witness_pairs lists non-edges of the condition that are expected to be
+# A generator maps (ring, rng) to a sample.  ``pick_generator`` returns it
+# with its witness pairs: non-edges of the condition that are expected to be
 # genuinely noncommuting; the caller redraws on the rare degenerate draw
-# where all of them commute.  ``pick_generator`` fixes the witness pairs
-# once per condition.  Every generator is a ``_gen_layout``: a kind per
-# block, and one ``_draws`` call per sample whose values the blocks take in
-# row-major block order.
+# where all of them commute.  Every generator is a ``_gen_layout``: a kind
+# per block, and one ``_draws`` call per sample whose values the blocks take
+# in row-major block order.
 
 Pair = tuple[tuple[int, int], tuple[int, int]]
-GenFn = Callable[[Ring, random.Random], tuple[BlockMatrix, list[Pair]]]
+GenFn = Callable[[Ring, random.Random], BlockMatrix]
+Generator = tuple[str, GenFn, list[Pair]]
 
 
-def _gen_layout(n: int, m: int, kind, witnesses: list[Pair]) -> GenFn:
+def _gen_layout(n: int, m: int, kind) -> GenFn:
     """Samples whose block at 1-based (i, j) is built as kind(i, j) says:
 
     - ``"dense"``: its m^2 values, row-major;
@@ -216,7 +216,7 @@ def _gen_layout(n: int, m: int, kind, witnesses: list[Pair]) -> GenFn:
         for k, at in cells:
             built.append(block(k, at))
         blocks = tuple(tuple(built[s : s + n]) for s in range(0, n * n, n))
-        return BlockMatrix._of(ring, m, n, blocks), witnesses
+        return BlockMatrix._of(ring, m, n, blocks)
 
     return fn
 
@@ -244,9 +244,9 @@ def _special_non_edge(g: Condition) -> Pair:
     return next((u, v) for u, v in pairs if not g.commutes(u, v))
 
 
-def pick_generator(g: Condition, m: int) -> tuple[str, GenFn]:
-    """The most specific sound generator for a condition, as a name and a
-    ``_gen_layout``: polynomials in one hidden block for complete and
+def pick_generator(g: Condition, m: int) -> Generator:
+    """The most specific sound generator for g, as a name, a ``_gen_layout``
+    and its witness pairs: polynomials in one hidden block for complete and
     kappa, slot blocks for f, side and down at m >= 2n, the size-2 layouts
     for g5 (m >= 4) and h1..h4, else scalar blocks with one shared slot."""
     n = g.n
@@ -254,34 +254,34 @@ def pick_generator(g: Condition, m: int) -> tuple[str, GenFn]:
     # Condition orders and range-checks its edges, so only the complete
     # graph has all n^2 (n^2 - 1) / 2 of them.
     if len(g.edges) == n * n * (n * n - 1) // 2:
-        return "commutative", _gen_layout(n, m, lambda i, j: ("poly", None), [])
+        return "commutative", _gen_layout(n, m, lambda i, j: ("poly", None)), []
     if m >= 2 * n:
         # Slot blocks in different slots commute; f and down put each
         # column's blocks in one slot, side each row's.  f's first block
         # row and side's block (n, c) are dense.
         if g == cond_f(n):
             witnesses = [((1, j), (2, j)) for j in span] + [((2, j), (i, j)) for j in span for i in span[2:]]
-            return "f-slots", _gen_layout(n, m, lambda i, j: "dense" if i == 1 else 2 * j - 2, witnesses)
+            return "f-slots", _gen_layout(n, m, lambda i, j: "dense" if i == 1 else 2 * j - 2), witnesses
         for c in span:
             if g == cond_f_side(c, n):
                 witnesses = [((i, c), (i, j)) for i in span for j in span if j != c]
                 return f"side-slots:{c}", _gen_layout(
-                    n, m, lambda i, j: "dense" if (i, j) == (n, c) else 2 * i - 2, witnesses)
+                    n, m, lambda i, j: "dense" if (i, j) == (n, c) else 2 * i - 2), witnesses
         for r in span:
             if g == cond_f_down(r, n):
                 witnesses = [((i, j), (i + 1, j)) for j in span for i in span[:-1]]
-                return f"down-slots:{r}", _gen_layout(n, m, lambda i, j: 2 * j - 2, witnesses)
+                return f"down-slots:{r}", _gen_layout(n, m, lambda i, j: 2 * j - 2), witnesses
     if g == cond_kappa(n):
         return "kappa-poly", _gen_layout(
-            n, m, lambda i, j: "dense" if i == 1 else ("poly", None), [((1, 1), (2, 1))])
+            n, m, lambda i, j: "dense" if i == 1 else ("poly", None)), [((1, 1), (2, 1))]
     if n == 2:
         for name, (label, kinds) in _SIZE2_LAYOUTS.items():
             if (name != "g5" or m >= 4) and g == cond_named(name):
-                return label, _gen_layout(2, m, lambda i, j: kinds[2 * i + j - 3], [((2, 1), (2, 2))])
+                return label, _gen_layout(2, m, lambda i, j: kinds[2 * i + j - 3]), [((2, 1), (2, 2))]
     # Scalar blocks commute with everything; the special non-edge pair gets
     # perturbations in a shared slot so the sample is not fully commutative.
     special = _special_non_edge(g)
-    return "generic-scalar", _gen_layout(n, m, lambda i, j: 0 if (i, j) in special else "scalar", [special])
+    return "generic-scalar", _gen_layout(n, m, lambda i, j: 0 if (i, j) in special else "scalar"), [special]
 
 
 _RETRY_CAP = 32
@@ -305,13 +305,13 @@ def gen_satisfying(g: Condition, m: int, ring: Ring, seed: int) -> BlockMatrix:
     return _draw_satisfying(g, pick_generator(g, m), ring, seed)
 
 
-def _draw_satisfying(g: Condition, generator: tuple[str, GenFn], ring: Ring, seed: int) -> BlockMatrix:
+def _draw_satisfying(g: Condition, generator: Generator, ring: Ring, seed: int) -> BlockMatrix:
     """``gen_satisfying`` with the generator for g already picked, so a
     campaign looks it up once rather than once per trial."""
-    name, fn = generator
+    name, fn, witnesses = generator
     rng = random.Random(_mix64(seed))
     for _ in range(_RETRY_CAP):
-        bm, witnesses = fn(ring, rng)
+        bm = fn(ring, rng)
         if not matrix_satisfies(bm, g):
             raise RuntimeError(f"generator {name!r} produced a non-satisfying sample")
         if not witnesses or not all(

@@ -2,10 +2,11 @@
 exact output, the paper's results as a user of the command line sees them.
 
 Every pin is run two ways.  ``tests/test_cli_pins.py`` runs each one in
-process through ``blockdet.cli.main``.  Run as a script, this module runs
-each one through the ``blockdet`` console script on ``PATH``, one process
-per pin, so the entry point and a fresh interpreter's digit limit are
-covered too; it prints one line per pin and exits 1 if any fails:
+process through ``run_in_process``, the one helper the tests call
+``blockdet.cli.main`` through.  Run as a script, this module runs each one
+through the ``blockdet`` console script on ``PATH``, one process per pin,
+so the entry point and a fresh interpreter's digit limit are covered too;
+it prints one line per pin and exits 1 if any fails:
 
     python tests/cli_pins.py
 
@@ -20,7 +21,9 @@ message is the whole stderr.  An empty ``err`` means an empty stderr.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import os
 import shlex
 import subprocess
@@ -67,12 +70,18 @@ Q = str(2**61 - 2)
 NINES = 10**3000 - 1
 INPUTS = {
     "2x2": _text("2 2 int", "1 2", "3 4"),
+    "identity": _text("2 2 int", "1 0 0 0", "0 1 0 0", "0 0 1 0", "0 0 0 1"),
+    "no-ring": _text("2 2", "1 2", "3 4"),
+    "big-modulus": _text("2 2 mod:318665857834031151167461", "1 2", "3 4"),
     # a bad entry, a file that ends early and one with a row too many
     "bad-entry": _text("2 2 int", "", "1 2", "3 x"),
     "short": _text("2 2 int", "", "1 2"),
     "long": _text("1 1 int", "1", "2"),
-    # an integer is an optional sign and ASCII digits: int() alone reads 1_0 as 10
+    # an integer is an optional sign and ASCII digits: int() alone reads 1_0 as 10 and
+    # the Arabic-Indic digit three as 3
     "underscore": _text("1 1 int", "1_0"),
+    "arabic-indic": _text("1 1 int", "\u0663"),
+    "modulus-underscore": _text("1 1 mod:1_0007", "1"),
     # mod:7 entries of 2^62, negative or at least 7: the one checked constructor brings
     # each to [0, 7) before the row determinant sizes its slots from p - 1
     "mod7": _text("2 2 mod:7", "4611686018427387904 0 5 3", "0 1 6 6", "5 3 5 3", "-1 6 13 -8"),
@@ -104,6 +113,25 @@ TERMS_24 = "620448401733239439360000"
 ROWSWAP_3 = "symbolic --check rowswap --n 3 --i 2 --j 3 --missing"
 MISSING_FORMAT = "error: --missing expects four integers r1,c1,r2,c2"
 H_CAMPAIGN = "campaign --family h{} --n 2 --m 3 --trials 5"
+# the size-2 falsifiers over mod:10007 at three seeds: (seed, h) -> lhs and rhs of trial 0
+H_MOD_P = {
+    (0, 1): (7064, 6705), (0, 2): (4895, 2347), (0, 3): (303, 5285), (0, 4): (717, 9201),
+    (1, 1): (2865, 3824), (1, 2): (7388, 5718), (1, 3): (6403, 6422), (1, 4): (457, 6041),
+    (7, 1): (703, 1627), (7, 2): (1851, 2775), (7, 3): (7365, 9183), (7, 4): (4068, 2654),
+}
+# the minimality scan: its edge relabelling onto the two withheld edges and its campaigns
+OPTIMALITY_5_TRIALS = {
+    2: "26ecf95f9f66b463d34d924c68b730fb0a45141e3bd3d382ce9d5544ba6f9398",
+    3: "b21ec7fe030ca7891e40a6f5a4b2a353c4d0517667c3ad6223ef9ead49c48dd3",
+    4: "4b830cf4ea3d8342b04ccb7fdde2c5fff4fc77c599b173e5a8eb8633394da3a7",
+    5: "28a412b35d563d4ebe54bb28cc6553342883ab6d5878148680c421ee020c5df0",
+}
+OPTIMALITY_1_TRIAL = {
+    5: "fc512de65c5e9b46db8089a109d48dd67f3feb9730d2d0bcc74f2bf677b26299",
+    6: "ae71223d81df677d12af6c3314d6e80a632d2d7d014f835e76da661671c22039",
+    7: "0ad2a896d415a9f7a73bf549ae82002337a15c8b881ceb53313480dfb7ab0766",
+    8: "b1152ca277ac756cda981292c5e610dac65d08f81b34abc270baa987df201635",
+}
 
 PINS = (
     # the usage text, on stdout with exit 0
@@ -112,16 +140,48 @@ PINS = (
     # arguments a command leaves over are reported by the full parser
     Pin("symbolic --check colswap --n 3 --k 1 extra", 2, err="blockdet: error: unrecognized arguments: extra"),
     Pin("classify2 extra", 2, err="blockdet: error: unrecognized arguments: extra"),
+    Pin("family --name f --n x", 2, err="blockdet family: error: argument --n: invalid int value: 'x'"),
+    Pin("check", 2, err="input error: either a file or --builtin is required"),
+    # sizes, trial counts and built-in sizes out of range
+    Pin("campaign --family f --n 0 --m 2", 2, err="error: size must be at least 1, got n=0"),
+    Pin("campaign --family f --n 2 --m 4 --trials -3", 2, err="error: trials must be non-negative, got -3"),
+    Pin("campaign --family f --n 2 --m 1 --trials 0", 2, err="error: block size must be at least 2"),
+    Pin("campaign --family f --n 300 --m 2 --trials 0", 2, err="error: size n=300 exceeds the row-determinant cap 8"),
+    Pin("campaign --family f --n 2 --m 65 --trials 1", 2, err="error: block size m=65 exceeds the cap 64"),
+    Pin("family --name f --n 0", 2, err="error: size must be at least 1, got n=0"),
+    Pin("family --name f --n 9", 2, err="error: size n=9 exceeds the row-determinant cap 8"),
+    Pin("family --name side:9 --n 3", 2, err="error: column 9 out of range for size 3"),
+    Pin("ncdet --builtin m1 --n 5", 2, err="error: built-in matrix 'm1' takes no size, got n=5"),
+    Pin("check --builtin h2 --n 3", 2, err="error: built-in matrix 'h2' takes no size, got n=3"),
+    Pin("counterexample --name m3 --n 2", 2, err="error: built-in matrix 'm3' takes no size, got n=2"),
+    Pin("counterexample --name diff_row --n 9", 2, err="error: size n=9 exceeds the row-determinant cap 8"),
+    Pin("optimality --n 1", 2, err="error: the optimality scan needs n >= 2, got n=1"),
+    Pin("symbolic --check colswap --n 25 --k 1", 2, err="error: need 1 <= k < n <= 24, got k=1, n=25"),
+    Pin("symbolic --check colswap --n 3", 2, err="error: --k is required for colswap"),
     # a flag of another symbolic check is a usage error, not ignored
     Pin("symbolic --check colswap --n 3 --k 1 --missing 2,1,3,2 --i 9", 2,
         err="error: --i applies only to --check rowswap"),
+    Pin("symbolic --check colswap --n 3 --k 1 --c 1", 2, err="error: --c applies only to --check transpose"),
+    Pin("symbolic --check transpose --n 3 --c 1 --k 1", 2, err="error: --k applies only to --check colswap"),
+    Pin("symbolic --check transpose --n 3 --c 1 --j 3", 2, err="error: --j applies only to --check rowswap"),
+    Pin("symbolic --check rowswap --n 3 --i 2 --j 3 --c 2", 2, err="error: --c applies only to --check transpose"),
+    Pin("symbolic --check rowswap --n 3 --i 2 --j 3 --k 1", 2, err="error: --k applies only to --check colswap"),
     *(Pin(f"{ROWSWAP_3} {shlex.quote(missing)}", 2, err=MISSING_FORMAT)
-      for missing in ("a,b", "a,b,c,d", "2,1,3,x", "2,1,3,2.0", "", "2,1,3", "2,1,3,2,1")),
+      for missing in ("a,b", "a,b,c,d", "2,1,3,x", "2,1,3,2.0", "", "2,1,3", "2,1,3,2,1", "2,1,3,2_0", "2,1,3,0_2")),
+    # an integer is an optional sign and ASCII digits: int() alone would read these as side:2,
+    # 3 and mod:10007 (and 1_0 below as 10)
+    Pin("family --name side:\u0662 --n 3", 2, err="error: bad family parameter in 'side:\u0662'"),
+    Pin(f"det {FILE}", 2, err="input error: line 2, column 1: bad entry '\u0663'", input="arabic-indic"),
+    Pin(f"ncdet {FILE}", 2, err="input error: line 1: bad prime-field descriptor 'mod:1_0007'",
+        input="modulus-underscore"),
     Pin("family --name f --n 3", 0, _text(
         "3", "2 1 2 2", "2 1 2 3", "2 1 3 2", "2 1 3 3", "2 2 2 3", "2 2 3 1", "2 2 3 3", "2 3 3 1",
         "2 3 3 2", "3 1 3 2", "3 1 3 3", "3 2 3 3")),
     Pin("symbolic --check colswap --n 4 --k 2", 0, "check=colswap n=4 terms=24 PASS\n"),
     Pin("symbolic --check transpose --n 1 --c 1", 0, "check=transpose n=1 terms=1 PASS\n"),
+    Pin("symbolic --check transpose --n 3 --c 2", 0, "check=transpose n=3 terms=6 PASS\n"),
+    # a withheld pair in one row: a PASS
+    Pin(f"{ROWSWAP_3} 2,1,2,2", 0, "check=rowswap n=3 terms=6 PASS\n"),
     # the withheld pair's two rows are swapped: a verified FAIL, exit 1
     Pin(f"{ROWSWAP_3} 2,1,3,2", 1, "check=rowswap n=3 terms=6 FAIL\n"),
     # every symbolic check at the cap n = 24; rows 2, 3 keep the order of the withheld
@@ -133,22 +193,36 @@ PINS = (
     Pin("symbolic --n 24 --check rowswap --i 23 --j 24 --missing 23,23,24,24", 1,
         f"check=rowswap n=24 terms={TERMS_24} FAIL\n"),
     Pin("check --builtin m1", 1, "lhs=-128 rhs=0 UNEQUAL\n"),
+    Pin("check --builtin m3", 1, "lhs=1152 rhs=1872 UNEQUAL\n"),
+    Pin("ncdet --builtin m1", 0, _text("2 2 int", "-60 -68", "-76 -84")),
     Pin("counterexample --name m1", 0, _text(
         "2 2 int", "1 2 5 6", "3 4 7 8", "5 6 1 2", "7 8 3 4", "lhs=-128 rhs=0 UNEQUAL")),
+    Pin("counterexample --name m3", 0, _text(
+        "3 2 int", "1 0 0 1 2 0", "0 1 0 3 4 0", "0 0 2 0 0 5", "6 7 0 1 1 0", "8 9 0 0 1 0", "0 0 10 0 0 1",
+        "lhs=1152 rhs=1872 UNEQUAL")),
+    # all 64 size-2 conditions, each built from its letter pairs
+    Pin("classify2", 0, "1a906fc7f9bd76312989f9e0d65faaead8ab7ab107e6b7f5dc5ccbc729594e2d", rule="sha256"),
     # the optimality witnesses over Z[a] at ROW_DET_CAP: a verified UNEQUAL, exit 1, and the
     # block determinant itself, whose sign a slip at the DP's deepest level would flip
     Pin("check --builtin same_row --n 8", 1, "lhs=0,1 rhs=0 UNEQUAL\n"),
     Pin("check --builtin diff_row --n 8", 1, "lhs=0,-1 rhs=0 UNEQUAL\n"),
     Pin("ncdet --builtin same_row --n 8", 0, _text("2 2 poly:a", "0 1", "0,-1 0")),
     Pin("ncdet --builtin diff_row --n 8", 0, _text("2 2 poly:a", "0 -1", "0,-1 0")),
-    # the minimality scan at ROW_DET_CAP: 1372 edges and 4 campaigns, then
-    # "optimality n=8 OK"; one past the cap is a usage error
+    # the minimality scan up to ROW_DET_CAP, where it checks 1372 edges and runs 4 campaigns
+    # before "optimality n=8 OK"; one past the cap is a usage error
+    Pin("optimality --n 2 --trials 10", 0, _text(
+        "edge=(2,1)-(2,2) case=same_row OK", "condition=f trials=10 failures=0 seed=8077058029860855594",
+        "condition=kappa trials=10 failures=0 seed=9987942564553441917", "optimality n=2 OK")),
+    *(Pin(f"optimality --n {n} --trials 5", 0, digest, rule="sha256") for n, digest in OPTIMALITY_5_TRIALS.items()),
+    *(Pin(f"optimality --n {n} --trials 1", 0, digest, rule="sha256") for n, digest in OPTIMALITY_1_TRIAL.items()),
     Pin("optimality --n 8 --trials 3", 0, "30abc8aaad69481ab39e6698b1f0ab85643f7940b1a6848561618464cf28ca1d",
         rule="sha256"),
     Pin("optimality --n 9", 2, err="error: size n=9 exceeds the row-determinant cap 8"),
     Pin(f"det {FILE}", 2, err="input error: line 2, column 1: bad entry '1_0'", input="underscore"),
     Pin("campaign --family f --n 2 --m 4 --trials 1 --seed 1_0", 2,
         err="blockdet campaign: error: argument --seed: invalid int value: '1_0'"),
+    Pin("campaign --family f --n 2 --m 4 --ring mod:10007 --trials 20 --seed 42", 0,
+        "condition=f trials=20 failures=0 seed=42 generator=f-slots\n"),
     # centralizer-certified samples: kappa over Z (Krylov rank mod a fixed prime) and the complete graph
     Pin("campaign --family kappa --n 4 --m 8 --ring int --trials 5", 0,
         "condition=kappa trials=5 failures=0 seed=0 generator=kappa-poly\n"),
@@ -179,6 +253,13 @@ PINS = (
         "failure trial=0 lhs=717 rhs=9201", "condition=h4 trials=5 failures=5 seed=0 generator=h4-falsify")),
     Pin(H_CAMPAIGN.format(4) + " --ring int", 1, _text(
         "failure trial=0 lhs=6092 rhs=24", "condition=h4 trials=5 failures=5 seed=0 generator=h4-falsify")),
+    Pin("campaign --family h4 --n 2 --m 3 --ring mod:10007 --trials 20 --seed 42", 1, _text(
+        "failure trial=0 lhs=6017 rhs=6925", "condition=h4 trials=20 failures=20 seed=42 generator=h4-falsify")),
+    # every trial fails; the lhs and rhs come from Gaussian elimination mod p
+    *(Pin(f"campaign --family h{h} --n 2 --m 3 --ring mod:10007 --trials 12 --seed {seed}", 1, _text(
+        f"failure trial=0 lhs={lhs} rhs={rhs}",
+        f"condition=h{h} trials=12 failures=12 seed={seed} generator=h{h}-falsify"))
+      for (seed, h), (lhs, rhs) in H_MOD_P.items()),
     # f at m < 2n, nearly only interned scalar blocks
     Pin("campaign --family f --n 7 --m 2 --ring int --trials 20 --seed 3", 0,
         "condition=f trials=20 failures=0 seed=3 generator=generic-scalar\n"),
@@ -222,8 +303,12 @@ PINS = (
         "-227077,-43077,28740,12582,540 "
         "rhs=16788,-41368,120050,-168792,26763,286607,196771,-107148,-353530,-125664,-16245,-36862,"
         "-16497,-4740,10428,17135,6033,369 UNEQUAL\n", input="poly3"),
+    Pin(f"check {FILE}", 0, "lhs=1 rhs=1 EQUAL\n", input="identity"),
+    Pin(f"check {FILE}", 2, err="input error: line 1: header must be 'm n ring-descriptor'", input="no-ring"),
     # matrix files
     Pin(f"det {FILE}", 0, "det=-2\n", input="2x2"),
+    Pin(f"det {FILE}", 2, err="input error: line 1: modulus 318665857834031151167461 is too large to certify as prime",
+        input="big-modulus"),
     Pin(f"det {FILE}", 2, err="input error: line 4, column 2: bad entry 'x'", input="bad-entry"),
     Pin(f"det {FILE}", 2, err="input error: line 4: expected 2 entry rows, file ended early", input="short"),
     Pin(f"det {FILE}", 2, err="input error: line 3: expected 1 entry rows, found more", input="long"),
@@ -271,6 +356,22 @@ def check(pin: Pin, invoke) -> list[str]:
     if not err_ok:
         problems.append(f"stderr {_shown(err)}, want {_shown(pin.err)}")
     return problems
+
+
+def run_in_process(argv: list[str], stdin: str | None = None, entry=None) -> tuple[int, str, str]:
+    """``entry(argv)`` in this process, ``blockdet.cli.main`` by default, with
+    ``stdin`` (or nothing) on stdin: its exit code, stdout and stderr.  The
+    default is imported here, so the console run needs no importable package."""
+    if entry is None:
+        from blockdet.cli import main as entry
+    out, err = io.StringIO(), io.StringIO()
+    saved, sys.stdin = sys.stdin, io.StringIO(stdin or "")
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = entry(list(argv))
+    finally:
+        sys.stdin = saved
+    return code, out.getvalue(), err.getvalue()
 
 
 def _console_script(argv: list[str], stdin: str | None) -> tuple[int, str, str]:

@@ -454,8 +454,7 @@ def sample_by_randrange(g: Condition, m: int, ring: Ring, seed: int) -> tuple[Bl
     the layout of each generator is restated here.  A sample is redrawn
     while every witness pair commutes, by both full products.
     """
-    name, fn = pick_generator(g, m)
-    witnesses = fn(ring, random.Random(0))[1]
+    name, _, witnesses = pick_generator(g, m)
     head, _, arg = name.partition(":")
     n = g.n
     rng = random.Random(_mix64(seed))

@@ -1,26 +1,17 @@
 """Every pin of ``cli_pins`` run in process through ``cli.main``, and the
 checks that keep the table whole."""
 
-import io
 import shlex
-import sys
 
 import pytest
 
-from blockdet.cli import _shared_parser, main
-from cli_pins import PINS, check
+from blockdet.cli import _shared_parser
+from cli_pins import PINS, check, run_in_process
 
 
 @pytest.mark.parametrize("pin", PINS, ids=[pin.name for pin in PINS])
-def test_pin(capsys, monkeypatch, pin):
-    def invoke(argv, stdin):
-        if stdin is not None:
-            monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
-        code = main(argv)
-        out = capsys.readouterr()
-        return code, out.out, out.err
-
-    assert check(pin, invoke) == []
+def test_pin(pin):
+    assert check(pin, run_in_process) == []
 
 
 def test_each_call_is_pinned_once_and_every_command_and_exit_code_has_a_pin():

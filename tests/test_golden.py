@@ -12,7 +12,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-from blockdet.cli import main
 from blockdet.conditions import (
     complete_condition,
     cond_f,
@@ -27,7 +26,8 @@ from blockdet.matrix import det_commutative, format_block_matrix, format_matrix
 from blockdet.ncdet import bourbaki_trace
 from blockdet.ring import ZZ, PolynomialRing, PrimeField
 from blockdet.verify import check_identity, gen_satisfying, pick_generator, silvester_check, trial_seed
-from oracles import trace_inputs
+from cli_pins import run_in_process
+from oracles import main_by_full_parser, trace_inputs
 
 F10007 = PrimeField(10007)
 ROOT = Path(__file__).resolve().parent.parent
@@ -188,21 +188,16 @@ def test_symbolic_identities_table():
     assert _sha(proc.stdout) == "ec01ff5c52c3acb7048c597f3f3f307fd3900e7f2fec8497d9510a1700dfd54f"
 
 
-def _cli(capsys, *argv):
-    code = main(list(argv))
-    out = capsys.readouterr()
-    assert (code, out.err) == (0, "")
-    return out.out
-
-
-def test_side_and_down_families(capsys):
+def test_side_and_down_families():
     # Every column- and row-relabelled variant of the row-one-free family.
-    text = "".join(
-        _cli(capsys, "family", "--name", f"{head}:{k}", "--n", str(n))
+    calls = [
+        run_in_process(["family", "--name", f"{head}:{k}", "--n", str(n)])
         for n in range(2, 9)
         for head in ("side", "down")
         for k in range(1, n + 1)
-    )
+    ]
+    assert {(code, err) for code, _, err in calls} == {(0, "")}
+    text = "".join(out for _, out, _ in calls)
     assert _sha(text) == "cc443c0752fd2a92e00fe96cb72f261b6e9350b4e83ec5be225ffd223356f503"
 
 
@@ -220,40 +215,13 @@ def test_induction_trace_objects():
     assert _sha(text) == "1d2d2f3165053d53b01a453cecd95887ef054bd9eee63433fe238af063bc90b6"
 
 
-def test_optimality_reports(capsys):
-    # The edge relabelling onto the two canonical withheld edges, and the
-    # campaigns, for n = 2..5.
-    digests = {
-        2: "26ecf95f9f66b463d34d924c68b730fb0a45141e3bd3d382ce9d5544ba6f9398",
-        3: "b21ec7fe030ca7891e40a6f5a4b2a353c4d0517667c3ad6223ef9ead49c48dd3",
-        4: "4b830cf4ea3d8342b04ccb7fdde2c5fff4fc77c599b173e5a8eb8633394da3a7",
-        5: "28a412b35d563d4ebe54bb28cc6553342883ab6d5878148680c421ee020c5df0",
-    }
-    for n, digest in digests.items():
-        assert _sha(_cli(capsys, "optimality", "--n", str(n), "--trials", "5")) == digest
-
-
-def test_classify2_output(capsys):
-    # All 64 lines, each condition built from its letter pairs.
-    assert _sha(_cli(capsys, "classify2")) == "1a906fc7f9bd76312989f9e0d65faaead8ab7ab107e6b7f5dc5ccbc729594e2d"
-
-
-def test_falsifying_campaigns_over_mod_p(capsys):
-    # The lhs/rhs values printed here come from Gaussian elimination mod p.
-    digests = {
-        0: "cc84deb26bd12d03c5cac55cd2ca0c0fbac1acf9b1ef8486aba5c653ebfddca3",
-        1: "192245b8957dbdf9aa3ae341f899350e34bbd7b6f1ab4c6cea029ab11ba9b1a7",
-        7: "36c61c89b363ef81c8abee45e6b5ba6851025ab681ca22e0a1e0667e88900651",
-    }
-    for seed, digest in digests.items():
-        text = ""
-        for name in ("h1", "h2", "h3", "h4"):
-            code = main(["campaign", "--family", name, "--n", "2", "--m", "3", "--ring", "mod:10007",
-                         "--trials", "12", "--seed", str(seed)])
-            out = capsys.readouterr()
-            assert (code, out.err) == (1, "")
-            text += out.out
-        assert _sha(text) == digest, seed
+def test_classify2_output():
+    # All 64 lines, each condition built from its letter pairs; the full
+    # parser prints the same bytes.
+    code, out, err = run_in_process(["classify2"])
+    assert (code, err) == (0, "")
+    assert _sha(out) == "1a906fc7f9bd76312989f9e0d65faaead8ab7ab107e6b7f5dc5ccbc729594e2d"
+    assert run_in_process(["classify2"], entry=main_by_full_parser) == (code, out, err)
 
 
 def test_every_trial_value_of_the_falsifying_campaigns():
@@ -266,10 +234,10 @@ def test_every_trial_value_of_the_falsifying_campaigns():
     assert _sha(text) == "be725b9ed34717024b334825852a0d962c785960e74d77d377861b3802144459"
 
 
-def test_flattened_determinants_over_mod_p(capsys, tmp_path):
+def test_flattened_determinants_over_mod_p(tmp_path):
     path = tmp_path / "f4.txt"
     path.write_text(format_matrix(gen_satisfying(cond_f(4), 8, F10007, 0).flatten()))
-    assert _cli(capsys, "det", str(path)) == "det=8198\n"
+    assert run_in_process(["det", str(path)]) == (0, "det=8198\n", "")
     cases = ((cond_f(4), 8), (cond_f_side(2, 3), 6), (cond_f_down(3, 3), 6), (cond_kappa(3), 6))
     text = "".join(
         f"{det_commutative(gen_satisfying(g, m, F10007, trial_seed(3, i)).flatten())}\n"
@@ -279,17 +247,16 @@ def test_flattened_determinants_over_mod_p(capsys, tmp_path):
     assert _sha(text) == "1a8d961763fa67419cbd77b529c42e2abd3781b5a6d74de439236a9023180b98"
 
 
-def _transcript(capsys, argvs):
+def _transcript(argvs):
     # argv, exit code, stdout and stderr of each call, in order.
     text = ""
     for argv in argvs:
-        code = main(argv)
-        out = capsys.readouterr()
-        text += f"{argv}\n{code}\n{out.out}\n{out.err}\n"
+        code, out, err = run_in_process(argv)
+        text += f"{argv}\n{code}\n{out}\n{err}\n"
     return text
 
 
-def test_witness_commands_at_every_size(capsys):
+def test_witness_commands_at_every_size():
     # Sizes below a witness's least n, and n = 9 past the cap, are usage errors: exit 2.
     argvs = [
         [cmd, flag, case, "--n", str(n)]
@@ -297,12 +264,12 @@ def test_witness_commands_at_every_size(capsys):
         for case in ("same_row", "diff_row")
         for n in range(10)
     ]
-    assert _sha(_transcript(capsys, argvs)) == "eb6753e6424b9d40af8cc81c6d3797cc6fabeb68985e4bebea347a8a58f428ed"
+    assert _sha(_transcript(argvs)) == "eb6753e6424b9d40af8cc81c6d3797cc6fabeb68985e4bebea347a8a58f428ed"
 
 
-def test_family_ids_good_and_bad(capsys):
+def test_family_ids_good_and_bad():
     ids = ("f", "kappa", "complete", "empty", "side:2", "down:1", "tcol:1", "trow:2", "g5", "h1",
            "F", " kappa ", "SIDE:2", "side: 2", "side:0", "side:-1", "side:10", "side:x", "side:",
            "side", "f:2", ":2", "foo", "foo:x", "foo:2", "g6", "")
     argvs = [["family", "--name", fid, "--n", str(n)] for fid in ids for n in (0, 1, 2, 3, 9)]
-    assert _sha(_transcript(capsys, argvs)) == "3a264e84aeab74f6e86f518fb71752c4c8edefffb796333e526cdb2a2f278fd3"
+    assert _sha(_transcript(argvs)) == "3a264e84aeab74f6e86f518fb71752c4c8edefffb796333e526cdb2a2f278fd3"
