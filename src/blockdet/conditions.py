@@ -68,9 +68,6 @@ class Condition(Frozen):
         passes itself."""
         return u != v and _edge(u, v) in self.edges
 
-    def __len__(self) -> int:
-        return len(self.edges)
-
     def sorted_edges(self) -> list[Edge]:
         return sorted(self.edges)
 

@@ -62,8 +62,8 @@ from math import factorial
 from operator import itemgetter, mul, neg
 from typing import NamedTuple
 
-from .matrix import BlockMatrix, Matrix, _flat_rows, _pack, _product_rows, _unpacker, block_view, det_commutative
-from .ring import IntegerRing, PolynomialRing, PrimeField, _poly_trim, poly_is_monic
+from .matrix import BlockMatrix, Matrix, _det_poly, _flat_rows, _pack, _product_rows, _unpacker, block_view
+from .ring import IntegerRing, PolynomialRing, PrimeField, _poly_trim
 
 ROW_DET_CAP = 8
 # Largest block size m a campaign draws: its cost grows as m^3.
@@ -260,8 +260,9 @@ def bourbaki_trace(bm: BlockMatrix) -> BourbakiTrace:
     polynomial extension).  With blocks satisfying the row-one-free
     commutation family all checks pass; for other inputs the failures are
     reported in the checks record rather than raised.  It takes four
-    determinants over Z[z]: of ``tail``, ``shifted``, ``shifted_det`` and C0;
-    the identity at z = 0 compares the constant terms of the middle two.
+    determinants over Z[z], as coefficient tuples, of the flat rows it
+    holds: of ``tail``, ``shifted``, ``shifted_det`` and C0; the identity at
+    z = 0 compares the constant terms of the middle two.
     """
     if not isinstance(bm.ring, IntegerRing):
         raise ValueError("trace construction requires the integer base ring")
@@ -274,31 +275,27 @@ def bourbaki_trace(bm: BlockMatrix) -> BourbakiTrace:
         tuple((x, 1) if i == j else rz.int_payload(x) for j, x in enumerate(row))
         for i, row in enumerate(_flat_rows(bm))
     )
+    tail_rows = tuple(row[m:] for row in rows[m:])
     shifted = block_view(Matrix._of(rz, rows), m)
-    tail = block_view(Matrix._of(rz, tuple(row[m:] for row in rows[m:])), m)
+    tail = block_view(Matrix._of(rz, tail_rows), m)
 
     det_rows, cof_rows = _det_and_cofactors(shifted)
-    shifted_det = Matrix._of(rz, det_rows)
     first_column_collapse = _column_collapses(shifted, cof_rows)
 
-    det_tail = det_commutative(tail.flatten())
-    lower_det_monic = poly_is_monic(det_tail) and len(det_tail.payload) - 1 == m * (n - 1)
-
-    det_shifted_flat = det_commutative(shifted.flatten())
-    det_of_block_det = det_commutative(shifted_det)
-    det_c0 = det_commutative(Matrix._of(rz, cof_rows[0]))
-    det_product_identity = det_shifted_flat * det_c0 == det_of_block_det * det_tail
+    det_tail, det_shifted_flat, det_of_block_det, det_c0 = map(_det_poly, (tail_rows, rows, det_rows, cof_rows[0]))
+    lower_det_monic = det_tail[-1:] == (1,) and len(det_tail) - 1 == m * (n - 1)
+    det_product_identity = rz.pmul(det_shifted_flat, det_c0) == rz.pmul(det_of_block_det, det_tail)
     induction_step = det_tail == det_c0
 
     # Setting z = 0 is a ring map that sends ``shifted`` back to bm, so these
     # constant terms are det(Det M) and det M.
-    lhs, rhs = (p[0] if p else 0 for p in (det_of_block_det.payload, det_shifted_flat.payload))
+    lhs, rhs = (p[0] if p else 0 for p in (det_of_block_det, det_shifted_flat))
     identity_at_zero = lhs == rhs
 
     return BourbakiTrace(
         shifted=shifted,
         tail=tail,
-        shifted_det=shifted_det,
+        shifted_det=Matrix._of(rz, det_rows),
         checks=BourbakiChecks(
             first_column_collapse=first_column_collapse,
             lower_det_monic=lower_det_monic,

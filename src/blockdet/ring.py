@@ -8,8 +8,11 @@ the tuple of those fields, and raises ``AttributeError`` on assigning or
 deleting any attribute.  Every payload is canonical, as ``ring.canonical``
 makes it: a plain ``int`` over ``int``, one in ``[0, p)`` over ``mod:p``,
 and an int tuple with no trailing zeros over ``poly:``.  So zero is the one
-falsy payload of each ring, and kernels test it by truthiness.  The
-records of ``verify`` and ``ncdet`` are ``NamedTuple``s.
+falsy payload of each ring, and kernels test it by truthiness.  A
+``RingValue`` boxes a payload only at the API edge: the determinants of
+``matrix.det_commutative`` are returned boxed, and ``Matrix(ring, rows)``
+unboxes entries given boxed.  The records of ``verify`` and ``ncdet`` are
+``NamedTuple``s.
 """
 
 from __future__ import annotations
@@ -120,9 +123,8 @@ def _poly_trim(coeffs) -> tuple[int, ...]:
 class Ring(Frozen):
     """Base class for ring descriptors.
 
-    Subclasses implement payload-level arithmetic (used directly by the
-    matrix algorithms) and wrap payloads into :class:`RingValue` for the
-    public API.
+    Subclasses implement payload-level arithmetic, which the matrix
+    algorithms use directly.
     """
 
     label: str
@@ -238,10 +240,6 @@ class PolynomialRing(Ring):
     def label(self) -> str:
         return f"poly:{self.variable}"
 
-    @property
-    def gen(self) -> RingValue:
-        return RingValue(self, (0, 1))
-
     def canonical(self, payload):
         coeffs = (payload,) if isinstance(payload, int) else tuple(payload)
         for c in coeffs:
@@ -284,24 +282,14 @@ class PolynomialRing(Ring):
 
 class RingValue(Frozen):
     """Immutable ring element, and the one way to build one: ``payload`` is
-    made canonical by ``ring.canonical``.  Values multiply (``*``); sums and
-    negations are the payload operations ``ring.padd``, ``psub``, ``pneg``."""
+    made canonical by ``ring.canonical``.  It has no arithmetic: all of it
+    is the payload operations ``ring.padd``, ``pmul``, ``psub``, ``pneg``."""
 
     _fields = ("ring", "payload")
 
     def __init__(self, ring: Ring, payload):
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "payload", ring.canonical(payload))
-
-    def _check(self, other: RingValue) -> None:
-        if not isinstance(other, RingValue):
-            raise TypeError(f"cannot combine RingValue with {type(other).__name__}")
-        if self.ring != other.ring:
-            raise RingMismatchError(f"ring mismatch: {self.ring.label} vs {other.ring.label}")
-
-    def __mul__(self, other: RingValue) -> RingValue:
-        self._check(other)
-        return RingValue(self.ring, self.ring.pmul(self.payload, other.payload))
 
     def __repr__(self):
         return f"<{self.ring.label}: {self.ring.format_payload(self.payload)}>"
@@ -311,23 +299,6 @@ class RingValue(Frozen):
 
 
 ZZ = IntegerRing()
-
-
-def poly_degree(x: RingValue) -> int:
-    """Degree of a polynomial value; the zero polynomial has degree -1."""
-    if not isinstance(x.ring, PolynomialRing):
-        raise ValueError("poly_degree requires a polynomial ring value")
-    return len(x.payload) - 1
-
-
-def poly_is_monic(x: RingValue) -> bool:
-    """True when the leading coefficient is 1.
-
-    The constant polynomial 1 counts as monic; other constants do not.
-    """
-    if not isinstance(x.ring, PolynomialRing):
-        raise ValueError("poly_is_monic requires a polynomial ring value")
-    return bool(x.payload) and x.payload[-1] == 1
 
 
 def parse_ring(label: str) -> Ring:

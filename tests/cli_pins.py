@@ -144,7 +144,10 @@ PINS = (
     Pin("check", 2, err="input error: either a file or --builtin is required"),
     # sizes, trial counts and built-in sizes out of range
     Pin("campaign --family f --n 0 --m 2", 2, err="error: size must be at least 1, got n=0"),
-    Pin("campaign --family f --n 2 --m 4 --trials -3", 2, err="error: trials must be non-negative, got -3"),
+    Pin("campaign --family f --n 2 --m 4 --trials -3", 2, err="error: trials must be at least 1, got -3"),
+    # a campaign that runs no trial reports nothing: the block size and n are checked first
+    Pin("campaign --family h1 --n 2 --m 3 --trials 0", 2, err="error: trials must be at least 1, got 0"),
+    Pin("optimality --n 2 --trials 0", 2, err="error: trials must be at least 1, got 0"),
     Pin("campaign --family f --n 2 --m 1 --trials 0", 2, err="error: block size must be at least 2"),
     Pin("campaign --family f --n 300 --m 2 --trials 0", 2, err="error: size n=300 exceeds the row-determinant cap 8"),
     Pin("campaign --family f --n 2 --m 65 --trials 1", 2, err="error: block size m=65 exceeds the cap 64"),

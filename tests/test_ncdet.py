@@ -10,6 +10,7 @@ from blockdet.conditions import cond_col_permute, cond_f
 from blockdet.matrix import (
     BlockMatrix,
     Matrix,
+    _flat_rows,
     block_view,
     det_commutative,
     signed_permutations,
@@ -538,7 +539,7 @@ class TestBourbakiTrace:
         # Built through the trusted constructor, both pass the checked one.
         assert BlockMatrix(trace.shifted.ring, 4, 2, trace.shifted.blocks) == trace.shifted
         assert BlockMatrix(trace.tail.ring, 4, 1, trace.tail.blocks) == trace.tail
-        z = PolynomialRing("z").gen
+        z = RingValue(PolynomialRing("z"), (0, 1))
         for i in range(2):
             for j in range(2):
                 blk = trace.shifted.block(i, j)
@@ -571,16 +572,20 @@ class TestBourbakiTrace:
         assert trace.checks.identity_at_zero and identity_at_zero(bm)
 
     def test_four_determinants_and_two_flattenings(self, monkeypatch):
+        # The four determinants run on payload rows: the two flattenings are
+        # the flat rows that ``shifted`` and ``tail`` keep, so neither is
+        # flattened again.
         dets, flattened, row_dets = [], [], []
-        real_det, real_flatten, real_row_det = ncdet.det_commutative, BlockMatrix.flatten, ncdet.nc_row_det
-        monkeypatch.setattr(ncdet, "det_commutative", lambda mat: dets.append(mat) or real_det(mat))
+        real_det, real_flatten, real_row_det = ncdet._det_poly, BlockMatrix.flatten, ncdet.nc_row_det
+        monkeypatch.setattr(ncdet, "_det_poly", lambda rows: dets.append(rows) or real_det(rows))
         monkeypatch.setattr(BlockMatrix, "flatten", lambda bm: flattened.append(bm) or real_flatten(bm))
         monkeypatch.setattr(ncdet, "nc_row_det", lambda bm: row_dets.append(bm) or real_row_det(bm))
         trace = bourbaki_trace(gen_satisfying(cond_f(3), 6, ZZ, seed=23))
         assert trace.checks.all_pass
         assert len(dets) == 4
-        assert sorted(map(id, flattened)) == sorted(map(id, (trace.shifted, trace.tail)))
-        assert row_dets == []
+        assert dets[0] is _flat_rows(trace.tail) and dets[1] is _flat_rows(trace.shifted)
+        assert dets[2] == trace.shifted_det.entries
+        assert flattened == [] and row_dets == []
 
     def test_the_shifted_matrix_is_flattened_once(self, monkeypatch):
         # The trace lifts the input's flat rows once; the shifted matrix and
