@@ -39,6 +39,8 @@ from .traces import (
 )
 from .verify import (
     BUILTIN_NAMES,
+    PAPER_SEED,
+    SCAN_TRIALS,
     builtin_matrix,
     check_identity,
     classify_size2,
@@ -237,8 +239,8 @@ def _parser_and_commands() -> tuple[argparse.ArgumentParser, dict[str, argparse.
 
     p = sub.add_parser("optimality", help="minimality scan of the row-one-free family")
     p.add_argument("--n", type=int_flag, required=True)
-    p.add_argument("--trials", type=int_flag, default=60)
-    p.add_argument("--seed", type=int_flag, default=20161004)
+    p.add_argument("--trials", type=int_flag, default=SCAN_TRIALS)
+    p.add_argument("--seed", type=int_flag, default=PAPER_SEED)
     p.set_defaults(fn=_cmd_optimality)
 
     return parser, sub.choices

@@ -8,10 +8,11 @@ is optimal for the noncommutative determinant (Nisan, STOC 1991).  One run
 over all n block rows gives the determinant and, one level below it, every
 first-row minor, so the determinant, the first-column cofactor identity and
 a checkable trace of the polynomial-extension induction each take one run.
-The cofactors are not exported: ``cofactor_column_check`` and
-``bourbaki_trace`` take them from ``_det_and_cofactors``, and
-``nc_minor_det`` and ``nc_cofactor``, one run per minor, are oracles in
-``tests/oracles.py``.
+All three run on flat payload rows, n = len(rows) // m; the trace lifts
+those of M to zI + M once and returns only its five checks.  The cofactors
+are not exported: ``cofactor_column_check`` and ``bourbaki_trace`` take
+them from ``_det_and_cofactors``, and ``nc_minor_det`` and
+``nc_cofactor``, one run per minor, are oracles in ``tests/oracles.py``.
 
 Each entry of the program is a sum of block products: the blocks of the
 row side by side times the entries they multiply stacked in one column.
@@ -51,7 +52,7 @@ Over every ring it runs on packed rows (Kronecker substitution):
   ``mod:p``, and cut into runs of D and trimmed over ``poly:``.
 
 The program builds a ``Matrix``, through the trusted ``Matrix._of``, only
-for what it returns.
+for what ``nc_row_det`` returns; the trace builds none.
 """
 
 from __future__ import annotations
@@ -62,8 +63,8 @@ from math import factorial
 from operator import itemgetter, mul, neg
 from typing import NamedTuple
 
-from .matrix import BlockMatrix, Matrix, _det_poly, _flat_rows, _pack, _product_rows, _unpacker, block_view
-from .ring import IntegerRing, PolynomialRing, PrimeField, _poly_trim
+from .matrix import BlockMatrix, Matrix, _det_poly, _flat_rows, _pack, _product_rows, _unpacker
+from .ring import IntegerRing, PolynomialRing, PrimeField, Ring, _poly_trim
 
 ROW_DET_CAP = 8
 # Largest block size m a campaign draws: its cost grows as m^3.
@@ -121,20 +122,20 @@ def _dp_plan(n: int, m: int) -> tuple:
     return tuple(levels)
 
 
-def _subset_dp(bm: BlockMatrix) -> tuple:
-    """One run of the subset DP over all n block rows: ``(det, minors,
-    decode)``, the packed rows of the row-determinant E[all], those of the
-    level below it, the n first-row minors E[all - {j}] in ``combinations``
-    order (j = n - 1 first), and the decoder of one packed row.
+def _subset_dp(ring: Ring, m: int, rows) -> tuple:
+    """One run of the subset DP over all n = len(rows) // m block rows of
+    the flat payload rows ``rows``: ``(det, minors, decode)``, the packed
+    rows of the row-determinant E[all], those of the level below it, the n
+    first-row minors E[all - {j}] in ``combinations`` order (j = n - 1
+    first), and the decoder of one packed row.
 
     It starts from the last row, E[{c}] = B[n-1][c], and grows one row r
     at a time: E[S] = sum over c in S of (-1)^#{c' in S : c' < c}
     B[r][c] E[S - {c}], keeping the factors in row order, on the packed
     rows and the plan ``_dp_plan(n, m)`` that the module docstring describes.
     """
-    n, m, ring = bm.n, bm.m, bm.ring
+    n = len(rows) // m
     check_row_det_size(n)
-    rows = _flat_rows(bm)
     poly = isinstance(ring, PolynomialRing)
     p = ring.p if isinstance(ring, PrimeField) else 0
     if p:
@@ -175,10 +176,10 @@ def _subset_dp(bm: BlockMatrix) -> tuple:
     return level[0], minors, decode
 
 
-def _det_and_cofactors(bm: BlockMatrix) -> tuple[tuple, list[tuple]]:
+def _det_and_cofactors(ring: Ring, m: int, rows) -> tuple[tuple, list[tuple]]:
     # The row-determinant and the first-row cofactors (-1)^j E[all - {j}],
     # as payload rows, from one run; a sign goes on the packed rows.
-    det, minors, decode = _subset_dp(bm)
+    det, minors, decode = _subset_dp(ring, m, rows)
     return tuple(map(decode, det)), [
         tuple(decode(-x if j % 2 else x) for x in packed) for j, packed in enumerate(reversed(minors))
     ]
@@ -193,18 +194,15 @@ def nc_row_det(bm: BlockMatrix) -> Matrix:
     """
     if bm.n < 1:
         raise ValueError("row-determinant needs n >= 1")
-    det, _, decode = _subset_dp(bm)
+    det, _, decode = _subset_dp(bm.ring, bm.m, _flat_rows(bm))
     return Matrix._of(bm.ring, tuple(map(decode, det)))
 
 
-def _column_collapses(bm: BlockMatrix, cofs) -> bool:
+def _column_collapses(ring: Ring, m: int, rows, cofs) -> bool:
     """Every block row below the first times the cofactor column is zero:
     one product each, of the row's flat rows by the cofactors stacked."""
-    m, rows, column = bm.m, _flat_rows(bm), list(chain.from_iterable(cofs))
-    return not any(
-        any(map(any, _product_rows(bm.ring, rows[r * m : (r + 1) * m], column)))
-        for r in range(1, bm.n)
-    )
+    column = list(chain.from_iterable(cofs))
+    return not any(any(map(any, _product_rows(ring, rows[at : at + m], column))) for at in range(m, len(rows), m))
 
 
 def cofactor_column_check(bm: BlockMatrix) -> bool:
@@ -219,7 +217,8 @@ def cofactor_column_check(bm: BlockMatrix) -> bool:
     """
     if bm.n == 1:
         return True
-    return _column_collapses(bm, _det_and_cofactors(bm)[1])
+    ring, m, rows = bm.ring, bm.m, _flat_rows(bm)
+    return _column_collapses(ring, m, rows, _det_and_cofactors(ring, m, rows)[1])
 
 
 class BourbakiChecks(NamedTuple):
@@ -236,33 +235,20 @@ class BourbakiChecks(NamedTuple):
         return all(self)
 
 
-class BourbakiTrace(NamedTuple):
-    """Intermediate objects of the inductive determinant argument.
+def bourbaki_trace(bm: BlockMatrix) -> BourbakiChecks:
+    """Replay the inductive determinant proof on bm; return its five checks.
 
-    ``shifted`` is the input with z added to each diagonal entry of each
-    diagonal block; ``tail`` is it without its first block row and column.
-    The proof multiplies ``shifted`` by E, the identity with its first block
-    column replaced by the first-row cofactors C0..C(n-1), to collapse that
+    Requires an integer base ring: the proof works over Z[z].  It shifts M
+    to zI + M and multiplies that by E, the identity with its first block
+    column replaced by the first-row cofactors C0..C(n-1), to collapse the
     column to (Det, 0, ..., 0)^t.  E is block lower-triangular with C0 and
-    then identity blocks down its diagonal, so det E = det C0: E is not built.
-    """
-
-    shifted: BlockMatrix
-    tail: BlockMatrix
-    shifted_det: Matrix
-    checks: BourbakiChecks
-
-
-def bourbaki_trace(bm: BlockMatrix) -> BourbakiTrace:
-    """Build and verify the objects of the inductive determinant proof.
-
-    Requires an integer base ring (the construction works over its
-    polynomial extension).  With blocks satisfying the row-one-free
-    commutation family all checks pass; for other inputs the failures are
-    reported in the checks record rather than raised.  It takes four
-    determinants over Z[z], as coefficient tuples, of the flat rows it
-    holds: of ``tail``, ``shifted``, ``shifted_det`` and C0; the identity at
-    z = 0 compares the constant terms of the middle two.
+    then identity blocks down its diagonal, so det E = det C0: E is not
+    built, nor is any matrix.  The trace lifts the flat rows of M to those
+    of zI + M once, runs the one subset DP on them, and takes four
+    determinants over Z[z], as coefficient tuples, of flat rows: of the
+    tail (zI + M less its first block row and column), of zI + M, of its
+    block determinant and of C0.  With blocks satisfying the row-one-free
+    family all checks pass; other inputs report their failures.
     """
     if not isinstance(bm.ring, IntegerRing):
         raise ValueError("trace construction requires the integer base ring")
@@ -276,31 +262,17 @@ def bourbaki_trace(bm: BlockMatrix) -> BourbakiTrace:
         for i, row in enumerate(_flat_rows(bm))
     )
     tail_rows = tuple(row[m:] for row in rows[m:])
-    shifted = block_view(Matrix._of(rz, rows), m)
-    tail = block_view(Matrix._of(rz, tail_rows), m)
-
-    det_rows, cof_rows = _det_and_cofactors(shifted)
-    first_column_collapse = _column_collapses(shifted, cof_rows)
+    det_rows, cof_rows = _det_and_cofactors(rz, m, rows)
+    first_column_collapse = _column_collapses(rz, m, rows, cof_rows)
 
     det_tail, det_shifted_flat, det_of_block_det, det_c0 = map(_det_poly, (tail_rows, rows, det_rows, cof_rows[0]))
     lower_det_monic = det_tail[-1:] == (1,) and len(det_tail) - 1 == m * (n - 1)
     det_product_identity = rz.pmul(det_shifted_flat, det_c0) == rz.pmul(det_of_block_det, det_tail)
     induction_step = det_tail == det_c0
 
-    # Setting z = 0 is a ring map that sends ``shifted`` back to bm, so these
+    # Setting z = 0 is a ring map that sends zI + M back to bm, so these
     # constant terms are det(Det M) and det M.
     lhs, rhs = (p[0] if p else 0 for p in (det_of_block_det, det_shifted_flat))
     identity_at_zero = lhs == rhs
 
-    return BourbakiTrace(
-        shifted=shifted,
-        tail=tail,
-        shifted_det=Matrix._of(rz, det_rows),
-        checks=BourbakiChecks(
-            first_column_collapse=first_column_collapse,
-            lower_det_monic=lower_det_monic,
-            det_product_identity=det_product_identity,
-            induction_step=induction_step,
-            identity_at_zero=identity_at_zero,
-        ),
-    )
+    return BourbakiChecks(first_column_collapse, lower_det_monic, det_product_identity, induction_step, identity_at_zero)

@@ -33,6 +33,10 @@ from .matrix import BlockMatrix, Matrix, _row_ops, commutes, det_commutative
 from .ncdet import BLOCK_SIZE_CAP, check_row_det_size, nc_row_det
 from .ring import ZZ, PolynomialRing, PrimeField, Ring, RingValue
 
+# Default seed of the scan and the verification report; the scan's trials.
+PAPER_SEED = 20161004
+SCAN_TRIALS = 60
+
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
@@ -640,8 +644,8 @@ def _maps_onto(edge, canonical, row_map, col_map) -> bool:
 
 def optimality_scan(
     n: int,
-    campaign_trials: int = 60,
-    seed: int = 20161004,
+    campaign_trials: int = SCAN_TRIALS,
+    seed: int = PAPER_SEED,
 ) -> OptimalityScanReport:
     """Check minimality of the row-one-free family at size n, for
     2 <= n <= ROW_DET_CAP.

@@ -30,11 +30,15 @@ None of this runs in ``blockdet`` itself:
   optimality scan's image test, ``blockdet.verify._maps_onto``; it
   relabels rows by ``cond_row_permute``, the column relabelling between
   two transposes;
-- ``eliminator_det`` flattens the induction's eliminator E and takes its
-  determinant, and ``identity_at_zero`` runs ``check_identity`` on the
-  input itself: they check ``blockdet.ncdet.bourbaki_trace``'s det E =
-  det C0 and its z = 0 identity read from constant terms, on the
-  ``trace_inputs`` that the trace's golden pin also hashes;
+- ``shifted_by_z`` builds the induction's objects from their definition,
+  zI + M by adding z I to each diagonal block, its tail and its block
+  determinant, which ``blockdet.ncdet.bourbaki_trace`` never builds: it
+  runs on the flat rows of zI + M and returns only its five checks;
+  ``eliminator_det`` flattens the eliminator E and takes its determinant,
+  and ``identity_at_zero`` runs ``check_identity`` on the input itself:
+  they check the trace's det E = det C0 and its z = 0 identity read from
+  constant terms, on the ``trace_inputs`` that the trace's golden pin also
+  hashes;
 - ``main_by_full_parser`` parses every argv with the full parser alone and
   checks ``blockdet.cli.main``'s dispatch of a named command straight to
   that command's parser;
@@ -71,6 +75,7 @@ from blockdet.matrix import (
     BlockMatrix,
     Matrix,
     MatrixFormatError,
+    _flat_rows,
     _pack,
     _unpacker,
     commutes,
@@ -81,7 +86,15 @@ from blockdet.matrix import (
 from blockdet.ncdet import _det_and_cofactors, nc_row_det
 from blockdet.ring import ZZ, PolynomialRing, PrimeField, Ring, RingValue, _poly_trim
 from blockdet.traces import Word, _check_word, word_normal_form
-from blockdet.verify import _mix64, builtin_matrix, check_identity, gen_satisfying, pick_generator, trial_seed
+from blockdet.verify import (
+    PAPER_SEED,
+    _mix64,
+    builtin_matrix,
+    check_identity,
+    gen_satisfying,
+    pick_generator,
+    trial_seed,
+)
 
 EXPANSION_CAP = 8
 
@@ -388,11 +401,25 @@ def nc_cofactor(bm: BlockMatrix, i: int, j: int) -> Matrix:
     return minor if (i + j) % 2 == 0 else -minor
 
 
+def shifted_by_z(bm: BlockMatrix) -> tuple[BlockMatrix, BlockMatrix, Matrix]:
+    """The objects of the induction on an integer block matrix M, by their
+    definition over Z[z]: zI + M, z I added to each diagonal block; its
+    tail, the lower-right (n - 1) x (n - 1) blocks; and its block
+    determinant, ``nc_row_det`` of zI + M."""
+    rz = PolynomialRing("z")
+    z = scalar(rz, bm.m, RingValue(rz, (0, 1)))
+    blocks = [[Matrix(rz, b.entries) + z if i == j else Matrix(rz, b.entries) for j, b in enumerate(row)]
+              for i, row in enumerate(bm.blocks)]
+    shifted = BlockMatrix(rz, bm.m, bm.n, blocks)
+    tail = BlockMatrix(rz, bm.m, bm.n - 1, [row[1:] for row in blocks[1:]])
+    return shifted, tail, nc_row_det(shifted)
+
+
 def eliminator_det(shifted: BlockMatrix) -> RingValue:
     """det E by flattening E: the identity with its first block column
     replaced by the first-row cofactors C0..C(n-1) of ``shifted``."""
     ring, m, n = shifted.ring, shifted.m, shifted.n
-    cofs = [Matrix._of(ring, rows) for rows in _det_and_cofactors(shifted)[1]]
+    cofs = [Matrix._of(ring, rows) for rows in _det_and_cofactors(ring, m, _flat_rows(shifted))[1]]
     ident, zero = scalar(ring, m), scalar(ring, m, 0)
     rows = [[cofs[i] if j == 0 else (ident if i == j else zero) for j in range(n)] for i in range(n)]
     return det_commutative(BlockMatrix(ring, m, n, rows).flatten())
@@ -411,7 +438,7 @@ def trace_inputs() -> tuple[BlockMatrix, ...]:
     counterexamples, and seeds 0-4 of h1, h4, kappa (n = 3) and g5, which
     fail some of the trace's checks."""
     out = [
-        gen_satisfying(cond_f(n), 2 * n, ZZ, trial_seed(20161004, 300 + 50 * n + i))
+        gen_satisfying(cond_f(n), 2 * n, ZZ, trial_seed(PAPER_SEED, 300 + 50 * n + i))
         for n in (2, 3)
         for i in range(20)
     ]

@@ -252,8 +252,7 @@ def test_criterion_9_induction_trace(n):
     m = 2 * n
     for i in range(50):
         bm = gen_satisfying(cond_f(n), m, ZZ, trial_seed(900 + n, i))
-        trace = bourbaki_trace(bm)
-        checks = trace.checks
+        checks = bourbaki_trace(bm)
         assert checks.first_column_collapse, (n, i)
         assert checks.lower_det_monic, (n, i)
         assert checks.det_product_identity, (n, i)

@@ -8,6 +8,7 @@ fails here even when every identity still holds.
 
 import hashlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -27,7 +28,7 @@ from blockdet.ncdet import bourbaki_trace
 from blockdet.ring import ZZ, PolynomialRing, PrimeField
 from blockdet.verify import check_identity, gen_satisfying, pick_generator, silvester_check, trial_seed
 from cli_pins import run_in_process
-from oracles import main_by_full_parser, trace_inputs
+from oracles import main_by_full_parser, shifted_by_z, trace_inputs
 
 F10007 = PrimeField(10007)
 ROOT = Path(__file__).resolve().parent.parent
@@ -188,6 +189,19 @@ def test_symbolic_identities_table():
     assert _sha(proc.stdout) == "ec01ff5c52c3acb7048c597f3f3f307fd3900e7f2fec8497d9510a1700dfd54f"
 
 
+def test_verification_report():
+    # The whole report at --trials 20, less the elapsed time on its last line.
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "run_verification.py"), "--trials", "20"],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert proc.stderr == ""
+    report = re.sub(r" in [0-9.]+s\n\Z", "\n", proc.stdout)
+    assert report.endswith("\n\nALL CHECKS PASSED\n")
+    assert _sha(report) == "12ee5af50c7888638ad48c9cf0acc264f8fb3e3773e1cb6ac077ab290a1682e0"
+
+
 def test_side_and_down_families():
     # Every column- and row-relabelled variant of the row-one-free family.
     calls = [
@@ -204,13 +218,14 @@ def test_side_and_down_families():
 def test_induction_trace_objects():
     # The checks, the shifted matrix and its tail, the block determinant
     # and its determinant, on the 40 samples of run_verification.py and on
-    # 24 inputs that fail some check.
+    # 24 inputs that fail some check.  The trace returns only the checks;
+    # the objects are built from their definition.
     text = ""
     for bm in trace_inputs():
-        trace = bourbaki_trace(bm)
+        shifted, tail, shifted_det = shifted_by_z(bm)
         text += (
-            f"{trace.checks}\n{format_block_matrix(trace.shifted)}{format_block_matrix(trace.tail)}"
-            f"{format_matrix(trace.shifted_det)}{det_commutative(trace.shifted_det)}\n"
+            f"{bourbaki_trace(bm)}\n{format_block_matrix(shifted)}{format_block_matrix(tail)}"
+            f"{format_matrix(shifted_det)}{det_commutative(shifted_det)}\n"
         )
     assert _sha(text) == "1d2d2f3165053d53b01a453cecd95887ef054bd9eee63433fe238af063bc90b6"
 

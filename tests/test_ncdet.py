@@ -25,6 +25,7 @@ from oracles import (
     nc_cofactor,
     nc_minor_det,
     scalar,
+    shifted_by_z,
     subset_dp_by_mask,
     trace_inputs,
 )
@@ -76,7 +77,7 @@ def perm_sum_row_det(bm):
 def first_row_cofactors(bm):
     """The n first-row cofactors from the one run of the subset DP that
     ``cofactor_column_check`` and ``bourbaki_trace`` make."""
-    return [Matrix._of(bm.ring, rows) for rows in ncdet._det_and_cofactors(bm)[1]]
+    return [Matrix._of(bm.ring, rows) for rows in ncdet._det_and_cofactors(bm.ring, bm.m, _flat_rows(bm))[1]]
 
 
 def perm_sum_first_row_cofactors(bm):
@@ -182,7 +183,7 @@ def test_block_product_counts(monkeypatch, label):
             nc_row_det(bm)
             assert terms == n * 2 ** (n - 1) - n, (n, m)
             terms = 0
-            ncdet._det_and_cofactors(bm)
+            ncdet._det_and_cofactors(bm.ring, m, _flat_rows(bm))
             assert terms == n * 2 ** (n - 1) - n, (n, m)
 
 
@@ -193,9 +194,9 @@ def test_each_caller_runs_the_subset_dp_once(monkeypatch, call):
     runs, plans = [], []
     run, plan = ncdet._subset_dp, ncdet._dp_plan
 
-    def counting_run(bm):
-        runs.append(bm)
-        return run(bm)
+    def counting_run(*args):
+        runs.append(args)
+        return run(*args)
 
     def counting_plan(*shape):
         plans.append(shape)
@@ -515,49 +516,54 @@ class TestBourbakiTrace:
     def test_off_hypothesis_checks(self):
         # M1 = [[A, B], [B, A]] breaks the identity and its first column does
         # not collapse; the monic tail and the n = 2 induction step still hold.
-        checks = bourbaki_trace(builtin_matrix("m1")).checks
+        checks = bourbaki_trace(builtin_matrix("m1"))
         assert checks == BourbakiChecks(False, True, False, True, False)
 
     def test_scalar_blocks(self):
         bm = block_view(Matrix(ZZ, [[1, 2], [3, 4]]), 1)
-        trace = bourbaki_trace(bm)
-        assert trace.checks.all_pass
-        assert det_commutative(trace.shifted.flatten()).payload[0] == -2
+        assert bourbaki_trace(bm).all_pass
+        shifted, _, _ = shifted_by_z(bm)
+        assert det_commutative(shifted.flatten()).payload[0] == -2
 
     def test_family_samples_all_checks(self):
         for seed in (21, 22):
             bm = gen_satisfying(cond_f(2), 4, ZZ, seed=seed)
-            trace = bourbaki_trace(bm)
-            assert trace.checks.all_pass
+            assert bourbaki_trace(bm).all_pass
         bm = gen_satisfying(cond_f(3), 6, ZZ, seed=23)
-        trace = bourbaki_trace(bm)
-        assert trace.checks.all_pass
+        assert bourbaki_trace(bm).all_pass
 
-    def test_shifted_matrix_structure(self):
+    def test_shifted_matrix_structure(self, monkeypatch):
+        # The flat rows the trace takes the determinant of are those of
+        # zI + M, entry by entry: z on the diagonal of each diagonal block.
         bm = gen_satisfying(cond_f(2), 4, ZZ, seed=31)
-        trace = bourbaki_trace(bm)
-        # Built through the trusted constructor, both pass the checked one.
-        assert BlockMatrix(trace.shifted.ring, 4, 2, trace.shifted.blocks) == trace.shifted
-        assert BlockMatrix(trace.tail.ring, 4, 1, trace.tail.blocks) == trace.tail
-        z = RingValue(PolynomialRing("z"), (0, 1))
+        dets = []
+        real_det = ncdet._det_poly
+        monkeypatch.setattr(ncdet, "_det_poly", lambda rows: dets.append(rows) or real_det(rows))
+        assert bourbaki_trace(bm).all_pass
+        tail_rows, rows = dets[:2]
+        rz = PolynomialRing("z")
         for i in range(2):
             for j in range(2):
-                blk = trace.shifted.block(i, j)
                 for r in range(4):
                     for c in range(4):
                         base = bm.block(i, j).entries[r][c]
                         want = [base]
                         if i == j and r == c:
                             want.append(1)
-                        assert blk.entries[r][c] == z.ring.canonical(want)
+                        assert rows[4 * i + r][4 * j + c] == rz.canonical(want)
+        assert tail_rows == tuple(row[4:] for row in rows[4:])
 
     def test_eliminator_and_identity_oracles(self):
-        # det E by flattening E against det C0, and the identity computed
-        # on the input against its constant terms at z = 0.
+        # det E by flattening E against det C0 and against the tail's
+        # determinant, and the identity computed on the input against its
+        # constant terms at z = 0.
         for bm in trace_inputs():
-            trace = bourbaki_trace(bm)
-            assert eliminator_det(trace.shifted) == det_commutative(first_row_cofactors(trace.shifted)[0])
-            assert trace.checks.identity_at_zero == identity_at_zero(bm)
+            checks = bourbaki_trace(bm)
+            shifted, tail, _ = shifted_by_z(bm)
+            det_e = eliminator_det(shifted)
+            assert det_e == det_commutative(first_row_cofactors(shifted)[0])
+            assert checks.induction_step == (det_e == det_commutative(tail.flatten()))
+            assert checks.identity_at_zero == identity_at_zero(bm)
 
     def test_zero_first_block_row(self):
         # det M = 0 = det(Det M), so both polynomial determinants are
@@ -565,41 +571,41 @@ class TestBourbakiTrace:
         sample = gen_satisfying(cond_f(2), 4, ZZ, seed=21)
         zero = scalar(ZZ, 4, 0)
         bm = BlockMatrix(ZZ, 4, 2, [[zero, zero], list(sample.blocks[1])])
-        trace = bourbaki_trace(bm)
+        shifted, _, shifted_det = shifted_by_z(bm)
         assert det_commutative(bm.flatten()) == RingValue(ZZ, 0)
-        for det in (det_commutative(trace.shifted.flatten()), det_commutative(trace.shifted_det)):
+        for det in (det_commutative(shifted.flatten()), det_commutative(shifted_det)):
             assert len(det.payload) > 1 and det.payload[0] == 0
-        assert trace.checks.identity_at_zero and identity_at_zero(bm)
+        assert bourbaki_trace(bm).identity_at_zero and identity_at_zero(bm)
 
     def test_four_determinants_and_two_flattenings(self, monkeypatch):
-        # The four determinants run on payload rows: the two flattenings are
-        # the flat rows that ``shifted`` and ``tail`` keep, so neither is
-        # flattened again.
+        # The four determinants run on payload rows: those of the tail, of
+        # zI + M, of its block determinant and of C0, each as the definition
+        # builds it, and no matrix is flattened and no row-determinant taken.
+        bm = gen_satisfying(cond_f(3), 6, ZZ, seed=23)
+        shifted, tail, shifted_det = shifted_by_z(bm)
+        c0 = first_row_cofactors(shifted)[0]
         dets, flattened, row_dets = [], [], []
         real_det, real_flatten, real_row_det = ncdet._det_poly, BlockMatrix.flatten, ncdet.nc_row_det
         monkeypatch.setattr(ncdet, "_det_poly", lambda rows: dets.append(rows) or real_det(rows))
         monkeypatch.setattr(BlockMatrix, "flatten", lambda bm: flattened.append(bm) or real_flatten(bm))
         monkeypatch.setattr(ncdet, "nc_row_det", lambda bm: row_dets.append(bm) or real_row_det(bm))
-        trace = bourbaki_trace(gen_satisfying(cond_f(3), 6, ZZ, seed=23))
-        assert trace.checks.all_pass
-        assert len(dets) == 4
-        assert dets[0] is _flat_rows(trace.tail) and dets[1] is _flat_rows(trace.shifted)
-        assert dets[2] == trace.shifted_det.entries
+        assert bourbaki_trace(bm).all_pass
         assert flattened == [] and row_dets == []
+        assert dets == [real_flatten(tail).entries, real_flatten(shifted).entries, shifted_det.entries, c0.entries]
 
     def test_the_shifted_matrix_is_flattened_once(self, monkeypatch):
-        # The trace lifts the input's flat rows once; the shifted matrix and
-        # its tail keep their rows, so only the input sample is flattened.
+        # The trace lifts the input's flat rows once and flattens nothing
+        # else: only the input sample is flattened.
         import blockdet.matrix
 
         built = []
         real = blockdet.matrix._flatten
         monkeypatch.setattr(blockdet.matrix, "_flatten", lambda bm: built.append(bm) or real(bm))
         bm = gen_satisfying(cond_f(3), 6, ZZ, seed=23)
-        trace = bourbaki_trace(bm)
-        assert trace.checks.all_pass
+        assert bourbaki_trace(bm).all_pass
         assert built == [bm]
-        # They equal the per-block lift: z on the diagonal of each diagonal block.
+        # The definition's zI + M and tail equal the per-block lift: z on
+        # the diagonal of each diagonal block.
         rz = PolynomialRing("z")
 
         def lift(block, diagonal):
@@ -607,8 +613,9 @@ class TestBourbakiTrace:
                                for r, row in enumerate(block.entries)])
 
         blocks = [[lift(bm.block(i, j), i == j) for j in range(3)] for i in range(3)]
-        assert trace.shifted == BlockMatrix(rz, 6, 3, blocks)
-        assert trace.tail == BlockMatrix(rz, 6, 2, [row[1:] for row in blocks[1:]])
+        shifted, tail, _ = shifted_by_z(bm)
+        assert shifted == BlockMatrix(rz, 6, 3, blocks)
+        assert tail == BlockMatrix(rz, 6, 2, [row[1:] for row in blocks[1:]])
 
     def test_requires_integer_ring(self):
         bm = BlockMatrix(F10007, 2, 2, [[scalar(F10007, 2)] * 2] * 2)

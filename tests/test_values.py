@@ -15,6 +15,7 @@ from blockdet.conditions import Condition, cond_f, family_condition
 from blockdet.matrix import (
     BlockMatrix,
     Matrix,
+    _flat_rows,
     block_view,
     det_commutative,
     format_matrix,
@@ -75,9 +76,9 @@ def _with_fields(mat, bm, v):
 def _records():
     """One instance of every record type of ``verify`` and ``ncdet``."""
     report = run_campaign(family_condition("h1", 2), 2, F7, 2, 0, condition_id="h1")
-    trace = bourbaki_trace(builtin_matrix("m1"))
     scan = optimality_scan(2, campaign_trials=1)
-    return (report, report.first_failure, trace, trace.checks, scan, scan.edge_cases[0], classify_size2()[-1])
+    checks = bourbaki_trace(builtin_matrix("m1"))
+    return (report, report.first_failure, checks, scan, scan.edge_cases[0], classify_size2()[-1])
 
 
 def test_assigning_a_field_or_a_new_attribute_raises():
@@ -160,7 +161,7 @@ def test_exact_repr_and_str():
     assert (repr(ZZ), repr(F7), repr(PA)) == ("IntegerRing()", "PrimeField(p=7)", "PolynomialRing(variable='a')")
     assert repr(PolynomialRing()) == "PolynomialRing(variable='z')"
     assert repr(COND) == str(COND) == "Condition(n=2, edges=[((1, 1), (2, 2))])"
-    assert repr(_records()[3]) == ("BourbakiChecks(first_column_collapse=False, lower_det_monic=True, "
+    assert repr(_records()[2]) == ("BourbakiChecks(first_column_collapse=False, lower_det_monic=True, "
                                    "det_product_identity=False, induction_step=True, identity_at_zero=False)")
 
 
@@ -306,7 +307,7 @@ def test_every_kernel_builds_canonical_matrices(ring, n):
     outputs = [nc_row_det(bm), flat, x * y, x + y, x - y, -x, x.scale(RingValue(ring, -2))]
     outputs += [blk for row in block_view(flat, 2).blocks for blk in row]
     if n > 1:
-        outputs += [Matrix._of(ring, rows) for rows in _det_and_cofactors(bm)[1]]
+        outputs += [Matrix._of(ring, rows) for rows in _det_and_cofactors(ring, bm.m, _flat_rows(bm))[1]]
         outputs += [nc_cofactor(bm, 1, 2), nc_minor_det(bm, 2, 1)]
     for mat in outputs:
         assert_trusted(mat)
@@ -319,7 +320,7 @@ def test_the_trace_and_the_witnesses_box_no_value(monkeypatch):
     boxed = []
     real = RingValue.__init__
     monkeypatch.setattr(RingValue, "__init__", lambda v, ring, payload: boxed.append(payload) or real(v, ring, payload))
-    assert bourbaki_trace(sample).checks.all_pass
+    assert bourbaki_trace(sample).all_pass
     for n in (2, 3, 5):
         builtin_matrix("same_row", n)
         if n >= 3:
@@ -330,12 +331,22 @@ def test_the_trace_and_the_witnesses_box_no_value(monkeypatch):
     assert len(boxed) == 1
 
 
-def test_the_trace_builds_canonical_matrices():
-    for n, seed in ((2, 4), (3, 8)):
-        trace = bourbaki_trace(gen_satisfying(family_condition("f", n), 2 * n, ZZ, seed=seed))
-        assert trace.checks.all_pass
-        assert_trusted(trace.shifted_det)
-        for bm in (trace.shifted, trace.tail):
-            for row in bm.blocks:
-                for blk in row:
-                    assert_trusted(blk)
+def test_the_trace_builds_no_matrix(monkeypatch):
+    # The trace runs on the flat rows of zI + M and returns only its
+    # checks: it builds no Matrix, no BlockMatrix and no block view.
+    import blockdet.matrix
+
+    samples = [gen_satisfying(family_condition("f", n), 2 * n, ZZ, seed=seed) for n, seed in ((2, 4), (3, 8))]
+    samples.append(builtin_matrix("m1"))
+    built = []
+    for kind in (Matrix, BlockMatrix):
+        real = kind._of.__func__
+        monkeypatch.setattr(kind, "_of", classmethod(lambda cls, *args, real=real: built.append(cls) or real(cls, *args)))
+    real_view = blockdet.matrix.block_view
+    monkeypatch.setattr(blockdet.matrix, "block_view", lambda *args: built.append(args) or real_view(*args))
+    for bm in samples:
+        bourbaki_trace(bm)
+    assert built == []
+    # The count sees a block view: the call, its four blocks and itself.
+    blockdet.matrix.block_view(Matrix(ZZ, [[1, 2], [3, 4]]), 1)
+    assert len(built) == 1 + 4 + 1
