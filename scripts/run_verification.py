@@ -14,7 +14,7 @@ import time
 from blockdet.cli import int_flag
 from blockdet.conditions import cond_f, cond_f_down, cond_f_side, cond_named
 from blockdet.ncdet import bourbaki_trace, cofactor_column_check
-from blockdet.ring import PrimeField, ZZ
+from blockdet.ring import PrimeField
 from blockdet.traces import (
     check_colswap_identity,
     check_rowswap_identity,
@@ -26,10 +26,10 @@ from blockdet.verify import (
     builtin_matrix,
     check_identity,
     classify_size2,
-    gen_satisfying,
     optimality_scan,
     run_campaign,
     silvester_check,
+    trace_samples,
     trial_seed,
 )
 
@@ -111,14 +111,9 @@ def main() -> int:
 
     section("polynomial-extension induction trace")
     for n in (2, 3):
-        ok = True
-        for i in range(20):
-            bm = gen_satisfying(cond_f(n), 2 * n, ZZ, trial_seed(seed, 300 + 50 * n + i))
-            if not bourbaki_trace(bm).all_pass:
-                ok = False
-                break
-        expect(ok, f"n={n}: 20 integer samples, all five checks")
-    expect(cofactor_column_check(bm), "first-column cofactor identity on an f n=3 sample")
+        samples = trace_samples(n, seed)
+        expect(all(bourbaki_trace(bm).all_pass for bm in samples), f"n={n}: 20 integer samples, all five checks")
+    expect(cofactor_column_check(samples[-1]), "first-column cofactor identity on an f n=3 sample")
     expect(not cofactor_column_check(builtin_matrix("same_row", n=2)),
            "first-column cofactor identity off-hypothesis (same_row) is honestly false")
 

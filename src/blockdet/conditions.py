@@ -5,7 +5,8 @@ a pair of commuting blocks (labeled containment on the fixed vertex set,
 not isomorphism).  All the named families, the column permutation and
 transpose transforms, and edge-union live here.  ``Condition(n, edges)``
 checks every edge; the builders and transforms, whose edges are in order
-and in range by construction, build through the trusted ``Condition._of``.
+and in range by construction, build through the trusted ``Condition._of``,
+which ``ring.Frozen`` gives every value type.
 
 ``matrix_satisfies`` proves satisfaction exactly; its docstring states the
 centralizer and support certificates that settle some edges without
@@ -42,26 +43,14 @@ class Condition(Frozen):
     _fields = ("n", "edges")
 
     def __init__(self, n: int, edges):
-        if n < 1:
-            raise ValueError(f"condition size must be at least 1, got n={n}")
+        _check_size(n)
         canon = set()
         for u, v in edges:
             for i, j in (u, v):
                 if not (1 <= i <= n and 1 <= j <= n):
                     raise ValueError(f"vertex {(i, j)} out of range for size {n}")
             canon.add(_edge(u, v))
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", frozenset(canon))
-
-    @classmethod
-    def _of(cls, n: int, edges: frozenset[Edge]) -> Condition:
-        """The trusted constructor: ``edges`` is a frozenset of pairs (u, v),
-        u < v, in range for n, taken as it is.  Only n is checked."""
-        if n < 1:
-            raise ValueError(f"condition size must be at least 1, got n={n}")
-        g = object.__new__(cls)
-        g.__dict__.update(n=n, edges=edges)
-        return g
+        self.__dict__.update(n=n, edges=frozenset(canon))
 
     def commutes(self, u: Vertex, v: Vertex) -> bool:
         """Whether u and v are joined; False for u == v: a letter never
@@ -74,17 +63,19 @@ class Condition(Frozen):
     def edge_vertices(self) -> tuple[Vertex, ...]:
         """The positions on an edge, in order.  Computed once per condition
         and kept on it, as ``matrix.shifted`` keeps a block's rows."""
-        kept = self.__dict__
-        ends = kept.get("_edge_vertices")
-        if ends is None:
-            ends = kept["_edge_vertices"] = tuple(sorted({w for e in self.edges for w in e}))
-        return ends
+        return self._kept("_edge_vertices", lambda g: tuple(sorted({w for e in g.edges for w in e})))
 
     def __repr__(self):
         return f"Condition(n={self.n}, edges={self.sorted_edges()})"
 
 
+def _check_size(n: int) -> None:
+    if n < 1:
+        raise ValueError(f"condition size must be at least 1, got n={n}")
+
+
 def empty_condition(n: int) -> Condition:
+    _check_size(n)
     return Condition._of(n, frozenset())
 
 
@@ -93,6 +84,7 @@ def complete_condition(n: int) -> Condition:
 
 
 def _from_predicate(n: int, pred) -> Condition:
+    _check_size(n)
     # combinations of the sorted vertex list yields each pair as (u, v), u < v.
     return Condition._of(n, frozenset((u, v) for u, v in combinations(vertices(n), 2) if pred(u, v)))
 
@@ -221,10 +213,9 @@ def size2_condition(labels: tuple[str, ...]) -> Condition:
 
 def cond_named(name: str) -> Condition:
     """One of the size-2 conditions g1..g5 or h1..h4."""
-    key = name.lower()
-    if key not in _NAMED_SIZE2:
+    if name not in _NAMED_SIZE2:
         raise ValueError(f"unknown size-2 condition {name!r}")
-    return size2_condition(_NAMED_SIZE2[key])
+    return size2_condition(_NAMED_SIZE2[name])
 
 
 # Family ids by name, and those that take a parameter k, as ``name:k``.

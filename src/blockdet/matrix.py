@@ -6,16 +6,16 @@ checked where they enter: ``Matrix(ring, rows)`` takes ints, payloads or
 ``RingValue``s and canonicalises each entry, while the kernels build through
 the trusted ``Matrix._of``.  The determinants return ``RingValue``s.
 ``Matrix`` and ``BlockMatrix`` are immutable values on ``ring.Frozen``,
-like ``RingValue``, each with a validating ``__init__``, a trusted ``_of``
-and its own ``__repr__``: a matrix compares and hashes on ``(ring,
-entries)``, a block matrix on ``(ring, m, n, blocks)``, and assigning or
-deleting any attribute raises ``AttributeError``.  Generators and kernels
-build block matrices through ``BlockMatrix._of`` too.  A block matrix
-builds its flat rows, the payload rows of the mn x mn matrix, on first use
-and keeps them (``_flat_rows``), as a matrix keeps its shifted rows, so
-``flatten`` and the row determinant's subset DP in ``ncdet`` flatten a
-sample once between them; ``block_view`` keeps the viewed matrix's rows as
-them.
+like ``RingValue``, each with a validating ``__init__`` and its own
+``__repr__``: a matrix compares and hashes on ``(ring, entries)`` and reads
+its shape from ``entries``, a block matrix on ``(ring, m, n, blocks)``, and
+assigning or deleting any attribute raises ``AttributeError``.  Generators
+and kernels build block matrices through the trusted ``BlockMatrix._of``
+too.  A block matrix builds its flat rows, the payload rows of the mn x mn
+matrix, on first use and keeps them (``_flat_rows``), as a matrix keeps its
+shifted rows, so ``flatten`` and the row determinant's subset DP in
+``ncdet`` flatten a sample once between them; ``block_view`` keeps the
+viewed matrix's rows as them.
 
 Products are built one row at a time: row i of A*B is the sum of
 a[i][k] * (row k of B) over the nonzero a[i][k] only, so zero entries of A
@@ -117,19 +117,15 @@ class Matrix(Frozen):
         entries = tuple(tuple(map(payload, row)) for row in rows)
         if any(len(row) != len(entries[0]) for row in entries):
             raise ValueError("ragged rows")
-        self._fill(ring, entries)
+        self.__dict__.update(ring=ring, entries=entries)
 
-    @classmethod
-    def _of(cls, ring: Ring, entries: tuple) -> Matrix:
-        """The trusted constructor: ``entries`` is a tuple of equal-length
-        tuples of canonical payloads of ``ring``, taken as it is."""
-        mat = object.__new__(cls)
-        mat._fill(ring, entries)
-        return mat
+    @property
+    def rows(self) -> int:
+        return len(self.entries)
 
-    def _fill(self, ring: Ring, entries: tuple) -> None:
-        # Straight into the instance dict, past the frozen __setattr__.
-        self.__dict__.update(ring=ring, rows=len(entries), cols=len(entries[0]) if entries else 0, entries=entries)
+    @property
+    def cols(self) -> int:
+        return len(self.entries[0]) if self.entries else 0
 
     @property
     def is_square(self) -> bool:
@@ -214,14 +210,7 @@ def shifted(x: Matrix) -> dict[int, tuple]:
     shares the dict: read it, never change it.  A block that several
     samples hold, such as an interned scalar block, keeps rows that serve
     every one of them."""
-    # Kept in the instance dict, past the frozen __setattr__, as _fill
-    # does; functools.cached_property would take a lock on every first
-    # access under CPython 3.11.
-    kept = x.__dict__
-    form = kept.get("_shifted")
-    if form is None:
-        form = kept["_shifted"] = _shift(x)
-    return form
+    return x._kept("_shifted", _shift)
 
 
 def _shift(x: Matrix) -> dict[int, tuple]:
@@ -416,6 +405,8 @@ class BlockMatrix(Frozen):
     _fields = ("ring", "m", "n", "blocks")
 
     def __init__(self, ring: Ring, m: int, n: int, blocks):
+        if m < 1 or n < 1:
+            raise ValueError(f"a block matrix needs m >= 1 and n >= 1, got m={m}, n={n}")
         blocks = tuple(tuple(row) for row in blocks)
         if len(blocks) != n or any(len(row) != n for row in blocks):
             raise ValueError(f"expected {n}x{n} blocks")
@@ -425,18 +416,6 @@ class BlockMatrix(Frozen):
                     raise RingMismatchError("blocks over different rings")
                 if (b.rows, b.cols) != (m, m):
                     raise ValueError(f"every block must be {m}x{m}")
-        self._fill(ring, m, n, blocks)
-
-    @classmethod
-    def _of(cls, ring: Ring, m: int, n: int, blocks: tuple) -> BlockMatrix:
-        """The trusted constructor: ``blocks`` is a tuple of n tuples of n
-        m x m matrices over ``ring``, taken as it is."""
-        bm = object.__new__(cls)
-        bm._fill(ring, m, n, blocks)
-        return bm
-
-    def _fill(self, ring: Ring, m: int, n: int, blocks: tuple) -> None:
-        # Straight into the instance dict, past the frozen __setattr__.
         self.__dict__.update(ring=ring, m=m, n=n, blocks=blocks)
 
     def block(self, i: int, j: int) -> Matrix:
@@ -456,12 +435,8 @@ def _flat_rows(bm: BlockMatrix) -> tuple:
     row r of each block in that block row, side by side.  Built once per
     block matrix and kept on it, as ``shifted`` keeps a matrix's shifted
     rows, so its flat determinant and the row determinant's subset DP share
-    them: read them, never change them."""
-    kept = bm.__dict__
-    rows = kept.get("_flat")
-    if rows is None:
-        rows = kept["_flat"] = _flatten(bm)
-    return rows
+    them."""
+    return bm._kept("_flat", _flatten)
 
 
 def _flatten(bm: BlockMatrix) -> tuple:
@@ -472,6 +447,8 @@ def block_view(mat: Matrix, m: int) -> BlockMatrix:
     """View a square matrix as an n x n array of m x m blocks."""
     if not mat.is_square:
         raise ValueError("block view of a non-square matrix")
+    if not mat.entries:
+        raise ValueError("block view of an empty matrix")
     if m < 1 or mat.rows % m:
         raise ValueError(f"dimension {mat.rows} not divisible by block size {m}")
     n = mat.rows // m

@@ -192,8 +192,6 @@ def nc_row_det(bm: BlockMatrix) -> Matrix:
     last step is the first-row expansion: n 2^(n-1) - n block products, not
     the (n-1) n! of the sum written out.
     """
-    if bm.n < 1:
-        raise ValueError("row-determinant needs n >= 1")
     det, _, decode = _subset_dp(bm.ring, bm.m, _flat_rows(bm))
     return Matrix._of(bm.ring, tuple(map(decode, det)))
 
@@ -215,8 +213,6 @@ def cofactor_column_check(bm: BlockMatrix) -> bool:
     row 1 and in different columns commutes; reported honestly for any
     input.
     """
-    if bm.n == 1:
-        return True
     ring, m, rows = bm.ring, bm.m, _flat_rows(bm)
     return _column_collapses(ring, m, rows, _det_and_cofactors(ring, m, rows)[1])
 

@@ -5,7 +5,9 @@ The rings and their elements, ``RingValue``, are immutable values on the
 ``Frozen`` base, as are ``Matrix``, ``BlockMatrix`` and ``Condition``: each
 is equal only to an instance of its own class with equal fields, hashes as
 the tuple of those fields, and raises ``AttributeError`` on assigning or
-deleting any attribute.  Every payload is canonical, as ``ring.canonical``
+deleting any attribute.  ``Frozen._of`` is the one trusted constructor of
+them all, and ``Frozen._kept`` the one way a value keeps what it derives
+from its fields.  Every payload is canonical, as ``ring.canonical``
 makes it: a plain ``int`` over ``int``, one in ``[0, p)`` over ``mod:p``,
 and an int tuple with no trailing zeros over ``poly:``.  So zero is the one
 falsy payload of each ring, and kernels test it by truthiness.  A
@@ -39,15 +41,15 @@ def __hash__(self):
 class Frozen:
     """Base of the immutable value types.
 
-    A subclass names its compared fields in ``_fields`` and sets its
-    attributes in ``__init__`` with ``object.__setattr__`` (a trusted
-    constructor may fill ``__dict__`` directly).  It is then equal only to
-    an instance of its own class with equal fields, hashes as the tuple of
-    those fields, prints as ``Name(field=value, ...)`` unless it says
-    otherwise, and raises ``AttributeError`` on assigning or deleting any
-    attribute.  Instances keep a ``__dict__``, so a value may cache
-    what it derives from its fields there; pickling and ``copy.deepcopy``
-    restore that dict directly.
+    A subclass names its compared fields in ``_fields``.  A validating
+    ``__init__`` writes them into ``__dict__`` by one keyword ``update``, as
+    ``_of`` explains; ``_of`` builds a value from fields already valid.  It
+    is then equal only to an instance of its own class with equal fields,
+    hashes as the tuple of those fields, prints as ``Name(field=value,
+    ...)`` unless it says otherwise, and raises ``AttributeError`` on
+    assigning or deleting any attribute.  What a value derives from its
+    fields it keeps in the same ``__dict__`` through ``_kept``; pickling
+    and ``copy.deepcopy`` restore that dict directly.
     """
 
     _fields: tuple[str, ...] = ()
@@ -60,6 +62,26 @@ class Frozen:
             methods = {}
             exec(code, {}, methods)
             cls.__eq__, cls.__hash__ = methods["__eq__"], methods["__hash__"]
+
+    @classmethod
+    def _of(cls, *values):
+        """The trusted constructor: the fields in ``_fields`` order, taken
+        as they are.  An empty instance dict updated from a dict copies its
+        table; filled key by key it would stay split, and on CPython 3.11
+        each attribute read of the value would take three times as long."""
+        obj = object.__new__(cls)
+        obj.__dict__.update(dict(zip(cls._fields, values)))
+        return obj
+
+    def _kept(self, key: str, derive):
+        """derive(self), computed on first use and kept in the instance dict
+        under ``key``, so every caller shares it: read it, never change it.
+        ``functools.cached_property`` would take a lock on every first
+        access under CPython 3.11."""
+        value = self.__dict__.get(key)
+        if value is None:
+            value = self.__dict__[key] = derive(self)
+        return value
 
     def __repr__(self):
         fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
@@ -194,7 +216,7 @@ class PrimeField(Ring):
             raise ValueError(f"modulus {p} is too large to certify as prime")
         if not _is_prime(p):
             raise ValueError(f"modulus {p} is not prime")
-        object.__setattr__(self, "p", p)
+        self.__dict__.update(p=p)
 
     @property
     def label(self) -> str:
@@ -234,7 +256,7 @@ class PolynomialRing(Ring):
     _fields = ("variable",)
 
     def __init__(self, variable: str = "z"):
-        object.__setattr__(self, "variable", variable)
+        self.__dict__.update(variable=variable)
 
     @property
     def label(self) -> str:
@@ -288,8 +310,7 @@ class RingValue(Frozen):
     _fields = ("ring", "payload")
 
     def __init__(self, ring: Ring, payload):
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "payload", ring.canonical(payload))
+        self.__dict__.update(ring=ring, payload=ring.canonical(payload))
 
     def __repr__(self):
         return f"<{self.ring.label}: {self.ring.format_payload(self.payload)}>"

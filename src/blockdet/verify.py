@@ -401,6 +401,12 @@ def run_campaign(
     return _run_trials(trials, seed, trial, condition_id=condition_id, condition=g, generator=generator[0])
 
 
+def trace_samples(n: int, seed: int) -> list[BlockMatrix]:
+    """The 20 samples the induction trace checks at size n: ``f`` samples
+    at m = 2n over ``int``, from the trial seeds 300 + 50 n + i of seed."""
+    return [gen_satisfying(cond_f(n), 2 * n, ZZ, trial_seed(seed, 300 + 50 * n + i)) for i in range(20)]
+
+
 # --- deterministic counterexamples -------------------------------------------
 
 # The fixed counterexamples over Z, as block rows of the named integer blocks.
@@ -443,8 +449,7 @@ def _witness_matrix(case: str, n: int) -> BlockMatrix:
 def builtin_matrix(name: str, n: int | None = None) -> BlockMatrix:
     """Built-in matrices by name: m1, m2, m3, m3swapped, h1..h4,
     same_row (optimality witness, default n=2), diff_row (default n=3)."""
-    key = name.lower().replace("-", "_")
-    key = _H_TO_MATRIX.get(key, key)
+    key = _H_TO_MATRIX.get(name, name)
     if key in _WITNESS_PLACEMENTS:
         return _witness_matrix(key, _WITNESS_PLACEMENTS[key][0] if n is None else n)
     if key not in _FIXED_BUILTINS:
@@ -659,28 +664,27 @@ def optimality_scan(
     """
     if n < 2:
         raise ValueError(f"the optimality scan needs n >= 2, got n={n}")
-    check_row_det_size(n)
+    # Per case, the witness's three verdicts, in the record's field order:
+    # it satisfies kappa less the canonical edge, det(Det M) has degree >= 1
+    # in a while det M is constant, and so the identity fails.  diff_row
+    # needs a third row.  The first witness checks n against ROW_DET_CAP,
+    # before any condition of size n is built.
+    verdicts = {}
+    for case, canonical in (("same_row", CANONICAL_SAME_ROW), ("diff_row", CANONICAL_DIFF_ROW))[: n - 1]:
+        witness = builtin_matrix(case, n)
+        result = check_identity(witness)
+        verdicts[case] = (
+            matrix_satisfies(witness, cond_minus_edge(cond_kappa(n), canonical)),
+            len(result.lhs.payload) > 1 and len(result.rhs.payload) <= 1,
+            not result.equal,
+        )
     ring = PrimeField(10007)
     kappa = cond_kappa(n)
     fam = cond_f(n)
-
-    # Per case, the witness's three verdicts, in the record's field order:
-    # it satisfies kappa less the canonical edge, det(Det M) has degree >= 1
-    # in a while det M is constant, and so the identity fails.
-    verdicts = {}
     records = []
     for edge in sorted(fam.edges):
         case, canonical, row_map, col_map = _edge_maps(n, edge)
-        if case not in verdicts:
-            witness = builtin_matrix(case, n)
-            result = check_identity(witness)
-            verdicts[case] = (
-                matrix_satisfies(witness, cond_minus_edge(kappa, canonical)),
-                len(result.lhs.payload) > 1 and len(result.rhs.payload) <= 1,
-                not result.equal,
-            )
-        mapped = _maps_onto(edge, canonical, row_map, col_map)
-        records.append(EdgeCaseRecord(edge, case, mapped, *verdicts[case]))
+        records.append(EdgeCaseRecord(edge, case, _maps_onto(edge, canonical, row_map, col_map), *verdicts[case]))
 
     campaigns = [
         run_campaign(fam, 2 * n, ring, campaign_trials, trial_seed(seed, 1), condition_id="f"),

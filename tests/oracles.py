@@ -64,7 +64,6 @@ from blockdet.cli import build_parser
 from blockdet.conditions import (
     Condition,
     cond_col_permute,
-    cond_f,
     cond_kappa,
     cond_minus_edge,
     cond_named,
@@ -93,7 +92,7 @@ from blockdet.verify import (
     check_identity,
     gen_satisfying,
     pick_generator,
-    trial_seed,
+    trace_samples,
 )
 
 EXPANSION_CAP = 8
@@ -436,12 +435,9 @@ def trace_inputs() -> tuple[BlockMatrix, ...]:
     """64 integer block matrices for the induction trace: the 40 samples of
     ``scripts/run_verification.py`` at its default seed, the four fixed
     counterexamples, and seeds 0-4 of h1, h4, kappa (n = 3) and g5, which
-    fail some of the trace's checks."""
-    out = [
-        gen_satisfying(cond_f(n), 2 * n, ZZ, trial_seed(PAPER_SEED, 300 + 50 * n + i))
-        for n in (2, 3)
-        for i in range(20)
-    ]
+    fail some of the trace's checks.  The 40 come from
+    ``blockdet.verify.trace_samples``, as the script's do."""
+    out = trace_samples(2, PAPER_SEED) + trace_samples(3, PAPER_SEED)
     out += [builtin_matrix(name) for name in ("m1", "m2", "m3", "m3swapped")]
     conditions = [(cond_named("h1"), 3), (cond_named("h4"), 3), (cond_kappa(3), 3), (cond_named("g5"), 4)]
     out += [gen_satisfying(g, m, ZZ, seed) for g, m in conditions for seed in range(5)]

@@ -276,6 +276,19 @@ def test_block_view_errors():
         block_view(Matrix(ZZ, [[1, 2]]), 1)
 
 
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: BlockMatrix(ZZ, 0, 1, [[Matrix(ZZ, [])]]), "m >= 1 and n >= 1", id="m0"),
+    pytest.param(lambda: BlockMatrix(ZZ, 2, 0, []), "m >= 1 and n >= 1", id="n0"),
+    pytest.param(lambda: block_view(Matrix(ZZ, []), 1), "empty matrix", id="empty-view"),
+])
+def test_an_empty_shape_is_rejected_where_a_block_matrix_is_built(build, message):
+    # Built, the kernels failed on them with the wrong error: nc_row_det at
+    # m = 0 with ZeroDivisionError, cofactor_column_check at n = 0 with
+    # AttributeError.
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 def test_matrix_format_roundtrip():
     rng = random.Random(13)
     for ring in ALL_RINGS:

@@ -92,6 +92,13 @@ def test_assigning_a_field_or_a_new_attribute_raises():
     assert F7 == PrimeField(7) and PA == PolynomialRing("a") and COND == Condition(2, [EDGE])
 
 
+def test_a_matrix_stores_only_its_ring_and_entries():
+    # Its shape is read from the entries, whichever constructor built it.
+    built = (Matrix(ZZ, [[1, 2, 3]]), Matrix._of(ZZ, ((1,), (2,))), Matrix(ZZ, []))
+    for mat, shape in zip(built, ((1, 3), (2, 1), (0, 0))):
+        assert vars(mat).keys() == {"ring", "entries"} and (mat.rows, mat.cols) == shape
+
+
 def test_values_built_by_different_paths_are_equal():
     mat, bm, v = _values()
     parsed = parse_matrix(TEXT)
